@@ -635,60 +635,217 @@ def run_protocol(n_rounds: int, source: SourceConfig | None = None,
 # ---------------------------------------------------------------------------
 # Transcript files
 # ---------------------------------------------------------------------------
+#
+# One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
+#   round_id    decimal digits (at most 18), strictly increasing down the file
+#   setting_*   1, 2 or 3
+#   detected    0 or 1
+#   outcome_*   0, 1 or 2 when detected is 1, '-' when detected is 0
+# Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
+# lines whose first field starts with '#' are skipped; '# key = value' lines
+# anywhere form the header.  Both directions work on fixed-size chunks: a
+# whole-file pass holds tens of bytes of index arrays per transcript byte.
+
+_WRITE_CHUNK_ROWS = 1 << 15
+_READ_BLOCK_BYTES = 1 << 18
+_MAX_ID_DIGITS = 18                 # every such id fits in an int64
+_POW10 = 10 ** np.arange(1, _MAX_ID_DIGITS + 1, dtype=np.int64)
+_LINE_TAIL = np.frombuffer(b" 0 0 0 0 0\n", dtype=np.uint8)
+_DASH = ord("-")
+
+
+def _byte_set(chars: bytes) -> np.ndarray:
+    table = np.zeros(256, dtype=bool)
+    table[list(chars)] = True
+    return table
+
+
+_IS_SOLID = ~_byte_set(b" \t\r\v\f\n")
+_IS_SETTING = _byte_set(b"123")
+# detected character -> 0, 1, or 2 for anything else
+_DETECTED_CODE = np.full(256, 2, dtype=np.uint8)
+_DETECTED_CODE[[ord("0"), ord("1")]] = [0, 1]
+# [detected code, outcome character] -> outcome allowed
+_OUTCOME_OK = np.stack((_byte_set(b"-"), _byte_set(b"012"), np.ones(256, dtype=bool)))
+# character -> field value ('-' reads as -1)
+_CHAR_VALUE = np.full(256, -1, dtype=np.int8)
+_CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
+
+_FAULTS = (
+    f"round_id {{0!r}} is not a non-negative integer of at most {_MAX_ID_DIGITS} digits",
+    "setting_a {1!r} is not 1, 2 or 3",
+    "setting_b {3!r} is not 1, 2 or 3",
+    "detected {5!r} is not 0 or 1",
+    "outcome_a {2!r} must be {want} when detected is {5}",
+    "outcome_b {4!r} must be {want} when detected is {5}",
+    "round_id {0} does not exceed the previous round_id {prev}",
+)
+
+
+def _first_fault(ids, id_ok, prev_id, chars, fields_of):
+    """(row, message) for the first row breaking the transcript grammar, or None.
+
+    ``chars`` stacks each row's single-character fields (setting_a,
+    outcome_a, setting_b, outcome_b, detected) as uint8 rows; ``fields_of``
+    renders one row's six fields as text for the message.
+    """
+    sa, oa, sb, ob, det = chars
+    det_code = _DETECTED_CODE[det]
+    faults = np.stack((
+        ~id_ok,
+        ~_IS_SETTING[sa],
+        ~_IS_SETTING[sb],
+        det_code == 2,
+        ~_OUTCOME_OK[det_code, oa],
+        ~_OUTCOME_OK[det_code, ob],
+        ids <= np.concatenate(([prev_id], ids[:-1])),
+    ))
+    bad = faults.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    fields = fields_of(row)
+    message = _FAULTS[int(faults[:, row].argmax())].format(
+        *fields, want="0, 1 or 2" if fields[5] == "1" else "'-'",
+        prev=ids[row - 1] if row else prev_id)
+    return row, message
+
+
+def _format_rows(ids: np.ndarray, chars: np.ndarray) -> bytes:
+    """Transcript lines for valid rows: the id's digits, then an 11-byte tail."""
+    width = 1 + np.searchsorted(_POW10, ids, side="right")
+    w = int(width.max())
+    table = np.empty((len(ids), w + len(_LINE_TAIL)), dtype=np.uint8)
+    table[:, w:] = _LINE_TAIL
+    table[:, w + 1:w + 10:2] = chars.T
+    rest = ids
+    for col in range(w - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        table[:, col] = digit + 48
+    keep = np.arange(table.shape[1]) >= (w - width)[:, None]
+    return table[keep].tobytes()
+
+
+def _digit_chars(values: np.ndarray) -> np.ndarray:
+    return np.where((values >= 0) & (values <= 9), values + 48, ord("?")).astype(np.uint8)
+
+
+def _round_fields(rounds: Rounds, i: int) -> tuple:
+    det = bool(rounds.detected[i])
+    return (str(rounds.round_id[i]), str(rounds.setting_a[i]),
+            str(rounds.outcome_a[i]) if det else "-", str(rounds.setting_b[i]),
+            str(rounds.outcome_b[i]) if det else "-", str(int(det)))
+
 
 def write_transcript(path, rounds: Rounds, header: dict | None = None) -> None:
     """One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
 
     Missing outcomes (undetected rounds) are written as '-'.  Header lines
-    are '# key = value'.
+    are '# key = value'.  Rounds that the reader would reject raise
+    ValidationError naming the round's index; earlier chunks are already
+    written by then.
     """
-    with open(path, "w") as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        for i in range(len(rounds)):
-            det = bool(rounds.detected[i])
-            oa = str(rounds.outcome_a[i]) if det else "-"
-            ob = str(rounds.outcome_b[i]) if det else "-"
-            fh.write(f"{rounds.round_id[i]} {rounds.setting_a[i]} {oa} "
-                     f"{rounds.setting_b[i]} {ob} {int(det)}\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {key} = {value}\n"
+                         for key, value in (header or {}).items()).encode())
+        prev_id = -1
+        for lo in range(0, len(rounds), _WRITE_CHUNK_ROWS):
+            part = rounds.subset(slice(lo, lo + _WRITE_CHUNK_ROWS))
+            ids = part.round_id.astype(np.int64)
+            det = part.detected.astype(bool)
+            chars = np.stack((
+                _digit_chars(part.setting_a),
+                np.where(det, _digit_chars(part.outcome_a), _DASH),
+                _digit_chars(part.setting_b),
+                np.where(det, _digit_chars(part.outcome_b), _DASH),
+                det + np.uint8(48),
+            )).astype(np.uint8)
+            fault = _first_fault(ids, (ids >= 0) & (ids < 10 ** _MAX_ID_DIGITS),
+                                 prev_id, chars, lambda row: _round_fields(part, row))
+            if fault is not None:
+                row, message = fault
+                raise ValidationError(f"{path}: round index {lo + row}: {message}")
+            fh.write(_format_rows(ids, chars))
+            prev_id = ids[-1]
+
+
+def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
+    """Columns of the rounds in ``data``, whole lines ending in a newline.
+
+    ``line0`` is the number of lines before ``data`` and ``prev_id`` the
+    last round id before it; header lines are added to ``header``.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    starts, ends = np.flatnonzero(np.diff(
+        _IS_SOLID.take(buf), prepend=False, append=False)).reshape(-1, 2).T
+    # line j holds fields first[j] .. first[j] + n_fields[j] - 1
+    last = np.searchsorted(starts, newlines)
+    first = np.concatenate(([0], last[:-1]))
+    n_fields = last - first
+    used = np.flatnonzero(n_fields)
+    comment = buf[starts[first[used]]] == ord("#")
+    for j in used[comment]:
+        body = data[starts[first[j]] + 1:newlines[j]].decode(errors="replace").strip()
+        if "=" in body:
+            key, _, value = body.partition("=")
+            header[key.strip()] = value.strip()
+
+    lines = used[~comment]
+    wrong = n_fields[lines] != 6
+    rows = lines[~wrong]
+    field = first[rows] + np.arange(6)[:, None]
+    size = ends[field] - starts[field]
+    chars = np.where(size[1:] == 1, buf[starts[field[1:]]], np.uint8(0))
+
+    id_start, id_size = starts[field[0]], size[0]
+    id_ok = id_size <= _MAX_ID_DIGITS
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for k in range(min(int(id_size.max(initial=0)), _MAX_ID_DIGITS)):
+        live = k < id_size
+        digit = buf[id_start + np.minimum(k, id_size - 1)] - np.uint8(48)
+        id_ok &= ~live | (digit <= 9)
+        ids = np.where(live, 10 * ids + digit, ids)
+
+    errors = []
+    if wrong.any():
+        j = lines[wrong.argmax()]
+        errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
+    fault = _first_fault(ids, id_ok, prev_id, chars, lambda row: tuple(
+        data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row]))
+    if fault is not None:
+        row, message = fault
+        errors.append((rows[row], message))
+    if errors:
+        at, message = min(errors)
+        raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
+
+    values = _CHAR_VALUE[chars]
+    return (ids, values[0], values[1], values[2], values[3],
+            values[4].astype(bool)), len(newlines)
 
 
 def read_transcript(path) -> tuple[Rounds, dict]:
     """Parse a transcript file; raises ValidationError with the line number."""
     header = {}
-    cols = {name: [] for name in
-            ("round_id", "setting_a", "outcome_a", "setting_b", "outcome_b", "detected")}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                rid, sa, oa, sb, ob, det = parts
-                detected = bool(int(det))
-                cols["round_id"].append(int(rid))
-                cols["setting_a"].append(int(sa))
-                cols["setting_b"].append(int(sb))
-                cols["outcome_a"].append(-1 if oa == "-" else int(oa))
-                cols["outcome_b"].append(-1 if ob == "-" else int(ob))
-                cols["detected"].append(detected)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return Rounds(
-        round_id=np.array(cols["round_id"], dtype=np.int64),
-        setting_a=np.array(cols["setting_a"], dtype=np.int8),
-        outcome_a=np.array(cols["outcome_a"], dtype=np.int8),
-        setting_b=np.array(cols["setting_b"], dtype=np.int8),
-        outcome_b=np.array(cols["outcome_b"], dtype=np.int8),
-        detected=np.array(cols["detected"], dtype=bool),
-    ), header
+    columns = [[np.zeros(0, dtype=dt)] for dt in
+               (np.int64, np.int8, np.int8, np.int8, np.int8, bool)]
+    line0, prev_id, rest = 0, -1, b""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_READ_BLOCK_BYTES)
+            data = rest + block
+            if block:
+                cut = data.rfind(b"\n") + 1
+                data, rest = data[:cut], data[cut:]
+            elif data:
+                data += b"\n"               # the last line lacks its newline
+            if data:
+                cols, n_lines = _parse_lines(data, path, line0, prev_id, header)
+                for column, part in zip(columns, cols):
+                    column.append(part)
+                line0 += n_lines
+                prev_id = cols[0][-1] if len(cols[0]) else prev_id
+            if not block:
+                break
+    return Rounds(*(np.concatenate(column) for column in columns)), header

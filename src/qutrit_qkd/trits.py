@@ -10,9 +10,9 @@ from .linalg import ValidationError
 def as_trits(values) -> np.ndarray:
     """Coerce a digit string or integer sequence to an int8 trit array."""
     if isinstance(values, str):
-        if values and not values.isdigit():
+        if values and not (values.isascii() and values.isdigit()):
             _bad_string(values)
-        values = [int(c) for c in values]
+        values = np.frombuffer(values.encode(), dtype=np.uint8) - np.uint8(48)
     arr = np.asarray(values)
     if arr.size and (arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer)):
         raise ValidationError("trit strings must be one-dimensional integer sequences")
@@ -37,7 +37,7 @@ def parse_trits(text: str) -> np.ndarray:
 
 def format_trits(trits, group: int = 0) -> str:
     """Render trits as digits, optionally space-separated in fixed groups."""
-    digits = "".join(str(t) for t in as_trits(trits))
+    digits = (as_trits(trits) + 48).astype(np.uint8).tobytes().decode()
     if group <= 0:
         return digits
     return " ".join(digits[i:i + group] for i in range(0, len(digits), group))
@@ -45,19 +45,21 @@ def format_trits(trits, group: int = 0) -> str:
 
 def read_key_file(path) -> np.ndarray:
     """Read a key file: contiguous trit digits, '#' comment lines allowed."""
-    digits = []
-    with open(path) as fh:
+    parts = [np.zeros(0, dtype=np.uint8)]
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
-            chunk = "".join(line.split())
-            for ch in chunk:
-                if ch not in "012":
-                    raise ValidationError(
-                        f"{path}:{lineno}: invalid trit character {ch!r}")
-            digits.append(chunk)
-    return as_trits("".join(digits))
+            chunk = b"".join(line.split())
+            digits = np.frombuffer(chunk, dtype=np.uint8) - np.uint8(48)
+            bad = digits > 2
+            if bad.any():
+                at = int(bad.argmax())
+                ch = chunk[at:at + 4].decode(errors="replace")[0]
+                raise ValidationError(f"{path}:{lineno}: invalid trit character {ch!r}")
+            parts.append(digits)
+    return np.concatenate(parts).astype(np.int8)
 
 
 def write_key_file(path, trits, comments=()) -> None:

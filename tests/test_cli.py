@@ -141,6 +141,22 @@ class TestSimulateAndSift:
         code, _, err = run_cli(capsys, "sift", "--transcript", str(path))
         assert code == 4
 
+    def test_header_only_transcript_has_no_rounds(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("# seed = 1\n")
+        code, _, err = run_cli(capsys, "sift", "--transcript", str(path))
+        assert code == 4
+        assert "no rounds" in err
+
+    @pytest.mark.parametrize("row", ["1 1 - 1 0 1", "1 9 7 1 0 1", "0 1 0 1 0 1"])
+    def test_malformed_transcript_is_validation_error(self, capsys, tmp_path, row):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0 1 0 1 0 1\n{row}\n")
+        code, out, err = run_cli(capsys, "sift", "--transcript", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}:2: ")
+        assert "Traceback" not in err and out == ""
+
 
 class TestReconcileCommand:
     def test_reference_arithmetic(self, capsys, tmp_path):

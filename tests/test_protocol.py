@@ -423,3 +423,115 @@ class TestTranscriptIO:
         path.write_text("0 1 0 1 0 1\n1 2 0\n")
         with pytest.raises(ValidationError, match="2"):
             read_transcript(path)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 64])
+    def test_writer_matches_reference_text(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(protocol, "_WRITE_CHUNK_ROWS", chunk_rows)
+        a, b = default_parties()
+        rounds = run_session(1500, SourceConfig(detection_efficiency=0.7),
+                             NO_EVE, a, b, seed=22)
+        header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
+        path = tmp_path / "transcript.txt"
+        write_transcript(path, rounds, header=header)
+        expected = [f"# {key} = {value}\n" for key, value in header.items()]
+        for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in rounds._columns())):
+            oa, ob = (oa, ob) if det else ("-", "-")
+            expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(det)}\n")
+        assert path.read_bytes() == "".join(expected).encode()
+
+    READ_CASES = {
+        "tabs": ("0\t1\t0\t1\t0\t1\n", [(0, 1, 0, 1, 0, True)]),
+        "space runs": ("0   1 0  1 0      1\n", [(0, 1, 0, 1, 0, True)]),
+        "crlf": ("# seed = 4\r\n0 1 0 1 0 1\r\n7 3 - 2 - 0\r\n",
+                 [(0, 1, 0, 1, 0, True), (7, 3, -1, 2, -1, False)]),
+        "indentation": ("   0 2 1 3 2 1\n\t 12 1 2 1 0 1\n",
+                        [(0, 2, 1, 3, 2, True), (12, 1, 2, 1, 0, True)]),
+        "comments and blanks": ("0 1 0 1 0 1\n\n  # note\n   \n#x=y\n5 3 - 2 - 0\n",
+                                [(0, 1, 0, 1, 0, True), (5, 3, -1, 2, -1, False)]),
+        "no final newline": ("0 1 0 1 0 1\n1 3 - 2 - 0",
+                             [(0, 1, 0, 1, 0, True), (1, 3, -1, 2, -1, False)]),
+        "header only": ("# seed = 1\n", []),
+        "empty": ("", []),
+    }
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 7])
+    @pytest.mark.parametrize("case", sorted(READ_CASES))
+    def test_reader_accepts(self, tmp_path, monkeypatch, case, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+        text, rows = self.READ_CASES[case]
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        loaded, _ = read_transcript(path)
+        columns = loaded._columns()
+        assert [c.dtype for c in columns] == [np.int64, np.int8, np.int8,
+                                              np.int8, np.int8, np.bool_]
+        assert list(zip(*(c.tolist() for c in columns))) == rows
+
+    def test_reader_header_anywhere(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"# seed = 3\n0 1 0 1 0 1\n  #rounds=2  \n1 1 0 1 0 1\n# \xff\n")
+        _, header = read_transcript(path)
+        assert header == {"seed": "3", "rounds": "2"}
+
+    REJECT_CASES = {
+        "detected with dash outcome": ("0 1 - 1 0 1\n", 1, "outcome_a '-'"),
+        "setting 9 outcome 7": ("0 9 7 1 0 1\n", 1, "setting_a '9'"),
+        "setting_b 4": ("# h\n0 1 0 4 0 1\n", 2, "setting_b '4'"),
+        "outcome 7": ("0 1 0 1 0 1\n1 1 7 1 0 1\n", 2, "outcome_a '7'"),
+        "outcome_b 3": ("0 1 0 1 3 1\n", 1, "outcome_b '3'"),
+        "detected 2": ("0 1 0 1 0 2\n", 1, "detected '2'"),
+        "undetected with outcome": ("0 1 - 1 2 0\n", 1, "outcome_b '2' must be '-'"),
+        "multi-character field": ("0 01 0 1 0 1\n", 1, "setting_a '01'"),
+        "negative id": ("-1 1 0 1 0 1\n", 1, "round_id '-1'"),
+        "non-digit id": ("0 1 0 1 0 1\n\n1x 1 0 1 0 1\n", 3, "round_id '1x'"),
+        "19-digit id": ("1000000000000000000 1 0 1 0 1\n", 1, "round_id"),
+        "duplicate id": ("0 1 0 1 0 1\n# c\n0 1 0 1 0 1\n", 3, "does not exceed"),
+        "decreasing id": ("5 1 0 1 0 1\n3 1 0 1 0 1\n", 2, "does not exceed"),
+        "seven fields": ("0 1 0 1 0 1\n1 1 0 1 0 1 1\n", 2, "expected 6 fields, got 7"),
+        "first fault wins": ("0 1 0 1 0 1\n1 2 0\n0 9 9 9 9 9\n", 2, "expected 6"),
+    }
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("case", sorted(REJECT_CASES))
+    def test_reader_rejects(self, tmp_path, monkeypatch, case, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+        text, line, message = self.REJECT_CASES[case]
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_transcript(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("block_bytes", [None, 4096])
+    def test_reader_line_numbers_across_blocks(self, tmp_path, monkeypatch, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+        n = 30_000          # about 490 kB: more than one default read block
+        lines = ["# seed = 1\n"] + [f"{i} {1 + i % 3} {i % 3} 2 1 1\n" for i in range(n)]
+        lines[n // 2:n // 2] = ["\n", "  # midway\n"]
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        loaded, _ = read_transcript(path)
+        assert np.array_equal(loaded.round_id, np.arange(n))
+        assert np.array_equal(loaded.setting_a, 1 + np.arange(n) % 3)
+        bad_line = 25_000
+        lines[bad_line - 1] = lines[bad_line - 1].replace(" 2 1 1\n", " 2 1 -\n")
+        path.write_text("".join(lines))
+        assert path.stat().st_size > protocol._READ_BLOCK_BYTES
+        with pytest.raises(ValidationError, match=f":{bad_line}: detected '-'"):
+            read_transcript(path)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("setting_a", 4, "round index 3: setting_a '4'"),
+        ("outcome_b", -1, "round index 3: outcome_b '-1' must be 0, 1 or 2"),
+        ("round_id", 1, "round index 3: round_id 1 does not exceed"),
+    ])
+    def test_writer_rejects_unreadable_rounds(self, tmp_path, column, value, message):
+        rounds = run_session(10, IDEAL, NO_EVE, *default_parties(), seed=1)
+        getattr(rounds, column)[3] = value
+        with pytest.raises(ValidationError, match=message):
+            write_transcript(tmp_path / "t.txt", rounds)

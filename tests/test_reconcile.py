@@ -156,3 +156,21 @@ class TestKeyFiles:
         path.write_text("012\n013\n")
         with pytest.raises(ValidationError, match="2"):
             read_key_file(path)
+
+    def test_whitespace_and_crlf_tolerated(self, tmp_path):
+        path = tmp_path / "key.txt"
+        path.write_bytes(b"# c\r\n  01 2\t0\r\n\r\n 21")
+        assert read_key_file(path).tolist() == [0, 1, 2, 0, 2, 1]
+        assert read_key_file(path).dtype == np.int8
+
+    @pytest.mark.parametrize("text, line, char", [
+        ("012\n0 1 x\n", 2, "'x'"),
+        ("# \u00e9\n01\u00e92\n", 2, "'\u00e9'"),
+        ("3\n", 1, "'3'"),
+    ])
+    def test_invalid_character_message(self, tmp_path, text, line, char):
+        path = tmp_path / "key.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_key_file(path)
+        assert str(info.value) == f"{path}:{line}: invalid trit character {char}"
