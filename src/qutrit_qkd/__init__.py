@@ -30,9 +30,9 @@ from .linalg import (
     InvalidStateError,
     MixedState,
     ValidationError,
+    born_tables,
     computational_basis,
     diagonal_state,
-    joint_probability,
     make_state,
     maximally_entangled_state,
     phase_basis,

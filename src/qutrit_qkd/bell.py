@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .linalg import (
     DIM,
     MixedState,
     ValidationError,
+    born_tables,
     diagonal_state,
-    joint_amplitudes,
-    phase_basis,
+    phase_rows,
     require_orthonormal,
 )
 
@@ -52,6 +51,13 @@ class SettingsPair:
     def basis(self, side: str, setting: int) -> np.ndarray:
         return getattr(self, f"{side.lower()}{setting}")
 
+    def tables(self, state) -> np.ndarray:
+        """(2, 3, 2, 3) outcome tables [a - 1, k, b - 1, l] of ``state``."""
+        mixed = as_mixture(state)
+        return born_tables(np.concatenate((self.a1, self.a2)),
+                           np.concatenate((self.b1, self.b2)),
+                           mixed.psis, mixed.weights, mixed.white_noise_weight)
+
 
 @dataclass(frozen=True)
 class BellValue:
@@ -64,14 +70,13 @@ class BellValue:
         return self.s3 > self.classical_bound
 
 
-def canonical_settings() -> SettingsPair:
-    a1, a2, b1, b2 = CANONICAL_OFFSETS
-    return SettingsPair(
-        a1=phase_basis("A", a1),
-        a2=phase_basis("A", a2),
-        b1=phase_basis("B", b1),
-        b2=phase_basis("B", b2),
-    )
+def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
+    """Phase-basis settings at offsets (a1, a2, b1, b2), canonical by default."""
+    return _settings_from_rows(*_phase_family_rows(offsets))
+
+
+def _phase_family_rows(offsets) -> tuple[np.ndarray, np.ndarray]:
+    return phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:4])
 
 
 def as_mixture(state) -> MixedState:
@@ -85,10 +90,8 @@ def outcome_distribution(state, basis_a: np.ndarray, basis_b: np.ndarray) -> np.
     require_orthonormal(basis_a)
     require_orthonormal(basis_b)
     mixed = as_mixture(state)
-    table = np.full((DIM, DIM), mixed.white_noise_weight / 9.0)
-    for w, psi in mixed.components:
-        table += w * np.abs(joint_amplitudes(psi, basis_a, basis_b)) ** 2
-    return table
+    return born_tables(np.asarray(basis_a), np.asarray(basis_b), mixed.psis,
+                       mixed.weights, mixed.white_noise_weight)[0, :, 0, :]
 
 
 def coincidence_mod3(table: np.ndarray, k: int) -> float:
@@ -98,15 +101,25 @@ def coincidence_mod3(table: np.ndarray, k: int) -> float:
     return float(t[j, (j + k) % DIM].sum())
 
 
-# Signed coefficient per outcome cell, keyed by setting pair (a, b).
-# Cell (k, l) enters S3 with the sign of its difference class (k - l) mod 3.
+# Signed coefficient per outcome cell, indexed [a - 1, k, b - 1, l] like the
+# tables of ``SettingsPair.tables``, so that S3 is their dot product.  Cell
+# (k, l) of pair (a, b) takes the sign listed for its difference class
+# (k - l) mod 3: "A = B" is class 0, "A = B - 1" (coincidence k = 1) class 2
+# and "A = B + 1" (k = 2) class 1.
+_CLASS_SIGNS = np.array([[(1, 0, -1), (1, -1, 0)], [(-1, 0, 1), (1, 0, -1)]], dtype=float)
+S3_COEFFICIENTS = _CLASS_SIGNS[:, :, (np.arange(DIM)[:, None] - np.arange(DIM)) % DIM] \
+    .transpose(0, 2, 1, 3)
+S3_COEFFICIENTS.setflags(write=False)
+
+
+def _s3_of(tables: np.ndarray) -> float:
+    return float(S3_COEFFICIENTS.reshape(-1) @ tables.reshape(-1))
+
+
 def s3_coefficients() -> dict:
-    d = (np.arange(DIM)[:, None] - np.arange(DIM)[None, :]) % DIM
-    same = np.where(d == 0, 1.0, 0.0)
-    c11 = same - np.where(d == 2, 1.0, 0.0)
-    c21 = np.where(d == 2, 1.0, 0.0) - same
-    c12 = same - np.where(d == 1, 1.0, 0.0)
-    return {(1, 1): c11, (2, 1): c21, (2, 2): c11.copy(), (1, 2): c12}
+    """The 3x3 coefficient matrix of each setting pair (a, b), as a dict."""
+    return {(a, b): S3_COEFFICIENTS[a - 1, :, b - 1, :]
+            for a, b in ((1, 1), (2, 1), (2, 2), (1, 2))}
 
 
 def correlation_profile(state, settings: SettingsPair) -> dict:
@@ -114,26 +127,19 @@ def correlation_profile(state, settings: SettingsPair) -> dict:
 
     Each length-3 entry sums to 1; k indexes the outcome difference class.
     """
-    mixed = as_mixture(state)
-    profile = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            table = outcome_distribution(mixed, settings.basis("a", a),
-                                         settings.basis("b", b))
-            profile[(a, b)] = np.array([coincidence_mod3(table, k) for k in range(3)])
-    return profile
+    t = settings.tables(state)
+    return {(a, b): np.array([coincidence_mod3(t[a - 1, :, b - 1, :], k) for k in range(3)])
+            for a in (1, 2) for b in (1, 2)}
 
 
 def s3(state, settings: SettingsPair) -> BellValue:
     """Exact S3 for a state (pure or mixed) at the given settings.
 
-    The signed eight-term sum over the correlation profile; the "B - 1"
+    The signed eight-term sum over the correlation profile, evaluated as the
+    dot product of ``S3_COEFFICIENTS`` with the outcome tables; the "B - 1"
     terms take k = 1 and the "B + 1" term takes k = 2 (see module docstring).
     """
-    p = correlation_profile(state, settings)
-    total = (p[(1, 1)][0] + p[(2, 1)][1] + p[(2, 2)][0] + p[(1, 2)][0]
-             - p[(1, 1)][1] - p[(2, 1)][0] - p[(2, 2)][1] - p[(1, 2)][2])
-    return BellValue(s3=float(total))
+    return BellValue(s3=_s3_of(settings.tables(state)))
 
 
 def s3_vs_visibility(visibility: float) -> float:
@@ -167,13 +173,18 @@ def _gell_mann() -> np.ndarray:
 _GELL_MANN = _gell_mann()
 
 
+def _unitaries(theta: np.ndarray) -> np.ndarray:
+    # exp(iH), H = sum_m theta[..., m] G_m, from one batched eigh H = V diag(w) V^dagger
+    w, v = np.linalg.eigh((theta @ _GELL_MANN.reshape(8, -1)).reshape(*theta.shape[:-1], DIM, DIM))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def unitary_from_params(theta) -> np.ndarray:
     """3x3 unitary exp(i * sum_m theta_m * G_m) from 8 real parameters."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (8,):
         raise ValidationError(f"expected 8 unitary parameters, got shape {theta.shape}")
-    h = np.tensordot(theta, _GELL_MANN, axes=(0, 0))
-    return expm(1j * h)
+    return _unitaries(theta)
 
 
 def random_basis(rng: np.random.Generator) -> np.ndarray:
@@ -184,27 +195,39 @@ def random_basis(rng: np.random.Generator) -> np.ndarray:
     return q.conj().T
 
 
-def _phase_settings(offsets) -> SettingsPair:
-    a1, a2, b1, b2 = offsets
-    return SettingsPair(
-        a1=phase_basis("A", a1),
-        a2=phase_basis("A", a2),
-        b1=phase_basis("B", b1),
-        b2=phase_basis("B", b2),
-    )
+def _unitary_family_rows(params, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # 8 parameters per basis, perturbing the (4, 3, 3) stack of base bases
+    # (a1, a2, b1, b2); the map exp(iH) U0 still ranges over all of U(3).
+    bases = _unitaries(np.reshape(params, (4, 8))) @ base
+    return bases[:2].reshape(2 * DIM, DIM), bases[2:].reshape(2 * DIM, DIM)
 
 
-def _unitary_settings(params) -> SettingsPair:
-    # 8 parameters per basis, perturbing the canonical settings; the map
-    # exp(iH) U0 still ranges over all of U(3) for each basis.
-    base = canonical_settings()
-    p = np.asarray(params, dtype=float).reshape(4, 8)
-    return SettingsPair(
-        a1=unitary_from_params(p[0]) @ base.a1,
-        a2=unitary_from_params(p[1]) @ base.a2,
-        b1=unitary_from_params(p[2]) @ base.b1,
-        b2=unitary_from_params(p[3]) @ base.b2,
-    )
+def _settings_from_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> SettingsPair:
+    return SettingsPair(a1=rows_a[:DIM], a2=rows_a[DIM:], b1=rows_b[:DIM], b2=rows_b[DIM:])
+
+
+def _check_solver_inputs(tolerance: float, restarts: int) -> None:
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
+    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
+
+
+def _multistart(objective, starts, tolerance: float, maxiter: int):
+    """Best point over Nelder-Mead runs from each start, and whether any converged."""
+    best_x, best_val, converged = None, np.inf, False
+    for x0 in starts:
+        res = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": maxiter},
+        )
+        converged = converged or bool(res.success)
+        if res.fun < best_val:
+            best_val = res.fun
+            best_x = res.x
+    return best_x, converged
 
 
 @dataclass(frozen=True)
@@ -227,45 +250,35 @@ def optimize_s3(
 
     ``family`` selects the search space: "phase" varies the four offsets of
     the Fourier-phase family; "unitary" varies all four bases over the full
-    local-unitary family (8 parameters each).  The reported value is the
-    exact S3 re-evaluated at the returned settings.  Deterministic for a
-    fixed seed; ties are broken by restart order.
+    local-unitary family (8 parameters each).  Evaluations run the Born
+    kernel on unvalidated rows; the reported value is the exact S3
+    re-evaluated at the returned settings.  Deterministic for a fixed seed;
+    ties are broken by restart order.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_solver_inputs(tolerance, restarts)
     if family not in ("phase", "unitary"):
         raise ValidationError(f"unknown settings family {family!r}")
     mixed = as_mixture(state)
     rng = np.random.default_rng(seed)
 
     if family == "phase":
-        build = _phase_settings
-        dim = 4
+        rows = _phase_family_rows
         starts = [np.asarray(CANONICAL_OFFSETS, dtype=float)]
-        starts += [rng.uniform(0.0, 3.0, size=dim) for _ in range(restarts - 1)]
+        starts += [rng.uniform(0.0, 3.0, size=4) for _ in range(restarts - 1)]
     else:
-        build = _unitary_settings
-        dim = 32
-        starts = [np.zeros(dim)]
-        starts += [rng.normal(scale=0.6, size=dim) for _ in range(restarts - 1)]
+        base = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
+
+        def rows(x):
+            return _unitary_family_rows(x, base)
+        starts = [np.zeros(32)]
+        starts += [rng.normal(scale=0.6, size=32) for _ in range(restarts - 1)]
 
     def objective(x):
-        return -s3(mixed, build(x)).s3
+        return -_s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
+                                   mixed.white_noise_weight))
 
-    best_x, best_val, converged = None, np.inf, False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": 4000},
-        )
-        converged = converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = res.fun
-            best_x = res.x
-
-    settings = build(best_x)
+    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000)
+    settings = _settings_from_rows(*rows(best_x))
     return OptimizeResult(
         settings=settings,
         s3=s3(mixed, settings).s3,
@@ -294,31 +307,20 @@ def optimize_gamma_family(
     the four phase offsets.  The optimum exceeds the maximal-entanglement
     value: a non-maximally entangled state violates the inequality more.
     """
+    _check_solver_inputs(tolerance, restarts)
     rng = np.random.default_rng(seed)
 
     def objective(x):
-        gamma = abs(x[0])
-        st = diagonal_state((1.0, gamma, 1.0))
-        return -s3(st, _phase_settings(x[1:])).s3
+        c = np.array((1.0, abs(x[0]), 1.0))
+        psi = np.diag(c / np.linalg.norm(c))[None]
+        return -_s3_of(born_tables(*_phase_family_rows(x[1:]), psi, np.ones(1), 0.0))
 
     starts = [np.concatenate(([1.0], CANONICAL_OFFSETS))]
     for _ in range(restarts - 1):
         starts.append(np.concatenate((rng.uniform(0.2, 1.5, 1), rng.uniform(0.0, 3.0, 4))))
 
-    best, best_val, converged = None, np.inf, False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": 6000},
-        )
-        converged = converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = res.fun
-            best = res.x
-
+    best, converged = _multistart(objective, starts, tolerance, maxiter=6000)
     gamma = abs(best[0])
-    settings = _phase_settings(best[1:])
+    settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings).s3
     return GammaOptimum(gamma=gamma, s3=value, settings=settings, converged=converged)

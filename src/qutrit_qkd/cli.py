@@ -123,6 +123,11 @@ def _eve_from(config: RunConfig) -> protocol.EveConfig:
     return protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)
 
 
+def _config_value(value):
+    """A config value in config-file form, so transcript headers replay."""
+    return ",".join(repr(float(v)) for v in value) if isinstance(value, tuple) else value
+
+
 def _print_config(config: RunConfig) -> None:
     print("config:")
     for f in fields(RunConfig):
@@ -146,7 +151,8 @@ def _machine_block(pairs) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_bell(args) -> int:
+def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
+    """Config, Schmidt-diagonal source mixture and normalization divisor."""
     config = resolve_config(args)
     _source_from(config)  # range validation with field names
     _print_config(config)
@@ -155,6 +161,11 @@ def cmd_bell(args) -> int:
     state = diagonal_state(coeffs)
     mixed = MixedState.isotropic(state, effective) if effective < 1.0 \
         else MixedState.pure(state)
+    return config, mixed, divisor
+
+
+def cmd_bell(args) -> int:
+    config, mixed, divisor = _bell_setup(args)
     s3_exact = bell.s3(mixed, bell.canonical_settings()).s3
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
@@ -175,14 +186,7 @@ def cmd_bell(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = resolve_config(args)
-    _source_from(config)  # range validation with field names
-    _print_config(config)
-    coeffs, _ = normalize_coefficients(config.coefficients)
-    effective = (1.0 - config.background) * config.visibility
-    state = diagonal_state(coeffs)
-    mixed = MixedState.isotropic(state, effective) if effective < 1.0 \
-        else MixedState.pure(state)
+    config, mixed, _ = _bell_setup(args)
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed,
                               restarts=args.restarts)
@@ -193,7 +197,7 @@ def cmd_optimize(args) -> int:
         ("s3_optimized", result.s3),
         ("optimizer_converged", result.converged),
         ("family", result.family),
-        ("params", ",".join(repr(p) for p in result.params)),
+        ("params", ",".join(repr(float(p)) for p in result.params)),
     ])
     return EXIT_OK
 
@@ -237,7 +241,7 @@ def cmd_simulate(args) -> int:
     transcript_path = os.path.join(args.out, "transcript.txt")
     key_a_path = os.path.join(args.out, "key_a.txt")
     key_b_path = os.path.join(args.out, "key_b.txt")
-    header = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
     protocol.write_transcript(transcript_path, result.rounds, header=header)
     trits.write_key_file(key_a_path, result.key_a, comments=("sifted key, party A",))
     trits.write_key_file(key_b_path, result.key_b, comments=("sifted key, party B",))

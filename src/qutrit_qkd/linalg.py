@@ -32,6 +32,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The permutation exchanging labels 1 and 2: B's side of the source form
+# a|00> + b|12> + c|21> is relabeled by it, and so are B's key outcomes.
+SWAP_12 = _frozen(np.array([0, 2, 1], dtype=np.int8))
+
+
 def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     """Return (unit coefficients, applied divisor) for three real amplitudes.
 
@@ -81,9 +86,7 @@ def relabel_b_swap12(state: np.ndarray) -> np.ndarray:
     Maps the source form a|00> + b|12> + c|21> onto the Schmidt-diagonal
     form a|00> + b|11> + c|22> and is its own inverse.
     """
-    out = np.array(state, dtype=complex)
-    out[:, [1, 2]] = out[:, [2, 1]]
-    return _frozen(out)
+    return _frozen(np.asarray(state, dtype=complex)[:, SWAP_12])
 
 
 def state_norm_sq(state: np.ndarray) -> float:
@@ -106,8 +109,11 @@ def computational_basis() -> np.ndarray:
     return _frozen(np.eye(DIM, dtype=complex))
 
 
-def phase_basis(party: str, offset: float) -> np.ndarray:
-    """Fourier-phase analyzer basis; rows are the outcome vectors k=0,1,2.
+_OUTCOMES = np.arange(DIM, dtype=float)[:, None]   # k down the rows; levels j = its transpose
+
+
+def phase_rows(party: str, offsets) -> np.ndarray:
+    """Fourier-phase analyzer bases at n offsets; rows k=0,1,2 of each, stacked (3n, 3).
 
     Vector k of party A carries amplitudes exp(2i*pi*j*(k+offset)/3)/sqrt(3)
     on |j>; party B uses -k in place of k.  Any offset yields an orthonormal
@@ -115,12 +121,15 @@ def phase_basis(party: str, offset: float) -> np.ndarray:
     """
     if party not in ("A", "B"):
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
-    sign = 1.0 if party == "A" else -1.0
-    j = np.arange(DIM)
-    k = np.arange(DIM)[:, None]
-    return _frozen(
-        np.exp(2j * np.pi * j * (sign * k + offset) / DIM) / np.sqrt(DIM)
-    )
+    sign_k = _OUTCOMES if party == "A" else -_OUTCOMES
+    offsets = np.asarray(offsets, dtype=float)[:, None, None]
+    return (np.exp(2j * np.pi * _OUTCOMES.T * (sign_k + offsets) / DIM)
+            / np.sqrt(DIM)).reshape(-1, DIM)
+
+
+def phase_basis(party: str, offset: float) -> np.ndarray:
+    """The single Fourier-phase basis of :func:`phase_rows` at ``offset``."""
+    return _frozen(phase_rows(party, [offset]))
 
 
 def orthonormality_residual(basis: np.ndarray) -> float:
@@ -141,7 +150,8 @@ class MixedState:
 
     ``components`` holds (weight, state) pairs; ``white_noise_weight`` is the
     weight of the uniform (identity/9) admixture.  Weights must be
-    non-negative and sum to 1 within ``NORM_TOL``.
+    non-negative and sum to 1 within ``NORM_TOL``.  For :func:`born_tables`
+    the components are also kept as ``psis`` (m, 3, 3) and ``weights`` (m,).
     """
 
     components: tuple = field(default_factory=tuple)
@@ -162,6 +172,9 @@ class MixedState:
             raise ValidationError("negative white-noise weight")
         if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "psis", _frozen(
+            np.array([s for _, s in comps], dtype=complex).reshape(-1, DIM, DIM)))
+        object.__setattr__(self, "weights", _frozen(np.array([w for w, _ in comps])))
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "MixedState":
@@ -181,29 +194,16 @@ class MixedState:
         return cls(components=(), white_noise_weight=1.0)
 
 
-def joint_amplitudes(state: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """3x3 array of <k_A| <l_B | state> for a pure state."""
-    return basis_a.conj() @ np.asarray(state) @ basis_b.conj().T
+def born_tables(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray,
+                weights, white_weight: float) -> np.ndarray:
+    """Born-rule tables T[i, k, j, l] = P(k, l | A in basis i, B in basis j).
 
-
-def joint_probability(
-    mixed: MixedState,
-    basis_a: np.ndarray,
-    k: int,
-    basis_b: np.ndarray,
-    l: int,
-) -> float:
-    """Born-rule coincidence probability for outcome pair (k, l).
-
-    Sum over mixture components of w * |<k_A|<l_B|psi>|^2, plus 1/9 of the
-    white-noise weight.  Bases are validated against ``ORTHO_TOL``.
+    ``rows_a`` (3 n_a, 3) and ``rows_b`` (3 n_b, 3) stack the bases' outcome
+    rows; the mixture is ``psis`` (m >= 0, 3, 3) with ``weights`` (m,) plus
+    ``white_weight`` of uniform noise.  Nothing is validated: callers pass
+    validated objects' arrays or the optimizers' own parameterizations.
     """
-    require_orthonormal(basis_a)
-    require_orthonormal(basis_b)
-    if k not in (0, 1, 2) or l not in (0, 1, 2):
-        raise ValidationError(f"outcomes must be in {{0,1,2}}, got ({k}, {l})")
-    p = mixed.white_noise_weight / 9.0
-    for w, psi in mixed.components:
-        amp = np.vdot(basis_a[k], psi @ basis_b[l].conj())
-        p += w * abs(amp) ** 2
-    return float(p)
+    amps = rows_a.conj() @ psis @ rows_b.conj().T
+    cells = (np.abs(amps) ** 2).reshape(len(weights), len(rows_a) * len(rows_b))
+    probs = weights @ cells + white_weight / 9.0
+    return probs.reshape(len(rows_a) // DIM, DIM, len(rows_b) // DIM, DIM)

@@ -21,11 +21,13 @@ import numpy as np
 from . import bell
 from .linalg import (
     DIM,
+    SWAP_12,
     MixedState,
     ValidationError,
+    born_tables,
     computational_basis,
     make_state,
-    phase_basis,
+    phase_rows,
     require_orthonormal,
 )
 
@@ -37,11 +39,6 @@ NOISE_BOUND_QUTRIT = 0.225
 REFERENCE_COEFFICIENTS = (0.642, 0.546, 0.539)
 REFERENCE_S3 = 2.688
 REFERENCE_QTER = 14.0 / 150.0
-
-_SWAP_12 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
-
-# B's key outcome j is recorded as trit REMAP_B[j] so that ideal keys agree.
-_KEY_REMAP_B = np.array([0, 2, 1], dtype=np.int8)
 
 
 class InsufficientDataError(RuntimeError):
@@ -128,18 +125,15 @@ def default_parties(bias_a=None, bias_b=None) -> tuple[PartyConfig, PartyConfig]
     1<->2 relabel of the source form, and both key settings are the
     computational basis (B's key trit is relabeled after measurement).
     """
-    a1, a2, b1, b2 = bell.CANONICAL_OFFSETS
+    offsets = bell.CANONICAL_OFFSETS
+    rows_a, rows_b = phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:])[:, SWAP_12]
     alice = PartyConfig(
         setting_probabilities=tuple(bias_a) if bias_a is not None else (1 / 3, 1 / 3, 1 / 3),
-        bases=(phase_basis("A", a1), phase_basis("A", a2), computational_basis()),
+        bases=(rows_a[:DIM], rows_a[DIM:], computational_basis()),
     )
     bob = PartyConfig(
         setting_probabilities=tuple(bias_b) if bias_b is not None else (1 / 3, 1 / 3, 1 / 3),
-        bases=(
-            phase_basis("B", b1) @ _SWAP_12,
-            phase_basis("B", b2) @ _SWAP_12,
-            computational_basis(),
-        ),
+        bases=(rows_b[:DIM], rows_b[DIM:], computational_basis()),
     )
     return alice, bob
 
@@ -189,20 +183,18 @@ def _setting_tables(source: SourceConfig, eve: EveConfig,
 
     Background replaces any round's outcomes with a uniform pair; key
     crosstalk does the same on the (3, 3) pair only.  Both act at the
-    probability level, so folding them into the tables is exact.
+    probability level, so folding them into the tables is exact.  All nine
+    pairs come from one call of the Born kernel.
     """
     mixed = post_eve_mixture(source_mixture(source), eve)
-    uniform = np.full((DIM, DIM), 1.0 / 9.0)
-    tables = {}
-    for sa in (1, 2, 3):
-        for sb in (1, 2, 3):
-            t = bell.outcome_distribution(mixed, a.basis(sa), b.basis(sb))
-            t = (1.0 - source.background_fraction) * t \
-                + source.background_fraction * uniform
-            if sa == 3 and sb == 3 and source.key_crosstalk > 0.0:
-                t = (1.0 - source.key_crosstalk) * t + source.key_crosstalk * uniform
-            tables[(sa, sb)] = t
-    return tables
+    t = born_tables(np.concatenate(a.bases), np.concatenate(b.bases), mixed.psis,
+                    mixed.weights, mixed.white_noise_weight)
+    uniform = 1.0 / 9.0
+    t = (1.0 - source.background_fraction) * t + source.background_fraction * uniform
+    if source.key_crosstalk > 0.0:
+        t[2, :, 2, :] = (1.0 - source.key_crosstalk) * t[2, :, 2, :] \
+            + source.key_crosstalk * uniform
+    return {(sa, sb): t[sa - 1, :, sb - 1, :] for sa in (1, 2, 3) for sb in (1, 2, 3)}
 
 
 def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig(),
@@ -417,15 +409,14 @@ def estimate_s3(bell_rounds: Rounds) -> tuple[float, float]:
     """
     s3_total = 0.0
     variance = 0.0
+    cells = 9 * (3 * (bell_rounds.setting_a.astype(np.int64) - 1) + bell_rounds.outcome_a) \
+        + 3 * (bell_rounds.setting_b.astype(np.int64) - 1) + bell_rounds.outcome_b
+    all_counts = np.bincount(cells, minlength=81).reshape(DIM, DIM, DIM, DIM).astype(float)
     for pair, coeff in bell.s3_coefficients().items():
-        mask = (bell_rounds.setting_a == pair[0]) & (bell_rounds.setting_b == pair[1])
-        n_pair = int(mask.sum())
-        if n_pair == 0:
-            raise InsufficientDataError(f"no rounds with setting pair {pair}")
-        cells = 3 * bell_rounds.outcome_a[mask].astype(np.int64) \
-            + bell_rounds.outcome_b[mask]
-        counts = np.bincount(cells, minlength=9).reshape(DIM, DIM).astype(float)
+        counts = all_counts[pair[0] - 1, :, pair[1] - 1, :]
         total = counts.sum()
+        if total == 0:
+            raise InsufficientDataError(f"no rounds with setting pair {pair}")
         contribution = float((coeff * counts).sum() / total)
         s3_total += contribution
         variance += float((counts * ((coeff - contribution) / total) ** 2).sum())
@@ -435,7 +426,7 @@ def estimate_s3(bell_rounds: Rounds) -> tuple[float, float]:
 def extract_keys(key_rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:
     """Trit keys from key rounds; B's outcomes 1 and 2 are exchanged."""
     key_a = key_rounds.outcome_a.astype(np.int8)
-    key_b = _KEY_REMAP_B[key_rounds.outcome_b]
+    key_b = SWAP_12[key_rounds.outcome_b]
     return key_a, key_b
 
 
@@ -535,7 +526,7 @@ class Party:
         key_mask, _ = self.sift_masks(other_settings)
         trits = self.outcomes[key_mask].astype(np.int8)
         if self.name == "B":
-            trits = _KEY_REMAP_B[trits]
+            trits = SWAP_12[trits]
         return trits
 
     def estimate_bell(self, other_settings: np.ndarray,

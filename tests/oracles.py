@@ -23,6 +23,21 @@ def born_probability_bruteforce(components, white_weight, basis_a, k, basis_b, l
     return p
 
 
+def s3_bruteforce(components, white_weight, bases_a, bases_b):
+    """The eight-term S3 expression over cell-by-cell Born probabilities.
+
+    ``bases_a``/``bases_b`` hold the two bases per side; p(a, b, k) is the
+    probability that B's outcome exceeds A's by k (mod 3).
+    """
+    def p(a, b, k):
+        return sum(born_probability_bruteforce(components, white_weight, bases_a[a], j,
+                                               bases_b[b], (j + k) % 3)
+                   for j in range(3))
+
+    return (p(0, 0, 0) + p(1, 0, 1) + p(1, 1, 0) + p(0, 1, 0)
+            - p(0, 0, 1) - p(1, 0, 0) - p(1, 1, 1) - p(0, 1, 2))
+
+
 def phase_mode_sum(coeffs, x):
     """g(x) = sum_j c_j exp(2*pi*i*j*x/3) for Schmidt coefficients c."""
     return sum(c * np.exp(2j * np.pi * j * x / 3.0) for j, c in enumerate(coeffs))

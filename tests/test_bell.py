@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qutrit_qkd import bell
+from qutrit_qkd import bell, linalg
 from qutrit_qkd.bell import (
+    CANONICAL_OFFSETS,
     CLASSICAL_BOUND,
     NONMAX_QUANTUM_MAX,
     QUANTUM_MAX,
+    S3_COEFFICIENTS,
     VISIBILITY_AT_CLASSICAL_BOUND,
     SettingsPair,
     canonical_settings,
@@ -21,14 +23,16 @@ from qutrit_qkd.bell import (
 from qutrit_qkd.linalg import (
     MixedState,
     ValidationError,
+    born_tables,
     computational_basis,
     diagonal_state,
     make_state,
     maximally_entangled_state,
     phase_basis,
+    phase_rows,
 )
 
-from oracles import s3_closed_form, s3_gamma_closed_form
+from oracles import s3_bruteforce, s3_closed_form, s3_gamma_closed_form
 
 
 def random_product_mixture(rng, max_components=4):
@@ -188,6 +192,55 @@ class TestS3Exact:
             assert s3(mixed, random_settings(rng)).s3 <= CLASSICAL_BOUND + 1e-9
 
 
+def kernel_s3(rows_a, rows_b, psis, weights, white=0.0):
+    """S3 as the optimizers evaluate it: raw rows, the kernel, the tensor."""
+    return float(np.sum(S3_COEFFICIENTS * born_tables(rows_a, rows_b, psis, weights, white)))
+
+
+class TestKernelS3:
+    def test_matches_eight_term_bruteforce_on_random_settings(self):
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            if i % 2:
+                mixed = random_product_mixture(rng)
+            else:
+                psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                mixed = MixedState.isotropic(psi / np.linalg.norm(psi), rng.uniform())
+            settings = random_settings(rng)
+            expected = s3_bruteforce(list(mixed.components), mixed.white_noise_weight,
+                                     (settings.a1, settings.a2), (settings.b1, settings.b2))
+            assert abs(s3(mixed, settings).s3 - expected) < 1e-13
+
+    def test_phase_rows_match_closed_form(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            offsets = rng.uniform(-3, 3, size=4)
+            coeffs = rng.uniform(0.05, 1.0, size=3)
+            coeffs /= np.linalg.norm(coeffs)
+            got = kernel_s3(phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:]),
+                            np.diag(coeffs)[None], np.ones(1))
+            assert got == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-12)
+
+    def test_gamma_family_matches_closed_form(self):
+        rows_a = phase_rows("A", CANONICAL_OFFSETS[:2])
+        rows_b = phase_rows("B", CANONICAL_OFFSETS[2:])
+        for gamma in np.linspace(0.0, 2.0, 41):
+            c = np.array((1.0, gamma, 1.0))
+            got = kernel_s3(rows_a, rows_b, np.diag(c / np.linalg.norm(c))[None], np.ones(1))
+            assert got == pytest.approx(s3_gamma_closed_form(gamma), abs=1e-12)
+
+    def test_white_only_mixture(self):
+        rng = np.random.default_rng(33)
+        settings = random_settings(rng)
+        white = MixedState.isotropic(maximally_entangled_state(), 0.0)
+        assert kernel_s3(np.concatenate((settings.a1, settings.a2)),
+                         np.concatenate((settings.b1, settings.b2)),
+                         white.psis, white.weights, white.white_noise_weight) \
+            == pytest.approx(0.0, abs=1e-12)
+        result = optimize_s3(white, tolerance=1e-3, restarts=1)
+        assert result.s3 == pytest.approx(0.0, abs=1e-12)
+
+
 class TestVisibilityLaw:
     def test_endpoints(self):
         assert s3_vs_visibility(1.0) == pytest.approx(2.87293, abs=1e-4)
@@ -259,6 +312,59 @@ class TestOptimizer:
             optimize_s3(maximally_entangled_state(), tolerance=0.0)
         with pytest.raises(ValidationError):
             optimize_s3(maximally_entangled_state(), family="gradient")
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"restarts": 2.0},
+                                        {"tolerance": float("nan")},
+                                        {"tolerance": float("inf")}])
+    def test_bad_solver_inputs(self, kwargs):
+        with pytest.raises(ValidationError):
+            optimize_s3(maximally_entangled_state(), **kwargs)
+        with pytest.raises(ValidationError):
+            optimize_gamma_family(**kwargs)
+
+    def test_raw_objective_matches_validated_value(self):
+        # the optimizer's unvalidated evaluation and the validated re-evaluation
+        # at the returned settings agree
+        state = diagonal_state((0.642, 0.546, 0.539))
+        psis = np.asarray(state)[None]
+        for family in ("phase", "unitary"):
+            result = optimize_s3(state, family=family, tolerance=1e-3, seed=6, restarts=2)
+            if family == "phase":
+                rows_a = phase_rows("A", result.params[:2])
+                rows_b = phase_rows("B", result.params[2:])
+            else:
+                us = [unitary_from_params(p) for p in result.params.reshape(4, 8)]
+                base = canonical_settings()
+                rows_a = np.concatenate((us[0] @ base.a1, us[1] @ base.a2))
+                rows_b = np.concatenate((us[2] @ base.b1, us[3] @ base.b2))
+            assert kernel_s3(rows_a, rows_b, psis, np.ones(1)) == pytest.approx(
+                result.s3, abs=1e-13)
+
+    def test_validations_do_not_grow_with_evaluations(self, monkeypatch):
+        validations, evaluations = [], []
+        validate, kernel = linalg.require_orthonormal, bell.born_tables
+
+        def counting_validate(*args, **kwargs):
+            validations.append(1)
+            return validate(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            evaluations.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "require_orthonormal", counting_validate)
+        monkeypatch.setattr(bell, "require_orthonormal", counting_validate)
+        monkeypatch.setattr(bell, "born_tables", counting_kernel)
+        counts = []
+        for tolerance in (1e-1, 1e-6):
+            validations.clear()
+            evaluations.clear()
+            optimize_s3(maximally_entangled_state(), family="unitary",
+                        tolerance=tolerance, seed=1, restarts=1)
+            counts.append((len(validations), len(evaluations)))
+        (v_loose, n_loose), (v_tight, n_tight) = counts
+        assert n_tight > n_loose > 10
+        assert v_tight == v_loose <= 8
 
     def test_unitary_parameterization(self):
         rng = np.random.default_rng(10)

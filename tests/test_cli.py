@@ -54,6 +54,12 @@ class TestBellCommand:
         assert "visibility" in err
 
 
+    def test_nan_tolerance_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "bell", "--tolerance", "nan")
+        assert code == 2
+        assert "tolerance" in err
+
+
 class TestOptimizeCommand:
     def test_phase_family(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--restarts", "6", "--seed", "1")
@@ -61,6 +67,26 @@ class TestOptimizeCommand:
         values = machine_block(out)
         assert float(values["s3_optimized"]) == pytest.approx(bell.QUANTUM_MAX, abs=1e-4)
         assert values["optimizer_converged"] == "1"
+
+    @pytest.mark.parametrize("family, n_params", [("phase", 4), ("unitary", 32)])
+    def test_params_parse_as_floats(self, capsys, family, n_params):
+        code, out, _ = run_cli(capsys, "optimize", "--family", family, "--restarts", "1",
+                               "--tolerance", "1e-2", "--seed", "3")
+        assert code == 0
+        params = machine_block(out)["params"].split(",")
+        assert len(params) == n_params
+        assert all(np.isfinite(float(p)) for p in params)
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_nonpositive_restarts_rejected(self, capsys, restarts):
+        code, _, err = run_cli(capsys, "optimize", "--restarts", restarts)
+        assert code == 2
+        assert "restarts" in err
+
+    def test_nan_tolerance_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--tolerance", "nan")
+        assert code == 2
+        assert "tolerance" in err
 
 
 class TestSimulateAndSift:
@@ -93,6 +119,20 @@ class TestSimulateAndSift:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_header_replays_session(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "h")
+        code, out1, _ = run_cli(capsys, "simulate", "--profile", "reference",
+                                "--rounds", "20000", "--seed", "7", "--out", out_dir)
+        assert code == 0
+        header = [line[2:] for line in (tmp_path / "h" / "transcript.txt")
+                  .read_text().splitlines() if line.startswith("# ")]
+        assert "coefficients = 0.642,0.546,0.539" in header
+        cfg = tmp_path / "hdr.cfg"
+        cfg.write_text("\n".join(header) + "\n")
+        code, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", out_dir)
+        assert code == 0
+        assert machine_block(out2) == machine_block(out1)
 
     def test_eve_flag_breaks_security(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "simulate", "--rounds", "100000",

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from qutrit_qkd.bell import outcome_distribution
 from qutrit_qkd.linalg import (
     InvalidStateError,
     MixedState,
     ValidationError,
+    born_tables,
     computational_basis,
     diagonal_state,
     inner_product,
-    joint_probability,
     make_state,
     maximally_entangled_state,
     normalize_coefficients,
     orthonormality_residual,
     phase_basis,
+    phase_rows,
     relabel_b_swap12,
     state_norm_sq,
 )
@@ -108,6 +110,22 @@ class TestPhaseBasis:
             phase_basis("C", 0.0)
 
 
+def joint_probability(mixed, basis_a, k, basis_b, l):
+    """One cell of the Born kernel's table for a single basis per side."""
+    return born_tables(basis_a, basis_b, mixed.psis, mixed.weights,
+                       mixed.white_noise_weight)[0, k, 0, l]
+
+
+def random_product_mixture(rng, n):
+    weights = rng.dirichlet(np.ones(n + 1))
+    components = []
+    for i in range(n):
+        u = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        components.append((weights[i], np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))))
+    return MixedState(components=tuple(components), white_noise_weight=weights[-1])
+
+
 class TestJointProbability:
     def test_white_uniform(self):
         rng = np.random.default_rng(5)
@@ -133,7 +151,7 @@ class TestJointProbability:
         bad[1, 0] = 0.5
         mixed = MixedState.pure(maximally_entangled_state())
         with pytest.raises(ValidationError):
-            joint_probability(mixed, bad, 0, computational_basis(), 0)
+            outcome_distribution(mixed, bad, computational_basis())
 
     def test_born_totals(self):
         rng = np.random.default_rng(6)
@@ -175,6 +193,48 @@ class TestJointProbability:
                 comps, 0.2, basis_a, int(k), basis_b, int(l))
             assert abs(joint_probability(mixed, basis_a, int(k), basis_b, int(l))
                        - expected) < 1e-12
+
+
+class TestBornTables:
+    def check_against_oracle(self, mixed, bases_a, bases_b):
+        tables = born_tables(np.concatenate(bases_a), np.concatenate(bases_b),
+                             mixed.psis, mixed.weights, mixed.white_noise_weight)
+        assert tables.shape == (len(bases_a), 3, len(bases_b), 3)
+        comps = [(w, psi) for w, psi in mixed.components]
+        for i, basis_a in enumerate(bases_a):
+            for j, basis_b in enumerate(bases_b):
+                for k in range(3):
+                    for l in range(3):
+                        expected = born_probability_bruteforce(
+                            comps, mixed.white_noise_weight, basis_a, k, basis_b, l)
+                        assert abs(tables[i, k, j, l] - expected) < 1e-13
+
+    def test_product_mixtures_match_bruteforce_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            mixed = random_product_mixture(rng, int(rng.integers(1, 5)))
+            bases_a = [random_basis(rng) for _ in range(int(rng.integers(1, 4)))]
+            bases_b = [random_basis(rng) for _ in range(int(rng.integers(1, 4)))]
+            self.check_against_oracle(mixed, bases_a, bases_b)
+
+    def test_white_only_mixtures(self):
+        rng = np.random.default_rng(22)
+        white = MixedState.white()
+        assert white.psis.shape == (0, 3, 3) and white.weights.shape == (0,)
+        for n_a, n_b in [(1, 1), (2, 3), (3, 2)]:
+            bases_a = [random_basis(rng) for _ in range(n_a)]
+            bases_b = [random_basis(rng) for _ in range(n_b)]
+            self.check_against_oracle(white, bases_a, bases_b)
+            self.check_against_oracle(MixedState.isotropic(maximally_entangled_state(), 0.0),
+                                      bases_a, bases_b)
+
+    def test_phase_rows_stack_phase_bases(self):
+        offsets = [0.0, 0.5, -1.25, 2.75]
+        for party in ("A", "B"):
+            rows = phase_rows(party, offsets)
+            assert rows.shape == (12, 3)
+            for i, offset in enumerate(offsets):
+                assert np.array_equal(rows[3 * i:3 * i + 3], phase_basis(party, offset))
 
 
 class TestMixedState:
