@@ -43,19 +43,18 @@ from .protocol import (
     EveConfig,
     InsufficientDataError,
     PartyConfig,
-    RoundRecord,
     Rounds,
     SecurityReport,
     SessionResult,
+    Sifted,
     SourceConfig,
+    analyze,
     calibrate_noise,
     default_parties,
     estimate_s3,
-    extract_keys,
     qter,
     run_protocol,
     run_session,
-    sample_round,
     security_verdict,
     sift,
 )

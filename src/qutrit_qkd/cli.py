@@ -94,11 +94,12 @@ def resolve_config(args) -> RunConfig:
     """Defaults, then profile, then config file, then explicit flags."""
     config = RunConfig()
     if getattr(args, "profile", None) == "reference":
-        visibility, crosstalk = protocol.calibrate_noise()
+        source = protocol.reference_source()
         config = replace(config,
-                         coefficients=protocol.REFERENCE_COEFFICIENTS,
-                         visibility=visibility,
-                         key_crosstalk=crosstalk)
+                         coefficients=source.coefficients,
+                         visibility=source.visibility,
+                         key_crosstalk=source.key_crosstalk,
+                         detection=source.detection_efficiency)
     if getattr(args, "config", None):
         config = replace(config, **load_config_file(args.config))
     overrides = {}
@@ -106,7 +107,10 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    if config.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
+    return config
 
 
 def _source_from(config: RunConfig) -> protocol.SourceConfig:
@@ -229,6 +233,16 @@ def _session_machine_pairs(result: protocol.SessionResult) -> list:
     ]
 
 
+def _write_keys(out_dir, result: protocol.SessionResult) -> list:
+    """Write and report both sifted keys in ``out_dir``; their machine-block pairs."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, "key_a.txt"), os.path.join(out_dir, "key_b.txt")]
+    for path, key, party in zip(paths, (result.key_a, result.key_b), "AB"):
+        trits.write_key_file(path, key, comments=(f"sifted key, party {party}",))
+    print(f"key files          {paths[0]}, {paths[1]}")
+    return [("key_a", paths[0]), ("key_b", paths[1])]
+
+
 def cmd_simulate(args) -> int:
     config = resolve_config(args)
     _print_config(config)
@@ -239,66 +253,30 @@ def cmd_simulate(args) -> int:
                                    parties=parties, seed=config.seed)
     os.makedirs(args.out, exist_ok=True)
     transcript_path = os.path.join(args.out, "transcript.txt")
-    key_a_path = os.path.join(args.out, "key_a.txt")
-    key_b_path = os.path.join(args.out, "key_b.txt")
     header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
     protocol.write_transcript(transcript_path, result.rounds, header=header)
-    trits.write_key_file(key_a_path, result.key_a, comments=("sifted key, party A",))
-    trits.write_key_file(key_b_path, result.key_b, comments=("sifted key, party B",))
     _report_session(result)
     print(f"transcript         {transcript_path}")
-    print(f"key files          {key_a_path}, {key_b_path}")
-    _machine_block(_session_machine_pairs(result) + [
-        ("transcript", transcript_path),
-        ("key_a", key_a_path),
-        ("key_b", key_b_path),
-    ])
+    key_pairs = _write_keys(args.out, result)
+    _machine_block(_session_machine_pairs(result)
+                   + [("transcript", transcript_path)] + key_pairs)
     return EXIT_OK
 
 
 def cmd_sift(args) -> int:
     rounds, header = protocol.read_transcript(args.transcript)
-    sifted = protocol.sift(rounds)
-    n = len(rounds)
-    if n == 0:
-        raise protocol.InsufficientDataError(f"{args.transcript}: no rounds")
-    s3_hat, s3_sigma = protocol.estimate_s3(sifted.bell_rounds)
-    key_a, key_b = protocol.extract_keys(sifted.key_rounds)
-    qter_value = protocol.qter(key_a, key_b)
-    report = protocol.security_verdict(s3_hat, s3_sigma, qter_value)
+    try:
+        result = protocol.analyze(rounds)
+    except protocol.InsufficientDataError as exc:
+        raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
     if header:
         print("transcript header:")
         for key, value in header.items():
             print(f"  {key} = {value}")
-    fk = len(sifted.key_rounds) / n
-    fb = len(sifted.bell_rounds) / n
-    fd = len(sifted.discarded) / n
-    print()
-    print(f"rounds             {n} ({int(rounds.detected.sum())} detected)")
-    print(f"sifted fractions   key {fk:.4f}, bell {fb:.4f}, discarded {fd:.4f}")
-    print(f"key length         {len(key_a)} trits")
-    for line in report.lines():
-        print(line)
-    pairs = [
-        ("n_rounds", n),
-        ("fraction_key", fk),
-        ("fraction_bell", fb),
-        ("fraction_discarded", fd),
-        ("s3_estimate", s3_hat),
-        ("s3_sigma", s3_sigma),
-        ("sigmas_above_classical", report.sigmas_above_classical),
-        ("qter", qter_value),
-        ("key_length", len(key_a)),
-        ("secure", report.secure),
-    ]
+    _report_session(result)
+    pairs = _session_machine_pairs(result)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        key_a_path = os.path.join(args.out, "key_a.txt")
-        key_b_path = os.path.join(args.out, "key_b.txt")
-        trits.write_key_file(key_a_path, key_a, comments=("sifted key, party A",))
-        trits.write_key_file(key_b_path, key_b, comments=("sifted key, party B",))
-        print(f"key files          {key_a_path}, {key_b_path}")
-        pairs += [("key_a", key_a_path), ("key_b", key_b_path)]
+        pairs += _write_keys(args.out, result)
     _machine_block(pairs)
     return EXIT_OK
 

@@ -89,7 +89,7 @@ class PartyConfig:
 
     def __post_init__(self):
         p = np.asarray(self.setting_probabilities, dtype=float)
-        if p.shape != (3,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if p.shape != (3,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
             raise ValidationError(
                 f"setting probabilities must be 3 non-negative reals summing to 1, got {p}")
         if len(self.bases) != 3:
@@ -246,18 +246,8 @@ def reference_source() -> SourceConfig:
 
 
 # ---------------------------------------------------------------------------
-# Round records and sampling
+# Sampling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundRecord:
-    round_id: int
-    setting_a: int
-    outcome_a: int | None
-    setting_b: int
-    outcome_b: int | None
-    detected: bool
-
 
 @dataclass
 class Rounds:
@@ -273,20 +263,6 @@ class Rounds:
     def __len__(self) -> int:
         return len(self.round_id)
 
-    def __getitem__(self, i: int) -> RoundRecord:
-        det = bool(self.detected[i])
-        return RoundRecord(
-            round_id=int(self.round_id[i]),
-            setting_a=int(self.setting_a[i]),
-            outcome_a=int(self.outcome_a[i]) if det else None,
-            setting_b=int(self.setting_b[i]),
-            outcome_b=int(self.outcome_b[i]) if det else None,
-            detected=det,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def subset(self, mask: np.ndarray) -> "Rounds":
         return Rounds(*(col[mask] for col in self._columns()))
 
@@ -294,44 +270,10 @@ class Rounds:
         return (self.round_id, self.setting_a, self.outcome_a,
                 self.setting_b, self.outcome_b, self.detected)
 
-    @classmethod
-    def from_records(cls, records) -> "Rounds":
-        records = list(records)
-        return cls(
-            round_id=np.array([r.round_id for r in records], dtype=np.int64),
-            setting_a=np.array([r.setting_a for r in records], dtype=np.int8),
-            outcome_a=np.array([-1 if r.outcome_a is None else r.outcome_a
-                                for r in records], dtype=np.int8),
-            setting_b=np.array([r.setting_b for r in records], dtype=np.int8),
-            outcome_b=np.array([-1 if r.outcome_b is None else r.outcome_b
-                                for r in records], dtype=np.int8),
-            detected=np.array([r.detected for r in records], dtype=bool),
-        )
-
 
 def _sample_settings(rng, party: PartyConfig, n: int) -> np.ndarray:
     return rng.choice(np.array([1, 2, 3], dtype=np.int8), size=n,
                       p=np.asarray(party.setting_probabilities, dtype=float))
-
-
-def sample_round(rng: np.random.Generator, source: SourceConfig, eve: EveConfig,
-                 a: PartyConfig, b: PartyConfig, round_id: int = 0,
-                 _tables: dict | None = None) -> RoundRecord:
-    """Draw one protocol round; deterministic for a fixed generator state.
-
-    Rebuilds the exact outcome tables on every call unless ``_tables`` is
-    supplied; use :func:`run_session` for bulk sampling.
-    """
-    tables = _tables if _tables is not None else _setting_tables(source, eve, a, b)
-    sa = int(_sample_settings(rng, a, 1)[0])
-    sb = int(_sample_settings(rng, b, 1)[0])
-    detected = bool(rng.random() < source.detection_efficiency)
-    if not detected:
-        return RoundRecord(round_id, sa, None, sb, None, False)
-    flat = tables[(sa, sb)].ravel()
-    idx = int(np.searchsorted(np.cumsum(flat), rng.random(), side="right"))
-    idx = min(idx, 8)
-    return RoundRecord(round_id, sa, idx // 3, sb, idx % 3, True)
 
 
 def run_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
@@ -372,62 +314,92 @@ def run_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
 
 
 # ---------------------------------------------------------------------------
-# Sifting, estimation, keys
+# Sifting, estimation, verdict
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SiftResult:
-    key_rounds: Rounds
-    bell_rounds: Rounds
-    discarded: Rounds
+class Party:
+    """One observer's settings and detection record, as sifting sees them."""
+
+    def __init__(self, settings: np.ndarray, detected: np.ndarray):
+        self.settings = settings
+        self.detected = detected
+
+    def sift_masks(self, other_settings: np.ndarray):
+        """(key, Bell) masks: detected rounds with both parties on setting 3,
+        and with both on setting 1 or 2.  Detected rounds in neither are
+        discarded.  This is the only statement of the sifting rule."""
+        det = self.detected
+        key = det & (self.settings == 3) & (other_settings == 3)
+        bell_mask = det & (self.settings <= 2) & (other_settings <= 2)
+        return key, bell_mask
 
 
-def sift(rounds: Rounds) -> SiftResult:
-    """Partition detected rounds into key, Bell-test and discarded sets.
+@dataclass(frozen=True)
+class Sifted:
+    """A session sifted in one pass.
 
-    Key rounds have both parties on setting 3; Bell rounds have both on
-    settings 1 or 2; mixed pairs are discarded.  Undetected rounds belong
-    to none of the three sets.
+    ``counts[sa - 1, oa, sb - 1, ob]`` counts the detected rounds by setting
+    pair and outcome pair.  ``key_a`` and ``key_b`` are the key-round
+    outcomes in round order, B's with outcomes 1 and 2 exchanged.
     """
+
+    key_mask: np.ndarray
+    bell_mask: np.ndarray
+    counts: np.ndarray
+    key_a: np.ndarray
+    key_b: np.ndarray
+
+    @property
+    def n_detected(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def n_key(self) -> int:
+        return len(self.key_a)
+
+    @property
+    def n_bell(self) -> int:
+        return int(np.count_nonzero(self.bell_mask))
+
+    @property
+    def n_discarded(self) -> int:
+        return self.n_detected - self.n_key - self.n_bell
+
+
+def sift(rounds: Rounds) -> Sifted:
+    """Masks, count tensor and both keys of a session (see ``Party.sift_masks``)."""
     det = rounds.detected
-    key = det & (rounds.setting_a == 3) & (rounds.setting_b == 3)
-    bell_mask = det & (rounds.setting_a <= 2) & (rounds.setting_b <= 2)
-    disc = det & ~key & ~bell_mask
-    return SiftResult(
-        key_rounds=rounds.subset(key),
-        bell_rounds=rounds.subset(bell_mask),
-        discarded=rounds.subset(disc),
-    )
+    key, bell_mask = Party(rounds.setting_a, det).sift_masks(rounds.setting_b)
+    cells = 27 * rounds.setting_a.astype(np.int16) + 9 * rounds.outcome_a \
+        + 3 * rounds.setting_b + rounds.outcome_b - 30
+    counts = np.bincount(cells[det], minlength=81).reshape(DIM, DIM, DIM, DIM)
+    return Sifted(key_mask=key, bell_mask=bell_mask, counts=counts,
+                  key_a=rounds.outcome_a[key].astype(np.int8),
+                  key_b=SWAP_12[rounds.outcome_b[key]])
 
 
-def estimate_s3(bell_rounds: Rounds) -> tuple[float, float]:
-    """Empirical S3 and its standard error from sifted Bell rounds.
+def estimate_s3(counts: np.ndarray) -> tuple[float, float]:
+    """Empirical S3 and its standard error from a count tensor.
 
-    Probabilities are per-setting-pair frequencies; the uncertainty treats
-    every outcome count as an independent Poisson variable propagated
-    through the Bell expression.
+    ``counts`` is indexed like ``Sifted.counts``; only the four Bell setting
+    pairs are read.  Probabilities are per-setting-pair frequencies; the
+    uncertainty treats every outcome count as an independent Poisson
+    variable propagated through the Bell expression.
     """
+    all_counts = np.asarray(counts, dtype=float)
+    if all_counts.shape != (DIM, DIM, DIM, DIM):
+        raise ValidationError(f"count tensor must have shape (3, 3, 3, 3), got {all_counts.shape}")
     s3_total = 0.0
     variance = 0.0
-    cells = 9 * (3 * (bell_rounds.setting_a.astype(np.int64) - 1) + bell_rounds.outcome_a) \
-        + 3 * (bell_rounds.setting_b.astype(np.int64) - 1) + bell_rounds.outcome_b
-    all_counts = np.bincount(cells, minlength=81).reshape(DIM, DIM, DIM, DIM).astype(float)
     for pair, coeff in bell.s3_coefficients().items():
-        counts = all_counts[pair[0] - 1, :, pair[1] - 1, :]
-        total = counts.sum()
+        pair_counts = all_counts[pair[0] - 1, :, pair[1] - 1, :]
+        total = pair_counts.sum()
         if total == 0:
             raise InsufficientDataError(f"no rounds with setting pair {pair}")
-        contribution = float((coeff * counts).sum() / total)
+        contribution = float((coeff * pair_counts).sum() / total)
         s3_total += contribution
-        variance += float((counts * ((coeff - contribution) / total) ** 2).sum())
+        variance += float((pair_counts * ((coeff - contribution) / total) ** 2).sum())
     return s3_total, float(np.sqrt(variance))
-
-
-def extract_keys(key_rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:
-    """Trit keys from key rounds; B's outcomes 1 and 2 are exchanged."""
-    key_a = key_rounds.outcome_a.astype(np.int8)
-    key_b = SWAP_12[key_rounds.outcome_b]
-    return key_a, key_b
 
 
 def qter(key_a, key_b) -> float:
@@ -477,7 +449,7 @@ def security_verdict(s3_estimate: float, s3_sigma: float, qter_value: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# Two-party message exchange
+# Sessions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,67 +457,6 @@ class Message:
     sender: str
     kind: str
     payload: object
-
-
-class ClassicalChannel:
-    """Public classical channel; every announcement lands in the transcript."""
-
-    def __init__(self):
-        self.messages: list[Message] = []
-
-    def send(self, sender: str, kind: str, payload):
-        self.messages.append(Message(sender=sender, kind=kind, payload=payload))
-        return payload
-
-
-class Party:
-    """One observer's private measurement data and local computations."""
-
-    def __init__(self, name: str, settings: np.ndarray, outcomes: np.ndarray,
-                 detected: np.ndarray):
-        self.name = name
-        self.settings = settings
-        self.outcomes = outcomes
-        self.detected = detected
-
-    def announce_settings(self, channel: ClassicalChannel) -> np.ndarray:
-        return channel.send(self.name, "settings", self.settings.copy())
-
-    def sift_masks(self, other_settings: np.ndarray):
-        det = self.detected
-        key = det & (self.settings == 3) & (other_settings == 3)
-        bell_mask = det & (self.settings <= 2) & (other_settings <= 2)
-        return key, bell_mask
-
-    def announce_bell_outcomes(self, channel: ClassicalChannel,
-                               other_settings: np.ndarray) -> np.ndarray:
-        _, bell_mask = self.sift_masks(other_settings)
-        return channel.send(self.name, "bell-outcomes", self.outcomes[bell_mask].copy())
-
-    def key_trits(self, other_settings: np.ndarray) -> np.ndarray:
-        key_mask, _ = self.sift_masks(other_settings)
-        trits = self.outcomes[key_mask].astype(np.int8)
-        if self.name == "B":
-            trits = SWAP_12[trits]
-        return trits
-
-    def estimate_bell(self, other_settings: np.ndarray,
-                      announced_outcomes: np.ndarray) -> tuple[float, float]:
-        _, bell_mask = self.sift_masks(other_settings)
-        n = int(bell_mask.sum())
-        if self.name == "A":
-            sa, oa = self.settings[bell_mask], self.outcomes[bell_mask]
-            sb, ob = other_settings[bell_mask], announced_outcomes
-        else:
-            sb, ob = self.settings[bell_mask], self.outcomes[bell_mask]
-            sa, oa = other_settings[bell_mask], announced_outcomes
-        joined = Rounds(
-            round_id=np.arange(n, dtype=np.int64),
-            setting_a=sa, outcome_a=oa,
-            setting_b=sb, outcome_b=ob,
-            detected=np.ones(n, dtype=bool),
-        )
-        return estimate_s3(joined)
 
 
 @dataclass
@@ -561,66 +472,55 @@ class SessionResult:
     transcript: tuple
     n_rounds: int
     n_detected: int
-    rounds: "Rounds" = None
+    rounds: Rounds
+
+
+def analyze(rounds: Rounds) -> SessionResult:
+    """Sift a session once, then estimate S3, the QTER and the verdict.
+
+    ``transcript`` lists what the parties make public, in order: both
+    setting sequences, B's Bell-round outcomes, B's key trits (the
+    simulation-only error-rate comparison) and A's verdict.
+    """
+    n = len(rounds)
+    if n == 0:
+        raise InsufficientDataError("no rounds")
+    sifted = sift(rounds)
+    s3_hat, s3_sigma = estimate_s3(sifted.counts)
+    qter_value = qter(sifted.key_a, sifted.key_b)
+    report = security_verdict(s3_hat, s3_sigma, qter_value)
+    transcript = (
+        Message("A", "settings", rounds.setting_a),
+        Message("B", "settings", rounds.setting_b),
+        Message("B", "bell-outcomes", rounds.outcome_b[sifted.bell_mask]),
+        Message("B", "key-comparison-diagnostic", sifted.key_b),
+        Message("A", "verdict", {"secure": report.secure, "s3": s3_hat,
+                                 "sigma": s3_sigma, "qter": qter_value}),
+    )
+    return SessionResult(
+        s3_estimate=s3_hat,
+        s3_sigma=s3_sigma,
+        qter=qter_value,
+        sifted_fractions=(sifted.n_key / n, sifted.n_bell / n, sifted.n_discarded / n),
+        key_a=sifted.key_a,
+        key_b=sifted.key_b,
+        secure=report.secure,
+        report=report,
+        transcript=transcript,
+        n_rounds=n,
+        n_detected=sifted.n_detected,
+        rounds=rounds,
+    )
 
 
 def run_protocol(n_rounds: int, source: SourceConfig | None = None,
                  eve: EveConfig | None = None,
                  parties: tuple | None = None, seed: int = 0) -> SessionResult:
-    """Full protocol session between two party objects over a logged channel.
-
-    The physics layer produces each side's private data; everything either
-    side learns about the other travels through the classical channel
-    (setting announcements, B's Bell-round outcomes, the verdict, and B's
-    key trits for the simulation-only error-rate comparison), so the
-    transcript shows exactly what was made public.
-    """
+    """A seeded session, sampled by ``run_session`` and analyzed by ``analyze``."""
     source = source if source is not None else SourceConfig()
     eve = eve if eve is not None else EveConfig()
     a_cfg, b_cfg = parties if parties is not None else default_parties()
-
-    rounds = run_session(n_rounds, source, eve, a_cfg, b_cfg, seed)
-    alice = Party("A", rounds.setting_a, rounds.outcome_a, rounds.detected)
-    bob = Party("B", rounds.setting_b, rounds.outcome_b, rounds.detected)
-    channel = ClassicalChannel()
-
-    settings_a = alice.announce_settings(channel)
-    settings_b = bob.announce_settings(channel)
-
-    announced = bob.announce_bell_outcomes(channel, settings_a)
-    s3_hat, s3_sigma = alice.estimate_bell(settings_b, announced)
-
-    key_a = alice.key_trits(settings_b)
-    key_b_announced = channel.send("B", "key-comparison-diagnostic",
-                                   bob.key_trits(settings_a))
-    qter_value = qter(key_a, key_b_announced)
-
-    report = security_verdict(s3_hat, s3_sigma, qter_value)
-    channel.send("A", "verdict", {
-        "secure": report.secure,
-        "s3": s3_hat,
-        "sigma": s3_sigma,
-        "qter": qter_value,
-    })
-
-    sifted = sift(rounds)
-    n = len(rounds)
-    fractions = (len(sifted.key_rounds) / n, len(sifted.bell_rounds) / n,
-                 len(sifted.discarded) / n)
-    return SessionResult(
-        s3_estimate=s3_hat,
-        s3_sigma=s3_sigma,
-        qter=qter_value,
-        sifted_fractions=fractions,
-        key_a=key_a,
-        key_b=bob.key_trits(settings_a),
-        secure=report.secure,
-        report=report,
-        transcript=tuple(channel.messages),
-        n_rounds=n,
-        n_detected=int(rounds.detected.sum()),
-        rounds=rounds,
-    )
+    return analyze(run_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from qutrit_qkd.protocol import (
     default_parties,
     estimate_s3,
     exact_session_s3,
-    extract_keys,
     qter,
     reference_source,
     run_protocol,
@@ -88,7 +87,7 @@ def test_criterion_04_estimator_fidelity():
     estimates = []
     for seed in range(20):
         rounds = run_session(1_000_000, source, eve, a, b, seed=seed)
-        s3_hat, sigma = estimate_s3(sift(rounds).bell_rounds)
+        s3_hat, sigma = estimate_s3(sift(rounds).counts)
         estimates.append(s3_hat)
         sigma_ok = sigma_ok and sigma < 0.01
         if abs(s3_hat - bell.QUANTUM_MAX) < 3 * sigma:
@@ -104,9 +103,9 @@ def test_criterion_05_sifting_fractions():
     n = 1_000_000
     rounds = run_session(n, SourceConfig(), EveConfig(), a, b, seed=99)
     sifted = sift(rounds)
-    targets = {"key": (len(sifted.key_rounds), 1 / 9),
-               "bell": (len(sifted.bell_rounds), 4 / 9),
-               "discard": (len(sifted.discarded), 4 / 9)}
+    targets = {"key": (sifted.n_key, 1 / 9),
+               "bell": (sifted.n_bell, 4 / 9),
+               "discard": (sifted.n_discarded, 4 / 9)}
     detail = []
     passed = True
     for name, (count, p) in targets.items():
@@ -148,7 +147,7 @@ def test_criterion_07_eavesdropper_detectability():
     a, b = default_parties()
     rounds = run_session(100_000, source, comp_eve, a, b, seed=55)
     sifted = sift(rounds)
-    key_qter = qter(*extract_keys(sifted.key_rounds))
+    key_qter = qter(sifted.key_a, sifted.key_b)
     comp_exact = exact_session_s3(source, comp_eve)
     passed = (exact_max <= 2.0 and estimate_ok
               and key_qter == 0.0 and comp_exact <= 2.0)

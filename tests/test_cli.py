@@ -112,6 +112,8 @@ class TestSimulateAndSift:
         values2 = machine_block(out2)
         assert values2["s3_estimate"] == values["s3_estimate"]
         assert values2["qter"] == values["qter"]
+        paths = ("transcript", "key_a", "key_b")
+        assert values2 == {k: v for k, v in values.items() if k not in paths}
 
     def test_deterministic_output(self, capsys, tmp_path):
         args = ("simulate", "--rounds", "5000", "--seed", "9",
@@ -128,6 +130,7 @@ class TestSimulateAndSift:
         header = [line[2:] for line in (tmp_path / "h" / "transcript.txt")
                   .read_text().splitlines() if line.startswith("# ")]
         assert "coefficients = 0.642,0.546,0.539" in header
+        assert f"detection = {1 / 9!r}" in header
         cfg = tmp_path / "hdr.cfg"
         cfg.write_text("\n".join(header) + "\n")
         code, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", out_dir)
@@ -162,6 +165,19 @@ class TestSimulateAndSift:
         assert "visibility = 0.8" in out
         assert "seed = 5" in out          # flag overrides the file
         assert "rounds = 5000" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "bell", "optimize"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, command):
+        extra = ("--out", str(tmp_path / "s")) if command == "simulate" else ()
+        code, _, err = run_cli(capsys, command, "--seed", "-1", *extra)
+        assert code == 2
+        assert "seed" in err and "Traceback" not in err
+
+    def test_nan_bias_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--bias", "nan,nan,nan",
+                               "--rounds", "100", "--out", str(tmp_path / "b"))
+        assert code == 2
+        assert "setting probabilities" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

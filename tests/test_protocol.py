@@ -15,14 +15,12 @@ from qutrit_qkd.protocol import (
     default_parties,
     estimate_s3,
     exact_session_s3,
-    extract_keys,
     post_eve_mixture,
     qter,
     read_transcript,
     reference_source,
     run_protocol,
     run_session,
-    sample_round,
     security_verdict,
     sift,
     source_mixture,
@@ -69,45 +67,37 @@ class TestConfigs:
 
 class TestSampleRound:
     def test_key_setting_support(self):
-        rng = np.random.default_rng(1)
         parties = forced_parties(3, 3)
-        seen = set()
-        for i in range(500):
-            rec = sample_round(rng, IDEAL, NO_EVE, *parties, round_id=i)
-            assert rec.detected
-            seen.add((rec.outcome_a, rec.outcome_b))
+        rounds = run_session(500, IDEAL, NO_EVE, *parties, seed=1)
+        assert rounds.detected.all()
+        seen = set(zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()))
         assert seen == {(0, 0), (1, 2), (2, 1)}
 
     def test_full_background_uniform(self):
-        rng = np.random.default_rng(2)
         source = SourceConfig(background_fraction=1.0)
         parties = forced_parties(3, 3)
+        rounds = run_session(9000, source, NO_EVE, *parties, seed=2)
         counts = np.zeros((3, 3))
-        for i in range(9000):
-            rec = sample_round(rng, source, NO_EVE, *parties, round_id=i)
-            counts[rec.outcome_a, rec.outcome_b] += 1
+        np.add.at(counts, (rounds.outcome_a, rounds.outcome_b), 1)
         # each of the 9 pairs expected 1000 times; 5 sigma binomial band
         sigma = np.sqrt(9000 * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - 1000) < 5 * sigma)
 
     def test_eve_computational_preserves_key_support(self):
-        rng = np.random.default_rng(3)
         eve = EveConfig(enabled=True, arm="B")
         parties = forced_parties(3, 3)
-        for i in range(500):
-            rec = sample_round(rng, eve=eve, source=IDEAL, a=parties[0],
-                               b=parties[1], round_id=i)
-            assert (rec.outcome_a, rec.outcome_b) in {(0, 0), (1, 2), (2, 1)}
+        rounds = run_session(500, eve=eve, source=IDEAL, a=parties[0],
+                             b=parties[1], seed=3)
+        for pair in zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()):
+            assert pair in {(0, 0), (1, 2), (2, 1)}
 
     def test_undetected_has_no_outcomes(self):
-        rng = np.random.default_rng(4)
         source = SourceConfig(detection_efficiency=0.05)
         parties = forced_parties(3, 3)
-        recs = [sample_round(rng, source, NO_EVE, *parties, round_id=i)
-                for i in range(100)]
-        undetected = [r for r in recs if not r.detected]
-        assert undetected and all(r.outcome_a is None and r.outcome_b is None
-                                  for r in undetected)
+        rounds = run_session(100, source, NO_EVE, *parties, seed=4)
+        undetected = ~rounds.detected
+        assert undetected.any() and np.all(rounds.outcome_a[undetected] == -1) \
+            and np.all(rounds.outcome_b[undetected] == -1)
 
 
 class TestPostEveMixture:
@@ -175,14 +165,6 @@ class TestRunSession:
                 count = int(((rounds.setting_a == sa) & (rounds.setting_b == sb)).sum())
                 assert abs(count - n / 9) < 5 * sigma
 
-    def test_record_view(self):
-        a, b = default_parties()
-        rounds = run_session(10, IDEAL, NO_EVE, a, b, seed=3)
-        rec = rounds[0]
-        assert rec.round_id == 0
-        assert rec.setting_a in (1, 2, 3)
-        assert len(list(rounds)) == 10
-
 
 class TestSift:
     def test_partition_of_detected(self):
@@ -191,9 +173,10 @@ class TestSift:
         rounds = run_session(20_000, source, NO_EVE, a, b, seed=8)
         sifted = sift(rounds)
         n_det = int(rounds.detected.sum())
-        assert len(sifted.key_rounds) + len(sifted.bell_rounds) + len(sifted.discarded) == n_det
-        ids = np.concatenate([sifted.key_rounds.round_id, sifted.bell_rounds.round_id,
-                              sifted.discarded.round_id])
+        assert sifted.n_key + sifted.n_bell + sifted.n_discarded == n_det
+        discarded = rounds.detected & ~sifted.key_mask & ~sifted.bell_mask
+        ids = np.concatenate([rounds.round_id[sifted.key_mask],
+                              rounds.round_id[sifted.bell_mask], rounds.round_id[discarded]])
         assert len(np.unique(ids)) == n_det
 
     def test_fractions(self):
@@ -201,36 +184,69 @@ class TestSift:
         rounds = run_session(200_000, IDEAL, NO_EVE, a, b, seed=9)
         sifted = sift(rounds)
         n = len(rounds)
-        assert len(sifted.key_rounds) / n == pytest.approx(1 / 9, abs=0.005)
-        assert len(sifted.bell_rounds) / n == pytest.approx(4 / 9, abs=0.01)
-        assert len(sifted.discarded) / n == pytest.approx(4 / 9, abs=0.01)
+        assert sifted.n_key / n == pytest.approx(1 / 9, abs=0.005)
+        assert sifted.n_bell / n == pytest.approx(4 / 9, abs=0.01)
+        assert sifted.n_discarded / n == pytest.approx(4 / 9, abs=0.01)
 
     def test_all_key_settings(self):
         parties = forced_parties(3, 3)
         rounds = run_session(100, IDEAL, NO_EVE, *parties, seed=10)
         sifted = sift(rounds)
-        assert len(sifted.key_rounds) == 100
-        assert len(sifted.bell_rounds) == 0
+        assert sifted.n_key == 100
+        assert sifted.n_bell == 0
+
+    def test_matches_per_round_tally(self):
+        a, b = default_parties(bias_a=(0.5, 0.2, 0.3), bias_b=(0.1, 0.4, 0.5))
+        source = SourceConfig(detection_efficiency=0.5, visibility=0.8)
+        rounds = run_session(3000, source, NO_EVE, a, b, seed=23)
+        sifted = sift(rounds)
+        counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+        key, bell_rounds, discarded = [], [], []
+        for i, (sa, oa, sb, ob, det) in enumerate(zip(
+                *(c.tolist() for c in rounds._columns()[1:]))):
+            if not det:
+                continue
+            counts[sa - 1, oa, sb - 1, ob] += 1
+            if sa == 3 and sb == 3:
+                key.append(i)
+            elif sa in (1, 2) and sb in (1, 2):
+                bell_rounds.append(i)
+            else:
+                discarded.append(i)
+        assert np.array_equal(sifted.counts, counts)
+        assert np.flatnonzero(sifted.key_mask).tolist() == key
+        assert np.flatnonzero(sifted.bell_mask).tolist() == bell_rounds
+        assert (sifted.n_key, sifted.n_bell, sifted.n_discarded) == (
+            len(key), len(bell_rounds), len(discarded))
+        assert sorted(key + bell_rounds + discarded) == np.flatnonzero(rounds.detected).tolist()
+        assert key and bell_rounds and discarded
+        assert sifted.key_a.tolist() == [int(rounds.outcome_a[i]) for i in key]
+        relabel = {0: 0, 1: 2, 2: 1}
+        assert sifted.key_b.tolist() == [relabel[int(rounds.outcome_b[i])] for i in key]
 
     def test_mixed_pair_discarded(self):
         parties = forced_parties(1, 3)
         rounds = run_session(100, IDEAL, NO_EVE, *parties, seed=11)
         sifted = sift(rounds)
-        assert len(sifted.discarded) == 100
+        assert sifted.n_discarded == 100
 
 
 class TestEstimateS3:
     def test_converges_to_exact(self):
         a, b = default_parties()
         rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=12)
-        s3_hat, sigma = estimate_s3(sift(rounds).bell_rounds)
+        s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert abs(s3_hat - bell.QUANTUM_MAX) < 3 * sigma
 
     def test_missing_pair_rejected(self):
         parties = forced_parties(1, 1)
         rounds = run_session(1000, IDEAL, NO_EVE, *parties, seed=13)
         with pytest.raises(InsufficientDataError):
-            estimate_s3(sift(rounds).bell_rounds)
+            estimate_s3(sift(rounds).counts)
+
+    def test_count_tensor_shape_checked(self):
+        with pytest.raises(ValidationError, match="shape"):
+            estimate_s3(np.ones((2, 3, 2, 3)))
 
     def test_estimator_algebra_all_positive_cells(self):
         # counts placed only on each pair's positive-coefficient cells give
@@ -258,7 +274,7 @@ class TestEstimateS3:
             outcome_b=np.array(rows["outcome_b"], dtype=np.int8),
             detected=np.ones(n, dtype=bool),
         )
-        s3_hat, sigma = estimate_s3(rounds)
+        s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert s3_hat == pytest.approx(4.0, abs=1e-12)
         assert sigma == pytest.approx(0.0, abs=1e-12)
 
@@ -267,7 +283,7 @@ class TestEstimateS3:
         source = SourceConfig(visibility=visibility)
         a, b = default_parties()
         rounds = run_session(300_000, source, NO_EVE, a, b, seed=14)
-        s3_hat, sigma = estimate_s3(sift(rounds).bell_rounds)
+        s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert abs(s3_hat - 2.688) < 3 * sigma
 
     def test_empirical_tables_chi_square(self):
@@ -303,15 +319,16 @@ class TestKeysAndVerdict:
             outcome_b=np.array([2, 0, 1], dtype=np.int8),
             detected=np.ones(3, dtype=bool),
         )
-        key_a, key_b = extract_keys(rounds)
+        sifted = sift(rounds)
+        key_a, key_b = sifted.key_a, sifted.key_b
         assert key_a.tolist() == [1, 0, 2]
         assert key_b.tolist() == [1, 0, 2]
 
     def test_ideal_qter_zero(self):
         parties = forced_parties(3, 3)
         rounds = run_session(10_000, IDEAL, NO_EVE, *parties, seed=15)
-        key_a, key_b = extract_keys(sift(rounds).key_rounds)
-        assert qter(key_a, key_b) == 0.0
+        sifted = sift(rounds)
+        assert qter(sifted.key_a, sifted.key_b) == 0.0
 
     def test_qter_reference_fraction(self):
         key_a = np.zeros(150, dtype=np.int8)
@@ -383,10 +400,10 @@ class TestProtocolSession:
     def test_party_estimate_matches_omniscient(self):
         result = run_protocol(50_000, seed=18)
         sifted = sift(result.rounds)
-        s3_hat, sigma = estimate_s3(sifted.bell_rounds)
+        s3_hat, sigma = estimate_s3(sifted.counts)
         assert result.s3_estimate == pytest.approx(s3_hat, abs=1e-12)
         assert result.s3_sigma == pytest.approx(sigma, abs=1e-12)
-        key_a, key_b = extract_keys(sifted.key_rounds)
+        key_a, key_b = sifted.key_a, sifted.key_b
         assert np.array_equal(result.key_a, key_a)
         assert np.array_equal(result.key_b, key_b)
 
