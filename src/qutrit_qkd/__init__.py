@@ -52,6 +52,7 @@ from .protocol import (
     calibrate_noise,
     default_parties,
     estimate_s3,
+    iter_session,
     qter,
     run_protocol,
     run_session,

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -46,6 +47,17 @@ def _parse_bool(s: str) -> bool:
     raise ValidationError(f"expected a boolean, got {s!r}")
 
 
+def _parse_rounds(s: str) -> int:
+    """A positive integer, also in scientific notation ('1e6', '2.5e5')."""
+    try:
+        value = Decimal(s)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not (value.is_finite() and value == value.to_integral_value() and value > 0):
+        raise ValidationError(f"rounds must be a positive integer, got {s!r}")
+    return int(value)
+
+
 def _parse_triple(s: str) -> tuple:
     parts = [p for p in s.replace(",", " ").split() if p]
     if len(parts) != 3:
@@ -54,7 +66,7 @@ def _parse_triple(s: str) -> tuple:
 
 
 _CONFIG_PARSERS = {
-    "rounds": int,
+    "rounds": _parse_rounds,
     "seed": int,
     "coefficients": _parse_triple,
     "visibility": float,
@@ -83,8 +95,6 @@ def load_config_file(path) -> dict:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _CONFIG_PARSERS[key](value.strip())
-            except ValidationError:
-                raise
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
@@ -107,6 +117,8 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value
+    if "rounds" in overrides:
+        overrides["rounds"] = _parse_rounds(overrides["rounds"])
     config = replace(config, **overrides)
     if config.seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
@@ -248,13 +260,14 @@ def cmd_simulate(args) -> int:
     _print_config(config)
     source = _source_from(config)
     eve = _eve_from(config)
-    parties = protocol.default_parties(bias_a=config.bias, bias_b=config.bias)
-    result = protocol.run_protocol(config.rounds, source=source, eve=eve,
-                                   parties=parties, seed=config.seed)
+    a_cfg, b_cfg = protocol.default_parties(bias_a=config.bias, bias_b=config.bias)
+    chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     os.makedirs(args.out, exist_ok=True)
     transcript_path = os.path.join(args.out, "transcript.txt")
     header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
-    protocol.write_transcript(transcript_path, result.rounds, header=header)
+    # sampled, written and sifted chunk by chunk; on too little data the
+    # transcript is already written, but no key file is
+    result = protocol.analyze(protocol.transcribe(transcript_path, chunks, header))
     _report_session(result)
     print(f"transcript         {transcript_path}")
     key_pairs = _write_keys(args.out, result)
@@ -264,9 +277,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sift(args) -> int:
-    rounds, header = protocol.read_transcript(args.transcript)
+    header = {}
     try:
-        result = protocol.analyze(rounds)
+        result = protocol.analyze(protocol.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
     if header:
@@ -361,7 +374,8 @@ def _add_config_flags(parser, with_profile=False):
     parser.add_argument("--background", type=float, default=None,
                         help="accidental-coincidence fraction")
     if with_profile:
-        parser.add_argument("--rounds", type=int, default=None)
+        parser.add_argument("--rounds", default=None,
+                            help="number of rounds, e.g. 100000 or 1e6")
         parser.add_argument("--detection", type=float, default=None,
                             help="per-round coincidence detection probability")
         parser.add_argument("--key-crosstalk", dest="key_crosstalk", type=float,

@@ -14,6 +14,7 @@ ensemble before sampling, never as an outcome heuristic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,9 +179,10 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
 
 
 def _setting_tables(source: SourceConfig, eve: EveConfig,
-                    a: PartyConfig, b: PartyConfig) -> dict:
-    """Exact outcome tables per setting pair, with outcome-level noise folded in.
+                    a: PartyConfig, b: PartyConfig) -> np.ndarray:
+    """Exact outcome tables of all setting pairs, with outcome-level noise folded in.
 
+    Indexed ``[setting_a - 1, outcome_a, setting_b - 1, outcome_b]``.
     Background replaces any round's outcomes with a uniform pair; key
     crosstalk does the same on the (3, 3) pair only.  Both act at the
     probability level, so folding them into the tables is exact.  All nine
@@ -194,16 +196,16 @@ def _setting_tables(source: SourceConfig, eve: EveConfig,
     if source.key_crosstalk > 0.0:
         t[2, :, 2, :] = (1.0 - source.key_crosstalk) * t[2, :, 2, :] \
             + source.key_crosstalk * uniform
-    return {(sa, sb): t[sa - 1, :, sb - 1, :] for sa in (1, 2, 3) for sb in (1, 2, 3)}
+    return t
 
 
 def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig(),
                      parties: tuple | None = None) -> float:
     """Exact S3 implied by a session configuration (no sampling)."""
     a, b = parties if parties is not None else default_parties()
-    tables = _setting_tables(source, eve, a, b)
-    return sum(float((coeff * tables[pair]).sum())
-               for pair, coeff in bell.s3_coefficients().items())
+    t = _setting_tables(source, eve, a, b)
+    return sum(float((coeff * t[sa - 1, :, sb - 1, :]).sum())
+               for (sa, sb), coeff in bell.s3_coefficients().items())
 
 
 def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
@@ -271,46 +273,89 @@ class Rounds:
                 self.setting_b, self.outcome_b, self.detected)
 
 
-def _sample_settings(rng, party: PartyConfig, n: int) -> np.ndarray:
-    return rng.choice(np.array([1, 2, 3], dtype=np.int8), size=n,
-                      p=np.asarray(party.setting_probabilities, dtype=float))
+_ROUND_DTYPES = (np.int64, np.int8, np.int8, np.int8, np.int8, bool)
 
 
-def run_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
-                a: PartyConfig, b: PartyConfig, seed: int) -> Rounds:
-    """Generate a full seeded measurement session.
+def _concat(chunks) -> Rounds:
+    """One ``Rounds`` holding the chunks' rounds in order."""
+    empty = [np.zeros(0, dtype=dt) for dt in _ROUND_DTYPES]
+    columns = zip(empty, *(chunk._columns() for chunk in chunks))
+    return Rounds(*(np.concatenate(column) for column in columns))
 
-    Vectorized over rounds: settings and detection are drawn per round,
-    outcomes are drawn from the exact per-setting-pair tables.  Identical
+
+# Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
+# by column (settings A, settings B, detection, outcome uniforms), n draws
+# each, so chunk [lo, lo + m) of column j is draws j*n + lo ... of the stream.
+_SESSION_CHUNK_ROWS = 1 << 16
+# outcome-pair index 3*outcome_a + outcome_b, or 9 for an undetected round
+_OUTCOME_A = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, -1], dtype=np.int8)
+_OUTCOME_B = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, -1], dtype=np.int8)
+
+
+def _setting_cdf(party: PartyConfig) -> np.ndarray:
+    p = np.asarray(party.setting_probabilities, dtype=float)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _settings(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Settings 1..3 from uniforms, as ``Generator.choice`` maps them."""
+    s = np.ones(len(u), dtype=np.int8)
+    s += u >= cdf[0]
+    s += u >= cdf[1]
+    return s
+
+
+def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
+                 a: PartyConfig, b: PartyConfig, seed: int) -> Iterator[Rounds]:
+    """A seeded measurement session as ``Rounds`` chunks of at most 65536 rounds.
+
+    Settings and detection are drawn per round, outcomes from the exact
+    per-setting-pair tables.  Chunking does not change the draws: identical
     seeds and configurations reproduce the session bit for bit.
     """
     if n_rounds <= 0:
         raise ValidationError(f"n_rounds must be positive, got {n_rounds}")
-    rng = np.random.default_rng(seed)
-    tables = _setting_tables(source, eve, a, b)
+    t = _setting_tables(source, eve, a, b)
+    cdf = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
+    # row k holds every setting pair's k-th cumulative outcome probability
+    thresholds = np.ascontiguousarray(cdf[:, :8].T)
+    return _sample_chunks(n_rounds, np.random.PCG64(seed), thresholds,
+                          _setting_cdf(a), _setting_cdf(b), source.detection_efficiency)
 
-    sa = _sample_settings(rng, a, n_rounds)
-    sb = _sample_settings(rng, b, n_rounds)
-    detected = rng.random(n_rounds) < source.detection_efficiency
-    u = rng.random(n_rounds)
 
-    out_a = np.full(n_rounds, -1, dtype=np.int8)
-    out_b = np.full(n_rounds, -1, dtype=np.int8)
-    for pair, table in tables.items():
-        mask = (sa == pair[0]) & (sb == pair[1]) & detected
-        if not mask.any():
-            continue
-        cdf = np.cumsum(table.ravel())
-        idx = np.minimum(np.searchsorted(cdf, u[mask], side="right"), 8)
-        out_a[mask] = idx // 3
-        out_b[mask] = idx % 3
+def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
+    rng = np.random.Generator(bitgen)
+    seeded = bitgen.state
+    for lo in range(0, n, _SESSION_CHUNK_ROWS):
+        m = min(_SESSION_CHUNK_ROWS, n - lo)
 
-    return Rounds(
-        round_id=np.arange(n_rounds, dtype=np.int64),
-        setting_a=sa, outcome_a=out_a,
-        setting_b=sb, outcome_b=out_b,
-        detected=detected,
-    )
+        def draw(column):
+            bitgen.state = seeded
+            bitgen.advance(column * n + lo)
+            return rng.random(m)
+
+        sa = _settings(draw(0), cdf_a)
+        sb = _settings(draw(1), cdf_b)
+        detected = draw(2) < detection
+        u = draw(3)
+        # outcome index = number of cumulative probabilities <= u
+        pair = 3 * sa.astype(np.intp) + sb - 4
+        idx = np.zeros(m, dtype=np.intp)
+        for row in thresholds:
+            idx += row.take(pair) <= u
+        idx[~detected] = 9
+        yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64),
+                     setting_a=sa, outcome_a=_OUTCOME_A.take(idx),
+                     setting_b=sb, outcome_b=_OUTCOME_B.take(idx),
+                     detected=detected)
+
+
+def run_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
+                a: PartyConfig, b: PartyConfig, seed: int) -> Rounds:
+    """A whole seeded session in memory: the chunks of ``iter_session`` joined."""
+    return _concat(iter_session(n_rounds, source, eve, a, b, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -472,55 +517,79 @@ class SessionResult:
     transcript: tuple
     n_rounds: int
     n_detected: int
-    rounds: Rounds
 
 
-def analyze(rounds: Rounds) -> SessionResult:
-    """Sift a session once, then estimate S3, the QTER and the verdict.
+def _joined(part: list) -> np.ndarray:
+    """The chunks joined; the list is emptied so only one copy stays alive."""
+    whole = np.concatenate(part)
+    part.clear()
+    return whole
 
-    ``transcript`` lists what the parties make public, in order: both
-    setting sequences, B's Bell-round outcomes, B's key trits (the
-    simulation-only error-rate comparison) and A's verdict.
+
+def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
+    """Sift a session chunk by chunk, then estimate S3, the QTER and the verdict.
+
+    ``chunks`` is one ``Rounds`` or an iterable of them in round order; each
+    is sifted once and dropped, keeping only the count tensor, the keys and
+    the public messages.  ``transcript`` lists what the parties make public,
+    in order: both setting sequences, B's Bell-round outcomes, B's key trits
+    (the simulation-only error-rate comparison) and A's verdict.
     """
-    n = len(rounds)
+    if isinstance(chunks, Rounds):
+        chunks = (chunks,)
+    counts = np.zeros((DIM, DIM, DIM, DIM), dtype=np.int64)
+    n = n_bell = 0
+    # settings A, settings B, B's Bell-round outcomes, key A, key B
+    parts = ([], [], [], [], [])
+    for rounds in chunks:
+        sifted = sift(rounds)
+        counts += sifted.counts
+        n += len(rounds)
+        n_bell += sifted.n_bell
+        for part, value in zip(parts, (rounds.setting_a, rounds.setting_b,
+                                       rounds.outcome_b[sifted.bell_mask],
+                                       sifted.key_a, sifted.key_b)):
+            part.append(value)
     if n == 0:
         raise InsufficientDataError("no rounds")
-    sifted = sift(rounds)
-    s3_hat, s3_sigma = estimate_s3(sifted.counts)
-    qter_value = qter(sifted.key_a, sifted.key_b)
+    setting_a, setting_b, bell_b, key_a, key_b = map(_joined, parts)
+    s3_hat, s3_sigma = estimate_s3(counts)
+    qter_value = qter(key_a, key_b)
     report = security_verdict(s3_hat, s3_sigma, qter_value)
     transcript = (
-        Message("A", "settings", rounds.setting_a),
-        Message("B", "settings", rounds.setting_b),
-        Message("B", "bell-outcomes", rounds.outcome_b[sifted.bell_mask]),
-        Message("B", "key-comparison-diagnostic", sifted.key_b),
+        Message("A", "settings", setting_a),
+        Message("B", "settings", setting_b),
+        Message("B", "bell-outcomes", bell_b),
+        Message("B", "key-comparison-diagnostic", key_b),
         Message("A", "verdict", {"secure": report.secure, "s3": s3_hat,
                                  "sigma": s3_sigma, "qter": qter_value}),
     )
+    n_detected = int(counts.sum())
+    n_key = len(key_a)
     return SessionResult(
         s3_estimate=s3_hat,
         s3_sigma=s3_sigma,
         qter=qter_value,
-        sifted_fractions=(sifted.n_key / n, sifted.n_bell / n, sifted.n_discarded / n),
-        key_a=sifted.key_a,
-        key_b=sifted.key_b,
+        sifted_fractions=(n_key / n, n_bell / n, (n_detected - n_key - n_bell) / n),
+        key_a=key_a,
+        key_b=key_b,
         secure=report.secure,
         report=report,
         transcript=transcript,
         n_rounds=n,
-        n_detected=sifted.n_detected,
-        rounds=rounds,
+        n_detected=n_detected,
     )
 
 
 def run_protocol(n_rounds: int, source: SourceConfig | None = None,
                  eve: EveConfig | None = None,
                  parties: tuple | None = None, seed: int = 0) -> SessionResult:
-    """A seeded session, sampled by ``run_session`` and analyzed by ``analyze``."""
+    """A seeded session, sampled by ``iter_session`` and analyzed chunk by
+    chunk by ``analyze``."""
     source = source if source is not None else SourceConfig()
     eve = eve if eve is not None else EveConfig()
     a_cfg, b_cfg = parties if parties is not None else default_parties()
-    return analyze(run_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
+    return analyze(iter_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -628,36 +697,54 @@ def _round_fields(rounds: Rounds, i: int) -> tuple:
             str(rounds.outcome_b[i]) if det else "-", str(int(det)))
 
 
-def write_transcript(path, rounds: Rounds, header: dict | None = None) -> None:
-    """One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
+def transcribe(path, chunks: Rounds | Iterable[Rounds],
+               header: dict | None = None) -> Iterator[Rounds]:
+    """Write a session to a transcript file as its chunks pass through.
 
-    Missing outcomes (undetected rounds) are written as '-'.  Header lines
-    are '# key = value'.  Rounds that the reader would reject raise
-    ValidationError naming the round's index; earlier chunks are already
-    written by then.
+    Yields each ``Rounds`` chunk once its lines are written, so a session
+    can be written and analyzed in one pass; the file is complete when the
+    iteration ends.  Header lines are '# key = value'.  Rounds that the
+    reader would reject raise ValidationError naming the round's index in
+    the session; earlier lines are already written by then.
     """
+    if isinstance(chunks, Rounds):
+        chunks = (chunks,)
     with open(path, "wb") as fh:
         fh.write("".join(f"# {key} = {value}\n"
                          for key, value in (header or {}).items()).encode())
-        prev_id = -1
-        for lo in range(0, len(rounds), _WRITE_CHUNK_ROWS):
-            part = rounds.subset(slice(lo, lo + _WRITE_CHUNK_ROWS))
-            ids = part.round_id.astype(np.int64)
-            det = part.detected.astype(bool)
-            chars = np.stack((
-                _digit_chars(part.setting_a),
-                np.where(det, _digit_chars(part.outcome_a), _DASH),
-                _digit_chars(part.setting_b),
-                np.where(det, _digit_chars(part.outcome_b), _DASH),
-                det + np.uint8(48),
-            )).astype(np.uint8)
-            fault = _first_fault(ids, (ids >= 0) & (ids < 10 ** _MAX_ID_DIGITS),
-                                 prev_id, chars, lambda row: _round_fields(part, row))
-            if fault is not None:
-                row, message = fault
-                raise ValidationError(f"{path}: round index {lo + row}: {message}")
-            fh.write(_format_rows(ids, chars))
-            prev_id = ids[-1]
+        prev_id, base = -1, 0
+        for rounds in chunks:
+            for lo in range(0, len(rounds), _WRITE_CHUNK_ROWS):
+                part = rounds.subset(slice(lo, lo + _WRITE_CHUNK_ROWS))
+                ids = part.round_id.astype(np.int64)
+                det = part.detected.astype(bool)
+                chars = np.stack((
+                    _digit_chars(part.setting_a),
+                    np.where(det, _digit_chars(part.outcome_a), _DASH),
+                    _digit_chars(part.setting_b),
+                    np.where(det, _digit_chars(part.outcome_b), _DASH),
+                    det + np.uint8(48),
+                )).astype(np.uint8)
+                fault = _first_fault(ids, (ids >= 0) & (ids < 10 ** _MAX_ID_DIGITS),
+                                     prev_id, chars, lambda row: _round_fields(part, row))
+                if fault is not None:
+                    row, message = fault
+                    raise ValidationError(f"{path}: round index {base + lo + row}: {message}")
+                fh.write(_format_rows(ids, chars))
+                prev_id = ids[-1]
+            base += len(rounds)
+            yield rounds
+
+
+def write_transcript(path, rounds: Rounds | Iterable[Rounds], header: dict | None = None) -> None:
+    """One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
+
+    ``rounds`` is one ``Rounds`` or an iterable of chunks in round order.
+    Missing outcomes (undetected rounds) are written as '-'.  See
+    ``transcribe``, which does the writing.
+    """
+    for _ in transcribe(path, rounds, header):
+        pass
 
 
 def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
@@ -711,16 +798,18 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
         at, message = min(errors)
         raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
 
-    values = _CHAR_VALUE[chars]
-    return (ids, values[0], values[1], values[2], values[3],
-            values[4].astype(bool)), len(newlines)
+    sa, oa, sb, ob, det = (_CHAR_VALUE.take(c) for c in chars)   # one array each
+    return (ids, sa, oa, sb, ob, det.astype(bool)), len(newlines)
 
 
-def read_transcript(path) -> tuple[Rounds, dict]:
-    """Parse a transcript file; raises ValidationError with the line number."""
-    header = {}
-    columns = [[np.zeros(0, dtype=dt)] for dt in
-               (np.int64, np.int8, np.int8, np.int8, np.int8, bool)]
+def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
+    """Parse a transcript file one read block at a time.
+
+    Yields the rounds of each block as a ``Rounds`` chunk, in file order,
+    and adds header lines to ``header`` as they are read.  Raises
+    ValidationError with the line number of the first bad line.
+    """
+    header = {} if header is None else header
     line0, prev_id, rest = 0, -1, b""
     with open(path, "rb") as fh:
         while True:
@@ -733,10 +822,16 @@ def read_transcript(path) -> tuple[Rounds, dict]:
                 data += b"\n"               # the last line lacks its newline
             if data:
                 cols, n_lines = _parse_lines(data, path, line0, prev_id, header)
-                for column, part in zip(columns, cols):
-                    column.append(part)
                 line0 += n_lines
-                prev_id = cols[0][-1] if len(cols[0]) else prev_id
+                if len(cols[0]):
+                    prev_id = cols[0][-1]
+                    yield Rounds(*cols)
             if not block:
                 break
-    return Rounds(*(np.concatenate(column) for column in columns)), header
+
+
+def read_transcript(path) -> tuple[Rounds, dict]:
+    """Parse a whole transcript file: the chunks of ``iter_transcript`` joined."""
+    header = {}
+    rounds = _concat(iter_transcript(path, header))
+    return rounds, header

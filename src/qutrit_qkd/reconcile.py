@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ValidationError
-from .trits import as_trits, read_key_file, write_key_file  # noqa: F401  (file IO re-export)
+from .trits import as_trits
 
 BLOCK = 3
 

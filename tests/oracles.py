@@ -95,3 +95,30 @@ def residual_error_rate_exact(error_rate):
     if kept_weight == 0.0:
         return 0.0
     return mismatch_weight / (2.0 * kept_weight)
+
+
+def session_columns_reference(n, tables, p_a, p_b, detection, seed):
+    """A whole session drawn the direct way, as six columns.
+
+    One generator draws, for all n rounds at once and in this order, A's
+    settings and B's settings (``Generator.choice``), the detection uniforms
+    and the outcome uniforms; each detected round's outcome pair is then
+    looked up, setting pair by setting pair, in the cumulative sums of its
+    exact table ``tables[setting_a - 1, :, setting_b - 1, :]``.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.array([1, 2, 3], dtype=np.int8)
+    sa = rng.choice(labels, size=n, p=np.asarray(p_a, dtype=float))
+    sb = rng.choice(labels, size=n, p=np.asarray(p_b, dtype=float))
+    detected = rng.random(n) < detection
+    u = rng.random(n)
+    out_a = np.full(n, -1, dtype=np.int8)
+    out_b = np.full(n, -1, dtype=np.int8)
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            mask = (sa == a) & (sb == b) & detected
+            cdf = np.cumsum(tables[a - 1, :, b - 1, :].ravel())
+            idx = np.minimum(np.searchsorted(cdf, u[mask], side="right"), 8)
+            out_a[mask] = idx // 3
+            out_b[mask] = idx % 3
+    return np.arange(n, dtype=np.int64), sa, out_a, sb, out_b, detected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qutrit_qkd import bell
-from qutrit_qkd.cli import main
+from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.trits import read_key_file
 
 TABLE_KEY = "022001122110002100222201212222122212001221212002201121210212222122222"
@@ -178,6 +178,48 @@ class TestSimulateAndSift:
                                "--rounds", "100", "--out", str(tmp_path / "b"))
         assert code == 2
         assert "setting probabilities" in err
+
+    @pytest.mark.parametrize("text, rounds", [("2.5e4", 25000), ("2e4", 20000),
+                                              ("20000", 20000)])
+    def test_rounds_in_scientific_notation(self, capsys, tmp_path, text, rounds):
+        out_dir = tmp_path / "n"
+        code, out, _ = run_cli(capsys, "simulate", "--rounds", text, "--seed", "1",
+                               "--out", str(out_dir))
+        assert code == 0
+        assert machine_block(out)["n_rounds"] == str(rounds)
+        assert f"# rounds = {rounds}\n" in (out_dir / "transcript.txt").read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rounds = {text}\n")
+        code, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--seed", "1",
+                                "--out", str(out_dir))
+        assert code == 0
+        assert machine_block(out2) == machine_block(out)
+
+    def test_rounds_parser_returns_int(self):
+        assert _parse_rounds("1e6") == 1_000_000 and type(_parse_rounds("1e6")) is int
+        assert _parse_rounds("2.5e5") == 250_000 and type(_parse_rounds("2.5e5")) is int
+
+    @pytest.mark.parametrize("text", ["1.5", "nan", "inf", "-1e3", "0", "ten"])
+    def test_bad_rounds_rejected(self, capsys, tmp_path, text):
+        code, out, err = run_cli(capsys, "simulate", f"--rounds={text}",
+                                 "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "rounds" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 1\nrounds = {text}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith(f"error: {cfg}:2: bad value for rounds")
+
+    def test_insufficient_data_keeps_transcript(self, capsys, tmp_path):
+        out_dir = tmp_path / "few"
+        code, _, err = run_cli(capsys, "simulate", "--rounds", "3", "--seed", "1",
+                               "--out", str(out_dir))
+        assert code == 4
+        assert (out_dir / "transcript.txt").exists()
+        assert not (out_dir / "key_a.txt").exists()
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

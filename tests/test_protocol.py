@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from oracles import session_columns_reference
 from scipy.stats import chi2
 
 from qutrit_qkd import bell, protocol
@@ -12,9 +15,12 @@ from qutrit_qkd.protocol import (
     Rounds,
     SourceConfig,
     calibrate_noise,
+    analyze,
     default_parties,
     estimate_s3,
     exact_session_s3,
+    iter_session,
+    iter_transcript,
     post_eve_mixture,
     qter,
     read_transcript,
@@ -296,7 +302,8 @@ class TestEstimateS3:
         for seed in range(100):
             rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=seed)
             stat = 0.0
-            for (sa, sb), table in tables.items():
+            for sa, sb in itertools.product((1, 2, 3), repeat=2):
+                table = tables[sa - 1, :, sb - 1, :]
                 mask = (rounds.setting_a == sa) & (rounds.setting_b == sb)
                 cells = 3 * rounds.outcome_a[mask].astype(int) + rounds.outcome_b[mask]
                 counts = np.bincount(cells, minlength=9).astype(float)
@@ -371,7 +378,7 @@ class TestNoiseKnobs:
         source = reference_source()
         assert exact_session_s3(source) == pytest.approx(2.688, abs=1e-9)
         a, b = default_parties()
-        table = protocol._setting_tables(source, NO_EVE, a, b)[(3, 3)]
+        table = protocol._setting_tables(source, NO_EVE, a, b)[2, :, 2, :]
         match = table[0, 0] + table[1, 2] + table[2, 1]
         assert 1.0 - match == pytest.approx(14 / 150, abs=1e-9)
 
@@ -399,7 +406,7 @@ class TestProtocolSession:
 
     def test_party_estimate_matches_omniscient(self):
         result = run_protocol(50_000, seed=18)
-        sifted = sift(result.rounds)
+        sifted = sift(run_session(50_000, IDEAL, NO_EVE, *default_parties(), seed=18))
         s3_hat, sigma = estimate_s3(sifted.counts)
         assert result.s3_estimate == pytest.approx(s3_hat, abs=1e-12)
         assert result.s3_sigma == pytest.approx(sigma, abs=1e-12)
@@ -421,6 +428,79 @@ class TestProtocolSession:
         assert result.s3_estimate < 2.0 + 3 * result.s3_sigma
         assert not result.secure
         assert result.qter == 0.0   # computational-basis attack leaves the key clean
+
+
+C = protocol._SESSION_CHUNK_ROWS
+
+
+class TestChunkedSession:
+    BIAS_A, BIAS_B = (0.2, 0.3, 0.5), (0.25, 0.15, 0.6)
+    SOURCE = SourceConfig(coefficients=(0.642, 0.546, 0.539), visibility=0.9,
+                          detection_efficiency=0.4)
+    EVE = EveConfig(enabled=True, arm="A")
+
+    def session(self, n, seed):
+        a, b = default_parties(bias_a=self.BIAS_A, bias_b=self.BIAS_B)
+        return run_session(n, self.SOURCE, self.EVE, a, b, seed=seed)
+
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 7])
+    def test_matches_reference_oracle(self, n):
+        a, b = default_parties(bias_a=self.BIAS_A, bias_b=self.BIAS_B)
+        tables = protocol._setting_tables(self.SOURCE, self.EVE, a, b)
+        expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, 0.4, seed=n)
+        got = self.session(n, seed=n)._columns()
+        for col, want in zip(got, expected):
+            assert col.dtype == want.dtype
+            assert np.array_equal(col, want)
+
+    def test_chunk_sizes(self):
+        a, b = default_parties()
+        chunks = list(iter_session(2 * C + 7, IDEAL, NO_EVE, a, b, seed=3))
+        assert [len(c) for c in chunks] == [C, C, 7]
+        assert chunks[2].round_id[0] == 2 * C
+
+    def test_analyze_uneven_splits(self):
+        rounds = self.session(C + 5000, seed=31)
+        cuts = (0, 1, 1000, len(rounds))
+        parts = [rounds.subset(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        whole, split = analyze(rounds), analyze(iter(parts))
+        for name in ("s3_estimate", "s3_sigma", "qter", "sifted_fractions",
+                     "secure", "n_rounds", "n_detected"):
+            assert getattr(split, name) == getattr(whole, name)
+        assert np.array_equal(split.key_a, whole.key_a)
+        assert np.array_equal(split.key_b, whole.key_b)
+        for m1, m2 in zip(split.transcript, whole.transcript):
+            assert (m1.sender, m1.kind) == (m2.sender, m2.kind)
+            if isinstance(m1.payload, np.ndarray):
+                assert m1.payload.dtype == m2.payload.dtype
+                assert np.array_equal(m1.payload, m2.payload)
+            else:
+                assert m1.payload == m2.payload
+
+    def test_analyze_of_no_chunks(self):
+        with pytest.raises(InsufficientDataError, match="no rounds"):
+            analyze(iter(()))
+
+    def test_transcript_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", 4096)
+        rounds = self.session(3000, seed=32)
+        whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
+        write_transcript(whole, rounds, header={"seed": 32})
+        write_transcript(split, (rounds.subset(slice(0, 7)), rounds.subset(slice(7, None))),
+                         header={"seed": 32})
+        assert split.read_bytes() == whole.read_bytes()
+        header = {}
+        chunks = list(iter_transcript(split, header))
+        assert header == {"seed": "32"} and len(chunks) > 1
+        assert sum(len(c) for c in chunks) == len(rounds)
+        for c1, c2 in zip(protocol._concat(chunks)._columns(), rounds._columns()):
+            assert np.array_equal(c1, c2)
+
+    def test_writer_checks_ids_across_chunks(self, tmp_path):
+        rounds = self.session(10, seed=33)
+        first = rounds.subset(slice(0, 5))
+        with pytest.raises(ValidationError, match="round index 5: round_id 0 does not exceed"):
+            write_transcript(tmp_path / "t.txt", (first, first))
 
 
 class TestTranscriptIO:
