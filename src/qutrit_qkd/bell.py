@@ -19,6 +19,7 @@ from .linalg import (
     DIM,
     MixedState,
     ValidationError,
+    born_amplitudes,
     born_tables,
     diagonal_state,
     phase_rows,
@@ -154,7 +155,7 @@ def s3_vs_visibility(visibility: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free optimization of measurement settings
+# Optimization of measurement settings
 # ---------------------------------------------------------------------------
 
 # Generalized Gell-Mann basis of traceless Hermitian 3x3 matrices.
@@ -213,16 +214,53 @@ def _check_solver_inputs(tolerance: float, restarts: int) -> None:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
 
 
-def _multistart(objective, starts, tolerance: float, maxiter: int):
-    """Best point over Nelder-Mead runs from each start, and whether any converged."""
+# d(phase row)/d(offset): level j of every row, of either party, times 2*pi*i*j/3
+_PHASE_ROW_DERIVATIVE = 2j * np.pi * np.arange(DIM) / DIM
+_S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
+
+
+def _phase_s3_gradient(offsets, psis, weights, dpsis=None):
+    """S3 of ``psis`` mixed by ``weights`` at phase offsets (a1, a2, b1, b2),
+    with its gradient in the offsets, followed by the derivative along
+    ``dpsis`` (the states' derivative in one more parameter) when given.
+
+    One kernel call on stacked inputs yields the amplitudes and each of
+    their derivatives; then dS3/dp = sum_m w_m sum C * 2 Re(conj(amp) damp).
+    The white-noise part adds nothing: each setting pair's coefficients
+    sum to zero.
+    """
+    rows_a, rows_b = _phase_family_rows(offsets)
+    n, m = 2 * DIM, len(psis)
+    stacked = psis if dpsis is None else np.concatenate((psis, dpsis))
+    amps = born_amplitudes(np.concatenate((rows_a, rows_a * _PHASE_ROW_DERIVATIVE)),
+                           np.concatenate((rows_b, rows_b * _PHASE_ROW_DERIVATIVE)),
+                           stacked)
+    amp = amps[:m, :n, :n]
+    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
+    value = float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2)))
+    dcells = 2.0 * weighted * amp.conj()
+    grad = [(dcells * amps[:m, n:, :n]).real.reshape(m, 2, DIM, n).sum(axis=(0, 2, 3)),
+            (dcells * amps[:m, :n, n:]).real.reshape(m, n, 2, DIM).sum(axis=(0, 1, 3))]
+    if dpsis is not None:
+        grad.insert(0, [np.sum((dcells * amps[m:, :n, :n]).real)])
+    return value, np.concatenate(grad)
+
+
+def _multistart(objective, starts, tolerance: float, maxiter: int, gradient: bool = False):
+    """Best point over local runs from each start, and whether any converged.
+
+    With ``gradient`` the objective returns (value, gradient) and each run is
+    L-BFGS-B; otherwise each run is Nelder-Mead on values alone.
+    """
+    if gradient:
+        method = "L-BFGS-B"
+        options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": maxiter}
+    else:
+        method = "Nelder-Mead"
+        options = {"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": maxiter}
     best_x, best_val, converged = None, np.inf, False
     for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": maxiter},
-        )
+        res = minimize(objective, x0, method=method, jac=gradient, options=options)
         converged = converged or bool(res.success)
         if res.fun < best_val:
             best_val = res.fun
@@ -246,14 +284,15 @@ def optimize_s3(
     seed: int = 0,
     restarts: int = 20,
 ) -> OptimizeResult:
-    """Multi-start Nelder-Mead search for settings maximizing S3.
+    """Multi-start search for settings maximizing S3.
 
     ``family`` selects the search space: "phase" varies the four offsets of
-    the Fourier-phase family; "unitary" varies all four bases over the full
-    local-unitary family (8 parameters each).  Evaluations run the Born
-    kernel on unvalidated rows; the reported value is the exact S3
-    re-evaluated at the returned settings.  Deterministic for a fixed seed;
-    ties are broken by restart order.
+    the Fourier-phase family, by L-BFGS-B on the exact gradient; "unitary"
+    varies all four bases over the full local-unitary family (8 parameters
+    each), by Nelder-Mead.  Evaluations run the Born kernel on unvalidated
+    rows; the reported value is the exact S3 re-evaluated at the returned
+    settings.  Deterministic for a fixed seed; ties are broken by restart
+    order.
     """
     _check_solver_inputs(tolerance, restarts)
     if family not in ("phase", "unitary"):
@@ -265,6 +304,10 @@ def optimize_s3(
         rows = _phase_family_rows
         starts = [np.asarray(CANONICAL_OFFSETS, dtype=float)]
         starts += [rng.uniform(0.0, 3.0, size=4) for _ in range(restarts - 1)]
+
+        def objective(x):
+            value, grad = _phase_s3_gradient(x, mixed.psis, mixed.weights)
+            return -value, -grad
     else:
         base = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
 
@@ -273,11 +316,12 @@ def optimize_s3(
         starts = [np.zeros(32)]
         starts += [rng.normal(scale=0.6, size=32) for _ in range(restarts - 1)]
 
-    def objective(x):
-        return -_s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
-                                   mixed.white_noise_weight))
+        def objective(x):
+            return -_s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
+                                       mixed.white_noise_weight))
 
-    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000)
+    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000,
+                                    gradient=family == "phase")
     settings = _settings_from_rows(*rows(best_x))
     return OptimizeResult(
         settings=settings,
@@ -286,6 +330,16 @@ def optimize_s3(
         family=family,
         params=np.asarray(best_x),
     )
+
+
+def _gamma_s3_gradient(x):
+    """S3 of (|00> + |g||11> + |22>)/sqrt(2 + g^2) at phase offsets, for
+    x = (g, a1, a2, b1, b2), and its gradient in x."""
+    g = abs(x[0])
+    norm = np.sqrt(2.0 + g * g)
+    psi = np.diag((1.0, g, 1.0)) / norm
+    dpsi = np.sign(x[0]) * (np.diag((0.0, 1.0, 0.0)) / norm - psi * (g / norm ** 2))
+    return _phase_s3_gradient(x[1:], psi[None], np.ones(1), dpsi[None])
 
 
 @dataclass(frozen=True)
@@ -304,22 +358,22 @@ def optimize_gamma_family(
     """Jointly optimize the middle Schmidt coefficient and the phase settings.
 
     Searches over states (|00> + g|11> + |22>)/sqrt(2 + g^2) together with
-    the four phase offsets.  The optimum exceeds the maximal-entanglement
-    value: a non-maximally entangled state violates the inequality more.
+    the four phase offsets, by multi-start L-BFGS-B on the exact gradient.
+    The optimum exceeds the maximal-entanglement value: a non-maximally
+    entangled state violates the inequality more.
     """
     _check_solver_inputs(tolerance, restarts)
     rng = np.random.default_rng(seed)
 
     def objective(x):
-        c = np.array((1.0, abs(x[0]), 1.0))
-        psi = np.diag(c / np.linalg.norm(c))[None]
-        return -_s3_of(born_tables(*_phase_family_rows(x[1:]), psi, np.ones(1), 0.0))
+        value, grad = _gamma_s3_gradient(x)
+        return -value, -grad
 
     starts = [np.concatenate(([1.0], CANONICAL_OFFSETS))]
     for _ in range(restarts - 1):
         starts.append(np.concatenate((rng.uniform(0.2, 1.5, 1), rng.uniform(0.0, 3.0, 4))))
 
-    best, converged = _multistart(objective, starts, tolerance, maxiter=6000)
+    best, converged = _multistart(objective, starts, tolerance, maxiter=6000, gradient=True)
     gamma = abs(best[0])
     settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings).s3

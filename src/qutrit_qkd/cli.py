@@ -80,11 +80,16 @@ _CONFIG_PARSERS = {
 
 
 def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse UTF-8 ``key = value`` lines; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: not UTF-8 text "
+                                      f"(byte {raw[exc.start]:#04x} at column {exc.start + 1})")
+            line = text.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

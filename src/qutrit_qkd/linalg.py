@@ -194,6 +194,16 @@ class MixedState:
         return cls(components=(), white_noise_weight=1.0)
 
 
+def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Amplitudes <a_r| <b_c| psi> for each state, shaped (m, len(rows_a), len(rows_b)).
+
+    The product is bilinear in each argument, so passing the derivative of
+    rows or of states gives the derivative of the amplitudes.  Nothing is
+    validated.
+    """
+    return rows_a.conj() @ psis @ rows_b.conj().T
+
+
 def born_tables(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray,
                 weights, white_weight: float) -> np.ndarray:
     """Born-rule tables T[i, k, j, l] = P(k, l | A in basis i, B in basis j).
@@ -203,7 +213,7 @@ def born_tables(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray,
     ``white_weight`` of uniform noise.  Nothing is validated: callers pass
     validated objects' arrays or the optimizers' own parameterizations.
     """
-    amps = rows_a.conj() @ psis @ rows_b.conj().T
+    amps = born_amplitudes(rows_a, rows_b, psis)
     cells = (np.abs(amps) ** 2).reshape(len(weights), len(rows_a) * len(rows_b))
     probs = weights @ cells + white_weight / 9.0
     return probs.reshape(len(rows_a) // DIM, DIM, len(rows_b) // DIM, DIM)

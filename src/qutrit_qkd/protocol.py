@@ -506,17 +506,29 @@ class Message:
 
 @dataclass
 class SessionResult:
-    s3_estimate: float
-    s3_sigma: float
-    qter: float
     sifted_fractions: tuple
     key_a: np.ndarray
     key_b: np.ndarray
-    secure: bool
     report: SecurityReport
     transcript: tuple
     n_rounds: int
     n_detected: int
+
+    @property
+    def s3_estimate(self) -> float:
+        return self.report.s3_estimate
+
+    @property
+    def s3_sigma(self) -> float:
+        return self.report.s3_sigma
+
+    @property
+    def qter(self) -> float:
+        return self.report.qter
+
+    @property
+    def secure(self) -> bool:
+        return self.report.secure
 
 
 def _joined(part: list) -> np.ndarray:
@@ -567,13 +579,9 @@ def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
     n_detected = int(counts.sum())
     n_key = len(key_a)
     return SessionResult(
-        s3_estimate=s3_hat,
-        s3_sigma=s3_sigma,
-        qter=qter_value,
         sifted_fractions=(n_key / n, n_bell / n, (n_detected - n_key - n_bell) / n),
         key_a=key_a,
         key_b=key_b,
-        secure=report.secure,
         report=report,
         transcript=transcript,
         n_rounds=n,

@@ -241,6 +241,55 @@ class TestKernelS3:
         assert result.s3 == pytest.approx(0.0, abs=1e-12)
 
 
+def central_difference(f, x, h=1e-5):
+    x = np.asarray(x, dtype=float)
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(len(x))])
+
+
+class TestAnalyticGradients:
+    """The solvers' exact gradients against central differences of the oracle."""
+
+    def test_phase_family_diagonal_state(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            offsets = rng.uniform(-3, 3, size=4)
+            coeffs = rng.uniform(0.05, 1.0, size=3)
+            coeffs /= np.linalg.norm(coeffs)
+            state = MixedState.pure(diagonal_state(coeffs))
+            value, grad = bell._phase_s3_gradient(offsets, state.psis, state.weights)
+            assert value == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-12)
+            expected = central_difference(lambda x: s3_closed_form(coeffs, x), offsets)
+            assert np.max(np.abs(grad - expected)) <= 1e-6
+
+    def test_phase_family_isotropic_mixture(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            offsets = rng.uniform(-3, 3, size=4)
+            coeffs = rng.uniform(0.05, 1.0, size=3)
+            coeffs /= np.linalg.norm(coeffs)
+            visibility = rng.uniform(0.1, 0.95)
+            mixed = MixedState.isotropic(diagonal_state(coeffs), visibility)
+            value, grad = bell._phase_s3_gradient(offsets, mixed.psis, mixed.weights)
+            # uniform noise contributes nothing to S3
+            assert value == pytest.approx(visibility * s3_closed_form(coeffs, offsets),
+                                          abs=1e-12)
+            expected = central_difference(
+                lambda x: visibility * s3_closed_form(coeffs, x), offsets)
+            assert np.max(np.abs(grad - expected)) <= 1e-6
+
+    def test_gamma_family_with_free_offsets(self):
+        def closed_form(x):
+            coeffs = np.array((1.0, x[0], 1.0))
+            return s3_closed_form(coeffs / np.linalg.norm(coeffs), x[1:])
+
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            x = np.concatenate((rng.uniform(0.1, 2.0, 1), rng.uniform(-3, 3, 4)))
+            value, grad = bell._gamma_s3_gradient(x)
+            assert value == pytest.approx(closed_form(x), abs=1e-12)
+            assert np.max(np.abs(grad - central_difference(closed_form, x))) <= 1e-6
+
+
 class TestVisibilityLaw:
     def test_endpoints(self):
         assert s3_vs_visibility(1.0) == pytest.approx(2.87293, abs=1e-4)
@@ -365,6 +414,25 @@ class TestOptimizer:
         (v_loose, n_loose), (v_tight, n_tight) = counts
         assert n_tight > n_loose > 10
         assert v_tight == v_loose <= 8
+
+    def test_gradient_solves_stay_within_evaluation_budget(self, monkeypatch):
+        # a fall-back to derivative-free search takes thousands of kernel calls
+        calls = []
+        kernel = linalg.born_amplitudes
+
+        def counting_kernel(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, "born_amplitudes", counting_kernel)
+        monkeypatch.setattr(bell, "born_amplitudes", counting_kernel)
+        result = optimize_s3(diagonal_state((0.642, 0.546, 0.539)), seed=11)
+        assert result.converged
+        assert 0 < len(calls) <= 1000
+        calls.clear()
+        gamma = optimize_gamma_family(tolerance=1e-8, seed=0, restarts=1)
+        assert gamma.converged
+        assert 0 < len(calls) <= 60
 
     def test_unitary_parameterization(self):
         rng = np.random.default_rng(10)

@@ -228,6 +228,17 @@ class TestSimulateAndSift:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("command", ["bell", "simulate"])
+    def test_non_utf8_config_is_validation_error(self, capsys, tmp_path, monkeypatch,
+                                                 command):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {cfg}:2: not UTF-8 text")
+        assert "Traceback" not in err and out == ""
+
     def test_missing_transcript_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sift", "--transcript",
                                str(tmp_path / "missing.txt"))
