@@ -197,9 +197,9 @@ class MixedState:
 def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Amplitudes <a_r| <b_c| psi> for each state, shaped (m, len(rows_a), len(rows_b)).
 
-    The product is bilinear in each argument, so passing the derivative of
-    rows or of states gives the derivative of the amplitudes.  Nothing is
-    validated.
+    The product is real-linear in each argument, so passing the derivative
+    of rows or of states gives the derivative of the amplitudes.  Nothing
+    is validated.
     """
     return rows_a.conj() @ psis @ rows_b.conj().T
 
