@@ -113,14 +113,9 @@ S3_COEFFICIENTS = _CLASS_SIGNS[:, :, (np.arange(DIM)[:, None] - np.arange(DIM)) 
 S3_COEFFICIENTS.setflags(write=False)
 
 
-def _s3_of(tables: np.ndarray) -> float:
+def s3_of(tables: np.ndarray) -> float:
+    """S3 of (2, 3, 2, 3) outcome tables: their dot product with ``S3_COEFFICIENTS``."""
     return float(S3_COEFFICIENTS.reshape(-1) @ tables.reshape(-1))
-
-
-def s3_coefficients() -> dict:
-    """The 3x3 coefficient matrix of each setting pair (a, b), as a dict."""
-    return {(a, b): S3_COEFFICIENTS[a - 1, :, b - 1, :]
-            for a, b in ((1, 1), (2, 1), (2, 2), (1, 2))}
 
 
 def correlation_profile(state, settings: SettingsPair) -> dict:
@@ -140,7 +135,7 @@ def s3(state, settings: SettingsPair) -> BellValue:
     dot product of ``S3_COEFFICIENTS`` with the outcome tables; the "B - 1"
     terms take k = 1 and the "B + 1" term takes k = 2 (see module docstring).
     """
-    return BellValue(s3=_s3_of(settings.tables(state)))
+    return BellValue(s3=s3_of(settings.tables(state)))
 
 
 def s3_vs_visibility(visibility: float) -> float:
@@ -317,8 +312,8 @@ def optimize_s3(
         starts += [rng.normal(scale=0.6, size=32) for _ in range(restarts - 1)]
 
         def objective(x):
-            return -_s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
-                                       mixed.white_noise_weight))
+            return -s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
+                                      mixed.white_noise_weight))
 
     best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000,
                                     gradient=family == "phase")

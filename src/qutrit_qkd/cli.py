@@ -100,6 +100,7 @@ def load_config_file(path) -> dict:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _CONFIG_PARSERS[key](value.strip())
+                _check_value(key, values[key])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
@@ -125,9 +126,23 @@ def resolve_config(args) -> RunConfig:
     if "rounds" in overrides:
         overrides["rounds"] = _parse_rounds(overrides["rounds"])
     config = replace(config, **overrides)
-    if config.seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
+    _check_seed(config.seed)
     return config
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _check_value(key: str, value) -> None:
+    """Check one config value, applied over the defaults, with the seed check
+    and the constructors the commands use."""
+    config = replace(RunConfig(), **{key: value})
+    _check_seed(config.seed)
+    _source_from(config)
+    _eve_from(config)
+    protocol.default_parties(bias_a=config.bias, bias_b=config.bias)
 
 
 def _source_from(config: RunConfig) -> protocol.SourceConfig:
@@ -179,10 +194,7 @@ def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
     _print_config(config)
     coeffs, divisor = normalize_coefficients(config.coefficients)
     effective = (1.0 - config.background) * config.visibility
-    state = diagonal_state(coeffs)
-    mixed = MixedState.isotropic(state, effective) if effective < 1.0 \
-        else MixedState.pure(state)
-    return config, mixed, divisor
+    return config, MixedState.isotropic(diagonal_state(coeffs), effective), divisor
 
 
 def cmd_bell(args) -> int:

@@ -203,9 +203,7 @@ def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig(),
                      parties: tuple | None = None) -> float:
     """Exact S3 implied by a session configuration (no sampling)."""
     a, b = parties if parties is not None else default_parties()
-    t = _setting_tables(source, eve, a, b)
-    return sum(float((coeff * t[sa - 1, :, sb - 1, :]).sum())
-               for (sa, sb), coeff in bell.s3_coefficients().items())
+    return bell.s3_of(_setting_tables(source, eve, a, b)[:2, :, :2, :])
 
 
 def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
@@ -436,11 +434,12 @@ def estimate_s3(counts: np.ndarray) -> tuple[float, float]:
         raise ValidationError(f"count tensor must have shape (3, 3, 3, 3), got {all_counts.shape}")
     s3_total = 0.0
     variance = 0.0
-    for pair, coeff in bell.s3_coefficients().items():
-        pair_counts = all_counts[pair[0] - 1, :, pair[1] - 1, :]
+    for a, b in ((1, 1), (2, 1), (2, 2), (1, 2)):
+        coeff = bell.S3_COEFFICIENTS[a - 1, :, b - 1, :]
+        pair_counts = all_counts[a - 1, :, b - 1, :]
         total = pair_counts.sum()
         if total == 0:
-            raise InsufficientDataError(f"no rounds with setting pair {pair}")
+            raise InsufficientDataError(f"no rounds with setting pair {(a, b)}")
         contribution = float((coeff * pair_counts).sum() / total)
         s3_total += contribution
         variance += float((pair_counts * ((coeff - contribution) / total) ** 2).sum())
@@ -497,20 +496,12 @@ def security_verdict(s3_estimate: float, s3_sigma: float, qter_value: float) -> 
 # Sessions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    kind: str
-    payload: object
-
-
 @dataclass
 class SessionResult:
     sifted_fractions: tuple
     key_a: np.ndarray
     key_b: np.ndarray
     report: SecurityReport
-    transcript: tuple
     n_rounds: int
     n_detected: int
 
@@ -531,51 +522,29 @@ class SessionResult:
         return self.report.secure
 
 
-def _joined(part: list) -> np.ndarray:
-    """The chunks joined; the list is emptied so only one copy stays alive."""
-    whole = np.concatenate(part)
-    part.clear()
-    return whole
-
-
 def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
     """Sift a session chunk by chunk, then estimate S3, the QTER and the verdict.
 
     ``chunks`` is one ``Rounds`` or an iterable of them in round order; each
-    is sifted once and dropped, keeping only the count tensor, the keys and
-    the public messages.  ``transcript`` lists what the parties make public,
-    in order: both setting sequences, B's Bell-round outcomes, B's key trits
-    (the simulation-only error-rate comparison) and A's verdict.
+    is sifted once and dropped, keeping only the count tensor and the keys.
     """
     if isinstance(chunks, Rounds):
         chunks = (chunks,)
     counts = np.zeros((DIM, DIM, DIM, DIM), dtype=np.int64)
     n = n_bell = 0
-    # settings A, settings B, B's Bell-round outcomes, key A, key B
-    parts = ([], [], [], [], [])
+    keys_a, keys_b = [], []
     for rounds in chunks:
         sifted = sift(rounds)
         counts += sifted.counts
         n += len(rounds)
         n_bell += sifted.n_bell
-        for part, value in zip(parts, (rounds.setting_a, rounds.setting_b,
-                                       rounds.outcome_b[sifted.bell_mask],
-                                       sifted.key_a, sifted.key_b)):
-            part.append(value)
+        keys_a.append(sifted.key_a)
+        keys_b.append(sifted.key_b)
     if n == 0:
         raise InsufficientDataError("no rounds")
-    setting_a, setting_b, bell_b, key_a, key_b = map(_joined, parts)
+    key_a, key_b = np.concatenate(keys_a), np.concatenate(keys_b)
     s3_hat, s3_sigma = estimate_s3(counts)
-    qter_value = qter(key_a, key_b)
-    report = security_verdict(s3_hat, s3_sigma, qter_value)
-    transcript = (
-        Message("A", "settings", setting_a),
-        Message("B", "settings", setting_b),
-        Message("B", "bell-outcomes", bell_b),
-        Message("B", "key-comparison-diagnostic", key_b),
-        Message("A", "verdict", {"secure": report.secure, "s3": s3_hat,
-                                 "sigma": s3_sigma, "qter": qter_value}),
-    )
+    report = security_verdict(s3_hat, s3_sigma, qter(key_a, key_b))
     n_detected = int(counts.sum())
     n_key = len(key_a)
     return SessionResult(
@@ -583,7 +552,6 @@ def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
         key_a=key_a,
         key_b=key_b,
         report=report,
-        transcript=transcript,
         n_rounds=n,
         n_detected=n_detected,
     )

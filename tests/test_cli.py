@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,20 @@ class TestSimulateAndSift:
         assert err.startswith(f"error: {cfg}:2: not UTF-8 text")
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "bell"])
+    @pytest.mark.parametrize("line", ["seed = -1", "visibility = 1.5", "eve_arm = C",
+                                      "bias = 0.5,0.5,0.5", "coefficients = 0,0,0"])
+    def test_out_of_range_config_value_names_line(self, capsys, tmp_path, monkeypatch,
+                                                  command, line):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"rounds = 100\n{line}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        key = line.split(" ")[0]
+        assert err.startswith(f"error: {cfg}:2: bad value for {key}: ")
+        assert "Traceback" not in err and out == ""
+
     def test_missing_transcript_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sift", "--transcript",
                                str(tmp_path / "missing.txt"))
@@ -265,6 +281,57 @@ class TestSimulateAndSift:
         assert code == 2
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err and out == ""
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def machine_text(out):
+    """The machine block's lines as text, without the lines naming output paths."""
+    lines = out.splitlines(keepends=True)
+    block = lines[lines.index("-- machine readable --\n"):]
+    return "".join(line for line in block
+                   if line.split(" ")[0] not in ("transcript", "key_a", "key_b"))
+
+
+class TestGoldenOutput:
+    """Byte-level pins of ``simulate`` output; ``sift --out`` must reproduce them."""
+
+    FILES = ("transcript.txt", "key_a.txt", "key_b.txt")
+
+    @pytest.mark.parametrize("argv, digests", [
+        (("--profile", "reference", "--detection", "1", "--rounds", "20000", "--seed", "7"),
+         ("263335f838d044765bec9d0addd26756397c25497743037e89471f1930576844",
+          "d667d096fcf730789529501f94ab09a4d5a0aa615fc2dfa70b56b3683bb51314",
+          "c4bc8b6c27afd65bd608f445c8ebd2068c38b93112f815d6e126208b9fee113a",
+          "4b5a1785ba356e283a569ed4f52e6da8842195bfacdff2ec88b2ecc737fb79a8")),
+        (("--eve", "--visibility", "0.9", "--background", "0.1", "--rounds", "20000",
+          "--seed", "4"),
+         ("a9f22b13e55f0dc48e585047d39d278aace5fd3e19a576e4af3de71ff1815755",
+          "ef994b7427d0187cf92401fb4ab67742d2a3982c39a11388eb8c639c7bb4959d",
+          "2e1af58cde9092920ac1244bf78daaebc918013cd0ddbae774fd3230b0116643",
+          "4325f059c14406d6056a5d17ed88af39408ff236bcea42c60a0debfabbe58dbb")),
+        # 70000 rounds cross the 65536-round chunk boundary
+        (("--detection", "0.3", "--bias", "0.2,0.2,0.6", "--rounds", "70000", "--seed", "11"),
+         ("f81ee345e124a2b4fa55cd53a03a6fc168beda5884cd5689dca184abdbd209a8",
+          "9f77c21cf3ec9d9b94d59b54d2f9181c7e20e6a6330526ae516dcff638a76a98",
+          "0bd9578ece1a2448277c7e579c7ab71f7d4f9acae72bf9da82f50a7a13ebfc6a",
+          "9106bd723251de038fd6fa460131c51e2f8aff9b1eb31f389f9f442d0440fdc9")),
+    ])
+    def test_simulate_and_sift_bytes(self, capsys, tmp_path, argv, digests):
+        sim_dir, sift_dir = tmp_path / "sim", tmp_path / "sift"
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(sim_dir))
+        assert code == 0
+        files = [(sim_dir / name).read_bytes() for name in self.FILES]
+        assert tuple(sha256(data) for data in files) == digests[:3]
+        assert sha256(machine_text(out).encode()) == digests[3]
+
+        code, out2, _ = run_cli(capsys, "sift", "--transcript", str(sim_dir / "transcript.txt"),
+                                "--out", str(sift_dir))
+        assert code == 0
+        assert machine_text(out2) == machine_text(out)
+        assert [(sift_dir / name).read_bytes() for name in self.FILES[1:]] == files[1:]
 
 
 class TestReconcileCommand:
