@@ -100,14 +100,15 @@ def load_config_file(path) -> dict:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _CONFIG_PARSERS[key](value.strip())
-                _check_value(key, values[key])
+                _session(replace(RunConfig(), **{key: values[key]}))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
-def resolve_config(args) -> RunConfig:
-    """Defaults, then profile, then config file, then explicit flags."""
+def resolve_config(args) -> tuple[RunConfig, tuple]:
+    """Defaults, then profile, then config file, then explicit flags; the
+    config and its validated ``_session`` objects."""
     config = RunConfig()
     if getattr(args, "profile", None) == "reference":
         source = protocol.reference_source()
@@ -126,37 +127,23 @@ def resolve_config(args) -> RunConfig:
     if "rounds" in overrides:
         overrides["rounds"] = _parse_rounds(overrides["rounds"])
     config = replace(config, **overrides)
-    _check_seed(config.seed)
-    return config
+    return config, _session(config)
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _check_value(key: str, value) -> None:
-    """Check one config value, applied over the defaults, with the seed check
-    and the constructors the commands use."""
-    config = replace(RunConfig(), **{key: value})
-    _check_seed(config.seed)
-    _source_from(config)
-    _eve_from(config)
-    protocol.default_parties(bias_a=config.bias, bias_b=config.bias)
-
-
-def _source_from(config: RunConfig) -> protocol.SourceConfig:
-    return protocol.SourceConfig(
+def _session(config: RunConfig) -> tuple:
+    """(source, eve, party_a, party_b) of a run.  Building them, after the
+    seed check, is the range check of every config value."""
+    if config.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
+    source = protocol.SourceConfig(
         coefficients=config.coefficients,
         visibility=config.visibility,
         background_fraction=config.background,
         detection_efficiency=config.detection,
         key_crosstalk=config.key_crosstalk,
     )
-
-
-def _eve_from(config: RunConfig) -> protocol.EveConfig:
-    return protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)
+    eve = protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)
+    return (source, eve, *protocol.default_parties(bias_a=config.bias, bias_b=config.bias))
 
 
 def _config_value(value):
@@ -189,9 +176,7 @@ def _machine_block(pairs) -> None:
 
 def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
     """Config, Schmidt-diagonal source mixture and normalization divisor."""
-    config = resolve_config(args)
-    _source_from(config)  # range validation with field names
-    _print_config(config)
+    config, _ = resolve_config(args)
     coeffs, divisor = normalize_coefficients(config.coefficients)
     effective = (1.0 - config.background) * config.visibility
     return config, MixedState.isotropic(diagonal_state(coeffs), effective), divisor
@@ -202,6 +187,7 @@ def cmd_bell(args) -> int:
     s3_exact = bell.s3(mixed, bell.canonical_settings()).s3
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
+    _print_config(config)
     print()
     print(f"exact S3 at canonical settings  {s3_exact:.4f}")
     print(f"optimized S3 ({args.family} family)   {result.s3:.4f}"
@@ -223,6 +209,7 @@ def cmd_optimize(args) -> int:
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed,
                               restarts=args.restarts)
+    _print_config(config)
     print()
     print(f"optimized S3 ({args.family} family)  {result.s3:.4f}"
           + ("" if result.converged else "  [not converged]"))
@@ -273,11 +260,8 @@ def _write_keys(out_dir, result: protocol.SessionResult) -> list:
 
 
 def cmd_simulate(args) -> int:
-    config = resolve_config(args)
+    config, (source, eve, a_cfg, b_cfg) = resolve_config(args)
     _print_config(config)
-    source = _source_from(config)
-    eve = _eve_from(config)
-    a_cfg, b_cfg = protocol.default_parties(bias_a=config.bias, bias_b=config.bias)
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     os.makedirs(args.out, exist_ok=True)
     transcript_path = os.path.join(args.out, "transcript.txt")

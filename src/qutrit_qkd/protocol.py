@@ -367,14 +367,12 @@ class Party:
         self.settings = settings
         self.detected = detected
 
-    def sift_masks(self, other_settings: np.ndarray):
-        """(key, Bell) masks: detected rounds with both parties on setting 3,
-        and with both on setting 1 or 2.  Detected rounds in neither are
-        discarded.  This is the only statement of the sifting rule."""
-        det = self.detected
-        key = det & (self.settings == 3) & (other_settings == 3)
-        bell_mask = det & (self.settings <= 2) & (other_settings <= 2)
-        return key, bell_mask
+    def sift_masks(self, other_settings: np.ndarray) -> np.ndarray:
+        """Key mask: detected rounds with both parties on setting 3.  Detected
+        rounds with both on setting 1 or 2 are the Bell rounds, the block
+        ``counts[:2, :, :2, :]`` of the count tensor; detected rounds in
+        neither are discarded.  This is the only statement of the sifting rule."""
+        return self.detected & (self.settings == 3) & (other_settings == 3)
 
 
 @dataclass(frozen=True)
@@ -382,12 +380,11 @@ class Sifted:
     """A session sifted in one pass.
 
     ``counts[sa - 1, oa, sb - 1, ob]`` counts the detected rounds by setting
-    pair and outcome pair.  ``key_a`` and ``key_b`` are the key-round
-    outcomes in round order, B's with outcomes 1 and 2 exchanged.
+    pair and outcome pair; every round count is read from it.  ``key_a`` and
+    ``key_b`` are the key-round outcomes in round order, B's with outcomes 1
+    and 2 exchanged.
     """
 
-    key_mask: np.ndarray
-    bell_mask: np.ndarray
     counts: np.ndarray
     key_a: np.ndarray
     key_b: np.ndarray
@@ -402,7 +399,7 @@ class Sifted:
 
     @property
     def n_bell(self) -> int:
-        return int(np.count_nonzero(self.bell_mask))
+        return int(self.counts[:2, :, :2, :].sum())
 
     @property
     def n_discarded(self) -> int:
@@ -410,14 +407,13 @@ class Sifted:
 
 
 def sift(rounds: Rounds) -> Sifted:
-    """Masks, count tensor and both keys of a session (see ``Party.sift_masks``)."""
+    """Count tensor and both keys of a session (see ``Party.sift_masks``)."""
     det = rounds.detected
-    key, bell_mask = Party(rounds.setting_a, det).sift_masks(rounds.setting_b)
+    key = Party(rounds.setting_a, det).sift_masks(rounds.setting_b)
     cells = 27 * rounds.setting_a.astype(np.int16) + 9 * rounds.outcome_a \
         + 3 * rounds.setting_b + rounds.outcome_b - 30
     counts = np.bincount(cells[det], minlength=81).reshape(DIM, DIM, DIM, DIM)
-    return Sifted(key_mask=key, bell_mask=bell_mask, counts=counts,
-                  key_a=rounds.outcome_a[key].astype(np.int8),
+    return Sifted(counts=counts, key_a=rounds.outcome_a[key].astype(np.int8),
                   key_b=SWAP_12[rounds.outcome_b[key]])
 
 
@@ -496,14 +492,18 @@ def security_verdict(s3_estimate: float, s3_sigma: float, qter_value: float) -> 
 # Sessions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SessionResult:
-    sifted_fractions: tuple
-    key_a: np.ndarray
-    key_b: np.ndarray
-    report: SecurityReport
+@dataclass(frozen=True)
+class SessionResult(Sifted):
+    """A whole session's ``Sifted`` tally with its round count and verdict."""
+
     n_rounds: int
-    n_detected: int
+    report: SecurityReport
+
+    @property
+    def sifted_fractions(self) -> tuple:
+        """(key, Bell, discarded) rounds as fractions of all rounds."""
+        n = self.n_rounds
+        return self.n_key / n, self.n_bell / n, self.n_discarded / n
 
     @property
     def s3_estimate(self) -> float:
@@ -531,13 +531,12 @@ def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
     if isinstance(chunks, Rounds):
         chunks = (chunks,)
     counts = np.zeros((DIM, DIM, DIM, DIM), dtype=np.int64)
-    n = n_bell = 0
+    n = 0
     keys_a, keys_b = [], []
     for rounds in chunks:
         sifted = sift(rounds)
         counts += sifted.counts
         n += len(rounds)
-        n_bell += sifted.n_bell
         keys_a.append(sifted.key_a)
         keys_b.append(sifted.key_b)
     if n == 0:
@@ -545,16 +544,7 @@ def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
     key_a, key_b = np.concatenate(keys_a), np.concatenate(keys_b)
     s3_hat, s3_sigma = estimate_s3(counts)
     report = security_verdict(s3_hat, s3_sigma, qter(key_a, key_b))
-    n_detected = int(counts.sum())
-    n_key = len(key_a)
-    return SessionResult(
-        sifted_fractions=(n_key / n, n_bell / n, (n_detected - n_key - n_bell) / n),
-        key_a=key_a,
-        key_b=key_b,
-        report=report,
-        n_rounds=n,
-        n_detected=n_detected,
-    )
+    return SessionResult(counts=counts, key_a=key_a, key_b=key_b, n_rounds=n, report=report)
 
 
 def run_protocol(n_rounds: int, source: SourceConfig | None = None,

@@ -18,6 +18,9 @@ from .linalg import ValidationError
 from .trits import as_trits
 
 BLOCK = 3
+# the 9 error patterns of 27 that keep a block: any first two trits, and a
+# third that cancels their sum mod 3
+_KEPT_PATTERNS = np.array([(i, j, -(i + j) % 3) for i in range(3) for j in range(3)])
 
 
 @dataclass(frozen=True)
@@ -75,25 +78,18 @@ def parity_sift(key_a, key_b) -> tuple[np.ndarray, np.ndarray, ReconciliationRep
     return out_a, out_b, report
 
 
-def residual_error_rate(error_rate: float, trials: int, seed: int) -> float:
-    """Monte-Carlo post-sift mismatch fraction under independent trit errors.
+def residual_error_rate(error_rate: float) -> float:
+    """Exact post-sift mismatch fraction under independent trit errors.
 
     Each of B's trits differs from A's with probability ``error_rate``,
-    uniformly over the two wrong values.  Returns the fraction of output
-    positions that still mismatch after the parity sift (0 if nothing
-    survives).
+    uniformly over the two wrong values.  A block survives the sift iff its
+    error pattern sums to 0 mod 3; the kept patterns always include (0, 0, 0)
+    or (1, 1, 1), so some weight survives at every rate.  Returns the
+    expected fraction of output positions that still mismatch.
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValidationError(f"error_rate {error_rate} outside [0, 1]")
-    if trials <= 0:
-        raise ValidationError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 3, size=(trials, BLOCK), dtype=np.int8)
-    flips = rng.random((trials, BLOCK)) < error_rate
-    shift = rng.integers(1, 3, size=(trials, BLOCK), dtype=np.int8)
-    b = (a + shift * flips) % 3
-    keep = (a.sum(axis=1) % 3) == (b.sum(axis=1) % 3)
-    if not keep.any():
-        return 0.0
-    mismatches = np.count_nonzero(a[keep][:, :2] != b[keep][:, :2])
-    return float(mismatches / (2 * int(keep.sum())))
+    p = np.array([1.0 - error_rate, error_rate / 2.0, error_rate / 2.0])
+    weight = p[_KEPT_PATTERNS].prod(axis=1)
+    mismatches = np.count_nonzero(_KEPT_PATTERNS[:, :2], axis=1)  # in the output trits
+    return float(weight @ mismatches / (2.0 * weight.sum()))

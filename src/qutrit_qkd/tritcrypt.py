@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ValidationError
-from .trits import as_trits, format_trits, parse_trits  # noqa: F401  (stream parsing re-export)
+from .trits import as_trits
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
 TRITS_PER_CHAR = 3

@@ -283,6 +283,24 @@ class TestSimulateAndSift:
         assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("simulate", "--visibility", "1.4", "--rounds", "100"), "visibility"),
+    (("simulate", "--bias", "0.5,0.5,0.5", "--rounds", "100"), "setting probabilities"),
+    (("simulate", "--detection", "0", "--rounds", "100"), "detection"),
+    (("simulate", "--seed", "-1", "--rounds", "100"), "seed"),
+    (("bell", "--tolerance", "nan"), "tolerance"),
+    (("optimize", "--restarts", "0"), "restarts"),
+])
+def test_input_error_prints_nothing(capsys, tmp_path, argv, field):
+    """A command whose inputs fail validation writes nothing to stdout."""
+    extra = ("--out", str(tmp_path / "o")) if argv[0] == "simulate" else ()
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -295,8 +313,14 @@ def machine_text(out):
                    if line.split(" ")[0] not in ("transcript", "key_a", "key_b"))
 
 
+def stdout_text(out, tmp_path):
+    """The whole of stdout without the lines naming paths under ``tmp_path``."""
+    return "".join(line for line in out.splitlines(keepends=True) if str(tmp_path) not in line)
+
+
 class TestGoldenOutput:
-    """Byte-level pins of ``simulate`` output; ``sift --out`` must reproduce them."""
+    """Byte-level pins of ``simulate``, ``bell`` and ``optimize`` stdout and of
+    the ``simulate`` files; ``sift --out`` must reproduce the key files."""
 
     FILES = ("transcript.txt", "key_a.txt", "key_b.txt")
 
@@ -305,19 +329,22 @@ class TestGoldenOutput:
          ("263335f838d044765bec9d0addd26756397c25497743037e89471f1930576844",
           "d667d096fcf730789529501f94ab09a4d5a0aa615fc2dfa70b56b3683bb51314",
           "c4bc8b6c27afd65bd608f445c8ebd2068c38b93112f815d6e126208b9fee113a",
-          "4b5a1785ba356e283a569ed4f52e6da8842195bfacdff2ec88b2ecc737fb79a8")),
+          "4b5a1785ba356e283a569ed4f52e6da8842195bfacdff2ec88b2ecc737fb79a8",
+          "35be017b830ef741cc36b3077770329e14d1800da52eddb42a5732a5aab1d8c4")),
         (("--eve", "--visibility", "0.9", "--background", "0.1", "--rounds", "20000",
           "--seed", "4"),
          ("a9f22b13e55f0dc48e585047d39d278aace5fd3e19a576e4af3de71ff1815755",
           "ef994b7427d0187cf92401fb4ab67742d2a3982c39a11388eb8c639c7bb4959d",
           "2e1af58cde9092920ac1244bf78daaebc918013cd0ddbae774fd3230b0116643",
-          "4325f059c14406d6056a5d17ed88af39408ff236bcea42c60a0debfabbe58dbb")),
+          "4325f059c14406d6056a5d17ed88af39408ff236bcea42c60a0debfabbe58dbb",
+          "fb951a5ee228791ea6957e8c91198ff08b81ac3e17ff5492984265558028543a")),
         # 70000 rounds cross the 65536-round chunk boundary
         (("--detection", "0.3", "--bias", "0.2,0.2,0.6", "--rounds", "70000", "--seed", "11"),
          ("f81ee345e124a2b4fa55cd53a03a6fc168beda5884cd5689dca184abdbd209a8",
           "9f77c21cf3ec9d9b94d59b54d2f9181c7e20e6a6330526ae516dcff638a76a98",
           "0bd9578ece1a2448277c7e579c7ab71f7d4f9acae72bf9da82f50a7a13ebfc6a",
-          "9106bd723251de038fd6fa460131c51e2f8aff9b1eb31f389f9f442d0440fdc9")),
+          "9106bd723251de038fd6fa460131c51e2f8aff9b1eb31f389f9f442d0440fdc9",
+          "3641d3da262f8f9f1ca80a4e3fa935647451a770e8a7bf5c0a36e1c2a82b1734")),
     ])
     def test_simulate_and_sift_bytes(self, capsys, tmp_path, argv, digests):
         sim_dir, sift_dir = tmp_path / "sim", tmp_path / "sift"
@@ -326,12 +353,27 @@ class TestGoldenOutput:
         files = [(sim_dir / name).read_bytes() for name in self.FILES]
         assert tuple(sha256(data) for data in files) == digests[:3]
         assert sha256(machine_text(out).encode()) == digests[3]
+        assert sha256(stdout_text(out, tmp_path).encode()) == digests[4]
 
         code, out2, _ = run_cli(capsys, "sift", "--transcript", str(sim_dir / "transcript.txt"),
                                 "--out", str(sift_dir))
         assert code == 0
         assert machine_text(out2) == machine_text(out)
         assert [(sift_dir / name).read_bytes() for name in self.FILES[1:]] == files[1:]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("bell", "--coefficients", "0.642,0.546,0.539"),
+         "bafd726e92a90738718d0a0e4bf8a25bd746f515947c75706e7c4061e36cbd96"),
+        (("optimize", "--restarts", "6", "--seed", "1"),
+         "dfd1501045a6fc272694c32751484aacc7ddec1151b8547767e7222aa31ada11"),
+        (("optimize", "--family", "unitary", "--restarts", "1", "--tolerance", "1e-2",
+          "--seed", "3"),
+         "fbfec456e1653bd9330ceb28bca1d74953e04ecdd114360515de0107a407f139"),
+    ])
+    def test_bell_and_optimize_stdout(self, capsys, tmp_path, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sha256(stdout_text(out, tmp_path).encode()) == digest
 
 
 class TestReconcileCommand:

@@ -12,6 +12,7 @@ from qutrit_qkd.linalg import MixedState, ValidationError, make_state
 from qutrit_qkd.protocol import (
     EveConfig,
     InsufficientDataError,
+    Party,
     PartyConfig,
     Rounds,
     SourceConfig,
@@ -179,12 +180,12 @@ class TestSift:
         source = SourceConfig(detection_efficiency=0.5)
         rounds = run_session(20_000, source, NO_EVE, a, b, seed=8)
         sifted = sift(rounds)
-        n_det = int(rounds.detected.sum())
-        assert sifted.n_key + sifted.n_bell + sifted.n_discarded == n_det
-        discarded = rounds.detected & ~sifted.key_mask & ~sifted.bell_mask
-        ids = np.concatenate([rounds.round_id[sifted.key_mask],
-                              rounds.round_id[sifted.bell_mask], rounds.round_id[discarded]])
-        assert len(np.unique(ids)) == n_det
+        det = rounds.detected
+        key = int((det & (rounds.setting_a == 3) & (rounds.setting_b == 3)).sum())
+        bell_rounds = int((det & (rounds.setting_a <= 2) & (rounds.setting_b <= 2)).sum())
+        mixed = int((det & ((rounds.setting_a == 3) != (rounds.setting_b == 3))).sum())
+        assert (sifted.n_key, sifted.n_bell, sifted.n_discarded) == (key, bell_rounds, mixed)
+        assert key + bell_rounds + mixed == int(det.sum())
 
     def test_fractions(self):
         a, b = default_parties()
@@ -221,8 +222,8 @@ class TestSift:
             else:
                 discarded.append(i)
         assert np.array_equal(sifted.counts, counts)
-        assert np.flatnonzero(sifted.key_mask).tolist() == key
-        assert np.flatnonzero(sifted.bell_mask).tolist() == bell_rounds
+        key_mask = Party(rounds.setting_a, rounds.detected).sift_masks(rounds.setting_b)
+        assert np.flatnonzero(key_mask).tolist() == key
         assert (sifted.n_key, sifted.n_bell, sifted.n_discarded) == (
             len(key), len(bell_rounds), len(discarded))
         assert sorted(key + bell_rounds + discarded) == np.flatnonzero(rounds.detected).tolist()

@@ -113,27 +113,21 @@ class TestParitySift:
 
 class TestResidualErrorRate:
     def test_zero_error_rate(self):
-        assert residual_error_rate(0.0, trials=1000, seed=0) == 0.0
+        assert residual_error_rate(0.0) == 0.0
 
     def test_reference_error_rate(self):
         exact = residual_error_rate_exact(0.093)
         assert 0.0 < exact < 0.02
-        trials = 200_000
-        estimate = residual_error_rate(0.093, trials=trials, seed=1)
-        sigma = np.sqrt(exact * (1 - exact) / (2 * trials * 0.77))
-        assert abs(estimate - exact) < 3 * sigma
+        assert abs(residual_error_rate(0.093) - exact) <= 1e-15
 
     def test_full_error_rate(self):
         exact = residual_error_rate_exact(1.0)
         assert exact == pytest.approx(1.0)
-        estimate = residual_error_rate(1.0, trials=50_000, seed=2)
-        assert estimate == pytest.approx(1.0)
+        assert residual_error_rate(1.0) == pytest.approx(1.0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
-            residual_error_rate(1.5, trials=10, seed=0)
-        with pytest.raises(ValidationError):
-            residual_error_rate(0.1, trials=0, seed=0)
+            residual_error_rate(1.5)
 
 
 class TestKeyFiles:
