@@ -169,10 +169,11 @@ def _gell_mann() -> np.ndarray:
 _GELL_MANN = _gell_mann()
 
 
-def _unitaries(theta: np.ndarray) -> np.ndarray:
-    # exp(iH), H = sum_m theta[..., m] G_m, from one batched eigh H = V diag(w) V^dagger
+def _unitaries(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # exp(iH), H = sum_m theta[..., m] G_m, from one batched eigh H = V diag(w) V^dagger;
+    # w and V are returned too, for the derivative of exp(iH)
     w, v = np.linalg.eigh((theta @ _GELL_MANN.reshape(8, -1)).reshape(*theta.shape[:-1], DIM, DIM))
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
 
 
 def unitary_from_params(theta) -> np.ndarray:
@@ -180,7 +181,7 @@ def unitary_from_params(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (8,):
         raise ValidationError(f"expected 8 unitary parameters, got shape {theta.shape}")
-    return _unitaries(theta)
+    return _unitaries(theta)[0]
 
 
 def random_basis(rng: np.random.Generator) -> np.ndarray:
@@ -194,7 +195,7 @@ def random_basis(rng: np.random.Generator) -> np.ndarray:
 def _unitary_family_rows(params, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 8 parameters per basis, perturbing the (4, 3, 3) stack of base bases
     # (a1, a2, b1, b2); the map exp(iH) U0 still ranges over all of U(3).
-    bases = _unitaries(np.reshape(params, (4, 8))) @ base
+    bases = _unitaries(np.reshape(params, (4, 8)))[0] @ base
     return bases[:2].reshape(2 * DIM, DIM), bases[2:].reshape(2 * DIM, DIM)
 
 
@@ -241,21 +242,53 @@ def _phase_s3_gradient(offsets, psis, weights, dpsis=None):
     return value, np.concatenate(grad)
 
 
-def _multistart(objective, starts, tolerance: float, maxiter: int, gradient: bool = False):
-    """Best point over local runs from each start, and whether any converged.
+_EYE = np.eye(DIM)
 
-    With ``gradient`` the objective returns (value, gradient) and each run is
-    L-BFGS-B; otherwise each run is Nelder-Mead on values alone.
+
+def _unitary_s3_gradient(params, base, psis, weights):
+    """S3 of ``psis`` mixed by ``weights`` at the bases exp(iH_q) base_q,
+    q = a1, a2, b1, b2, with its gradient in the 32 ``params`` (8 per H_q).
+
+    One kernel call, with the identity appended to each side's rows, yields
+    the amplitudes and the states contracted with the other side's rows,
+    hence X = dS3/d(rows) as the sum over the opposite side of
+    D = 2 w C conj(amp); dS3 = Re sum conj(d rows) X.  With H = V diag(w)
+    V^dagger, the derivative of exp(iH) along G is V (L o V^dagger G V)
+    V^dagger with the divided differences L_jk = (e^{iw_j} - e^{iw_k}) /
+    (w_j - w_k), written i e^{i(w_j+w_k)/2} sinc((w_j-w_k)/2 pi) so that it
+    stays exact where eigenvalues coincide (as at params = 0).  Hence
+    dS3/dtheta_m = Re <G_m, V (conj(L) o V^dagger X base^dagger V) V^dagger>.
     """
-    if gradient:
-        method = "L-BFGS-B"
-        options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": maxiter}
-    else:
-        method = "Nelder-Mead"
-        options = {"xatol": tolerance, "fatol": tolerance * 1e-2, "maxiter": maxiter}
+    u, w, v = _unitaries(np.reshape(params, (4, 8)))
+    rows = (u @ base).reshape(4 * DIM, DIM)
+    n = 2 * DIM
+    amps = born_amplitudes(np.concatenate((rows[:n], _EYE)),
+                           np.concatenate((rows[n:], _EYE)), psis)
+    amp = amps[:, :n, :n]
+    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
+    value = float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2)))
+    dcells = 2.0 * weighted * amp.conj()
+    x_a = np.sum(dcells @ amps[:, n:, :n].swapaxes(-1, -2), axis=0)
+    x_b = np.sum(dcells.swapaxes(-1, -2) @ amps[:, :n, n:], axis=0)
+    x = np.concatenate((x_a, x_b)).reshape(4, DIM, DIM)
+    vh = v.conj().swapaxes(-1, -2)
+    spread = w[:, :, None] - w[:, None, :]
+    mean = (w[:, :, None] + w[:, None, :]) / 2.0
+    divided = 1j * np.exp(1j * mean) * np.sinc(spread / (2.0 * np.pi))
+    k = v @ (divided.conj() * (vh @ x @ base.conj().swapaxes(-1, -2) @ v)) @ vh
+    grad = (k.reshape(4, DIM * DIM) @ _GELL_MANN.reshape(8, DIM * DIM).conj().T).real
+    return value, grad.reshape(-1)
+
+
+def _multistart(objective, starts, tolerance: float, maxiter: int):
+    """Best point over L-BFGS-B runs from each start, and whether any converged.
+
+    The objective returns (value, gradient); ties are broken by start order.
+    """
+    options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": maxiter}
     best_x, best_val, converged = None, np.inf, False
     for x0 in starts:
-        res = minimize(objective, x0, method=method, jac=gradient, options=options)
+        res = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
         converged = converged or bool(res.success)
         if res.fun < best_val:
             best_val = res.fun
@@ -282,9 +315,9 @@ def optimize_s3(
     """Multi-start search for settings maximizing S3.
 
     ``family`` selects the search space: "phase" varies the four offsets of
-    the Fourier-phase family, by L-BFGS-B on the exact gradient; "unitary"
-    varies all four bases over the full local-unitary family (8 parameters
-    each), by Nelder-Mead.  Evaluations run the Born kernel on unvalidated
+    the Fourier-phase family; "unitary" varies all four bases over the full
+    local-unitary family (8 parameters each).  Both run L-BFGS-B on the
+    exact gradient, from one Born-kernel call per evaluation on unvalidated
     rows; the reported value is the exact S3 re-evaluated at the returned
     settings.  Deterministic for a fixed seed; ties are broken by restart
     order.
@@ -312,11 +345,10 @@ def optimize_s3(
         starts += [rng.normal(scale=0.6, size=32) for _ in range(restarts - 1)]
 
         def objective(x):
-            return -s3_of(born_tables(*rows(x), mixed.psis, mixed.weights,
-                                      mixed.white_noise_weight))
+            value, grad = _unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+            return -value, -grad
 
-    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000,
-                                    gradient=family == "phase")
+    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000)
     settings = _settings_from_rows(*rows(best_x))
     return OptimizeResult(
         settings=settings,
@@ -368,7 +400,7 @@ def optimize_gamma_family(
     for _ in range(restarts - 1):
         starts.append(np.concatenate((rng.uniform(0.2, 1.5, 1), rng.uniform(0.0, 3.0, 4))))
 
-    best, converged = _multistart(objective, starts, tolerance, maxiter=6000, gradient=True)
+    best, converged = _multistart(objective, starts, tolerance, maxiter=6000)
     gamma = abs(best[0])
     settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings).s3

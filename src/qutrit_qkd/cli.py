@@ -251,7 +251,6 @@ def _session_machine_pairs(result: protocol.SessionResult) -> list:
 
 def _write_keys(out_dir, result: protocol.SessionResult) -> list:
     """Write and report both sifted keys in ``out_dir``; their machine-block pairs."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, "key_a.txt"), os.path.join(out_dir, "key_b.txt")]
     for path, key, party in zip(paths, (result.key_a, result.key_b), "AB"):
         trits.write_key_file(path, key, comments=(f"sifted key, party {party}",))
@@ -261,9 +260,9 @@ def _write_keys(out_dir, result: protocol.SessionResult) -> list:
 
 def cmd_simulate(args) -> int:
     config, (source, eve, a_cfg, b_cfg) = resolve_config(args)
+    os.makedirs(args.out, exist_ok=True)
     _print_config(config)
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
-    os.makedirs(args.out, exist_ok=True)
     transcript_path = os.path.join(args.out, "transcript.txt")
     header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
     # sampled, written and sifted chunk by chunk; on too little data the
@@ -283,6 +282,8 @@ def cmd_sift(args) -> int:
         result = protocol.analyze(protocol.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     if header:
         print("transcript header:")
         for key, value in header.items():

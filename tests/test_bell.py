@@ -290,6 +290,25 @@ class TestAnalyticGradients:
             assert value == pytest.approx(closed_form(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(closed_form, x))) <= 1e-6
 
+    def test_unitary_family_two_components_and_noise(self):
+        # the eigenvalues of H coincide at params = 0, where the divided
+        # differences of exp(iH) fall back to their derivative limit
+        base = canonical_settings()
+        base = np.stack((base.a1, base.a2, base.b1, base.b2))
+        mixed = MixedState(components=((0.55, maximally_entangled_state()),
+                                       (0.3, make_state((0.642, 0.546, 0.539)))),
+                           white_noise_weight=0.15)
+
+        def kernel_value(x):
+            return kernel_s3(*bell._unitary_family_rows(x, base), mixed.psis,
+                             mixed.weights, mixed.white_noise_weight)
+
+        rng = np.random.default_rng(44)
+        for x in [np.zeros(32)] + [rng.normal(scale=0.8, size=32) for _ in range(5)]:
+            value, grad = bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+            assert value == pytest.approx(kernel_value(x), abs=1e-12)
+            assert np.max(np.abs(grad - central_difference(kernel_value, x))) <= 1e-8
+
 
 class TestVisibilityLaw:
     def test_endpoints(self):
@@ -392,7 +411,7 @@ class TestOptimizer:
 
     def test_validations_do_not_grow_with_evaluations(self, monkeypatch):
         validations, evaluations = [], []
-        validate, kernel = linalg.require_orthonormal, bell.born_tables
+        validate, kernel = linalg.require_orthonormal, bell.born_amplitudes
 
         def counting_validate(*args, **kwargs):
             validations.append(1)
@@ -404,13 +423,13 @@ class TestOptimizer:
 
         monkeypatch.setattr(linalg, "require_orthonormal", counting_validate)
         monkeypatch.setattr(bell, "require_orthonormal", counting_validate)
-        monkeypatch.setattr(bell, "born_tables", counting_kernel)
+        monkeypatch.setattr(bell, "born_amplitudes", counting_kernel)
         counts = []
         for tolerance in (1e-1, 1e-6):
             validations.clear()
             evaluations.clear()
             optimize_s3(maximally_entangled_state(), family="unitary",
-                        tolerance=tolerance, seed=1, restarts=1)
+                        tolerance=tolerance, seed=1, restarts=4)
             counts.append((len(validations), len(evaluations)))
         (v_loose, n_loose), (v_tight, n_tight) = counts
         assert n_tight > n_loose > 10
@@ -434,6 +453,11 @@ class TestOptimizer:
         gamma = optimize_gamma_family(tolerance=1e-8, seed=0, restarts=1)
         assert gamma.converged
         assert 0 < len(calls) <= 60
+        calls.clear()
+        result = optimize_s3(diagonal_state((0.642, 0.546, 0.539)), family="unitary",
+                             tolerance=1e-5, seed=2, restarts=4)
+        assert result.converged
+        assert 0 < len(calls) <= 1000
 
     def test_unitary_parameterization(self):
         rng = np.random.default_rng(10)

@@ -301,6 +301,22 @@ def test_input_error_prints_nothing(capsys, tmp_path, argv, field):
     assert not (tmp_path / "o").exists()
 
 
+def test_unusable_out_dir_prints_nothing(capsys, tmp_path):
+    """An --out path that cannot be a directory exits 3 before any stdout."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "simulate", "--rounds", "2000", "--out", str(blocker))
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+
+    run_dir = tmp_path / "run"
+    assert run_cli(capsys, "simulate", "--rounds", "2000", "--out", str(run_dir))[0] == 0
+    code, out, err = run_cli(capsys, "sift", "--transcript", str(run_dir / "transcript.txt"),
+                             "--out", str(blocker))
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
