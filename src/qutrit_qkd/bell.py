@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import (
     DIM,
@@ -285,6 +284,9 @@ def _multistart(objective, starts, tolerance: float, maxiter: int):
 
     The objective returns (value, gradient); ties are broken by start order.
     """
+    # Deferred: scipy.optimize costs more to import than most commands take to run.
+    from scipy.optimize import minimize
+
     options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": maxiter}
     best_x, best_val, converged = None, np.inf, False
     for x0 in starts:

@@ -445,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # scipy's own OpenBLAS reads this when the first solve loads it; with a
+    # core taken by another process, its threads slow L-BFGS-B several-fold.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -27,6 +27,7 @@ from .linalg import (
     ValidationError,
     born_tables,
     computational_basis,
+    diagonal_state,
     make_state,
     phase_rows,
     require_orthonormal,
@@ -215,8 +216,6 @@ def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
     rate is 2/3 of the total uniform-noise weight seen by key rounds.
     Raises if the targets are outside the reachable region.
     """
-    from .linalg import diagonal_state
-
     s3_pure = bell.s3(diagonal_state(coefficients), bell.canonical_settings()).s3
     visibility = target_s3 / s3_pure
     if not 0.0 < visibility <= 1.0:

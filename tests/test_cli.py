@@ -1,8 +1,14 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qutrit_qkd
 from qutrit_qkd import bell
 from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.trits import read_key_file
@@ -461,3 +467,59 @@ class TestCipherCommands:
         code, out, _ = run_cli(capsys, "encrypt", "HI", "--key-file", str(key_file))
         assert code == 0
         assert machine_block(out)["unused_key_trits"] == "10"
+
+
+# Run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
+# lists; "{cipher}" in one is replaced by the last cipher printed.  The last
+# line of stdout is JSON: the scipy modules loaded and OPENBLAS_NUM_THREADS.
+FRESH_CLI = """
+import contextlib, io, json, os, sys
+from qutrit_qkd import cli
+
+cipher = None
+for argv in json.loads(sys.argv[1]):
+    argv = [cipher if a == "{cipher}" else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+    for line in buf.getvalue().splitlines():
+        if line.startswith("cipher "):
+            cipher = line.split()[1]
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def fresh_cli(commands, **env_update):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(qutrit_qkd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_update)
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_key_commands_never_load_scipy(self, tmp_path):
+        out = str(tmp_path)
+        key = str(tmp_path / "reconciled_a.txt")
+        loaded = fresh_cli([
+            ["simulate", "--rounds", "20000", "--seed", "3", "--out", out],
+            ["sift", "--transcript", str(tmp_path / "transcript.txt")],
+            ["reconcile", str(tmp_path / "key_a.txt"), str(tmp_path / "key_b.txt"),
+             "--out", out],
+            ["encrypt", "HELLO", "--key-file", key],
+            ["decrypt", "{cipher}", "--key-file", key],
+        ])
+        assert loaded["scipy"] == []
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_solve_loads_scipy_on_one_blas_thread(self, preset, expected):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        loaded = fresh_cli([["optimize", "--family", "phase", "--restarts", "1"]], **env)
+        assert "scipy.optimize" in loaded["scipy"]
+        assert loaded["threads"] == expected
