@@ -470,23 +470,16 @@ class TestCipherCommands:
 
 
 # Run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
-# lists; "{cipher}" in one is replaced by the last cipher printed.  The last
-# line of stdout is JSON: the scipy modules loaded and OPENBLAS_NUM_THREADS.
+# lists.  The last line of stdout is JSON: the scipy modules loaded and
+# OPENBLAS_NUM_THREADS.
 FRESH_CLI = """
-import contextlib, io, json, os, sys
+import json, os, sys
 from qutrit_qkd import cli
 
-cipher = None
 for argv in json.loads(sys.argv[1]):
-    argv = [cipher if a == "{cipher}" else a for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
+    code = cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
-    for line in buf.getvalue().splitlines():
-        if line.startswith("cipher "):
-            cipher = line.split()[1]
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
                   "threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
@@ -506,14 +499,15 @@ def fresh_cli(commands, **env_update):
 class TestColdStart:
     def test_key_commands_never_load_scipy(self, tmp_path):
         out = str(tmp_path)
-        key = str(tmp_path / "reconciled_a.txt")
+        table_key = tmp_path / "table_key.txt"
+        table_key.write_text(TABLE_KEY + "\n")
         loaded = fresh_cli([
             ["simulate", "--rounds", "20000", "--seed", "3", "--out", out],
             ["sift", "--transcript", str(tmp_path / "transcript.txt")],
             ["reconcile", str(tmp_path / "key_a.txt"), str(tmp_path / "key_b.txt"),
              "--out", out],
-            ["encrypt", "HELLO", "--key-file", key],
-            ["decrypt", "{cipher}", "--key-file", key],
+            ["encrypt", "HELLO", "--key-file", str(tmp_path / "reconciled_a.txt")],
+            ["decrypt", TABLE_CIPHER, "--key-file", str(table_key)],
         ])
         assert loaded["scipy"] == []
 
