@@ -48,9 +48,6 @@ class SettingsPair:
         for name in ("a1", "a2", "b1", "b2"):
             require_orthonormal(getattr(self, name))
 
-    def basis(self, side: str, setting: int) -> np.ndarray:
-        return getattr(self, f"{side.lower()}{setting}")
-
     def tables(self, state) -> np.ndarray:
         """(2, 3, 2, 3) outcome tables [a - 1, k, b - 1, l] of ``state``."""
         mixed = as_mixture(state)
@@ -137,17 +134,6 @@ def s3(state, settings: SettingsPair) -> BellValue:
     return BellValue(s3=s3_of(settings.tables(state)))
 
 
-def s3_vs_visibility(visibility: float) -> float:
-    """S3 of the isotropic-noise mixture of the maximal state at optimal settings.
-
-    Linear in the visibility; crosses the classical bound 2 at
-    ``VISIBILITY_AT_CLASSICAL_BOUND`` (~0.6962).
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValidationError(f"visibility {visibility} outside [0, 1]")
-    return visibility * QUANTUM_MAX
-
-
 # ---------------------------------------------------------------------------
 # Optimization of measurement settings
 # ---------------------------------------------------------------------------
@@ -175,14 +161,6 @@ def _unitaries(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
 
 
-def unitary_from_params(theta) -> np.ndarray:
-    """3x3 unitary exp(i * sum_m theta_m * G_m) from 8 real parameters."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (8,):
-        raise ValidationError(f"expected 8 unitary parameters, got shape {theta.shape}")
-    return _unitaries(theta)[0]
-
-
 def random_basis(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthonormal basis from a QR decomposition."""
     z = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
@@ -203,8 +181,9 @@ def _settings_from_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> SettingsPair:
 
 
 def _check_solver_inputs(tolerance: float, restarts: int) -> None:
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance!r}")
+    # a relative tolerance is below 1; near 1e300 L-BFGS-B's ftol / eps overflows
+    if not (0 < tolerance < 1):
+        raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
     if not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
 

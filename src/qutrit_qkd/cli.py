@@ -48,13 +48,17 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_rounds(s: str) -> int:
-    """A positive integer, also in scientific notation ('1e6', '2.5e5')."""
+    """An integer from 1 to 10**18, also in scientific notation ('1e6', '2.5e5').
+
+    Round ids of up to 18 digits fit a transcript; the bound is checked
+    before ``int`` builds a number of any size.
+    """
     try:
         value = Decimal(s)
     except InvalidOperation:
         value = Decimal("NaN")
-    if not (value.is_finite() and value == value.to_integral_value() and value > 0):
-        raise ValidationError(f"rounds must be a positive integer, got {s!r}")
+    if not (value.is_finite() and 0 < value <= 10 ** 18 and value == value.to_integral_value()):
+        raise ValidationError(f"rounds must be an integer from 1 to 10**18, got {s!r}")
     return int(value)
 
 
@@ -121,11 +125,12 @@ def resolve_config(args) -> tuple[RunConfig, tuple]:
         config = replace(config, **load_config_file(args.config))
     overrides = {}
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if "rounds" in overrides:
-        overrides["rounds"] = _parse_rounds(overrides["rounds"])
+        text = getattr(args, f.name, None)
+        if text is not None:
+            try:
+                overrides[f.name] = _CONFIG_PARSERS[f.name](text)
+            except ValueError as exc:
+                raise ValidationError(f"bad value for {f.name}: {exc}") from None
     config = replace(config, **overrides)
     return config, _session(config)
 
@@ -222,7 +227,8 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _report_session(result: protocol.SessionResult) -> None:
+def _report_session(result: protocol.SessionResult) -> list:
+    """Print a session's report; its machine-block pairs."""
     fk, fb, fd = result.sifted_fractions
     print()
     print(f"rounds             {result.n_rounds} ({result.n_detected} detected)")
@@ -230,10 +236,6 @@ def _report_session(result: protocol.SessionResult) -> None:
     print(f"key length         {len(result.key_a)} trits")
     for line in result.report.lines():
         print(line)
-
-
-def _session_machine_pairs(result: protocol.SessionResult) -> list:
-    fk, fb, fd = result.sifted_fractions
     return [
         ("n_rounds", result.n_rounds),
         ("n_detected", result.n_detected),
@@ -268,11 +270,9 @@ def cmd_simulate(args) -> int:
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but no key file is
     result = protocol.analyze(protocol.transcribe(transcript_path, chunks, header))
-    _report_session(result)
+    pairs = _report_session(result)
     print(f"transcript         {transcript_path}")
-    key_pairs = _write_keys(args.out, result)
-    _machine_block(_session_machine_pairs(result)
-                   + [("transcript", transcript_path)] + key_pairs)
+    _machine_block(pairs + [("transcript", transcript_path)] + _write_keys(args.out, result))
     return EXIT_OK
 
 
@@ -288,8 +288,7 @@ def cmd_sift(args) -> int:
         print("transcript header:")
         for key, value in header.items():
             print(f"  {key} = {value}")
-    _report_session(result)
-    pairs = _session_machine_pairs(result)
+    pairs = _report_session(result)
     if args.out:
         pairs += _write_keys(args.out, result)
     _machine_block(pairs)
@@ -369,24 +368,24 @@ def cmd_decrypt(args) -> int:
 def _add_config_flags(parser, with_profile=False):
     parser.add_argument("--config", metavar="PATH",
                         help="config file of 'key = value' lines; flags override")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--coefficients", type=_parse_triple, default=None,
+    parser.add_argument("--seed", default=None)
+    parser.add_argument("--coefficients", default=None,
                         metavar="A,B,C", help="source state coefficients")
-    parser.add_argument("--visibility", type=float, default=None)
-    parser.add_argument("--background", type=float, default=None,
+    parser.add_argument("--visibility", default=None)
+    parser.add_argument("--background", default=None,
                         help="accidental-coincidence fraction")
     if with_profile:
         parser.add_argument("--rounds", default=None,
                             help="number of rounds, e.g. 100000 or 1e6")
-        parser.add_argument("--detection", type=float, default=None,
+        parser.add_argument("--detection", default=None,
                             help="per-round coincidence detection probability")
-        parser.add_argument("--key-crosstalk", dest="key_crosstalk", type=float,
+        parser.add_argument("--key-crosstalk", dest="key_crosstalk",
                             default=None, help="key-setting crosstalk fraction")
-        parser.add_argument("--eve", action="store_const", const=True, default=None,
+        parser.add_argument("--eve", action="store_const", const="true", default=None,
                             help="enable the intercept-resend eavesdropper")
         parser.add_argument("--eve-arm", dest="eve_arm", choices=("A", "B"),
                             default=None)
-        parser.add_argument("--bias", type=_parse_triple, default=None,
+        parser.add_argument("--bias", default=None,
                             metavar="P1,P2,P3", help="setting-choice probabilities")
         parser.add_argument("--profile", choices=("reference",), default=None,
                             help="preset noise calibration")

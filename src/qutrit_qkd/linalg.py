@@ -33,7 +33,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # The permutation exchanging labels 1 and 2: B's side of the source form
-# a|00> + b|12> + c|21> is relabeled by it, and so are B's key outcomes.
+# a|00> + b|12> + c|21> is relabeled by it (``psi[:, SWAP_12]`` is the
+# Schmidt-diagonal form), and so are B's key outcomes.
 SWAP_12 = _frozen(np.array([0, 2, 1], dtype=np.int8))
 
 
@@ -80,29 +81,15 @@ def maximally_entangled_state() -> np.ndarray:
     return diagonal_state((1.0, 1.0, 1.0))
 
 
-def relabel_b_swap12(state: np.ndarray) -> np.ndarray:
-    """Exchange B-side labels 1 and 2 (a local unitary relabel).
-
-    Maps the source form a|00> + b|12> + c|21> onto the Schmidt-diagonal
-    form a|00> + b|11> + c|22> and is its own inverse.
-    """
-    return _frozen(np.asarray(state, dtype=complex)[:, SWAP_12])
-
-
 def state_norm_sq(state: np.ndarray) -> float:
     return float(np.sum(np.abs(state) ** 2))
 
 
 def require_normalized(state: np.ndarray, tol: float = NORM_TOL) -> None:
-    if abs(state_norm_sq(state) - 1.0) > tol:
+    if not (abs(state_norm_sq(state) - 1.0) <= tol):
         raise ValidationError(
             f"state norm^2 = {state_norm_sq(state):.15f} deviates from 1 by more than {tol}"
         )
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> over the full bipartite space."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
 def computational_basis() -> np.ndarray:
@@ -127,11 +114,6 @@ def phase_rows(party: str, offsets) -> np.ndarray:
             / np.sqrt(DIM)).reshape(-1, DIM)
 
 
-def phase_basis(party: str, offset: float) -> np.ndarray:
-    """The single Fourier-phase basis of :func:`phase_rows` at ``offset``."""
-    return _frozen(phase_rows(party, [offset]))
-
-
 def orthonormality_residual(basis: np.ndarray) -> float:
     """Max absolute deviation of B B^dagger from the identity."""
     b = np.asarray(basis)
@@ -140,7 +122,7 @@ def orthonormality_residual(basis: np.ndarray) -> float:
 
 def require_orthonormal(basis: np.ndarray, tol: float = ORTHO_TOL) -> None:
     r = orthonormality_residual(basis)
-    if r > tol:
+    if not (r <= tol):
         raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {tol}")
 
 
@@ -162,15 +144,15 @@ class MixedState:
         object.__setattr__(self, "components", comps)
         total = self.white_noise_weight
         for w, s in comps:
-            if w < -NORM_TOL:
+            if not (w >= -NORM_TOL):
                 raise ValidationError(f"negative component weight {w}")
             if s.shape != (DIM, DIM):
                 raise ValidationError(f"component state has shape {s.shape}, expected (3, 3)")
             require_normalized(s)
             total += w
-        if self.white_noise_weight < -NORM_TOL:
+        if not (self.white_noise_weight >= -NORM_TOL):
             raise ValidationError("negative white-noise weight")
-        if abs(total - 1.0) > NORM_TOL:
+        if not (abs(total - 1.0) <= NORM_TOL):
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "psis", _frozen(
             np.array([s for _, s in comps], dtype=complex).reshape(-1, DIM, DIM)))

@@ -99,9 +99,6 @@ class PartyConfig:
         for basis in self.bases:
             require_orthonormal(basis)
 
-    def basis(self, setting: int) -> np.ndarray:
-        return self.bases[setting - 1]
-
 
 @dataclass(frozen=True)
 class EveConfig:
@@ -701,17 +698,6 @@ def transcribe(path, chunks: Rounds | Iterable[Rounds],
             yield rounds
 
 
-def write_transcript(path, rounds: Rounds | Iterable[Rounds], header: dict | None = None) -> None:
-    """One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
-
-    ``rounds`` is one ``Rounds`` or an iterable of chunks in round order.
-    Missing outcomes (undetected rounds) are written as '-'.  See
-    ``transcribe``, which does the writing.
-    """
-    for _ in transcribe(path, rounds, header):
-        pass
-
-
 def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     """Columns of the rounds in ``data``, whole lines ending in a newline.
 
@@ -793,10 +779,3 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
                     yield Rounds(*cols)
             if not block:
                 break
-
-
-def read_transcript(path) -> tuple[Rounds, dict]:
-    """Parse a whole transcript file: the chunks of ``iter_transcript`` joined."""
-    header = {}
-    rounds = _concat(iter_transcript(path, header))
-    return rounds, header

@@ -43,14 +43,6 @@ class ReconciliationReport:
         return out
 
 
-def block_parity(block) -> int:
-    """Mod-3 sum of a block of exactly three trits."""
-    b = as_trits(block)
-    if b.size != BLOCK:
-        raise ValidationError(f"parity blocks hold exactly {BLOCK} trits, got {b.size}")
-    return int(b.sum() % 3)
-
-
 def parity_sift(key_a, key_b) -> tuple[np.ndarray, np.ndarray, ReconciliationReport]:
     """Keep blocks with matching parities; emit their first two trits.
 

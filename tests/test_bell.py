@@ -17,8 +17,6 @@ from qutrit_qkd.bell import (
     outcome_distribution,
     random_basis,
     s3,
-    s3_vs_visibility,
-    unitary_from_params,
 )
 from qutrit_qkd.linalg import (
     MixedState,
@@ -28,7 +26,6 @@ from qutrit_qkd.linalg import (
     diagonal_state,
     make_state,
     maximally_entangled_state,
-    phase_basis,
     phase_rows,
 )
 
@@ -110,7 +107,7 @@ class TestS3Exact:
         # The term mapping is fixed by requiring the closed-form maximum;
         # swapping the two difference classes would give a smaller value.
         table = outcome_distribution(maximally_entangled_state(),
-                                     phase_basis("A", 0.0), phase_basis("B", 0.25))
+                                     phase_rows("A", [0.0]), phase_rows("B", [0.25]))
         k_minus_one = coincidence_mod3(table, 1)   # A = B - 1
         k_plus_one = coincidence_mod3(table, 2)    # A = B + 1
         assert k_minus_one != pytest.approx(k_plus_one)
@@ -118,7 +115,7 @@ class TestS3Exact:
         cs = canonical_settings()
         for (a, b_), k0, k1 in [((1, 1), 0, 2), ((2, 1), 2, 0), ((2, 2), 0, 2), ((1, 2), 0, 1)]:
             t = outcome_distribution(maximally_entangled_state(),
-                                     cs.basis("a", a), cs.basis("b", b_))
+                                     getattr(cs, f"a{a}"), getattr(cs, f"b{b_}"))
             wrong += coincidence_mod3(t, k0) - coincidence_mod3(t, k1)
         assert wrong < QUANTUM_MAX - 0.5
 
@@ -139,10 +136,7 @@ class TestS3Exact:
             offsets = rng.uniform(-2, 2, size=4)
             coeffs = rng.uniform(0.05, 1.0, size=3)
             coeffs /= np.linalg.norm(coeffs)
-            settings = SettingsPair(
-                a1=phase_basis("A", offsets[0]), a2=phase_basis("A", offsets[1]),
-                b1=phase_basis("B", offsets[2]), b2=phase_basis("B", offsets[3]))
-            got = s3(diagonal_state(coeffs), settings).s3
+            got = s3(diagonal_state(coeffs), canonical_settings(offsets)).s3
             assert got == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-10)
 
     def test_profile_matches_coefficient_path(self):
@@ -155,8 +149,8 @@ class TestS3Exact:
             via_coeffs = 0.0
             for a, b_ in ((1, 1), (2, 1), (2, 2), (1, 2)):
                 coeff = bell.S3_COEFFICIENTS[a - 1, :, b_ - 1, :]
-                table = outcome_distribution(mixed, settings.basis("a", a),
-                                             settings.basis("b", b_))
+                table = outcome_distribution(mixed, getattr(settings, f"a{a}"),
+                                             getattr(settings, f"b{b_}"))
                 via_coeffs += float((coeff * table).sum())
             assert s3(mixed, settings).s3 == pytest.approx(via_coeffs, abs=1e-12)
 
@@ -310,13 +304,19 @@ class TestAnalyticGradients:
             assert np.max(np.abs(grad - central_difference(kernel_value, x))) <= 1e-8
 
 
+def isotropic_s3(visibility):
+    """S3 of the maximal state under isotropic noise, at the canonical settings."""
+    return s3(MixedState.isotropic(maximally_entangled_state(), visibility),
+              canonical_settings()).s3
+
+
 class TestVisibilityLaw:
     def test_endpoints(self):
-        assert s3_vs_visibility(1.0) == pytest.approx(2.87293, abs=1e-4)
-        assert s3_vs_visibility(0.0) == 0.0
+        assert isotropic_s3(1.0) == pytest.approx(2.87293, abs=1e-4)
+        assert isotropic_s3(0.0) == 0.0
 
     def test_threshold(self):
-        assert s3_vs_visibility(0.6962) == pytest.approx(2.0, abs=1e-3)
+        assert isotropic_s3(0.6962) == pytest.approx(2.0, abs=1e-3)
         assert VISIBILITY_AT_CLASSICAL_BOUND == pytest.approx(0.69615, abs=1e-5)
         mixed = MixedState.isotropic(maximally_entangled_state(),
                                      VISIBILITY_AT_CLASSICAL_BOUND)
@@ -324,9 +324,9 @@ class TestVisibilityLaw:
 
     def test_range_check(self):
         with pytest.raises(ValidationError):
-            s3_vs_visibility(1.5)
+            isotropic_s3(1.5)
         with pytest.raises(ValidationError):
-            s3_vs_visibility(-0.1)
+            isotropic_s3(-0.1)
 
 
 class TestOptimizer:
@@ -340,9 +340,7 @@ class TestOptimizer:
         # exchanging both sides' setting labels is a symmetry of the family
         # once each relabeled basis absorbs a cyclic outcome shift (integer
         # offset change); this point reproduces the maximum exactly
-        exchanged = SettingsPair(
-            a1=phase_basis("A", 0.5), a2=phase_basis("A", 1.0),
-            b1=phase_basis("B", -0.25), b2=phase_basis("B", -0.75))
+        exchanged = canonical_settings((0.5, 1.0, -0.25, -0.75))
         value = s3(maximally_entangled_state(), exchanged).s3
         assert value == pytest.approx(QUANTUM_MAX, abs=1e-12)
         # the multi-start optimizer reaches the same maximum from any seed
@@ -384,7 +382,8 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"restarts": 2.0},
                                         {"tolerance": float("nan")},
-                                        {"tolerance": float("inf")}])
+                                        {"tolerance": float("inf")},
+                                        {"tolerance": 1e300}, {"tolerance": 1.0}])
     def test_bad_solver_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             optimize_s3(maximally_entangled_state(), **kwargs)
@@ -402,7 +401,7 @@ class TestOptimizer:
                 rows_a = phase_rows("A", result.params[:2])
                 rows_b = phase_rows("B", result.params[2:])
             else:
-                us = [unitary_from_params(p) for p in result.params.reshape(4, 8)]
+                us = bell._unitaries(result.params.reshape(4, 8))[0]
                 base = canonical_settings()
                 rows_a = np.concatenate((us[0] @ base.a1, us[1] @ base.a2))
                 rows_b = np.concatenate((us[2] @ base.b1, us[3] @ base.b2))
@@ -462,5 +461,5 @@ class TestOptimizer:
     def test_unitary_parameterization(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            u = unitary_from_params(rng.normal(size=8))
+            u = bell._unitaries(rng.normal(size=8))[0]
             assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)

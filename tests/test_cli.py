@@ -11,6 +11,7 @@ import pytest
 import qutrit_qkd
 from qutrit_qkd import bell
 from qutrit_qkd.cli import _parse_rounds, main
+from qutrit_qkd.linalg import ValidationError
 from qutrit_qkd.trits import read_key_file
 
 TABLE_KEY = "022001122110002100222201212222122212001221212002201121210212222122222"
@@ -207,8 +208,12 @@ class TestSimulateAndSift:
         assert _parse_rounds("1e6") == 1_000_000 and type(_parse_rounds("1e6")) is int
         assert _parse_rounds("2.5e5") == 250_000 and type(_parse_rounds("2.5e5")) is int
 
-    @pytest.mark.parametrize("text", ["1.5", "nan", "inf", "-1e3", "0", "ten"])
+    @pytest.mark.parametrize("text", ["1.5", "nan", "inf", "-1e3", "0", "ten",
+                                      "1e19", "1e1000000"])
     def test_bad_rounds_rejected(self, capsys, tmp_path, text):
+        # round ids have at most 18 digits; the parser alone rejects more
+        with pytest.raises(ValidationError, match="rounds"):
+            _parse_rounds(text)
         code, out, err = run_cli(capsys, "simulate", f"--rounds={text}",
                                  "--out", str(tmp_path / "x"))
         assert code == 2
@@ -296,6 +301,8 @@ class TestSimulateAndSift:
     (("simulate", "--seed", "-1", "--rounds", "100"), "seed"),
     (("bell", "--tolerance", "nan"), "tolerance"),
     (("optimize", "--restarts", "0"), "restarts"),
+    (("bell", "--tolerance", "1e300"), "tolerance"),
+    (("bell", "--coefficients", "1,1"), "bad value for coefficients"),
 ])
 def test_input_error_prints_nothing(capsys, tmp_path, argv, field):
     """A command whose inputs fail validation writes nothing to stdout."""

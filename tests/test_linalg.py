@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from qutrit_qkd.bell import outcome_distribution
+from qutrit_qkd.bell import SettingsPair, outcome_distribution
 from qutrit_qkd.linalg import (
+    SWAP_12,
     InvalidStateError,
     MixedState,
     ValidationError,
     born_tables,
     computational_basis,
     diagonal_state,
-    inner_product,
     make_state,
     maximally_entangled_state,
     normalize_coefficients,
     orthonormality_residual,
-    phase_basis,
     phase_rows,
-    relabel_b_swap12,
     state_norm_sq,
 )
 
@@ -70,44 +68,47 @@ class TestMakeState:
 
 
 class TestRelabel:
+    """The B-side 1<->2 relabel is ``psi[:, SWAP_12]``."""
+
     def test_maps_source_form_to_diagonal(self):
-        assert np.allclose(relabel_b_swap12(make_state((1, 1, 1))),
-                           maximally_entangled_state())
+        assert np.allclose(make_state((1, 1, 1))[:, SWAP_12], maximally_entangled_state())
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         psi = random_state(rng)
-        assert np.allclose(relabel_b_swap12(relabel_b_swap12(psi)), psi)
+        assert np.allclose(psi[:, SWAP_12][:, SWAP_12], psi)
 
     def test_product_state_fixed_point(self):
         psi = make_state((1, 0, 0))
-        assert np.allclose(relabel_b_swap12(psi), psi)
+        assert np.allclose(psi[:, SWAP_12], psi)
 
     def test_preserves_inner_products(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = random_state(rng), random_state(rng)
-            before = inner_product(a, b)
-            after = inner_product(relabel_b_swap12(a), relabel_b_swap12(b))
+            before = np.vdot(a, b)
+            after = np.vdot(a[:, SWAP_12], b[:, SWAP_12])
             assert abs(before - after) < 1e-12
 
 
 class TestPhaseBasis:
+    """A single phase basis is ``phase_rows(party, [offset])``."""
+
     def test_offset_zero_is_fourier(self):
         j, k = np.meshgrid(np.arange(3), np.arange(3))
         dft = np.exp(2j * np.pi * j * k / 3) / np.sqrt(3)
-        assert np.allclose(phase_basis("A", 0.0), dft)
+        assert np.allclose(phase_rows("A", [0.0]), dft)
 
     def test_orthonormal_for_any_offset(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             offset = rng.uniform(-5, 5)
             for party in ("A", "B"):
-                assert orthonormality_residual(phase_basis(party, offset)) < 1e-12
+                assert orthonormality_residual(phase_rows(party, [offset])) < 1e-12
 
     def test_bad_party(self):
         with pytest.raises(ValidationError):
-            phase_basis("C", 0.0)
+            phase_rows("C", [0.0])
 
 
 def joint_probability(mixed, basis_a, k, basis_b, l):
@@ -152,6 +153,12 @@ class TestJointProbability:
         mixed = MixedState.pure(maximally_entangled_state())
         with pytest.raises(ValidationError):
             outcome_distribution(mixed, bad, computational_basis())
+        nan = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(ValidationError):
+            outcome_distribution(mixed, nan, computational_basis())
+        comp = computational_basis()
+        with pytest.raises(ValidationError):
+            SettingsPair(a1=comp, a2=comp, b1=comp, b2=nan)
 
     def test_born_totals(self):
         rng = np.random.default_rng(6)
@@ -234,7 +241,7 @@ class TestBornTables:
             rows = phase_rows(party, offsets)
             assert rows.shape == (12, 3)
             for i, offset in enumerate(offsets):
-                assert np.array_equal(rows[3 * i:3 * i + 3], phase_basis(party, offset))
+                assert np.array_equal(rows[3 * i:3 * i + 3], phase_rows(party, [offset]))
 
 
 class TestMixedState:
@@ -242,15 +249,23 @@ class TestMixedState:
         with pytest.raises(ValidationError):
             MixedState(components=((0.5, maximally_entangled_state()),),
                        white_noise_weight=0.6)
+        with pytest.raises(ValidationError):
+            MixedState(components=((1.0, maximally_entangled_state()),),
+                       white_noise_weight=float("nan"))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             MixedState(components=((-0.1, maximally_entangled_state()),),
                        white_noise_weight=1.1)
+        with pytest.raises(ValidationError):
+            MixedState(components=((float("nan"), maximally_entangled_state()),),
+                       white_noise_weight=1.0)
 
     def test_component_must_be_normalized(self):
         with pytest.raises(ValidationError):
             MixedState(components=((1.0, np.eye(3, dtype=complex)),))
+        with pytest.raises(ValidationError):
+            MixedState.pure(np.full((3, 3), np.nan, dtype=complex))
 
     def test_isotropic_range(self):
         with pytest.raises(ValidationError):

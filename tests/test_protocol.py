@@ -25,14 +25,13 @@ from qutrit_qkd.protocol import (
     iter_transcript,
     post_eve_mixture,
     qter,
-    read_transcript,
     reference_source,
     run_protocol,
     run_session,
     security_verdict,
     sift,
     source_mixture,
-    write_transcript,
+    transcribe,
 )
 
 IDEAL = SourceConfig()
@@ -62,10 +61,14 @@ class TestConfigs:
         a, _ = default_parties()
         with pytest.raises(ValidationError):
             PartyConfig(setting_probabilities=(0.5, 0.5, 0.5), bases=a.bases)
+        with pytest.raises(ValidationError):
+            PartyConfig(bases=(*a.bases[:2], np.full((3, 3), np.nan, dtype=complex)))
 
     def test_eve_arm(self):
         with pytest.raises(ValidationError):
             EveConfig(enabled=True, arm="C")
+        with pytest.raises(ValidationError):
+            EveConfig(enabled=True, basis=np.full((3, 3), np.nan, dtype=complex))
 
     def test_biased_parties(self):
         a, b = default_parties(bias_a=(0.25, 0.25, 0.5), bias_b=(0.2, 0.2, 0.6))
@@ -486,9 +489,9 @@ class TestChunkedSession:
         monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", 4096)
         rounds = self.session(3000, seed=32)
         whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
-        write_transcript(whole, rounds, header={"seed": 32})
-        write_transcript(split, (rounds.subset(slice(0, 7)), rounds.subset(slice(7, None))),
-                         header={"seed": 32})
+        list(transcribe(whole, rounds, header={"seed": 32}))
+        list(transcribe(split, (rounds.subset(slice(0, 7)), rounds.subset(slice(7, None))),
+                        header={"seed": 32}))
         assert split.read_bytes() == whole.read_bytes()
         header = {}
         chunks = list(iter_transcript(split, header))
@@ -501,7 +504,7 @@ class TestChunkedSession:
         rounds = self.session(10, seed=33)
         first = rounds.subset(slice(0, 5))
         with pytest.raises(ValidationError, match="round index 5: round_id 0 does not exceed"):
-            write_transcript(tmp_path / "t.txt", (first, first))
+            list(transcribe(tmp_path / "t.txt", (first, first)))
 
 
 class TestTranscriptIO:
@@ -510,8 +513,9 @@ class TestTranscriptIO:
         rounds = run_session(500, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, a, b, seed=21)
         path = tmp_path / "transcript.txt"
-        write_transcript(path, rounds, header={"seed": 21, "rounds": 500})
-        loaded, header = read_transcript(path)
+        list(transcribe(path, rounds, header={"seed": 21, "rounds": 500}))
+        header = {}
+        loaded = protocol._concat(iter_transcript(path, header))
         assert header == {"seed": "21", "rounds": "500"}
         for c1, c2 in zip(rounds._columns(), loaded._columns()):
             assert np.array_equal(c1, c2)
@@ -520,7 +524,7 @@ class TestTranscriptIO:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 0 1 0 1\n1 2 0\n")
         with pytest.raises(ValidationError, match="2"):
-            read_transcript(path)
+            list(iter_transcript(path))
 
     @pytest.mark.parametrize("chunk_rows", [None, 64])
     def test_writer_matches_reference_text(self, tmp_path, monkeypatch, chunk_rows):
@@ -531,7 +535,7 @@ class TestTranscriptIO:
                              NO_EVE, a, b, seed=22)
         header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
         path = tmp_path / "transcript.txt"
-        write_transcript(path, rounds, header=header)
+        list(transcribe(path, rounds, header=header))
         expected = [f"# {key} = {value}\n" for key, value in header.items()]
         for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in rounds._columns())):
             oa, ob = (oa, ob) if det else ("-", "-")
@@ -561,7 +565,7 @@ class TestTranscriptIO:
         text, rows = self.READ_CASES[case]
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
-        loaded, _ = read_transcript(path)
+        loaded = protocol._concat(iter_transcript(path))
         columns = loaded._columns()
         assert [c.dtype for c in columns] == [np.int64, np.int8, np.int8,
                                               np.int8, np.int8, np.bool_]
@@ -570,7 +574,8 @@ class TestTranscriptIO:
     def test_reader_header_anywhere(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"# seed = 3\n0 1 0 1 0 1\n  #rounds=2  \n1 1 0 1 0 1\n# \xff\n")
-        _, header = read_transcript(path)
+        header = {}
+        list(iter_transcript(path, header))
         assert header == {"seed": "3", "rounds": "2"}
 
     REJECT_CASES = {
@@ -600,7 +605,7 @@ class TestTranscriptIO:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValidationError) as info:
-            read_transcript(path)
+            list(iter_transcript(path))
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert message in str(info.value)
 
@@ -613,7 +618,7 @@ class TestTranscriptIO:
         lines[n // 2:n // 2] = ["\n", "  # midway\n"]
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        loaded, _ = read_transcript(path)
+        loaded = protocol._concat(iter_transcript(path))
         assert np.array_equal(loaded.round_id, np.arange(n))
         assert np.array_equal(loaded.setting_a, 1 + np.arange(n) % 3)
         bad_line = 25_000
@@ -621,7 +626,7 @@ class TestTranscriptIO:
         path.write_text("".join(lines))
         assert path.stat().st_size > protocol._READ_BLOCK_BYTES
         with pytest.raises(ValidationError, match=f":{bad_line}: detected '-'"):
-            read_transcript(path)
+            list(iter_transcript(path))
 
     @pytest.mark.parametrize("column, value, message", [
         ("setting_a", 4, "round index 3: setting_a '4'"),
@@ -632,4 +637,4 @@ class TestTranscriptIO:
         rounds = run_session(10, IDEAL, NO_EVE, *default_parties(), seed=1)
         getattr(rounds, column)[3] = value
         with pytest.raises(ValidationError, match=message):
-            write_transcript(tmp_path / "t.txt", rounds)
+            list(transcribe(tmp_path / "t.txt", rounds))

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from qutrit_qkd.linalg import ValidationError
-from qutrit_qkd.reconcile import (
-    block_parity,
-    parity_sift,
-    residual_error_rate,
-)
+from qutrit_qkd.reconcile import parity_sift, residual_error_rate
 from qutrit_qkd.trits import read_key_file, write_key_file
 
 from oracles import parity_block_survivors, residual_error_rate_exact
 
 
 class TestBlockParity:
+    """``parity_sift`` keeps a block exactly when both mod-3 sums agree."""
+
     @pytest.mark.parametrize("block,expected", [
         ((0, 0, 0), 0),
         ((2, 0, 1), 0),
@@ -21,13 +19,8 @@ class TestBlockParity:
         ((2, 2, 2), 0),
     ])
     def test_examples(self, block, expected):
-        assert block_parity(block) == expected
-
-    def test_wrong_length(self):
-        with pytest.raises(ValidationError):
-            block_parity((0, 1))
-        with pytest.raises(ValidationError):
-            block_parity((0, 1, 2, 0))
+        kept = [parity_sift(block, (parity, 0, 0))[2].kept_blocks for parity in range(3)]
+        assert kept.index(1) == expected and sum(kept) == 1
 
 
 class TestParitySift:
