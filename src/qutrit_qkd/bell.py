@@ -56,17 +56,6 @@ class SettingsPair:
                            mixed.psis, mixed.weights, mixed.white_noise_weight)
 
 
-@dataclass(frozen=True)
-class BellValue:
-    s3: float
-    classical_bound: float = CLASSICAL_BOUND
-    quantum_max: float = QUANTUM_MAX
-
-    @property
-    def violates_local_realism(self) -> bool:
-        return self.s3 > self.classical_bound
-
-
 def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
     """Phase-basis settings at offsets (a1, a2, b1, b2), canonical by default."""
     return _settings_from_rows(*_phase_family_rows(offsets))
@@ -114,24 +103,14 @@ def s3_of(tables: np.ndarray) -> float:
     return float(S3_COEFFICIENTS.reshape(-1) @ tables.reshape(-1))
 
 
-def correlation_profile(state, settings: SettingsPair) -> dict:
-    """Mod-3 coincidence probabilities p[(a, b)][k] for the four setting pairs.
-
-    Each length-3 entry sums to 1; k indexes the outcome difference class.
-    """
-    t = settings.tables(state)
-    return {(a, b): np.array([coincidence_mod3(t[a - 1, :, b - 1, :], k) for k in range(3)])
-            for a in (1, 2) for b in (1, 2)}
-
-
-def s3(state, settings: SettingsPair) -> BellValue:
+def s3(state, settings: SettingsPair) -> float:
     """Exact S3 for a state (pure or mixed) at the given settings.
 
-    The signed eight-term sum over the correlation profile, evaluated as the
+    The signed eight-term sum over the mod-3 coincidences, evaluated as the
     dot product of ``S3_COEFFICIENTS`` with the outcome tables; the "B - 1"
     terms take k = 1 and the "B + 1" term takes k = 2 (see module docstring).
     """
-    return BellValue(s3=s3_of(settings.tables(state)))
+    return s3_of(settings.tables(state))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +172,13 @@ _PHASE_ROW_DERIVATIVE = 2j * np.pi * np.arange(DIM) / DIM
 _S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
 
 
+def _s3_cells(amp, weights):
+    """S3 of the (m, 6, 6) amplitudes ``amp`` mixed by ``weights``, and
+    D = 2 w C conj(amp), so that dS3 = Re sum D d(amp)."""
+    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
+    return float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2))), 2.0 * weighted * amp.conj()
+
+
 def _phase_s3_gradient(offsets, psis, weights, dpsis=None):
     """S3 of ``psis`` mixed by ``weights`` at phase offsets (a1, a2, b1, b2),
     with its gradient in the offsets, followed by the derivative along
@@ -209,10 +195,7 @@ def _phase_s3_gradient(offsets, psis, weights, dpsis=None):
     amps = born_amplitudes(np.concatenate((rows_a, rows_a * _PHASE_ROW_DERIVATIVE)),
                            np.concatenate((rows_b, rows_b * _PHASE_ROW_DERIVATIVE)),
                            stacked)
-    amp = amps[:m, :n, :n]
-    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
-    value = float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2)))
-    dcells = 2.0 * weighted * amp.conj()
+    value, dcells = _s3_cells(amps[:m, :n, :n], weights)
     grad = [(dcells * amps[:m, n:, :n]).real.reshape(m, 2, DIM, n).sum(axis=(0, 2, 3)),
             (dcells * amps[:m, :n, n:]).real.reshape(m, n, 2, DIM).sum(axis=(0, 1, 3))]
     if dpsis is not None:
@@ -242,10 +225,7 @@ def _unitary_s3_gradient(params, base, psis, weights):
     n = 2 * DIM
     amps = born_amplitudes(np.concatenate((rows[:n], _EYE)),
                            np.concatenate((rows[n:], _EYE)), psis)
-    amp = amps[:, :n, :n]
-    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
-    value = float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2)))
-    dcells = 2.0 * weighted * amp.conj()
+    value, dcells = _s3_cells(amps[:, :n, :n], weights)
     x_a = np.sum(dcells @ amps[:, n:, :n].swapaxes(-1, -2), axis=0)
     x_b = np.sum(dcells.swapaxes(-1, -2) @ amps[:, :n, n:], axis=0)
     x = np.concatenate((x_a, x_b)).reshape(4, DIM, DIM)
@@ -333,7 +313,7 @@ def optimize_s3(
     settings = _settings_from_rows(*rows(best_x))
     return OptimizeResult(
         settings=settings,
-        s3=s3(mixed, settings).s3,
+        s3=s3(mixed, settings),
         converged=converged,
         family=family,
         params=np.asarray(best_x),
@@ -384,5 +364,5 @@ def optimize_gamma_family(
     best, converged = _multistart(objective, starts, tolerance, maxiter=6000)
     gamma = abs(best[0])
     settings = canonical_settings(best[1:])
-    value = s3(diagonal_state((1.0, gamma, 1.0)), settings).s3
+    value = s3(diagonal_state((1.0, gamma, 1.0)), settings)
     return GammaOptimum(gamma=gamma, s3=value, settings=settings, converged=converged)

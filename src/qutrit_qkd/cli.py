@@ -1,7 +1,7 @@
 """Command-line front end: reproducible experiments and plain-text reports.
 
-Every report is human-readable with a trailing machine-readable block of
-``name value`` lines (full precision) for golden-file tests and scripting.
+Each command prints a plain-text report and returns the ``name value`` pairs
+(full precision) of the machine-readable block that ``main`` prints after it.
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
 
@@ -187,9 +187,9 @@ def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
     return config, MixedState.isotropic(diagonal_state(coeffs), effective), divisor
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args) -> list:
     config, mixed, divisor = _bell_setup(args)
-    s3_exact = bell.s3(mixed, bell.canonical_settings()).s3
+    s3_exact = bell.s3(mixed, bell.canonical_settings())
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
     _print_config(config)
@@ -198,18 +198,17 @@ def cmd_bell(args) -> int:
     print(f"optimized S3 ({args.family} family)   {result.s3:.4f}"
           + ("" if result.converged else "  [not converged]"))
     print(f"classical bound 2.0000, quantum maximum {bell.QUANTUM_MAX:.4f}")
-    _machine_block([
+    return [
         ("s3_exact", s3_exact),
         ("s3_optimized", result.s3),
         ("optimizer_converged", result.converged),
         ("classical_bound", bell.CLASSICAL_BOUND),
         ("quantum_max", bell.QUANTUM_MAX),
         ("normalization_divisor", divisor),
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> list:
     config, mixed, _ = _bell_setup(args)
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed,
@@ -218,13 +217,12 @@ def cmd_optimize(args) -> int:
     print()
     print(f"optimized S3 ({args.family} family)  {result.s3:.4f}"
           + ("" if result.converged else "  [not converged]"))
-    _machine_block([
+    return [
         ("s3_optimized", result.s3),
         ("optimizer_converged", result.converged),
         ("family", result.family),
         ("params", ",".join(repr(float(p)) for p in result.params)),
-    ])
-    return EXIT_OK
+    ]
 
 
 def _report_session(result: protocol.SessionResult) -> list:
@@ -234,7 +232,7 @@ def _report_session(result: protocol.SessionResult) -> list:
     print(f"rounds             {result.n_rounds} ({result.n_detected} detected)")
     print(f"sifted fractions   key {fk:.4f}, bell {fb:.4f}, discarded {fd:.4f}")
     print(f"key length         {len(result.key_a)} trits")
-    for line in result.report.lines():
+    for line in result.lines():
         print(line)
     return [
         ("n_rounds", result.n_rounds),
@@ -244,7 +242,7 @@ def _report_session(result: protocol.SessionResult) -> list:
         ("fraction_discarded", fd),
         ("s3_estimate", result.s3_estimate),
         ("s3_sigma", result.s3_sigma),
-        ("sigmas_above_classical", result.report.sigmas_above_classical),
+        ("sigmas_above_classical", result.sigmas_above_classical),
         ("qter", result.qter),
         ("key_length", len(result.key_a)),
         ("secure", result.secure),
@@ -260,23 +258,22 @@ def _write_keys(out_dir, result: protocol.SessionResult) -> list:
     return [("key_a", paths[0]), ("key_b", paths[1])]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     config, (source, eve, a_cfg, b_cfg) = resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
-    _print_config(config)
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     transcript_path = os.path.join(args.out, "transcript.txt")
     header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
     # sampled, written and sifted chunk by chunk; on too little data the
-    # transcript is already written, but no key file is
+    # transcript is already written, but nothing is printed and no key file written
     result = protocol.analyze(protocol.transcribe(transcript_path, chunks, header))
+    _print_config(config)
     pairs = _report_session(result)
     print(f"transcript         {transcript_path}")
-    _machine_block(pairs + [("transcript", transcript_path)] + _write_keys(args.out, result))
-    return EXIT_OK
+    return pairs + [("transcript", transcript_path)] + _write_keys(args.out, result)
 
 
-def cmd_sift(args) -> int:
+def cmd_sift(args) -> list:
     header = {}
     try:
         result = protocol.analyze(protocol.iter_transcript(args.transcript, header))
@@ -291,11 +288,10 @@ def cmd_sift(args) -> int:
     pairs = _report_session(result)
     if args.out:
         pairs += _write_keys(args.out, result)
-    _machine_block(pairs)
-    return EXIT_OK
+    return pairs
 
 
-def cmd_reconcile(args) -> int:
+def cmd_reconcile(args) -> list:
     key_a = trits.read_key_file(args.key_a)
     key_b = trits.read_key_file(args.key_b)
     out_a, out_b, report = reconcile.parity_sift(key_a, key_b)
@@ -308,7 +304,7 @@ def cmd_reconcile(args) -> int:
     for line in report.lines():
         print(line)
     print(f"output files       {path_a}, {path_b}")
-    _machine_block([
+    return [
         ("input_length", len(key_a)),
         ("kept_blocks", report.kept_blocks),
         ("discarded_blocks", report.discarded_blocks),
@@ -317,11 +313,10 @@ def cmd_reconcile(args) -> int:
         ("dropped_trailing", report.dropped_trailing),
         ("out_a", path_a),
         ("out_b", path_b),
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_encrypt(args) -> int:
+def cmd_encrypt(args) -> list:
     key = trits.read_key_file(args.key_file)
     code = tritcrypt.encode(args.text)
     if key.size < code.size:
@@ -332,15 +327,14 @@ def cmd_encrypt(args) -> int:
     unused = int(key.size - code.size)
     print(f"cipher             {trits.format_trits(cipher, group=3)}")
     print(f"key trits used     {code.size} ({unused} unused)")
-    _machine_block([
+    return [
         ("cipher", trits.format_trits(cipher)),
         ("used_key_trits", int(code.size)),
         ("unused_key_trits", unused),
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_decrypt(args) -> int:
+def cmd_decrypt(args) -> list:
     key = trits.read_key_file(args.key_file)
     cipher = trits.parse_trits(args.cipher)
     if cipher.size % 3 != 0:
@@ -353,12 +347,11 @@ def cmd_decrypt(args) -> int:
     unused = int(key.size - cipher.size)
     print(f"text               {text}")
     print(f"key trits used     {cipher.size} ({unused} unused)")
-    _machine_block([
+    return [
         ("text", text),
         ("used_key_trits", int(cipher.size)),
         ("unused_key_trits", unused),
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +440,12 @@ def main(argv=None) -> int:
     # scipy's own OpenBLAS reads this when the first solve loads it; with a
     # core taken by another process, its threads slow L-BFGS-B several-fold.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help, or a usage error
+        return exc.code
+    try:
+        pairs = args.func(args)
     except protocol.InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_DATA
@@ -460,6 +455,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    _machine_block(pairs)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

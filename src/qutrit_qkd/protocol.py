@@ -213,7 +213,7 @@ def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
     rate is 2/3 of the total uniform-noise weight seen by key rounds.
     Raises if the targets are outside the reachable region.
     """
-    s3_pure = bell.s3(diagonal_state(coefficients), bell.canonical_settings()).s3
+    s3_pure = bell.s3(diagonal_state(coefficients), bell.canonical_settings())
     visibility = target_s3 / s3_pure
     if not 0.0 < visibility <= 1.0:
         raise ValidationError(
@@ -456,14 +456,13 @@ class SecurityReport:
     s3_sigma: float
     sigmas_above_classical: float
     qter: float
-    noise_bound: float = NOISE_BOUND_QUTRIT
 
     def lines(self) -> list[str]:
-        noise = "below" if self.qter < self.noise_bound else "ABOVE"
+        noise = "below" if self.qter < NOISE_BOUND_QUTRIT else "ABOVE"
         return [
             f"S3 estimate        {self.s3_estimate:.4f} +- {self.s3_sigma:.4f}",
             f"classical bound    2.0000 ({self.sigmas_above_classical:.2f} sigma above)",
-            f"QTER               {self.qter:.4f} ({noise} the {self.noise_bound:.3f} noise bound)",
+            f"QTER               {self.qter:.4f} ({noise} the {NOISE_BOUND_QUTRIT:.3f} noise bound)",
             f"verdict            {'SECURE' if self.secure else 'NOT SECURE'}",
         ]
 
@@ -489,11 +488,10 @@ def security_verdict(s3_estimate: float, s3_sigma: float, qter_value: float) -> 
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SessionResult(Sifted):
-    """A whole session's ``Sifted`` tally with its round count and verdict."""
+class SessionResult(Sifted, SecurityReport):
+    """A whole session's ``Sifted`` tally, its round count and its verdict."""
 
     n_rounds: int
-    report: SecurityReport
 
     @property
     def sifted_fractions(self) -> tuple:
@@ -501,31 +499,13 @@ class SessionResult(Sifted):
         n = self.n_rounds
         return self.n_key / n, self.n_bell / n, self.n_discarded / n
 
-    @property
-    def s3_estimate(self) -> float:
-        return self.report.s3_estimate
 
-    @property
-    def s3_sigma(self) -> float:
-        return self.report.s3_sigma
-
-    @property
-    def qter(self) -> float:
-        return self.report.qter
-
-    @property
-    def secure(self) -> bool:
-        return self.report.secure
-
-
-def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
+def analyze(chunks: Iterable[Rounds]) -> SessionResult:
     """Sift a session chunk by chunk, then estimate S3, the QTER and the verdict.
 
-    ``chunks`` is one ``Rounds`` or an iterable of them in round order; each
-    is sifted once and dropped, keeping only the count tensor and the keys.
+    ``chunks`` is an iterable of ``Rounds`` in round order; each is sifted
+    once and dropped, keeping only the count tensor and the keys.
     """
-    if isinstance(chunks, Rounds):
-        chunks = (chunks,)
     counts = np.zeros((DIM, DIM, DIM, DIM), dtype=np.int64)
     n = 0
     keys_a, keys_b = [], []
@@ -540,7 +520,7 @@ def analyze(chunks: Rounds | Iterable[Rounds]) -> SessionResult:
     key_a, key_b = np.concatenate(keys_a), np.concatenate(keys_b)
     s3_hat, s3_sigma = estimate_s3(counts)
     report = security_verdict(s3_hat, s3_sigma, qter(key_a, key_b))
-    return SessionResult(counts=counts, key_a=key_a, key_b=key_b, n_rounds=n, report=report)
+    return SessionResult(counts=counts, key_a=key_a, key_b=key_b, n_rounds=n, **vars(report))
 
 
 def run_protocol(n_rounds: int, source: SourceConfig | None = None,
@@ -659,7 +639,7 @@ def _round_fields(rounds: Rounds, i: int) -> tuple:
             str(rounds.outcome_b[i]) if det else "-", str(int(det)))
 
 
-def transcribe(path, chunks: Rounds | Iterable[Rounds],
+def transcribe(path, chunks: Iterable[Rounds],
                header: dict | None = None) -> Iterator[Rounds]:
     """Write a session to a transcript file as its chunks pass through.
 
@@ -669,8 +649,6 @@ def transcribe(path, chunks: Rounds | Iterable[Rounds],
     reader would reject raise ValidationError naming the round's index in
     the session; earlier lines are already written by then.
     """
-    if isinstance(chunks, Rounds):
-        chunks = (chunks,)
     with open(path, "wb") as fh:
         fh.write("".join(f"# {key} = {value}\n"
                          for key, value in (header or {}).items()).encode())

@@ -38,7 +38,7 @@ def report(num, description, passed, detail=""):
 def test_criterion_01_exact_bell_maximum():
     target = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)
     start = time.perf_counter()
-    value = bell.s3(maximally_entangled_state(), bell.canonical_settings()).s3
+    value = bell.s3(maximally_entangled_state(), bell.canonical_settings())
     elapsed = time.perf_counter() - start
     passed = abs(value - target) < 1e-4 and abs(value - 2.87293) < 1e-4 and elapsed < 1.0
     report(1, "exact S3 at canonical settings equals 4/(6*sqrt(3)-9)", passed,
@@ -71,7 +71,7 @@ def test_criterion_03_local_realism_bound():
         mixed = MixedState(components=tuple(components), white_noise_weight=weights[-1])
         settings = bell.SettingsPair(a1=random_basis(rng), a2=random_basis(rng),
                                      b1=random_basis(rng), b2=random_basis(rng))
-        worst = max(worst, bell.s3(mixed, settings).s3)
+        worst = max(worst, bell.s3(mixed, settings))
     elapsed = time.perf_counter() - start
     passed = worst <= 2.0 + 1e-9 and elapsed < 30.0
     report(3, "separable mixtures never exceed the classical bound", passed,
@@ -122,10 +122,10 @@ def test_criterion_06_reference_statistics():
     passed = (abs(result.qter - 0.093) <= 0.01
               and abs(result.s3_estimate - 2.688) <= 0.1
               and result.secure
-              and result.report.sigmas_above_classical >= 4.0)
+              and result.sigmas_above_classical >= 4.0)
     report(6, "calibrated session reproduces the reference S3 and QTER", passed,
            f"s3={result.s3_estimate:.3f}+-{result.s3_sigma:.3f}, "
-           f"qter={result.qter:.4f}, {result.report.sigmas_above_classical:.1f} sigma")
+           f"qter={result.qter:.4f}, {result.sigmas_above_classical:.1f} sigma")
 
 
 def test_criterion_07_eavesdropper_detectability():

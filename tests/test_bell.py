@@ -99,9 +99,9 @@ class TestCoincidenceMod3:
 class TestS3Exact:
     def test_quantum_maximum_at_canonical_settings(self):
         value = s3(maximally_entangled_state(), canonical_settings())
-        assert value.s3 == pytest.approx(QUANTUM_MAX, abs=1e-12)
-        assert value.s3 == pytest.approx(2.87293, abs=1e-4)
-        assert value.violates_local_realism
+        assert value == pytest.approx(QUANTUM_MAX, abs=1e-12)
+        assert value == pytest.approx(2.87293, abs=1e-4)
+        assert value > CLASSICAL_BOUND
 
     def test_convention_pin(self):
         # The term mapping is fixed by requiring the closed-form maximum;
@@ -121,13 +121,13 @@ class TestS3Exact:
 
     def test_white_state_zero(self):
         rng = np.random.default_rng(3)
-        assert s3(MixedState.white(), canonical_settings()).s3 == pytest.approx(0.0, abs=1e-12)
-        assert s3(MixedState.white(), random_settings(rng)).s3 == pytest.approx(0.0, abs=1e-12)
+        assert s3(MixedState.white(), canonical_settings()) == pytest.approx(0.0, abs=1e-12)
+        assert s3(MixedState.white(), random_settings(rng)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("visibility", [0.25, 0.5, 0.75])
     def test_visibility_scaling(self, visibility):
         mixed = MixedState.isotropic(maximally_entangled_state(), visibility)
-        assert s3(mixed, canonical_settings()).s3 == pytest.approx(
+        assert s3(mixed, canonical_settings()) == pytest.approx(
             visibility * QUANTUM_MAX, abs=1e-9)
 
     def test_closed_form_oracle_random_offsets(self):
@@ -136,7 +136,7 @@ class TestS3Exact:
             offsets = rng.uniform(-2, 2, size=4)
             coeffs = rng.uniform(0.05, 1.0, size=3)
             coeffs /= np.linalg.norm(coeffs)
-            got = s3(diagonal_state(coeffs), canonical_settings(offsets)).s3
+            got = s3(diagonal_state(coeffs), canonical_settings(offsets))
             assert got == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-10)
 
     def test_profile_matches_coefficient_path(self):
@@ -152,14 +152,19 @@ class TestS3Exact:
                 table = outcome_distribution(mixed, getattr(settings, f"a{a}"),
                                              getattr(settings, f"b{b_}"))
                 via_coeffs += float((coeff * table).sum())
-            assert s3(mixed, settings).s3 == pytest.approx(via_coeffs, abs=1e-12)
+            assert s3(mixed, settings) == pytest.approx(via_coeffs, abs=1e-12)
 
-    def test_correlation_profile_normalized(self):
-        profile = bell.correlation_profile(maximally_entangled_state(),
-                                           canonical_settings())
+    def test_mod3_coincidences_normalized(self):
+        t = canonical_settings().tables(maximally_entangled_state())
+        profile = {(a, b_): np.array([coincidence_mod3(t[a - 1, :, b_ - 1, :], k)
+                                      for k in range(3)])
+                   for a in (1, 2) for b_ in (1, 2)}
         assert set(profile) == {(1, 1), (1, 2), (2, 1), (2, 2)}
         for p in profile.values():
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_returns_a_float(self):
+        assert isinstance(s3(maximally_entangled_state(), canonical_settings()), float)
 
     def test_linearity_in_mixture(self):
         rng = np.random.default_rng(5)
@@ -168,8 +173,8 @@ class TestS3Exact:
         psi2 = make_state((1, 0, 0))
         mixed = MixedState(components=((0.3, psi1), (0.45, psi2)),
                            white_noise_weight=0.25)
-        expected = 0.3 * s3(psi1, settings).s3 + 0.45 * s3(psi2, settings).s3
-        assert s3(mixed, settings).s3 == pytest.approx(expected, abs=1e-12)
+        expected = 0.3 * s3(psi1, settings) + 0.45 * s3(psi2, settings)
+        assert s3(mixed, settings) == pytest.approx(expected, abs=1e-12)
 
     def test_no_signalling(self):
         rng = np.random.default_rng(6)
@@ -184,7 +189,7 @@ class TestS3Exact:
         rng = np.random.default_rng(7)
         for _ in range(100):
             mixed = random_product_mixture(rng)
-            assert s3(mixed, random_settings(rng)).s3 <= CLASSICAL_BOUND + 1e-9
+            assert s3(mixed, random_settings(rng)) <= CLASSICAL_BOUND + 1e-9
 
 
 def kernel_s3(rows_a, rows_b, psis, weights, white=0.0):
@@ -204,7 +209,7 @@ class TestKernelS3:
             settings = random_settings(rng)
             expected = s3_bruteforce(list(mixed.components), mixed.white_noise_weight,
                                      (settings.a1, settings.a2), (settings.b1, settings.b2))
-            assert abs(s3(mixed, settings).s3 - expected) < 1e-13
+            assert abs(s3(mixed, settings) - expected) < 1e-13
 
     def test_phase_rows_match_closed_form(self):
         rng = np.random.default_rng(32)
@@ -307,7 +312,7 @@ class TestAnalyticGradients:
 def isotropic_s3(visibility):
     """S3 of the maximal state under isotropic noise, at the canonical settings."""
     return s3(MixedState.isotropic(maximally_entangled_state(), visibility),
-              canonical_settings()).s3
+              canonical_settings())
 
 
 class TestVisibilityLaw:
@@ -320,7 +325,7 @@ class TestVisibilityLaw:
         assert VISIBILITY_AT_CLASSICAL_BOUND == pytest.approx(0.69615, abs=1e-5)
         mixed = MixedState.isotropic(maximally_entangled_state(),
                                      VISIBILITY_AT_CLASSICAL_BOUND)
-        assert s3(mixed, canonical_settings()).s3 == pytest.approx(2.0, abs=1e-12)
+        assert s3(mixed, canonical_settings()) == pytest.approx(2.0, abs=1e-12)
 
     def test_range_check(self):
         with pytest.raises(ValidationError):
@@ -341,7 +346,7 @@ class TestOptimizer:
         # once each relabeled basis absorbs a cyclic outcome shift (integer
         # offset change); this point reproduces the maximum exactly
         exchanged = canonical_settings((0.5, 1.0, -0.25, -0.75))
-        value = s3(maximally_entangled_state(), exchanged).s3
+        value = s3(maximally_entangled_state(), exchanged)
         assert value == pytest.approx(QUANTUM_MAX, abs=1e-12)
         # the multi-start optimizer reaches the same maximum from any seed
         for seed in (4, 5):

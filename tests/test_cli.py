@@ -228,9 +228,10 @@ class TestSimulateAndSift:
 
     def test_insufficient_data_keeps_transcript(self, capsys, tmp_path):
         out_dir = tmp_path / "few"
-        code, _, err = run_cli(capsys, "simulate", "--rounds", "3", "--seed", "1",
-                               "--out", str(out_dir))
+        code, out, err = run_cli(capsys, "simulate", "--rounds", "3", "--seed", "1",
+                                 "--out", str(out_dir))
         assert code == 4
+        assert out == ""
         assert (out_dir / "transcript.txt").exists()
         assert not (out_dir / "key_a.txt").exists()
 
@@ -303,6 +304,9 @@ class TestSimulateAndSift:
     (("optimize", "--restarts", "0"), "restarts"),
     (("bell", "--tolerance", "1e300"), "tolerance"),
     (("bell", "--coefficients", "1,1"), "bad value for coefficients"),
+    (("optimize", "--restarts", "x"), "--restarts"),
+    (("bell", "--tolerance", "abc"), "--tolerance"),
+    (("simulate", "--eve-arm", "C"), "--eve-arm"),
 ])
 def test_input_error_prints_nothing(capsys, tmp_path, argv, field):
     """A command whose inputs fail validation writes nothing to stdout."""
@@ -312,6 +316,13 @@ def test_input_error_prints_nothing(capsys, tmp_path, argv, field):
     assert out == ""
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [(), ("simulate",), ("sift",)])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert code == 0
+    assert out.startswith("usage: qutrit-qkd") and err == ""
 
 
 def test_unusable_out_dir_prints_nothing(capsys, tmp_path):

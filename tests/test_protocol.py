@@ -365,12 +365,19 @@ class TestKeysAndVerdict:
         report = security_verdict(2.825, 0.052, 0.074)
         assert report.secure
         assert report.sigmas_above_classical == pytest.approx(15.9, abs=0.1)
-        assert report.noise_bound == 0.225
+        assert protocol.NOISE_BOUND_QUTRIT == 0.225
 
     def test_verdict_lines_render(self):
         lines = security_verdict(2.688, 0.171, 0.093).lines()
         assert any("SECURE" in line for line in lines)
         assert any("0.225" in line for line in lines)
+
+    def test_session_result_holds_its_verdict(self):
+        r = run_protocol(3000, seed=4)
+        verdict = security_verdict(r.s3_estimate, r.s3_sigma, r.qter)
+        assert r.lines() == verdict.lines()
+        assert r.sigmas_above_classical == verdict.sigmas_above_classical
+        assert r.secure == verdict.secure
 
 
 class TestNoiseKnobs:
@@ -460,7 +467,7 @@ class TestChunkedSession:
         rounds = self.session(C + 5000, seed=31)
         cuts = (0, 1, 1000, len(rounds))
         parts = [rounds.subset(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-        whole, split = analyze(rounds), analyze(iter(parts))
+        whole, split = analyze([rounds]), analyze(iter(parts))
         for name in ("s3_estimate", "s3_sigma", "qter", "sifted_fractions",
                      "secure", "n_rounds", "n_detected"):
             assert getattr(split, name) == getattr(whole, name)
@@ -489,7 +496,7 @@ class TestChunkedSession:
         monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", 4096)
         rounds = self.session(3000, seed=32)
         whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
-        list(transcribe(whole, rounds, header={"seed": 32}))
+        list(transcribe(whole, [rounds], header={"seed": 32}))
         list(transcribe(split, (rounds.subset(slice(0, 7)), rounds.subset(slice(7, None))),
                         header={"seed": 32}))
         assert split.read_bytes() == whole.read_bytes()
@@ -513,7 +520,7 @@ class TestTranscriptIO:
         rounds = run_session(500, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, a, b, seed=21)
         path = tmp_path / "transcript.txt"
-        list(transcribe(path, rounds, header={"seed": 21, "rounds": 500}))
+        list(transcribe(path, [rounds], header={"seed": 21, "rounds": 500}))
         header = {}
         loaded = protocol._concat(iter_transcript(path, header))
         assert header == {"seed": "21", "rounds": "500"}
@@ -535,7 +542,7 @@ class TestTranscriptIO:
                              NO_EVE, a, b, seed=22)
         header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
         path = tmp_path / "transcript.txt"
-        list(transcribe(path, rounds, header=header))
+        list(transcribe(path, [rounds], header=header))
         expected = [f"# {key} = {value}\n" for key, value in header.items()]
         for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in rounds._columns())):
             oa, ob = (oa, ob) if det else ("-", "-")
@@ -637,4 +644,4 @@ class TestTranscriptIO:
         rounds = run_session(10, IDEAL, NO_EVE, *default_parties(), seed=1)
         getattr(rounds, column)[3] = value
         with pytest.raises(ValidationError, match=message):
-            list(transcribe(tmp_path / "t.txt", rounds))
+            list(transcribe(tmp_path / "t.txt", [rounds]))
