@@ -148,7 +148,8 @@ def _session(config: RunConfig) -> tuple:
         key_crosstalk=config.key_crosstalk,
     )
     eve = protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)
-    return (source, eve, *protocol.default_parties(bias_a=config.bias, bias_b=config.bias))
+    party = protocol.PartyConfig(config.bias)
+    return source, eve, party, party
 
 
 def _config_value(value):

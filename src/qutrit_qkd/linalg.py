@@ -50,7 +50,12 @@ def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
         raise ValidationError(f"expected 3 coefficients, got shape {c.shape}")
     if np.any(c < 0) or not np.all(np.isfinite(c)):
         raise ValidationError("coefficients must be finite and non-negative")
-    norm = float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(c))
+    if not 0.0 < norm < np.inf and c.max() > 0.0:
+        # the squared norm over- or underflows: divide by the largest entry first
+        unit, divisor = normalize_coefficients(c / c.max())
+        return unit, float(c.max()) * divisor
     if norm == 0.0:
         raise InvalidStateError("all-zero coefficients do not define a state")
     return c / norm, norm

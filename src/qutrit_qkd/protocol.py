@@ -29,7 +29,6 @@ from .linalg import (
     computational_basis,
     diagonal_state,
     make_state,
-    phase_rows,
     require_orthonormal,
 )
 
@@ -84,20 +83,15 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class PartyConfig:
-    """Setting choice distribution and the three analyzer bases (1, 2, key)."""
+    """A party's probabilities of choosing settings 1, 2 and 3 (key)."""
 
     setting_probabilities: tuple = (1 / 3, 1 / 3, 1 / 3)
-    bases: tuple = ()
 
     def __post_init__(self):
         p = np.asarray(self.setting_probabilities, dtype=float)
         if p.shape != (3,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
             raise ValidationError(
                 f"setting probabilities must be 3 non-negative reals summing to 1, got {p}")
-        if len(self.bases) != 3:
-            raise ValidationError("a party needs exactly 3 measurement bases")
-        for basis in self.bases:
-            require_orthonormal(basis)
 
 
 @dataclass(frozen=True)
@@ -117,24 +111,13 @@ class EveConfig:
             object.__setattr__(self, "basis", np.asarray(basis, dtype=complex))
 
 
-def default_parties(bias_a=None, bias_b=None) -> tuple[PartyConfig, PartyConfig]:
-    """Standard analyzer configuration for both observers.
-
-    Bell settings use the canonical phase offsets; B's Bell bases absorb the
-    1<->2 relabel of the source form, and both key settings are the
-    computational basis (B's key trit is relabeled after measurement).
-    """
-    offsets = bell.CANONICAL_OFFSETS
-    rows_a, rows_b = phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:])[:, SWAP_12]
-    alice = PartyConfig(
-        setting_probabilities=tuple(bias_a) if bias_a is not None else (1 / 3, 1 / 3, 1 / 3),
-        bases=(rows_a[:DIM], rows_a[DIM:], computational_basis()),
-    )
-    bob = PartyConfig(
-        setting_probabilities=tuple(bias_b) if bias_b is not None else (1 / 3, 1 / 3, 1 / 3),
-        bases=(rows_b[:DIM], rows_b[DIM:], computational_basis()),
-    )
-    return alice, bob
+# The fixed analyzers, rows of settings 1, 2 and 3 stacked (9, 3) per party: the
+# canonical phase bases, B's relabeled 1<->2 as the source form is, then the key basis.
+_BELL = bell.canonical_settings()
+_ROWS_A = np.concatenate((_BELL.a1, _BELL.a2, computational_basis()))
+_ROWS_B = np.concatenate((_BELL.b1[:, SWAP_12], _BELL.b2[:, SWAP_12], computational_basis()))
+_ROWS_A.setflags(write=False)
+_ROWS_B.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +159,7 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
                       white_noise_weight=mixed.white_noise_weight)
 
 
-def _setting_tables(source: SourceConfig, eve: EveConfig,
-                    a: PartyConfig, b: PartyConfig) -> np.ndarray:
+def _setting_tables(source: SourceConfig, eve: EveConfig) -> np.ndarray:
     """Exact outcome tables of all setting pairs, with outcome-level noise folded in.
 
     Indexed ``[setting_a - 1, outcome_a, setting_b - 1, outcome_b]``.
@@ -187,8 +169,7 @@ def _setting_tables(source: SourceConfig, eve: EveConfig,
     pairs come from one call of the Born kernel.
     """
     mixed = post_eve_mixture(source_mixture(source), eve)
-    t = born_tables(np.concatenate(a.bases), np.concatenate(b.bases), mixed.psis,
-                    mixed.weights, mixed.white_noise_weight)
+    t = born_tables(_ROWS_A, _ROWS_B, mixed.psis, mixed.weights, mixed.white_noise_weight)
     uniform = 1.0 / 9.0
     t = (1.0 - source.background_fraction) * t + source.background_fraction * uniform
     if source.key_crosstalk > 0.0:
@@ -197,11 +178,9 @@ def _setting_tables(source: SourceConfig, eve: EveConfig,
     return t
 
 
-def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig(),
-                     parties: tuple | None = None) -> float:
+def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig()) -> float:
     """Exact S3 implied by a session configuration (no sampling)."""
-    a, b = parties if parties is not None else default_parties()
-    return bell.s3_of(_setting_tables(source, eve, a, b)[:2, :, :2, :])
+    return bell.s3_of(_setting_tables(source, eve)[:2, :, :2, :])
 
 
 def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
@@ -306,12 +285,13 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
     """A seeded measurement session as ``Rounds`` chunks of at most 65536 rounds.
 
     Settings and detection are drawn per round, outcomes from the exact
-    per-setting-pair tables.  Chunking does not change the draws: identical
+    per-setting-pair tables of the fixed analyzers; ``a`` and ``b`` give the
+    setting probabilities.  Chunking does not change the draws: identical
     seeds and configurations reproduce the session bit for bit.
     """
     if n_rounds <= 0:
         raise ValidationError(f"n_rounds must be positive, got {n_rounds}")
-    t = _setting_tables(source, eve, a, b)
+    t = _setting_tables(source, eve)
     cdf = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
     # row k holds every setting pair's k-th cumulative outcome probability
     thresholds = np.ascontiguousarray(cdf[:, :8].T)
@@ -530,7 +510,7 @@ def run_protocol(n_rounds: int, source: SourceConfig | None = None,
     chunk by ``analyze``."""
     source = source if source is not None else SourceConfig()
     eve = eve if eve is not None else EveConfig()
-    a_cfg, b_cfg = parties if parties is not None else default_parties()
+    a_cfg, b_cfg = parties if parties is not None else (PartyConfig(), PartyConfig())
     return analyze(iter_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
 
 

@@ -13,8 +13,8 @@ from qutrit_qkd.bell import random_basis
 from qutrit_qkd.linalg import MixedState, maximally_entangled_state
 from qutrit_qkd.protocol import (
     EveConfig,
+    PartyConfig,
     SourceConfig,
-    default_parties,
     estimate_s3,
     exact_session_s3,
     qter,
@@ -80,7 +80,7 @@ def test_criterion_03_local_realism_bound():
 
 def test_criterion_04_estimator_fidelity():
     source, eve = SourceConfig(), EveConfig()
-    a, b = default_parties()
+    a, b = PartyConfig(), PartyConfig()
     start = time.perf_counter()
     within = 0
     sigma_ok = True
@@ -99,7 +99,7 @@ def test_criterion_04_estimator_fidelity():
 
 
 def test_criterion_05_sifting_fractions():
-    a, b = default_parties()
+    a, b = PartyConfig(), PartyConfig()
     n = 1_000_000
     rounds = run_session(n, SourceConfig(), EveConfig(), a, b, seed=99)
     sifted = sift(rounds)
@@ -144,7 +144,7 @@ def test_criterion_07_eavesdropper_detectability():
             result.s3_estimate < 2.0 + 3 * result.s3_sigma)
     # computational-basis interception leaves the key error-free
     comp_eve = EveConfig(enabled=True, arm="B")
-    a, b = default_parties()
+    a, b = PartyConfig(), PartyConfig()
     rounds = run_session(100_000, source, comp_eve, a, b, seed=55)
     sifted = sift(rounds)
     key_qter = qter(sifted.key_a, sifted.key_b)

@@ -98,6 +98,36 @@ class TestOptimizeCommand:
         assert "tolerance" in err
 
 
+# coefficient triples whose squared norm overflows or underflows, and the
+# ordinary triple each one normalizes to
+EXTREME_COEFFICIENTS = [
+    ("1e308,1e308,1e308", "1,1,1"),
+    ("1e200,1e-200,0", "1,0,0"),
+    ("1e-320,0,0", "1,0,0"),
+]
+
+
+@pytest.mark.parametrize("extreme, plain", EXTREME_COEFFICIENTS)
+def test_bell_extreme_coefficients(capsys, extreme, plain):
+    code, out, err = run_cli(capsys, "bell", "--coefficients", extreme)
+    assert (code, err) == (0, "")
+    _, plain_out, _ = run_cli(capsys, "bell", "--coefficients", plain)
+    assert machine_block(out)["s3_exact"] == machine_block(plain_out)["s3_exact"]
+
+
+@pytest.mark.parametrize("extreme, plain", EXTREME_COEFFICIENTS)
+def test_simulate_extreme_coefficients(capsys, tmp_path, extreme, plain):
+    def session(coefficients, name):
+        return run_cli(capsys, "simulate", "--coefficients", coefficients,
+                       "--rounds", "2000", "--out", str(tmp_path / name))
+
+    code, out, err = session(extreme, "extreme")
+    assert (code, err) == (0, "")
+    values, plain_values = machine_block(out), machine_block(session(plain, "plain")[1])
+    for name in ("s3_estimate", "qter", "key_length"):
+        assert values[name] == plain_values[name]
+
+
 class TestSimulateAndSift:
     def test_end_to_end(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -1,8 +1,11 @@
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from qutrit_qkd import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "trits", "tritcrypt")
@@ -25,3 +28,9 @@ def test_api_notes_name_something():
 @pytest.mark.parametrize("module, name", api_note_names())
 def test_api_notes_name_existing_api(module, name):
     getattr(importlib.import_module(f"qutrit_qkd.{module}"), name)
+
+
+def test_recognized_keys_match_config_parsers():
+    text = README.read_text().split("Recognized keys:", 1)[1].split(".\n", 1)[0]
+    keys = re.findall(r"`(\w+)`", text)
+    assert keys == list(cli._CONFIG_PARSERS) == [f.name for f in fields(cli.RunConfig)]

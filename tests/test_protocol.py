@@ -8,7 +8,13 @@ from scipy.stats import chi2
 
 from qutrit_qkd import bell, protocol
 from qutrit_qkd.bell import random_basis
-from qutrit_qkd.linalg import MixedState, ValidationError, make_state
+from qutrit_qkd.linalg import (
+    SWAP_12,
+    MixedState,
+    ValidationError,
+    make_state,
+    orthonormality_residual,
+)
 from qutrit_qkd.protocol import (
     EveConfig,
     InsufficientDataError,
@@ -18,7 +24,6 @@ from qutrit_qkd.protocol import (
     SourceConfig,
     calibrate_noise,
     analyze,
-    default_parties,
     estimate_s3,
     exact_session_s3,
     iter_session,
@@ -39,11 +44,10 @@ NO_EVE = EveConfig()
 
 
 def forced_parties(setting_a, setting_b):
-    a, b = default_parties()
     probs_a = tuple(1.0 if s == setting_a else 0.0 for s in (1, 2, 3))
     probs_b = tuple(1.0 if s == setting_b else 0.0 for s in (1, 2, 3))
-    return (PartyConfig(setting_probabilities=probs_a, bases=a.bases),
-            PartyConfig(setting_probabilities=probs_b, bases=b.bases))
+    return (PartyConfig(setting_probabilities=probs_a),
+            PartyConfig(setting_probabilities=probs_b))
 
 
 class TestConfigs:
@@ -58,11 +62,8 @@ class TestConfigs:
             SourceConfig(coefficients=(0, 0, 0))
 
     def test_party_probabilities(self):
-        a, _ = default_parties()
         with pytest.raises(ValidationError):
-            PartyConfig(setting_probabilities=(0.5, 0.5, 0.5), bases=a.bases)
-        with pytest.raises(ValidationError):
-            PartyConfig(bases=(*a.bases[:2], np.full((3, 3), np.nan, dtype=complex)))
+            PartyConfig(setting_probabilities=(0.5, 0.5, 0.5))
 
     def test_eve_arm(self):
         with pytest.raises(ValidationError):
@@ -71,9 +72,30 @@ class TestConfigs:
             EveConfig(enabled=True, basis=np.full((3, 3), np.nan, dtype=complex))
 
     def test_biased_parties(self):
-        a, b = default_parties(bias_a=(0.25, 0.25, 0.5), bias_b=(0.2, 0.2, 0.6))
+        a, b = PartyConfig((0.25, 0.25, 0.5)), PartyConfig((0.2, 0.2, 0.6))
         assert a.setting_probabilities == (0.25, 0.25, 0.5)
         assert b.setting_probabilities == (0.2, 0.2, 0.6)
+
+
+class TestAnalyzers:
+    """The fixed analyzers: settings 1, 2 and 3 (key) stacked per party."""
+
+    def test_blocks_are_orthonormal(self):
+        for rows in (protocol._ROWS_A, protocol._ROWS_B):
+            assert rows.shape == (9, 3)
+            for block in rows.reshape(3, 3, 3):
+                assert orthonormality_residual(block) < 1e-12
+
+    def test_blocks_are_the_canonical_settings(self):
+        s = bell.canonical_settings()
+        want_a = (s.a1, s.a2, np.eye(3))
+        want_b = (s.b1[:, SWAP_12], s.b2[:, SWAP_12], np.eye(3))
+        for rows, want in ((protocol._ROWS_A, want_a), (protocol._ROWS_B, want_b)):
+            for block, basis in zip(rows.reshape(3, 3, 3), want):
+                assert np.array_equal(block, basis)
+
+    def test_ideal_session_reaches_quantum_max(self):
+        assert exact_session_s3(SourceConfig()) == pytest.approx(bell.QUANTUM_MAX, abs=1e-12)
 
 
 class TestSampleRound:
@@ -155,20 +177,20 @@ class TestPostEveMixture:
 
 class TestRunSession:
     def test_deterministic(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         r1 = run_session(4000, IDEAL, NO_EVE, a, b, seed=42)
         r2 = run_session(4000, IDEAL, NO_EVE, a, b, seed=42)
         for c1, c2 in zip(r1._columns(), r2._columns()):
             assert np.array_equal(c1, c2)
 
     def test_zero_rounds_rejected(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         with pytest.raises(ValidationError):
             run_session(0, IDEAL, NO_EVE, a, b, seed=1)
 
     def test_setting_pair_frequencies(self):
         n = 200_000
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(n, IDEAL, NO_EVE, a, b, seed=7)
         sigma = np.sqrt(n * (1 / 9) * (8 / 9))
         for sa in (1, 2, 3):
@@ -179,7 +201,7 @@ class TestRunSession:
 
 class TestSift:
     def test_partition_of_detected(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         source = SourceConfig(detection_efficiency=0.5)
         rounds = run_session(20_000, source, NO_EVE, a, b, seed=8)
         sifted = sift(rounds)
@@ -191,7 +213,7 @@ class TestSift:
         assert key + bell_rounds + mixed == int(det.sum())
 
     def test_fractions(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(200_000, IDEAL, NO_EVE, a, b, seed=9)
         sifted = sift(rounds)
         n = len(rounds)
@@ -207,7 +229,7 @@ class TestSift:
         assert sifted.n_bell == 0
 
     def test_matches_per_round_tally(self):
-        a, b = default_parties(bias_a=(0.5, 0.2, 0.3), bias_b=(0.1, 0.4, 0.5))
+        a, b = PartyConfig((0.5, 0.2, 0.3)), PartyConfig((0.1, 0.4, 0.5))
         source = SourceConfig(detection_efficiency=0.5, visibility=0.8)
         rounds = run_session(3000, source, NO_EVE, a, b, seed=23)
         sifted = sift(rounds)
@@ -244,7 +266,7 @@ class TestSift:
 
 class TestEstimateS3:
     def test_converges_to_exact(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=12)
         s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert abs(s3_hat - bell.QUANTUM_MAX) < 3 * sigma
@@ -292,7 +314,7 @@ class TestEstimateS3:
     def test_visibility_tuned_to_reference(self):
         visibility = 2.688 / bell.QUANTUM_MAX
         source = SourceConfig(visibility=visibility)
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(300_000, source, NO_EVE, a, b, seed=14)
         s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert abs(s3_hat - 2.688) < 3 * sigma
@@ -300,8 +322,8 @@ class TestEstimateS3:
     def test_empirical_tables_chi_square(self):
         # pooled chi-square over the nine setting-pair tables at n = 1e5;
         # at least 99 of 100 seeded repetitions stay below the 99.9% quantile
-        a, b = default_parties()
-        tables = protocol._setting_tables(IDEAL, NO_EVE, a, b)
+        a, b = PartyConfig(), PartyConfig()
+        tables = protocol._setting_tables(IDEAL, NO_EVE)
         threshold = chi2.ppf(0.999, df=72)
         passes = 0
         for seed in range(100):
@@ -389,8 +411,7 @@ class TestNoiseKnobs:
     def test_calibration_hits_targets_exactly(self):
         source = reference_source()
         assert exact_session_s3(source) == pytest.approx(2.688, abs=1e-9)
-        a, b = default_parties()
-        table = protocol._setting_tables(source, NO_EVE, a, b)[2, :, 2, :]
+        table = protocol._setting_tables(source, NO_EVE)[2, :, 2, :]
         match = table[0, 0] + table[1, 2] + table[2, 1]
         assert 1.0 - match == pytest.approx(14 / 150, abs=1e-9)
 
@@ -410,7 +431,7 @@ class TestProtocolSession:
 
     def test_party_estimate_matches_omniscient(self):
         result = run_protocol(50_000, seed=18)
-        sifted = sift(run_session(50_000, IDEAL, NO_EVE, *default_parties(), seed=18))
+        sifted = sift(run_session(50_000, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=18))
         s3_hat, sigma = estimate_s3(sifted.counts)
         assert result.s3_estimate == pytest.approx(s3_hat, abs=1e-12)
         assert result.s3_sigma == pytest.approx(sigma, abs=1e-12)
@@ -444,13 +465,12 @@ class TestChunkedSession:
     EVE = EveConfig(enabled=True, arm="A")
 
     def session(self, n, seed):
-        a, b = default_parties(bias_a=self.BIAS_A, bias_b=self.BIAS_B)
+        a, b = PartyConfig(self.BIAS_A), PartyConfig(self.BIAS_B)
         return run_session(n, self.SOURCE, self.EVE, a, b, seed=seed)
 
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 7])
     def test_matches_reference_oracle(self, n):
-        a, b = default_parties(bias_a=self.BIAS_A, bias_b=self.BIAS_B)
-        tables = protocol._setting_tables(self.SOURCE, self.EVE, a, b)
+        tables = protocol._setting_tables(self.SOURCE, self.EVE)
         expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, 0.4, seed=n)
         got = self.session(n, seed=n)._columns()
         for col, want in zip(got, expected):
@@ -458,7 +478,7 @@ class TestChunkedSession:
             assert np.array_equal(col, want)
 
     def test_chunk_sizes(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         chunks = list(iter_session(2 * C + 7, IDEAL, NO_EVE, a, b, seed=3))
         assert [len(c) for c in chunks] == [C, C, 7]
         assert chunks[2].round_id[0] == 2 * C
@@ -475,7 +495,7 @@ class TestChunkedSession:
         assert np.array_equal(split.key_b, whole.key_b)
 
     def test_analysis_memory_does_not_grow_with_rounds(self):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         source = SourceConfig(detection_efficiency=0.01)
 
         def peak(n):
@@ -516,7 +536,7 @@ class TestChunkedSession:
 
 class TestTranscriptIO:
     def test_round_trip(self, tmp_path):
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(500, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, a, b, seed=21)
         path = tmp_path / "transcript.txt"
@@ -537,7 +557,7 @@ class TestTranscriptIO:
     def test_writer_matches_reference_text(self, tmp_path, monkeypatch, chunk_rows):
         if chunk_rows is not None:
             monkeypatch.setattr(protocol, "_WRITE_CHUNK_ROWS", chunk_rows)
-        a, b = default_parties()
+        a, b = PartyConfig(), PartyConfig()
         rounds = run_session(1500, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, a, b, seed=22)
         header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
@@ -641,7 +661,7 @@ class TestTranscriptIO:
         ("round_id", 1, "round index 3: round_id 1 does not exceed"),
     ])
     def test_writer_rejects_unreadable_rounds(self, tmp_path, column, value, message):
-        rounds = run_session(10, IDEAL, NO_EVE, *default_parties(), seed=1)
+        rounds = run_session(10, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=1)
         getattr(rounds, column)[3] = value
         with pytest.raises(ValidationError, match=message):
             list(transcribe(tmp_path / "t.txt", [rounds]))
