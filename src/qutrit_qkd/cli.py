@@ -15,7 +15,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from . import bell, protocol, reconcile, tritcrypt, trits
+from . import bell, protocol, reconcile, transcript, tritcrypt, trits
 from .linalg import MixedState, ValidationError, diagonal_state, normalize_coefficients
 
 EXIT_OK = 0
@@ -267,7 +267,7 @@ def cmd_simulate(args) -> list:
     header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but nothing is printed and no key file written
-    result = protocol.analyze(protocol.transcribe(transcript_path, chunks, header))
+    result = protocol.analyze(transcript.transcribe(transcript_path, chunks, header))
     _print_config(config)
     pairs = _report_session(result)
     print(f"transcript         {transcript_path}")
@@ -277,7 +277,7 @@ def cmd_simulate(args) -> list:
 def cmd_sift(args) -> list:
     header = {}
     try:
-        result = protocol.analyze(protocol.iter_transcript(args.transcript, header))
+        result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
     if args.out:

@@ -513,227 +513,3 @@ def run_protocol(n_rounds: int, source: SourceConfig | None = None,
     a_cfg, b_cfg = parties if parties is not None else (PartyConfig(), PartyConfig())
     return analyze(iter_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
 
-
-# ---------------------------------------------------------------------------
-# Transcript files
-# ---------------------------------------------------------------------------
-#
-# One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
-#   round_id    decimal digits (at most 18), strictly increasing down the file
-#   setting_*   1, 2 or 3
-#   detected    0 or 1
-#   outcome_*   0, 1 or 2 when detected is 1, '-' when detected is 0
-# Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
-# lines whose first field starts with '#' are skipped; '# key = value' lines
-# anywhere form the header.  Both directions work on fixed-size chunks: a
-# whole-file pass holds tens of bytes of index arrays per transcript byte.
-
-_WRITE_CHUNK_ROWS = 1 << 15
-_READ_BLOCK_BYTES = 1 << 18
-_MAX_ID_DIGITS = 18                 # every such id fits in an int64
-_POW10 = 10 ** np.arange(1, _MAX_ID_DIGITS + 1, dtype=np.int64)
-_LINE_TAIL = np.frombuffer(b" 0 0 0 0 0\n", dtype=np.uint8)
-_DASH = ord("-")
-
-
-def _byte_set(chars: bytes) -> np.ndarray:
-    table = np.zeros(256, dtype=bool)
-    table[list(chars)] = True
-    return table
-
-
-_IS_SOLID = ~_byte_set(b" \t\r\v\f\n")
-_IS_SETTING = _byte_set(b"123")
-# detected character -> 0, 1, or 2 for anything else
-_DETECTED_CODE = np.full(256, 2, dtype=np.uint8)
-_DETECTED_CODE[[ord("0"), ord("1")]] = [0, 1]
-# [detected code, outcome character] -> outcome allowed
-_OUTCOME_OK = np.stack((_byte_set(b"-"), _byte_set(b"012"), np.ones(256, dtype=bool)))
-# character -> field value ('-' reads as -1)
-_CHAR_VALUE = np.full(256, -1, dtype=np.int8)
-_CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
-
-_FAULTS = (
-    f"round_id {{0!r}} is not a non-negative integer of at most {_MAX_ID_DIGITS} digits",
-    "setting_a {1!r} is not 1, 2 or 3",
-    "setting_b {3!r} is not 1, 2 or 3",
-    "detected {5!r} is not 0 or 1",
-    "outcome_a {2!r} must be {want} when detected is {5}",
-    "outcome_b {4!r} must be {want} when detected is {5}",
-    "round_id {0} does not exceed the previous round_id {prev}",
-)
-
-
-def _first_fault(ids, id_ok, prev_id, chars, fields_of):
-    """(row, message) for the first row breaking the transcript grammar, or None.
-
-    ``chars`` stacks each row's single-character fields (setting_a,
-    outcome_a, setting_b, outcome_b, detected) as uint8 rows; ``fields_of``
-    renders one row's six fields as text for the message.
-    """
-    sa, oa, sb, ob, det = chars
-    det_code = _DETECTED_CODE[det]
-    faults = np.stack((
-        ~id_ok,
-        ~_IS_SETTING[sa],
-        ~_IS_SETTING[sb],
-        det_code == 2,
-        ~_OUTCOME_OK[det_code, oa],
-        ~_OUTCOME_OK[det_code, ob],
-        ids <= np.concatenate(([prev_id], ids[:-1])),
-    ))
-    bad = faults.any(axis=0)
-    if not bad.any():
-        return None
-    row = int(bad.argmax())
-    fields = fields_of(row)
-    message = _FAULTS[int(faults[:, row].argmax())].format(
-        *fields, want="0, 1 or 2" if fields[5] == "1" else "'-'",
-        prev=ids[row - 1] if row else prev_id)
-    return row, message
-
-
-def _format_rows(ids: np.ndarray, chars: np.ndarray) -> bytes:
-    """Transcript lines for valid rows: the id's digits, then an 11-byte tail."""
-    width = 1 + np.searchsorted(_POW10, ids, side="right")
-    w = int(width.max())
-    table = np.empty((len(ids), w + len(_LINE_TAIL)), dtype=np.uint8)
-    table[:, w:] = _LINE_TAIL
-    table[:, w + 1:w + 10:2] = chars.T
-    rest = ids
-    for col in range(w - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        table[:, col] = digit + 48
-    keep = np.arange(table.shape[1]) >= (w - width)[:, None]
-    return table[keep].tobytes()
-
-
-def _digit_chars(values: np.ndarray) -> np.ndarray:
-    return np.where((values >= 0) & (values <= 9), values + 48, ord("?")).astype(np.uint8)
-
-
-def _round_fields(rounds: Rounds, i: int) -> tuple:
-    det = bool(rounds.detected[i])
-    return (str(rounds.round_id[i]), str(rounds.setting_a[i]),
-            str(rounds.outcome_a[i]) if det else "-", str(rounds.setting_b[i]),
-            str(rounds.outcome_b[i]) if det else "-", str(int(det)))
-
-
-def transcribe(path, chunks: Iterable[Rounds],
-               header: dict | None = None) -> Iterator[Rounds]:
-    """Write a session to a transcript file as its chunks pass through.
-
-    Yields each ``Rounds`` chunk once its lines are written, so a session
-    can be written and analyzed in one pass; the file is complete when the
-    iteration ends.  Header lines are '# key = value'.  Rounds that the
-    reader would reject raise ValidationError naming the round's index in
-    the session; earlier lines are already written by then.
-    """
-    with open(path, "wb") as fh:
-        fh.write("".join(f"# {key} = {value}\n"
-                         for key, value in (header or {}).items()).encode())
-        prev_id, base = -1, 0
-        for rounds in chunks:
-            for lo in range(0, len(rounds), _WRITE_CHUNK_ROWS):
-                part = rounds.subset(slice(lo, lo + _WRITE_CHUNK_ROWS))
-                ids = part.round_id.astype(np.int64)
-                det = part.detected.astype(bool)
-                chars = np.stack((
-                    _digit_chars(part.setting_a),
-                    np.where(det, _digit_chars(part.outcome_a), _DASH),
-                    _digit_chars(part.setting_b),
-                    np.where(det, _digit_chars(part.outcome_b), _DASH),
-                    det + np.uint8(48),
-                )).astype(np.uint8)
-                fault = _first_fault(ids, (ids >= 0) & (ids < 10 ** _MAX_ID_DIGITS),
-                                     prev_id, chars, lambda row: _round_fields(part, row))
-                if fault is not None:
-                    row, message = fault
-                    raise ValidationError(f"{path}: round index {base + lo + row}: {message}")
-                fh.write(_format_rows(ids, chars))
-                prev_id = ids[-1]
-            base += len(rounds)
-            yield rounds
-
-
-def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
-    """Columns of the rounds in ``data``, whole lines ending in a newline.
-
-    ``line0`` is the number of lines before ``data`` and ``prev_id`` the
-    last round id before it; header lines are added to ``header``.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == 10)
-    starts, ends = np.flatnonzero(np.diff(
-        _IS_SOLID.take(buf), prepend=False, append=False)).reshape(-1, 2).T
-    # line j holds fields first[j] .. first[j] + n_fields[j] - 1
-    last = np.searchsorted(starts, newlines)
-    first = np.concatenate(([0], last[:-1]))
-    n_fields = last - first
-    used = np.flatnonzero(n_fields)
-    comment = buf[starts[first[used]]] == ord("#")
-    for j in used[comment]:
-        body = data[starts[first[j]] + 1:newlines[j]].decode(errors="replace").strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            header[key.strip()] = value.strip()
-
-    lines = used[~comment]
-    wrong = n_fields[lines] != 6
-    rows = lines[~wrong]
-    field = first[rows] + np.arange(6)[:, None]
-    size = ends[field] - starts[field]
-    chars = np.where(size[1:] == 1, buf[starts[field[1:]]], np.uint8(0))
-
-    id_start, id_size = starts[field[0]], size[0]
-    id_ok = id_size <= _MAX_ID_DIGITS
-    ids = np.zeros(len(rows), dtype=np.int64)
-    for k in range(min(int(id_size.max(initial=0)), _MAX_ID_DIGITS)):
-        live = k < id_size
-        digit = buf[id_start + np.minimum(k, id_size - 1)] - np.uint8(48)
-        id_ok &= ~live | (digit <= 9)
-        ids = np.where(live, 10 * ids + digit, ids)
-
-    errors = []
-    if wrong.any():
-        j = lines[wrong.argmax()]
-        errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
-    fault = _first_fault(ids, id_ok, prev_id, chars, lambda row: tuple(
-        data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row]))
-    if fault is not None:
-        row, message = fault
-        errors.append((rows[row], message))
-    if errors:
-        at, message = min(errors)
-        raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
-
-    sa, oa, sb, ob, det = (_CHAR_VALUE.take(c) for c in chars)   # one array each
-    return (ids, sa, oa, sb, ob, det.astype(bool)), len(newlines)
-
-
-def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
-    """Parse a transcript file one read block at a time.
-
-    Yields the rounds of each block as a ``Rounds`` chunk, in file order,
-    and adds header lines to ``header`` as they are read.  Raises
-    ValidationError with the line number of the first bad line.
-    """
-    header = {} if header is None else header
-    line0, prev_id, rest = 0, -1, b""
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_READ_BLOCK_BYTES)
-            data = rest + block
-            if block:
-                cut = data.rfind(b"\n") + 1
-                data, rest = data[:cut], data[cut:]
-            elif data:
-                data += b"\n"               # the last line lacks its newline
-            if data:
-                cols, n_lines = _parse_lines(data, path, line0, prev_id, header)
-                line0 += n_lines
-                if len(cols[0]):
-                    prev_id = cols[0][-1]
-                    yield Rounds(*cols)
-            if not block:
-                break

@@ -8,7 +8,8 @@ import pytest
 from qutrit_qkd import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "trits", "tritcrypt")
+MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "transcript", "trits",
+           "tritcrypt")
 
 
 def api_note_names():

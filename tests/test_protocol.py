@@ -1,12 +1,16 @@
 import itertools
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import session_columns_reference
 from scipy.stats import chi2
 
-from qutrit_qkd import bell, protocol
+from qutrit_qkd import bell, protocol, transcript
 from qutrit_qkd.bell import random_basis
 from qutrit_qkd.linalg import (
     SWAP_12,
@@ -27,7 +31,6 @@ from qutrit_qkd.protocol import (
     estimate_s3,
     exact_session_s3,
     iter_session,
-    iter_transcript,
     post_eve_mixture,
     qter,
     reference_source,
@@ -36,8 +39,8 @@ from qutrit_qkd.protocol import (
     security_verdict,
     sift,
     source_mixture,
-    transcribe,
 )
+from qutrit_qkd.transcript import iter_transcript, transcribe
 
 IDEAL = SourceConfig()
 NO_EVE = EveConfig()
@@ -513,7 +516,7 @@ class TestChunkedSession:
             analyze(iter(()))
 
     def test_transcript_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", 4096)
         rounds = self.session(3000, seed=32)
         whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
         list(transcribe(whole, [rounds], header={"seed": 32}))
@@ -554,15 +557,15 @@ class TestTranscriptIO:
             list(iter_transcript(path))
 
     @pytest.mark.parametrize("chunk_rows", [None, 64])
-    def test_writer_matches_reference_text(self, tmp_path, monkeypatch, chunk_rows):
-        if chunk_rows is not None:
-            monkeypatch.setattr(protocol, "_WRITE_CHUNK_ROWS", chunk_rows)
+    def test_writer_matches_reference_text(self, tmp_path, chunk_rows):
         a, b = PartyConfig(), PartyConfig()
         rounds = run_session(1500, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, a, b, seed=22)
+        chunks = [rounds] if chunk_rows is None else [
+            rounds.subset(slice(lo, lo + chunk_rows)) for lo in range(0, len(rounds), chunk_rows)]
         header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
         path = tmp_path / "transcript.txt"
-        list(transcribe(path, [rounds], header=header))
+        list(transcribe(path, chunks, header=header))
         expected = [f"# {key} = {value}\n" for key, value in header.items()]
         for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in rounds._columns())):
             oa, ob = (oa, ob) if det else ("-", "-")
@@ -588,7 +591,7 @@ class TestTranscriptIO:
     @pytest.mark.parametrize("case", sorted(READ_CASES))
     def test_reader_accepts(self, tmp_path, monkeypatch, case, block_bytes):
         if block_bytes is not None:
-            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         text, rows = self.READ_CASES[case]
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
@@ -627,7 +630,7 @@ class TestTranscriptIO:
     @pytest.mark.parametrize("case", sorted(REJECT_CASES))
     def test_reader_rejects(self, tmp_path, monkeypatch, case, block_bytes):
         if block_bytes is not None:
-            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         text, line, message = self.REJECT_CASES[case]
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -639,7 +642,7 @@ class TestTranscriptIO:
     @pytest.mark.parametrize("block_bytes", [None, 4096])
     def test_reader_line_numbers_across_blocks(self, tmp_path, monkeypatch, block_bytes):
         if block_bytes is not None:
-            monkeypatch.setattr(protocol, "_READ_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         n = 30_000          # about 490 kB: more than one default read block
         lines = ["# seed = 1\n"] + [f"{i} {1 + i % 3} {i % 3} 2 1 1\n" for i in range(n)]
         lines[n // 2:n // 2] = ["\n", "  # midway\n"]
@@ -651,7 +654,7 @@ class TestTranscriptIO:
         bad_line = 25_000
         lines[bad_line - 1] = lines[bad_line - 1].replace(" 2 1 1\n", " 2 1 -\n")
         path.write_text("".join(lines))
-        assert path.stat().st_size > protocol._READ_BLOCK_BYTES
+        assert path.stat().st_size > transcript._READ_BLOCK_BYTES
         with pytest.raises(ValidationError, match=f":{bad_line}: detected '-'"):
             list(iter_transcript(path))
 
@@ -665,3 +668,106 @@ class TestTranscriptIO:
         getattr(rounds, column)[3] = value
         with pytest.raises(ValidationError, match=message):
             list(transcribe(tmp_path / "t.txt", [rounds]))
+
+    WIDE_IDS = (0, 9, 10, 99, 100, 9999, 10000, 99999999, 100000000, 10**17, 10**18 - 1)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_writer_id_widths(self, tmp_path, chunk_rows):
+        # every id width from 1 to 18 digits, next to each 4-digit group
+        # boundary, with all 90 line tails: 9 setting pairs x (9 outcome
+        # pairs or undetected)
+        ids = sorted({i + k for i in self.WIDE_IDS for k in range(-8, 9)
+                      if 0 <= i + k < 10**18})
+        n = len(ids)
+        assert n >= 90
+        code = np.arange(n) % 90
+        pair, outcomes = code // 10, code % 10
+        det = outcomes < 9
+        rounds = Rounds(round_id=np.array(ids, dtype=np.int64),
+                        setting_a=(1 + pair // 3).astype(np.int8),
+                        outcome_a=np.where(det, outcomes // 3, -1).astype(np.int8),
+                        setting_b=(1 + pair % 3).astype(np.int8),
+                        outcome_b=np.where(det, outcomes % 3, -1).astype(np.int8),
+                        detected=det)
+        chunks = [rounds] if chunk_rows is None else [
+            rounds.subset(slice(lo, lo + chunk_rows)) for lo in range(0, n, chunk_rows)]
+        path = tmp_path / "t.txt"
+        list(transcribe(path, chunks))
+        expected = []
+        for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in rounds._columns())):
+            oa, ob = (oa, ob) if seen else ("-", "-")
+            expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
+        assert path.read_bytes() == "".join(expected).encode()
+        loaded = protocol._concat(iter_transcript(path))
+        for c1, c2 in zip(loaded._columns(), rounds._columns()):
+            assert c1.dtype == c2.dtype and np.array_equal(c1, c2)
+
+    @staticmethod
+    def _edited(text, edits):
+        """``text`` with some lines re-rendered in other whitespace layouts,
+        and comment and blank lines inserted; ``edits`` maps a line index to
+        a layout number."""
+        layouts = (
+            lambda f: "\t".join(f) + "\n",
+            lambda f: "  ".join(f) + "   \n",
+            lambda f: " ".join(f) + "\r\n",
+            lambda f: "\t  " + " ".join(f) + "\n",
+            lambda f: "# note = x\n" + " ".join(f) + "\n",
+            lambda f: " ".join(f) + "\n\n  \n",
+        )
+        lines = text.splitlines(keepends=True)
+        for j, layout in edits.items():
+            if j < len(lines) and not lines[j].startswith("#"):
+                lines[j] = layouts[layout](lines[j].split())
+        return "".join(lines)
+
+    @given(edits=st.dictionaries(st.integers(0, 400), st.integers(0, 5), max_size=12),
+           block_bytes=st.sampled_from([64, 200, 512, 1000]))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_reader_layouts_agree(self, edits, block_bytes):
+        rounds = run_session(400, SourceConfig(detection_efficiency=0.7),
+                             NO_EVE, PartyConfig(), PartyConfig(), seed=23)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+            plain, edited = os.path.join(tmp, "plain.txt"), os.path.join(tmp, "edited.txt")
+            list(transcribe(plain, [rounds], header={"seed": 23}))
+            with open(plain) as fh, open(edited, "w", newline="") as out:
+                out.write(self._edited(fh.read(), edits))
+            fixed = []
+            parse_fixed = transcript._parse_fixed
+            mp.setattr(transcript, "_parse_fixed",
+                       lambda *args: fixed.append(parse_fixed(*args)) or fixed[-1])
+            results = []
+            for path in (plain, edited):
+                header = {}
+                chunks = list(iter_transcript(path, header))
+                results.append((protocol._concat(chunks)._columns(), header))
+        (cols1, header1), (cols2, header2) = results
+        assert header1 == {"seed": "23"}
+        assert header2 == ({"seed": "23", "note": "x"} if 4 in edits.values() else header1)
+        for c1, c2, c0 in zip(cols1, cols2, rounds._columns()):
+            assert c1.dtype == c2.dtype == c0.dtype
+            assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
+        # both block kinds occur: the header block and edited lines take the
+        # general path, the rest the fixed one
+        assert any(r is None for r in fixed) and any(r is not None for r in fixed)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("5 9 7 1 0 1", "setting_a '9' is not 1, 2 or 3"),
+        ("25000 1 - 1 0 1", "outcome_a '-' must be 0, 1 or 2 when detected is 1"),
+        ("24998 1 0 1 0 1", "round_id 24998 does not exceed the previous round_id 24998"),
+        ("25000 1 0 1 0 2", "detected '2' is not 0 or 1"),
+        ("25000 1 1 1 0 0", "outcome_a '1' must be '-' when detected is 0"),
+        ("25000 1 0 1 3 1", "outcome_b '3' must be 0, 1 or 2 when detected is 1"),
+    ])
+    def test_reader_fault_deep_in_writer_layout(self, tmp_path, bad, message):
+        n = 30_000
+        lines = ["# seed = 1\n"] + [
+            f"{i} {1 + i % 3} {i % 3} {1 + i // 3 % 3} {i // 9 % 3} 1\n" for i in range(n)]
+        lines[25_000] = bad + "\n"
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > transcript._READ_BLOCK_BYTES
+        with pytest.raises(ValidationError) as info:
+            list(iter_transcript(path))
+        assert str(info.value) == f"{path}:25001: {message}"
