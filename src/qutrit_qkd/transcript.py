@@ -31,7 +31,6 @@ _MAX_ID_DIGITS = 18                 # every such id fits in an int64
 _ID_LIMIT = 10 ** _MAX_ID_DIGITS
 _DASH = ord("-")
 
-
 _IS_SOLID = np.ones(256, dtype=bool)
 _IS_SOLID[list(b" \t\r\v\f\n")] = False
 # character -> field value ('-' reads as -1)
@@ -51,8 +50,9 @@ _TAILS[:, 1:10:2] = np.stack((
     np.where(_seen, 48 + _outcomes % 3, _DASH),
     48 + _seen,
 ), axis=1)
-# row k: the four decimal digits of k, zero-padded
-_DIGITS4 = (48 + np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
+# row k: the four decimal digits of k, zero-padded (int16 keeps the build small)
+_DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
+            // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
 del _pair, _outcomes, _seen
 
 _FAULTS = (
@@ -275,13 +275,14 @@ def _parse_fixed(data: bytes, prev_id: int):
         table = buf[at:at + (hi - lo) * size].reshape(hi - lo, size)
         at += (hi - lo) * size
         digits = table[:, :width]
-        if (table[:, width:size - 1:2] != 32).any() or (digits - 48 > 9).any():
+        if (table[:, width:size - 1:2] != ord(" ")).any() or (digits - ord("0") > 9).any():
             return None
         value = np.zeros(hi - lo, dtype=np.int64)
         for k in range(width):
             value *= 10
             value += digits[:, k]
-        ids[lo:hi] = value - 48 * (10 ** width // 9)    # each digit byte is 48 + digit
+        # every digit byte carries ord("0"); 10**width // 9 is width ones
+        ids[lo:hi] = value - ord("0") * (10 ** width // 9)
         chars[:, lo:hi] = table[:, width + 1:size:2].T
     if _faults(ids, np.ones(n, dtype=bool), prev_id, chars).any():
         return None

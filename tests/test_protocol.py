@@ -759,6 +759,8 @@ class TestTranscriptIO:
         ("25000 1 0 1 0 2", "detected '2' is not 0 or 1"),
         ("25000 1 1 1 0 0", "outcome_a '1' must be '-' when detected is 0"),
         ("25000 1 0 1 3 1", "outcome_b '3' must be 0, 1 or 2 when detected is 1"),
+        ("24999x1 0 1 0 1", "expected 6 fields, got 5"),
+        ("2499x 1 0 1 0 1", "round_id '2499x' is not a non-negative integer of at most 18 digits"),
     ])
     def test_reader_fault_deep_in_writer_layout(self, tmp_path, bad, message):
         n = 30_000
