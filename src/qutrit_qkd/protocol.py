@@ -260,6 +260,13 @@ def _concat(chunks) -> Rounds:
 # by column (settings A, settings B, detection, outcome uniforms), n draws
 # each, so chunk [lo, lo + m) of column j is draws j*n + lo ... of the stream.
 _SESSION_CHUNK_ROWS = 1 << 16
+# Outcome-index lookup over _BUCKETS (a power of two) buckets of u per setting
+# pair.  Only sessions of at least _BUCKET_MIN_ROUNDS rounds build the table:
+# below that its fixed cost (the build, ~35 us, and the exact pass over the
+# rows of split buckets) exceeds what the lookup saves.  The two broke even
+# near 12000 rounds on a 2-core Xeon.
+_BUCKETS = 256
+_BUCKET_MIN_ROUNDS = 1 << 14
 # outcome-pair index 3*outcome_a + outcome_b, or 9 for an undetected round
 _OUTCOME_A = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, -1], dtype=np.int8)
 _OUTCOME_B = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, -1], dtype=np.int8)
@@ -299,9 +306,38 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
                           _setting_cdf(a), _setting_cdf(b), source.detection_efficiency)
 
 
+def _count_below(thresholds, pair, u) -> np.ndarray:
+    """Outcome index, exactly: how many of the pair's thresholds are <= u."""
+    pair = pair.astype(np.intp)         # else each take converts the indices again
+    idx = np.zeros(len(u), dtype=np.int8)
+    for row in thresholds:
+        idx += row.take(pair) <= u
+    return idx
+
+
+def _bucket_table(thresholds) -> np.ndarray:
+    """Outcome index per bucket [b/K, (b+1)/K) of u, K = _BUCKETS, as a flat int8 table.
+
+    Entry ``K * pair + b`` is the number of the pair's thresholds <= b/K,
+    which is the index of every u in the bucket, or -1 when a threshold lies
+    strictly inside the bucket.  K is a power of two, so K * t and K * u are
+    exact and the table holds for any thresholds.
+    """
+    kt = _BUCKETS * thresholds.T                # (pair, threshold)
+    pair = np.arange(9)[:, None]
+    # first bucket whose lower edge is >= t; sums rounded above 1 stay in the pair
+    first = np.clip(np.ceil(kt), 0, _BUCKETS).astype(np.intp) + (_BUCKETS + 1) * pair
+    table = np.bincount(first.ravel(), minlength=9 * (_BUCKETS + 1)).reshape(
+        9, _BUCKETS + 1).cumsum(axis=1, dtype=np.int8)[:, :_BUCKETS]
+    inside = (kt > 0) & (kt < _BUCKETS) & (kt != np.ceil(kt))
+    table[np.broadcast_to(pair, kt.shape)[inside], kt[inside].astype(np.intp)] = -1
+    return table.ravel()
+
+
 def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
     rng = np.random.Generator(bitgen)
     seeded = bitgen.state
+    buckets = _bucket_table(thresholds) if n >= _BUCKET_MIN_ROUNDS else None
     for lo in range(0, n, _SESSION_CHUNK_ROWS):
         m = min(_SESSION_CHUNK_ROWS, n - lo)
 
@@ -315,10 +351,13 @@ def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
         detected = draw(2) < detection
         u = draw(3)
         # outcome index = number of cumulative probabilities <= u
-        pair = 3 * sa.astype(np.intp) + sb - 4
-        idx = np.zeros(m, dtype=np.intp)
-        for row in thresholds:
-            idx += row.take(pair) <= u
+        pair = 3 * sa.astype(np.int16) + sb - 4
+        if buckets is None:
+            idx = _count_below(thresholds, pair, u)
+        else:
+            idx = buckets.take(_BUCKETS * pair + (u * _BUCKETS).astype(np.int16))
+            hard = np.flatnonzero(idx < 0)      # u in a bucket split by a threshold
+            idx[hard] = _count_below(thresholds, pair.take(hard), u.take(hard))
         idx[~detected] = 9
         yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64),
                      setting_a=sa, outcome_a=_OUTCOME_A.take(idx),
@@ -389,8 +428,9 @@ def sift(rounds: Rounds) -> Sifted:
     cells = 27 * rounds.setting_a.astype(np.int16) + 9 * rounds.outcome_a \
         + 3 * rounds.setting_b + rounds.outcome_b - 30
     counts = np.bincount(cells[det], minlength=81).reshape(DIM, DIM, DIM, DIM)
-    return Sifted(counts=counts, key_a=rounds.outcome_a[key].astype(np.int8),
-                  key_b=SWAP_12[rounds.outcome_b[key]])
+    rows = np.flatnonzero(key)      # indices, not a mask: key rounds are sparse
+    return Sifted(counts=counts, key_a=rounds.outcome_a.take(rows).astype(np.int8),
+                  key_b=SWAP_12[rounds.outcome_b.take(rows)])
 
 
 def estimate_s3(counts: np.ndarray) -> tuple[float, float]:

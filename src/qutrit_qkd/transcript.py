@@ -13,8 +13,10 @@ The writer's layout is the id's digits, then ``" c c c c c"`` and a newline:
 single spaces, lines 11 to 28 bytes long and never shorter than the line
 before.  Both directions work chunk by chunk: the writer renders each session
 chunk as fixed-width tables, one per id width, and the reader reads each block
-of the writer's layout as such tables too.  Any other block goes through the
-general grammar of ``_parse_lines``, which alone words the error messages.
+of the writer's layout as such tables too, after splitting off the '#' lines
+the block starts with (the header).  Those lines and any other block go
+through the general grammar of ``_parse_lines``, which alone words the error
+messages.
 """
 
 from __future__ import annotations
@@ -307,6 +309,15 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
                 data, rest = data[:cut], data[cut:]
             elif data:
                 data += b"\n"               # the last line lacks its newline
+            # leading '#' lines (the header, in the first block) go alone
+            # to the general grammar, so the rows after them can take the
+            # fixed path
+            cut = 0
+            while data.startswith(b"#", cut):
+                cut = data.index(b"\n", cut) + 1
+            if cut:
+                line0 += _parse_lines(data[:cut], path, line0, prev_id, header)[1]
+                data = data[cut:]
             if data:
                 cols, n_lines = (_parse_fixed(data, prev_id)
                                  or _parse_lines(data, path, line0, prev_id, header))

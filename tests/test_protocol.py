@@ -331,13 +331,15 @@ class TestEstimateS3:
         passes = 0
         for seed in range(100):
             rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=seed)
+            # every round is detected; cell [sa - 1, oa, sb - 1, ob] of all 81
+            cells = 27 * rounds.setting_a.astype(int) + 9 * rounds.outcome_a \
+                + 3 * rounds.setting_b + rounds.outcome_b - 30
+            all_counts = np.bincount(cells, minlength=81).reshape(3, 3, 3, 3)
             stat = 0.0
             for sa, sb in itertools.product((1, 2, 3), repeat=2):
                 table = tables[sa - 1, :, sb - 1, :]
-                mask = (rounds.setting_a == sa) & (rounds.setting_b == sb)
-                cells = 3 * rounds.outcome_a[mask].astype(int) + rounds.outcome_b[mask]
-                counts = np.bincount(cells, minlength=9).astype(float)
-                expected = table.ravel() * mask.sum()
+                counts = all_counts[sa - 1, :, sb - 1, :].ravel().astype(float)
+                expected = table.ravel() * counts.sum()
                 nz = expected > 0
                 stat += float(((counts[nz] - expected[nz]) ** 2 / expected[nz]).sum())
                 assert counts[~nz].sum() == 0
@@ -537,6 +539,69 @@ class TestChunkedSession:
             list(transcribe(tmp_path / "t.txt", (first, first)))
 
 
+K = protocol._BUCKETS
+M = protocol._BUCKET_MIN_ROUNDS
+
+
+class TestBucketLookup:
+    # setting-pair outcome rows (9 cells each) that a bucket table over
+    # [b/K, (b+1)/K) must not get wrong
+    ODD_ROWS = (
+        # zero-probability outcomes: equal thresholds
+        (0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+        # every threshold exactly on a bucket edge k/K
+        tuple(np.array([1, 2, 61, 64, 0, 0, 64, 64, 0]) * (K // 256) / K),
+        # two distinct thresholds strictly inside the bucket [K/2, K/2 + 1)/K
+        (0.5 + 0.3 / K, 0.4 / K, 0.0, 0.25, 0.25 - 0.7 / K, 0.0, 0.0, 0.0, 0.0),
+        # cumulative sums 0.2, 0.6000000000000001, 0.9, 1.0000000000000002
+        (0.2, 0.4, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0),
+    )
+
+    @classmethod
+    def tables(cls, pairs, seed):
+        """(3, 3, 3, 3) outcome tables: ODD_ROWS on ``pairs``, random rows elsewhere."""
+        rows = np.random.default_rng(seed).dirichlet(np.ones(9), size=9)
+        rows[list(pairs)] = cls.ODD_ROWS
+        return rows.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+
+    def test_table_against_bruteforce(self):
+        t = self.tables(range(4), seed=1)
+        thresholds = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)[:, :8]
+        # the odd rows are what they claim to be
+        assert (np.diff(thresholds[0]) == 0).any()
+        assert np.array_equal(K * thresholds[1], np.round(K * thresholds[1]))
+        assert np.floor(K * thresholds[2, 0]) == np.floor(K * thresholds[2, 1]) == K // 2 \
+            and thresholds[2, 0] < thresholds[2, 1]
+        assert thresholds[3, 3] > 1.0
+        table = protocol._bucket_table(np.ascontiguousarray(thresholds.T)).reshape(9, K)
+        low, high = np.arange(K) / K, np.arange(1, K + 1) / K
+        for pair, row in enumerate(thresholds):
+            inside = ((row[:, None] > low) & (row[:, None] < high)).any(axis=0)
+            below = (row[:, None] <= low).sum(axis=0)
+            assert np.array_equal(table[pair], np.where(inside, -1, below))
+        # split buckets: K/2 (two thresholds) and 3K/4 (0.75 + 0.7/K) in the
+        # third row; 0.2, 0.6000000000000001 and 0.9 in the fourth, whose
+        # 1.0000000000000002 lies above every bucket
+        assert [(table[pair] == -1).sum() for pair in range(4)] == [0, 0, 2, 3]
+
+    @given(n=st.sampled_from([1, M - 1, M, C - 1, C, C + 1]),
+           pairs=st.permutations(range(9)),
+           bias=st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.2, 0.3, 0.5), (0.25, 0.15, 0.6)]),
+           detection=st.sampled_from([1.0, 0.4]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_matches_reference_oracle(self, n, pairs, bias, detection, seed):
+        tables = self.tables(pairs[:4], seed)
+        expected = session_columns_reference(n, tables, bias, bias[::-1], detection, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_setting_tables", lambda source, eve: tables)
+            got = run_session(n, SourceConfig(detection_efficiency=detection), NO_EVE,
+                              PartyConfig(bias), PartyConfig(bias[::-1]), seed=seed)
+        for col, want in zip(got._columns(), expected):
+            assert col.dtype == want.dtype
+            assert np.array_equal(col, want)
+
+
 class TestTranscriptIO:
     def test_round_trip(self, tmp_path):
         a, b = PartyConfig(), PartyConfig()
@@ -733,10 +798,12 @@ class TestTranscriptIO:
             list(transcribe(plain, [rounds], header={"seed": 23}))
             with open(plain) as fh, open(edited, "w", newline="") as out:
                 out.write(self._edited(fh.read(), edits))
-            fixed = []
-            parse_fixed = transcript._parse_fixed
+            fixed, general = [], []
+            parse_fixed, parse_lines = transcript._parse_fixed, transcript._parse_lines
             mp.setattr(transcript, "_parse_fixed",
                        lambda *args: fixed.append(parse_fixed(*args)) or fixed[-1])
+            mp.setattr(transcript, "_parse_lines",
+                       lambda *args: general.append(args[0]) or parse_lines(*args))
             results = []
             for path in (plain, edited):
                 header = {}
@@ -748,9 +815,12 @@ class TestTranscriptIO:
         for c1, c2, c0 in zip(cols1, cols2, rounds._columns()):
             assert c1.dtype == c2.dtype == c0.dtype
             assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
-        # both block kinds occur: the header block and edited lines take the
-        # general path, the rest the fixed one
-        assert any(r is None for r in fixed) and any(r is not None for r in fixed)
+        # both paths run: the header lines alone and each block with an edited
+        # line take the general path, the rest the fixed one (an inserted
+        # comment line that starts a block is split off like the header)
+        edited = {layout for j, layout in edits.items() if j}
+        assert general[0] == b"# seed = 23\n" and any(r is not None for r in fixed)
+        assert any(r is None for r in fixed) == bool(edited) or edited == {4}
 
     @pytest.mark.parametrize("bad, message", [
         ("5 9 7 1 0 1", "setting_a '9' is not 1, 2 or 3"),
@@ -773,3 +843,31 @@ class TestTranscriptIO:
         with pytest.raises(ValidationError) as info:
             list(iter_transcript(path))
         assert str(info.value) == f"{path}:25001: {message}"
+
+    # writer-layout rows 0 .. 999 after a header; line k holds round k - 3
+    HEADED = "# seed = 1\n# rounds = 1000\n" + "".join(
+        f"{i} {1 + i % 3} {i % 3} {1 + i // 3 % 3} {i // 9 % 3} 1\n" for i in range(1000))
+    FIRST_BLOCK_FAULTS = {
+        "first row": ("0 1 0 1 0 2", 3, "detected '2' is not 0 or 1"),
+        "deep": ("700 1 7 1 0 1", 703, "outcome_a '7' must be 0, 1 or 2 when detected is 1"),
+        "fields": ("700 1 0 1", 703, "expected 6 fields, got 4"),
+        "comment then id": ("# mid = 2\n5 1 0 1 0 1", 704,
+                            "round_id 5 does not exceed the previous round_id 699"),
+        "indented comment": ("  # x\n700 1 0 1 0 1 1", 704, "expected 6 fields, got 7"),
+    }
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 100])
+    @pytest.mark.parametrize("case", sorted(FIRST_BLOCK_FAULTS))
+    def test_reader_first_block_fault_after_header(self, tmp_path, monkeypatch, case,
+                                                    block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+        bad, line, message = self.FIRST_BLOCK_FAULTS[case]
+        lines = self.HEADED.splitlines(keepends=True)
+        row = 2 + (0 if case == "first row" else 700)
+        lines[row] = bad + "\n"
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError) as info:
+            list(iter_transcript(path))
+        assert str(info.value) == f"{path}:{line}: {message}"
