@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -397,44 +398,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--family", choices=("phase", "unitary"), default="phase")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("optimize", help="optimize measurement settings")
     _add_config_flags(p)
     p.add_argument("--family", choices=("phase", "unitary"), default="phase")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=20)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a full protocol session")
     _add_config_flags(p, with_profile=True)
     p.add_argument("--out", default="qkd-out", metavar="DIR",
                    help="directory for the transcript and key files")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sift", help="sift and analyze a transcript file")
     p.add_argument("--transcript", required=True, metavar="PATH")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="also write the sifted key files here")
-    p.set_defaults(func=cmd_sift)
 
     p = sub.add_parser("reconcile", help="parity-sift two key files")
     p.add_argument("key_a", metavar="KEY_A")
     p.add_argument("key_b", metavar="KEY_B")
     p.add_argument("--out", default="qkd-out", metavar="DIR")
-    p.set_defaults(func=cmd_reconcile)
 
     p = sub.add_parser("encrypt", help="one-time-pad encrypt a message")
     p.add_argument("text", metavar="TEXT")
     p.add_argument("--key-file", dest="key_file", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="one-time-pad decrypt a trit stream")
     p.add_argument("cipher", metavar="TRITS")
     p.add_argument("--key-file", dest="key_file", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_decrypt)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call (not on
+    import, which every run pays); parsing leaves it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -442,11 +443,12 @@ def main(argv=None) -> int:
     # core taken by another process, its threads slow L-BFGS-B several-fold.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse has printed the help, or a usage error
         return exc.code
     try:
-        pairs = args.func(args)
+        # looked up on each call, so a rebound cmd_* function is the one run
+        pairs = globals()[f"cmd_{args.command}"](args)
     except protocol.InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_DATA

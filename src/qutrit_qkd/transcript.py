@@ -11,12 +11,13 @@ anywhere form the header.
 
 The writer's layout is the id's digits, then ``" c c c c c"`` and a newline:
 single spaces, lines 11 to 28 bytes long and never shorter than the line
-before.  Both directions work chunk by chunk: the writer renders each session
-chunk as fixed-width tables, one per id width, and the reader reads each block
-of the writer's layout as such tables too, after splitting off the '#' lines
-the block starts with (the header).  Those lines and any other block go
-through the general grammar of ``_parse_lines``, which alone words the error
-messages.
+before.  Both directions work chunk by chunk and see a run of lines of one
+length as fixed-width records of whole fields, stored or looked up as
+little-endian integers: the writer renders each session chunk as arrays of
+such records, and the reader reads each block of the writer's layout as
+such records too, after splitting off the '#' lines the block starts with
+(the header).  Those lines and any other block go through the general
+grammar of ``_parse_lines``, which alone words the error messages.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ _DASH = ord("-")
 
 _IS_SOLID = np.ones(256, dtype=bool)
 _IS_SOLID[list(b" \t\r\v\f\n")] = False
-# character -> field value ('-' reads as -1)
-_CHAR_VALUE = np.full(256, -1, dtype=np.int8)
+# character -> field value: '-' reads as -1, and any non-field character as 10
+_CHAR_VALUE = np.full(256, 10, dtype=np.int8)
 _CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
+_CHAR_VALUE[_DASH] = -1
 
 # The writer's 11-byte line tails " sa oa sb ob det\n", row
 # 10 * (3 * (sa - 1) + (sb - 1)) + (3 * oa + ob, or 9 for an undetected round).
@@ -55,7 +57,23 @@ _TAILS[:, 1:10:2] = np.stack((
 # row k: the four decimal digits of k, zero-padded (int16 keeps the build small)
 _DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
-del _pair, _outcomes, _seen
+# The same rows as little-endian integers, which the writer's records store
+# whole: four digits as a uint32, a tail as a uint64 of its bytes 0-7 and a
+# uint32 of its bytes 7-10.
+_DIGITS4_U32 = _DIGITS4.view("<u4")[:, 0]
+_TAIL_HEAD = np.ascontiguousarray(_TAILS[:, :8]).view("<u8")[:, 0]
+_TAIL_END = np.ascontiguousarray(_TAILS[:, 7:]).view("<u4")[:, 0]
+# Two bytes read as a little-endian uint16 -> what the reader makes of them:
+# ' ' and a character -> the field value of the character (10 after any
+# other first byte); two digits -> their two-digit value (-1 for any other pair).
+_FIELD_VALUE = np.full(1 << 16, 10, dtype=np.int8)
+_FIELD_VALUE[ord(" ") + 256 * np.arange(256)] = _CHAR_VALUE
+_d = np.arange(10)
+_DIGIT_PAIR = np.full(1 << 16, -1, dtype=np.int16)
+_DIGIT_PAIR[48 + _d[:, None] + 256 * (48 + _d)] = 10 * _d[:, None] + _d
+del _pair, _outcomes, _seen, _d
+
+_WRITE_SLICE_ROWS = 1 << 13         # rows per record array: its temporaries stay small
 
 _FAULTS = (
     f"round_id {{0!r}} is not a non-negative integer of at most {_MAX_ID_DIGITS} digits",
@@ -68,32 +86,33 @@ _FAULTS = (
 )
 
 
-def _faults(ids, id_ok, prev_id, chars) -> np.ndarray:
+def _faults(ids, id_ok, prev_id, values) -> np.ndarray:
     """(7, rows) flags, one row per entry of ``_FAULTS``.
 
-    ``chars`` stacks each row's single-character fields (setting_a,
-    outcome_a, setting_b, outcome_b, detected) as uint8 rows; the
-    differences below wrap around in uint8.
+    ``values`` holds each row's single-character fields (setting_a,
+    outcome_a, setting_b, outcome_b, detected) as five 8-bit arrays of
+    ``_CHAR_VALUE`` values; read as uint8, '-' is 255 and the differences
+    below wrap around.
     """
-    sa, oa, sb, ob, det = chars
-    seen, unseen = det == ord("1"), det == ord("0")
+    sa, oa, sb, ob, det = (v.view(np.uint8) for v in values)
+    seen, unseen = det == 1, det == 0
     return np.stack((
         ~id_ok,
-        sa - ord("1") > 2,
-        sb - ord("1") > 2,
+        sa - 1 > 2,
+        sb - 1 > 2,
         ~(seen | unseen),
-        seen & (oa - ord("0") > 2) | unseen & (oa != _DASH),
-        seen & (ob - ord("0") > 2) | unseen & (ob != _DASH),
+        seen & (oa > 2) | unseen & (oa != 255),
+        seen & (ob > 2) | unseen & (ob != 255),
         ids <= np.concatenate(([prev_id], ids[:-1])),
     ))
 
 
-def _first_fault(ids, id_ok, prev_id, chars, fields_of):
+def _first_fault(ids, id_ok, prev_id, values, fields_of):
     """(row, message) for the first row breaking the transcript grammar, or None.
 
     ``fields_of`` renders one row's six fields as text for the message.
     """
-    faults = _faults(ids, id_ok, prev_id, chars)
+    faults = _faults(ids, id_ok, prev_id, values)
     bad = faults.any(axis=0)
     if not bad.any():
         return None
@@ -123,29 +142,48 @@ def _round_fields(rounds: Rounds, i: int) -> tuple:
             str(rounds.outcome_b[i]) if det else "-", str(int(det)))
 
 
+def _record(width: int) -> np.dtype:
+    """The writer's line for a ``width``-digit id as a record of whole fields.
+
+    'd0', 'd1', ... are the id's digit groups, four digits each counted from
+    the right, as ``_DIGITS4_U32`` rows; 'head' and 'end' are the tail as
+    ``_TAIL_HEAD`` and ``_TAIL_END`` rows.  Fields are filled in this order,
+    and each overwrites what the one before spills into it: 'd0' holds its
+    1 to 4 digits in its low bytes, and 'head' and 'end' share the tail's
+    byte 7.
+    """
+    starts = [0, *range((width - 1) % 4 + 1, width, 4)]
+    return np.dtype({
+        "names": [f"d{i}" for i in range(len(starts))] + ["head", "end"],
+        "formats": ["<u4"] * len(starts) + ["<u8", "<u4"],
+        "offsets": starts + [width, width + 7],
+        "itemsize": width + 11,
+    })
+
+
 def _write_rows(fh, ids: np.ndarray, tail: np.ndarray) -> None:
     """Write valid rows: increasing ids, and each row's ``_TAILS`` index.
 
-    Rows of one id width are contiguous; each such run is one
-    ``(rows, width + 11)`` table, filled column by column (a strided
-    column copy costs a fraction of a row-by-row one), its digits four at
-    a time.
+    Rows of one id width are contiguous; each such run is written as
+    arrays of ``_record(width)``, at most ``_WRITE_SLICE_ROWS`` at a time.
     """
+    tail = tail.astype(np.intp)         # the index type of ``take``, cast once
     lo = 0
-    for width in range(len(str(ids[0])), len(str(ids[-1])) + 1):
-        hi = int(np.searchsorted(ids, 10 ** width))
-        table = np.empty((hi - lo, width + 11), dtype=np.uint8)
-        tails = _TAILS.take(tail[lo:hi], axis=0)
-        for k in range(11):
-            table[:, width + k] = tails[:, k]
-        rest, end = ids[lo:hi], width
-        while end > 0:
+    while lo < len(ids):
+        width = len(str(ids[lo]))
+        hi = min(int(np.searchsorted(ids, 10 ** width)), lo + _WRITE_SLICE_ROWS)
+        rows = np.empty(hi - lo, dtype=_record(width))
+        groups, rest = [], ids[lo:hi]
+        for _ in range((width - 1) // 4):
             high = rest // 10_000
-            digits = _DIGITS4.take(rest - 10_000 * high, axis=0)
-            for k in range(max(end - 4, 0), end):
-                table[:, k] = digits[:, k + 4 - end]
-            rest, end = high, end - 4
-        fh.write(table)
+            groups.append(rest - 10_000 * high)
+            rest = high
+        rows["d0"] = _DIGITS4_U32.take(rest) >> 8 * (3 - (width - 1) % 4)
+        for i, group in enumerate(reversed(groups), start=1):
+            rows[f"d{i}"] = _DIGITS4_U32.take(group)
+        rows["head"] = _TAIL_HEAD.take(tail[lo:hi])
+        rows["end"] = _TAIL_END.take(tail[lo:hi])
+        fh.write(rows)
         lo = hi
 
 
@@ -173,11 +211,11 @@ def transcribe(path, chunks: Iterable[Rounds],
                 valid = (sa - 1 < 3) & (sb - 1 < 3) & (~det | (oa < 3) & (ob < 3))
                 if not (valid.all() and prev_id < ids[0] and ids[-1] < _ID_LIMIT
                         and (ids[1:] > ids[:-1]).all()):
-                    # a code above 9 plus 48 is no character of a valid field
-                    chars = np.stack((sa + 48, np.where(det, oa + 48, _DASH), sb + 48,
-                                      np.where(det, ob + 48, _DASH), det + np.uint8(48)))
+                    # undetected outcomes are written as '-', which reads as 255
+                    values = (sa, np.where(det, oa, 255), sb, np.where(det, ob, 255),
+                              det.view(np.uint8))
                     row, message = _first_fault(
-                        ids, (ids >= 0) & (ids < _ID_LIMIT), prev_id, chars,
+                        ids, (ids >= 0) & (ids < _ID_LIMIT), prev_id, values,
                         lambda row: _round_fields(rounds, row))
                     raise ValidationError(f"{path}: round index {base + row}: {message}")
                 tail = 3 * oa + ob              # uint8; undetected rounds wrap, then get 9
@@ -220,7 +258,9 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     rows = lines[~wrong]
     field = first[rows] + np.arange(6)[:, None]
     size = ends[field] - starts[field]
+    # a field longer than one character reads as character 0, no field value
     chars = np.where(size[1:] == 1, buf[starts[field[1:]]], np.uint8(0))
+    values = [_CHAR_VALUE.take(c) for c in chars]
 
     id_start, id_size = starts[field[0]], size[0]
     id_ok = id_size <= _MAX_ID_DIGITS
@@ -235,7 +275,7 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     if wrong.any():
         j = lines[wrong.argmax()]
         errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
-    fault = _first_fault(ids, id_ok, prev_id, chars, lambda row: tuple(
+    fault = _first_fault(ids, id_ok, prev_id, values, lambda row: tuple(
         data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row]))
     if fault is not None:
         row, message = fault
@@ -244,11 +284,11 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
         at, message = min(errors)
         raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
 
-    return _columns(ids, chars), len(newlines)
+    return _columns(ids, values), len(newlines)
 
 
-def _columns(ids, chars) -> tuple:
-    sa, oa, sb, ob, det = (_CHAR_VALUE.take(c) for c in chars)   # one array each
+def _columns(ids, values) -> tuple:
+    sa, oa, sb, ob, det = values
     return ids, sa, oa, sb, ob, det.astype(bool)
 
 
@@ -256,39 +296,52 @@ def _parse_fixed(data: bytes, prev_id: int):
     """What ``_parse_lines`` returns for ``data`` if every line is in the
     writer's layout and every round is valid; None otherwise.
 
-    Each run of equal-length lines is read as one ``(rows, length)`` table.
-    The layout check covers the id digits and the single spaces; a
-    whitespace field character fails the grammar check that follows.
+    Line lengths must not decrease, and each run of equal-length lines is
+    read as records of that length: a newline at the end, the id's digits
+    in pairs (an odd one first, alone) and each field after its space, as
+    ``_DIGIT_PAIR`` and ``_FIELD_VALUE`` keys.  So every byte is checked.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == 10)
-    sizes = np.diff(newlines, prepend=-1)           # line lengths with the newline
-    steps = np.diff(sizes)
-    if sizes[0] < 12 or sizes[-1] > _MAX_ID_DIGITS + 11 or (steps < 0).any():
-        return None
-    n = len(newlines)
-    ids = np.empty(n, dtype=np.int64)
-    chars = np.empty((5, n), dtype=np.uint8)
-    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), n]
-    at = 0
-    for lo, hi in zip(edges, edges[1:]):
-        size = int(sizes[lo])
-        width = size - 11
-        table = buf[at:at + (hi - lo) * size].reshape(hi - lo, size)
-        at += (hi - lo) * size
-        digits = table[:, :width]
-        if (table[:, width:size - 1:2] != ord(" ")).any() or (digits - ord("0") > 9).any():
+    runs, at, size = [], 0, 11                  # (first byte, line length, lines)
+    while at < len(buf):
+        longer = data.index(b"\n", at) + 1 - at
+        if not size < longer <= _MAX_ID_DIGITS + 11:
             return None
-        value = np.zeros(hi - lo, dtype=np.int64)
-        for k in range(width):
-            value *= 10
-            value += digits[:, k]
-        # every digit byte carries ord("0"); 10**width // 9 is width ones
-        ids[lo:hi] = value - ord("0") * (10 ** width // 9)
-        chars[:, lo:hi] = table[:, width + 1:size:2].T
-    if _faults(ids, np.ones(n, dtype=bool), prev_id, chars).any():
+        size = longer
+        ends = buf[at + size - 1::size] == ord("\n")    # last byte of each whole line
+        lines = int(ends.argmin()) or len(ends)          # ends[0] holds: 0 means all do
+        runs.append((at, size, lines))
+        at += size * lines
+
+    n = sum(lines for _, _, lines in runs)
+    ids = np.empty(n, dtype=np.int64)
+    values = [np.empty(n, dtype=np.int8) for _ in range(5)]
+    lo = 0
+    for at, size, lines in runs:
+        width, hi = size - 11, lo + lines
+
+        def keys(offset, dtype="<u2"):
+            return np.ndarray(lines, dtype, buf, at + offset, (size,))
+
+        run_ids = ids[lo:hi]
+        run_ids[:] = 0
+        if width % 2:
+            lead = _CHAR_VALUE.take(keys(0, "u1"))
+            if (lead.view(np.uint8) > 9).any():
+                return None
+            run_ids += lead
+        for offset in range(width % 2, width, 2):
+            pair = _DIGIT_PAIR.take(keys(offset))
+            if (pair < 0).any():
+                return None
+            run_ids *= 100
+            run_ids += pair
+        for value, offset in zip(values, range(width, size - 1, 2)):
+            value[lo:hi] = _FIELD_VALUE.take(keys(offset))
+        lo = hi
+    if _faults(ids, np.ones(n, dtype=bool), prev_id, values).any():
         return None
-    return _columns(ids, chars), n
+    return _columns(ids, values), n
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:

@@ -533,15 +533,55 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy"
 """
 
 
-def fresh_cli(commands, **env_update):
+# Run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
+# lists, run in turn by one ``cli.main``.  Stdout is JSON: each call's
+# [exit code, stdout, stderr].
+CAPTURED_CLI = """
+import contextlib, io, json, sys
+from qutrit_qkd import cli
+
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    calls.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(calls))
+"""
+
+
+def fresh_python(script, commands, **env_update):
+    """Run ``script`` on ``commands`` in a fresh interpreter; its last stdout line as JSON."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = str(Path(qutrit_qkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_update)
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def fresh_cli(commands, **env_update):
+    return fresh_python(FRESH_CLI, commands, **env_update)
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    """``main`` reuses one parser per process: each call in a run of calls
+    prints and returns what it does as the first call of a fresh process."""
+    out = str(tmp_path / "run")
+    calls = [
+        ["simulate", "--eve", "--rounds", "3000", "--no-such-flag"],
+        ["--help"],
+        ["simulate", "--eve", "--eve-arm", "A", "--rounds", "3000", "--seed", "5",
+         "--out", out],
+        ["simulate", "--rounds", "3000", "--seed", "5", "--out", out],
+        ["sift", "--transcript", os.path.join(out, "transcript.txt")],
+    ]
+    together = fresh_python(CAPTURED_CLI, calls)
+    assert [code for code, _, _ in together] == [2, 0, 0, 0, 0]
+    assert "eve = True" in together[2][1] and "eve = False" in together[3][1]
+    assert together == [fresh_python(CAPTURED_CLI, [argv])[0] for argv in calls]
 
 
 class TestColdStart:

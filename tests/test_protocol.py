@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import session_columns_reference
 from scipy.stats import chi2
@@ -821,6 +821,75 @@ class TestTranscriptIO:
         edited = {layout for j, layout in edits.items() if j}
         assert general[0] == b"# seed = 23\n" and any(r is not None for r in fixed)
         assert any(r is None for r in fixed) == bool(edited) or edited == {4}
+
+    DAMAGE = ("id digit", "separator", "field", "outcome", "detected", "newline")
+
+    @staticmethod
+    def _damaged(text, j, kind, pick):
+        """``text`` with one byte of line ``j``, a round line in the writer's
+        layout, replaced: ``kind`` names the byte's class, and ``pick``
+        chooses the byte and its replacement within that class."""
+        lines = text.splitlines(keepends=True)
+        line = lines[j]
+        spaces = [k for k, c in enumerate(line) if c == " "]
+        starts = [0] + [k + 1 for k in spaces]      # id, sa, oa, sb, ob, detected
+        if kind == "id digit":
+            at, new = pick % spaces[0], "x9"[pick % 2]
+        elif kind == "separator":
+            at, new = spaces[pick % 5], "\tx"[pick % 2]
+        elif kind == "field":
+            at, new = starts[1 + pick % 4], "./4"[pick % 3]
+        elif kind == "outcome":                     # '-' if detected, '0' if not
+            at = starts[2 + 2 * (pick % 2)]
+            new = "-" if line[starts[5]] == "1" else "0"
+        elif kind == "detected":
+            at, new = starts[5], "2"
+        else:                                       # the newline dropped or doubled
+            at, new = len(line) - 1, "\n\n" if pick % 2 else ""
+        lines[j] = line[:at] + new + line[at + 1:]
+        return "".join(lines)
+
+    @staticmethod
+    def _read_outcome(path):
+        """The error message reading ``path`` raises, or its rounds and header."""
+        header = {}
+        try:
+            columns = protocol._concat(list(iter_transcript(path, header)))._columns()
+        except ValidationError as exc:
+            return str(exc)
+        return [(c.dtype, c.tolist()) for c in columns], header
+
+    @given(j=st.integers(1, 300), kind=st.sampled_from(DAMAGE), pick=st.integers(0, 11),
+           first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]),
+           block_bytes=st.sampled_from([64, 200, 1000, 1 << 18]))
+    # on the last line, which no later id checks and which is detected: an
+    # 'x' for the odd first digit of a 3-, 5- and 9-digit id, read alone,
+    # and a '/' (the byte before '0') for outcome_a
+    @example(j=300, kind="id digit", pick=0, first_id=0, block_bytes=1 << 18)
+    @example(j=300, kind="id digit", pick=0, first_id=9_800, block_bytes=200)
+    @example(j=300, kind="id digit", pick=0, first_id=99_999_800, block_bytes=1000)
+    @example(j=300, kind="field", pick=1, first_id=10**18 - 400, block_bytes=64)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_reader_damaged_writer_layout_falls_back(self, j, kind, pick, first_id,
+                                                      block_bytes):
+        # ids of 1-3, 4-5, 8-9 or 18 digits, so the damage meets odd and even
+        # widths, width changes and the first, middle and last line of a block
+        session = run_session(300, SourceConfig(detection_efficiency=0.7),
+                              NO_EVE, PartyConfig(), PartyConfig(), seed=24)
+        rounds = Rounds(session.round_id + first_id, *session._columns()[1:])
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+            path = os.path.join(tmp, "t.txt")
+            list(transcribe(path, [rounds], header={"seed": 24}))
+            with open(path) as fh:
+                text = self._damaged(fh.read(), j, kind, pick)
+            with open(path, "w", newline="") as out:
+                out.write(text)
+            read = self._read_outcome(path)
+            mp.setattr(transcript, "_parse_fixed", lambda data, prev_id: None)
+            general = self._read_outcome(path)
+        assert read == general
+        assert isinstance(read, str) or kind in ("separator", "newline", "id digit")
 
     @pytest.mark.parametrize("bad, message", [
         ("5 9 7 1 0 1", "setting_a '9' is not 1, 2 or 3"),
