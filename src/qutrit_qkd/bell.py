@@ -140,14 +140,6 @@ def _unitaries(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
 
 
-def random_basis(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthonormal basis from a QR decomposition."""
-    z = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return q.conj().T
-
-
 def _unitary_family_rows(params, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 8 parameters per basis, perturbing the (4, 3, 3) stack of base bases
     # (a1, a2, b1, b2); the map exp(iH) U0 still ranges over all of U(3).

@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -23,20 +23,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_INSUFFICIENT_DATA = 4
-
-
-@dataclass
-class RunConfig:
-    rounds: int = 100_000
-    seed: int = 0
-    coefficients: tuple = (1.0, 1.0, 1.0)
-    visibility: float = 1.0
-    background: float = 0.0
-    detection: float = 1.0
-    key_crosstalk: float = 0.0
-    eve: bool = False
-    eve_arm: str = "B"
-    bias: tuple = (1 / 3, 1 / 3, 1 / 3)
 
 
 def _parse_bool(s: str) -> bool:
@@ -70,18 +56,39 @@ def _parse_triple(s: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-_CONFIG_PARSERS = {
-    "rounds": _parse_rounds,
-    "seed": int,
-    "coefficients": _parse_triple,
-    "visibility": float,
-    "background": float,
-    "detection": float,
-    "key_crosstalk": float,
-    "eve": _parse_bool,
-    "eve_arm": str,
-    "bias": _parse_triple,
-}
+def _key(default, parse, source=None, simulate_only=False, **flag):
+    """A config key: its default, its value parser, the ``SourceConfig`` field
+    it sets, whether only ``simulate`` has its flag, and the flag's settings."""
+    return field(default=default, metadata={"parse": parse, "source": source,
+                                            "simulate_only": simulate_only, "flag": flag})
+
+
+@dataclass
+class RunConfig:
+    """The config keys, in header order: the one table that the config file,
+    the flags, the profile and the session objects are read through."""
+
+    rounds: int = _key(100_000, _parse_rounds, simulate_only=True,
+                       help="number of rounds, e.g. 100000 or 1e6")
+    seed: int = _key(0, int)
+    coefficients: tuple = _key((1.0, 1.0, 1.0), _parse_triple, "coefficients",
+                               metavar="A,B,C", help="source state coefficients")
+    visibility: float = _key(1.0, float, "visibility")
+    background: float = _key(0.0, float, "background_fraction",
+                             help="accidental-coincidence fraction")
+    detection: float = _key(1.0, float, "detection_efficiency", simulate_only=True,
+                            help="per-round coincidence detection probability")
+    key_crosstalk: float = _key(0.0, float, "key_crosstalk", simulate_only=True,
+                                help="key-setting crosstalk fraction")
+    eve: bool = _key(False, _parse_bool, simulate_only=True, action="store_const",
+                     const="true", help="enable the intercept-resend eavesdropper")
+    eve_arm: str = _key("B", str, simulate_only=True, choices=("A", "B"))
+    bias: tuple = _key((1 / 3, 1 / 3, 1 / 3), _parse_triple, simulate_only=True,
+                       metavar="P1,P2,P3", help="setting-choice probabilities")
+
+
+_KEYS = {f.name: f for f in fields(RunConfig)}
+_SOURCE_FIELDS = {name: f.metadata["source"] for name, f in _KEYS.items() if f.metadata["source"]}
 
 
 def load_config_file(path) -> dict:
@@ -101,10 +108,10 @@ def load_config_file(path) -> dict:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_PARSERS:
+            if key not in _KEYS:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS[key](value.strip())
+                values[key] = _KEYS[key].metadata["parse"](value.strip())
                 _session(replace(RunConfig(), **{key: values[key]}))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}")
@@ -117,21 +124,18 @@ def resolve_config(args) -> tuple[RunConfig, tuple]:
     config = RunConfig()
     if getattr(args, "profile", None) == "reference":
         source = protocol.reference_source()
-        config = replace(config,
-                         coefficients=source.coefficients,
-                         visibility=source.visibility,
-                         key_crosstalk=source.key_crosstalk,
-                         detection=source.detection_efficiency)
+        config = replace(config, **{name: getattr(source, attr)
+                                    for name, attr in _SOURCE_FIELDS.items()})
     if getattr(args, "config", None):
         config = replace(config, **load_config_file(args.config))
     overrides = {}
-    for f in fields(RunConfig):
-        text = getattr(args, f.name, None)
+    for name, f in _KEYS.items():
+        text = getattr(args, name, None)
         if text is not None:
             try:
-                overrides[f.name] = _CONFIG_PARSERS[f.name](text)
+                overrides[name] = f.metadata["parse"](text)
             except ValueError as exc:
-                raise ValidationError(f"bad value for {f.name}: {exc}") from None
+                raise ValidationError(f"bad value for {name}: {exc}") from None
     config = replace(config, **overrides)
     return config, _session(config)
 
@@ -141,13 +145,8 @@ def _session(config: RunConfig) -> tuple:
     seed check, is the range check of every config value."""
     if config.seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
-    source = protocol.SourceConfig(
-        coefficients=config.coefficients,
-        visibility=config.visibility,
-        background_fraction=config.background,
-        detection_efficiency=config.detection,
-        key_crosstalk=config.key_crosstalk,
-    )
+    source = protocol.SourceConfig(**{attr: getattr(config, name)
+                                      for name, attr in _SOURCE_FIELDS.items()})
     eve = protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)
     party = protocol.PartyConfig(config.bias)
     return source, eve, party, party
@@ -160,11 +159,11 @@ def _config_value(value):
 
 def _print_config(config: RunConfig) -> None:
     print("config:")
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
+    for name in _KEYS:
+        value = getattr(config, name)
         if isinstance(value, tuple):
             value = ", ".join(f"{v:.6g}" for v in value)
-        print(f"  {f.name} = {value}")
+        print(f"  {name} = {value}")
 
 
 def _machine_block(pairs) -> None:
@@ -265,7 +264,7 @@ def cmd_simulate(args) -> list:
     os.makedirs(args.out, exist_ok=True)
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     transcript_path = os.path.join(args.out, "transcript.txt")
-    header = {f.name: _config_value(getattr(config, f.name)) for f in fields(RunConfig)}
+    header = {name: _config_value(getattr(config, name)) for name in _KEYS}
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but nothing is printed and no key file written
     result = protocol.analyze(transcript.transcribe(transcript_path, chunks, header))
@@ -360,28 +359,13 @@ def cmd_decrypt(args) -> list:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(parser, with_profile=False):
+def _add_config_flags(parser, simulate=False):
     parser.add_argument("--config", metavar="PATH",
                         help="config file of 'key = value' lines; flags override")
-    parser.add_argument("--seed", default=None)
-    parser.add_argument("--coefficients", default=None,
-                        metavar="A,B,C", help="source state coefficients")
-    parser.add_argument("--visibility", default=None)
-    parser.add_argument("--background", default=None,
-                        help="accidental-coincidence fraction")
-    if with_profile:
-        parser.add_argument("--rounds", default=None,
-                            help="number of rounds, e.g. 100000 or 1e6")
-        parser.add_argument("--detection", default=None,
-                            help="per-round coincidence detection probability")
-        parser.add_argument("--key-crosstalk", dest="key_crosstalk",
-                            default=None, help="key-setting crosstalk fraction")
-        parser.add_argument("--eve", action="store_const", const="true", default=None,
-                            help="enable the intercept-resend eavesdropper")
-        parser.add_argument("--eve-arm", dest="eve_arm", choices=("A", "B"),
-                            default=None)
-        parser.add_argument("--bias", default=None,
-                            metavar="P1,P2,P3", help="setting-choice probabilities")
+    for name, f in _KEYS.items():
+        if simulate or not f.metadata["simulate_only"]:
+            parser.add_argument("--" + name.replace("_", "-"), **f.metadata["flag"])
+    if simulate:
         parser.add_argument("--profile", choices=("reference",), default=None,
                             help="preset noise calibration")
 
@@ -406,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
 
     p = sub.add_parser("simulate", help="run a full protocol session")
-    _add_config_flags(p, with_profile=True)
+    _add_config_flags(p, simulate=True)
     p.add_argument("--out", default="qkd-out", metavar="DIR",
                    help="directory for the transcript and key files")
 

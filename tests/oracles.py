@@ -3,7 +3,7 @@
 Everything here is derived from first principles by a different route than
 the library takes: naive loops instead of matrix products, closed-form
 geometric sums instead of table evaluation, exhaustive enumeration instead
-of sampling.
+of sampling.  The random bases the test modules draw come from here too.
 """
 
 import itertools
@@ -122,3 +122,21 @@ def session_columns_reference(n, tables, p_a, p_b, detection, seed):
             out_a[mask] = idx // 3
             out_b[mask] = idx % 3
     return np.arange(n, dtype=np.int64), sa, out_a, sb, out_b, detected
+
+
+def complex_gaussian(rng):
+    """A 3x3 matrix of standard complex normals, real parts drawn first."""
+    return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+
+def haar_bases(z):
+    """Orthonormal bases (rows) from the QR decompositions of ``z`` (..., 3, 3);
+    R's diagonal phases move into Q, so Gaussian ``z`` gives Haar bases."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return (q * (d / np.abs(d))[..., None, :]).conj().swapaxes(-1, -2)
+
+
+def random_basis(rng):
+    """One Haar-random orthonormal basis (rows)."""
+    return haar_bases(complex_gaussian(rng))

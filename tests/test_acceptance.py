@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from qutrit_qkd import bell, reconcile, tritcrypt
-from qutrit_qkd.bell import random_basis
 from qutrit_qkd.linalg import MixedState, maximally_entangled_state
 from qutrit_qkd.protocol import (
     EveConfig,
@@ -25,7 +24,7 @@ from qutrit_qkd.protocol import (
 )
 from qutrit_qkd.trits import format_trits, parse_trits
 
-from oracles import parity_block_survivors
+from oracles import complex_gaussian, haar_bases, parity_block_survivors, random_basis
 
 
 def report(num, description, passed, detail=""):
@@ -193,7 +192,9 @@ def test_criterion_09_cipher_golden_vectors():
 def test_criterion_10_property_suites():
     rng = np.random.default_rng(10)
     cases = 10_000
-    born_ok = signalling_ok = mod3_ok = True
+    # drawn case by case, in the order random_basis would draw them; the bases'
+    # QR decompositions and the per-case checks then run on stacks
+    mixtures, gaussians = [], []
     for _ in range(cases):
         n = rng.integers(1, 3)
         weights = rng.dirichlet(np.ones(n + 1))
@@ -201,18 +202,17 @@ def test_criterion_10_property_suites():
         for i in range(n):
             psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             components.append((weights[i], psi / np.linalg.norm(psi)))
-        mixed = MixedState(components=tuple(components), white_noise_weight=weights[-1])
-        basis_a = random_basis(rng)
-        basis_b1 = random_basis(rng)
-        basis_b2 = random_basis(rng)
-        t1 = bell.outcome_distribution(mixed, basis_a, basis_b1)
-        t2 = bell.outcome_distribution(mixed, basis_a, basis_b2)
-        born_ok = born_ok and abs(t1.sum() - 1.0) < 1e-10 \
-            and t1.min() > -1e-15 and t1.max() < 1.0 + 1e-15
-        signalling_ok = signalling_ok and np.allclose(
-            t1.sum(axis=1), t2.sum(axis=1), atol=1e-10)
-        mod3_ok = mod3_ok and abs(
-            sum(bell.coincidence_mod3(t1, k) for k in range(3)) - 1.0) < 1e-10
+        mixtures.append(MixedState(components=tuple(components), white_noise_weight=weights[-1]))
+        gaussians += [complex_gaussian(rng) for _ in range(3)]   # A, B1, B2
+    bases = haar_bases(np.array(gaussians)).reshape(cases, 3, 3, 3)
+    t1 = np.array([bell.outcome_distribution(m, a, b1) for m, (a, b1, _) in zip(mixtures, bases)])
+    t2 = np.array([bell.outcome_distribution(m, a, b2) for m, (a, _, b2) in zip(mixtures, bases)])
+    born_ok = bool(np.all(np.abs(t1.sum(axis=(1, 2)) - 1.0) < 1e-10)
+                   and t1.min() > -1e-15 and t1.max() < 1.0 + 1e-15)
+    # A's marginals (row sums) must not depend on B's basis
+    signalling_ok = np.allclose(t1.sum(axis=2), t2.sum(axis=2), atol=1e-10)
+    mod3_ok = all(abs(sum(bell.coincidence_mod3(t, k) for k in range(3)) - 1.0) < 1e-10
+                  for t in t1)
 
     codec_ok = True
     alphabet = np.array(list(tritcrypt.ALPHABET))

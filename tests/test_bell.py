@@ -15,7 +15,6 @@ from qutrit_qkd.bell import (
     optimize_gamma_family,
     optimize_s3,
     outcome_distribution,
-    random_basis,
     s3,
 )
 from qutrit_qkd.linalg import (
@@ -29,7 +28,7 @@ from qutrit_qkd.linalg import (
     phase_rows,
 )
 
-from oracles import s3_bruteforce, s3_closed_form, s3_gamma_closed_form
+from oracles import random_basis, s3_bruteforce, s3_closed_form, s3_gamma_closed_form
 
 
 def random_product_mixture(rng, max_components=4):

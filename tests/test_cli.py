@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import qutrit_qkd
-from qutrit_qkd import bell
+from qutrit_qkd import bell, cli
 from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.linalg import ValidationError
 from qutrit_qkd.trits import read_key_file
@@ -162,19 +163,32 @@ class TestSimulateAndSift:
         assert out1 == out2
 
     def test_header_replays_session(self, capsys, tmp_path):
-        out_dir = str(tmp_path / "h")
-        code, out1, _ = run_cli(capsys, "simulate", "--profile", "reference",
-                                "--rounds", "20000", "--seed", "7", "--out", out_dir)
-        assert code == 0
-        header = [line[2:] for line in (tmp_path / "h" / "transcript.txt")
-                  .read_text().splitlines() if line.startswith("# ")]
-        assert "coefficients = 0.642,0.546,0.539" in header
-        assert f"detection = {1 / 9!r}" in header
-        cfg = tmp_path / "hdr.cfg"
-        cfg.write_text("\n".join(header) + "\n")
-        code, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", out_dir)
-        assert code == 0
-        assert machine_block(out2) == machine_block(out1)
+        cases = [
+            (("--profile", "reference", "--rounds", "20000", "--seed", "7"),
+             {"coefficients = 0.642,0.546,0.539", f"detection = {1 / 9!r}"}),
+            # every key off its default
+            (("--eve", "--eve-arm", "A", "--bias", "0.2,0.2,0.6", "--background", "0.05",
+              "--detection", "0.7", "--key-crosstalk", "0.01", "--coefficients", "1,0.9,0.8",
+              "--visibility", "0.95", "--rounds", "30000", "--seed", "12"),
+             {"rounds = 30000", "seed = 12", "coefficients = 1.0,0.9,0.8",
+              "visibility = 0.95", "background = 0.05", "detection = 0.7",
+              "key_crosstalk = 0.01", "eve = True", "eve_arm = A", "bias = 0.2,0.2,0.6"}),
+        ]
+        for i, (argv, expected) in enumerate(cases):
+            out_dir = tmp_path / f"h{i}"
+            code, out1, _ = run_cli(capsys, "simulate", *argv, "--out", str(out_dir))
+            assert code == 0
+            transcript = (out_dir / "transcript.txt").read_bytes()
+            header = [line[2:] for line in transcript.decode().splitlines()
+                      if line.startswith("# ")]
+            assert expected <= set(header)
+            cfg = tmp_path / f"hdr{i}.cfg"
+            cfg.write_text("\n".join(header) + "\n")
+            code, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                                    "--out", str(out_dir))
+            assert code == 0
+            assert machine_block(out2) == machine_block(out1)
+            assert (out_dir / "transcript.txt").read_bytes() == transcript
 
     def test_eve_flag_breaks_security(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "simulate", "--rounds", "100000",
@@ -353,6 +367,49 @@ def test_help_exits_zero(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--help")
     assert code == 0
     assert out.startswith("usage: qutrit-qkd") and err == ""
+
+
+# a value off its default for each config key: the flag's arguments and the
+# config-file value
+KEY_VALUES = {
+    "rounds": (("--rounds", "30000"), "30000"),
+    "seed": (("--seed", "12"), "12"),
+    "coefficients": (("--coefficients", "1,0.9,0.8"), "1,0.9,0.8"),
+    "visibility": (("--visibility", "0.95"), "0.95"),
+    "background": (("--background", "0.05"), "0.05"),
+    "detection": (("--detection", "0.7"), "0.7"),
+    "key_crosstalk": (("--key-crosstalk", "0.01"), "0.01"),
+    "eve": (("--eve",), "true"),
+    "eve_arm": (("--eve-arm", "A"), "A"),
+    "bias": (("--bias", "0.2,0.2,0.6"), "0.2,0.2,0.6"),
+}
+SHARED_OPTIONS = {"--help", "--config", "--seed", "--coefficients", "--visibility",
+                  "--background"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("bell", SHARED_OPTIONS | {"--family", "--tolerance"}),
+    ("optimize", SHARED_OPTIONS | {"--family", "--tolerance", "--restarts"}),
+    ("simulate", SHARED_OPTIONS | {"--rounds", "--detection", "--key-crosstalk", "--eve",
+                                   "--eve-arm", "--bias", "--profile", "--out"}),
+])
+def test_config_command_options(capsys, tmp_path, command, options):
+    """Each config command takes exactly its options, and each key's flag
+    gives the value its config-file line gives."""
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out.split("\noptions:\n", 1)[1], re.M)
+    assert sorted(listed) == sorted(options)
+    parser = cli.build_parser()
+    keys = [key for key, (flag_args, _) in KEY_VALUES.items() if flag_args[0] in options]
+    assert len(keys) == (10 if command == "simulate" else 4)
+    for key in keys:
+        flag_args, value = KEY_VALUES[key]
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_flag, _ = cli.resolve_config(parser.parse_args([command, *flag_args]))
+        by_file, _ = cli.resolve_config(parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag == by_file != cli.RunConfig()
 
 
 def test_unusable_out_dir_prints_nothing(capsys, tmp_path):

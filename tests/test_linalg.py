@@ -18,18 +18,12 @@ from qutrit_qkd.linalg import (
     state_norm_sq,
 )
 
-from oracles import born_probability_bruteforce
+from oracles import born_probability_bruteforce, random_basis
 
 
 def random_state(rng):
     psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     return psi / np.linalg.norm(psi)
-
-
-def random_basis(rng):
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    return (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).conj().T
 
 
 class TestMakeState:

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import session_columns_reference
+from oracles import random_basis, session_columns_reference
 from scipy.stats import chi2
 
 from qutrit_qkd import bell, protocol, transcript
-from qutrit_qkd.bell import random_basis
 from qutrit_qkd.linalg import (
     SWAP_12,
     MixedState,
