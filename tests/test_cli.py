@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -501,6 +502,83 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert sha256(stdout_text(out, tmp_path).encode()) == digest
+
+
+class TestPinnedReports:
+    """Byte-level pins of the stdout of every other command and report branch,
+    without the lines naming paths under ``tmp_path``."""
+
+    def stdout_digest(self, capsys, tmp_path, *argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return out, sha256(stdout_text(out, tmp_path).encode())
+
+    @pytest.mark.parametrize("header, keys, digest", [
+        (True, True, "1706365c44f649d478ea5799ca46c4e03d26aef81f05814bd74aee440247f122"),
+        (False, False, "cf1eefc85046cb2234fcebeb4f6d61c6d57a566b0496f61e7438259cf612379b"),
+    ])
+    def test_sift_stdout(self, capsys, tmp_path, header, keys, digest):
+        sim_dir = tmp_path / "sim"
+        assert run_cli(capsys, "simulate", "--rounds", "20000", "--seed", "5",
+                       "--out", str(sim_dir))[0] == 0
+        path = sim_dir / "transcript.txt"
+        if not header:
+            rows = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(row for row in rows if not row.startswith(b"#")))
+        out_args = ("--out", str(tmp_path / "keys")) if keys else ()
+        out, got = self.stdout_digest(capsys, tmp_path, "sift", "--transcript", str(path),
+                                      *out_args)
+        assert ("transcript header:" in out) == header
+        assert got == digest
+
+    @pytest.mark.parametrize("length, digest", [
+        (151, "e555785e5e6d8997faa2d5e8d3df23fe9603733845533d478d97bd773735ea74"),
+        (150, "bd1e6abf636c894e4ef94dc063fef173bdb88aab4da3d1b57ea42fa657b0ca9a"),
+    ])
+    def test_reconcile_stdout(self, capsys, tmp_path, length, digest):
+        rng = np.random.default_rng(2)
+        key_a = rng.integers(0, 3, size=length)
+        key_b = np.where(rng.random(length) < 0.1, (key_a + 1) % 3, key_a)
+        file_a, file_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        file_a.write_text("".join(map(str, key_a)) + "\n")
+        file_b.write_text("".join(map(str, key_b)) + "\n")
+        out, got = self.stdout_digest(capsys, tmp_path, "reconcile", str(file_a), str(file_b),
+                                      "--out", str(tmp_path / "rec"))
+        assert ("dropped trailing" in out) == bool(length % 3)
+        assert got == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("encrypt", "THE RESULT IS FORTY TWO"),
+         "8a28ecc7a495bc399e8443db60c54da0d2ffe7fc1edbeaec2d8d030ad66e3be5"),
+        (("decrypt", TABLE_CIPHER),
+         "053f5ae411f16e2b873bae04bc74ad55df1bb6dcb2a50c183e87564bb4a64e91"),
+    ])
+    def test_cipher_stdout(self, capsys, tmp_path, argv, digest):
+        key_file = tmp_path / "key.txt"
+        key_file.write_text(TABLE_KEY + "012" * 3 + "\n")
+        _, got = self.stdout_digest(capsys, tmp_path, *argv, "--key-file", str(key_file))
+        assert got == digest
+
+    def test_qter_above_noise_bound_stdout(self, capsys, tmp_path):
+        out, got = self.stdout_digest(capsys, tmp_path, "simulate", "--key-crosstalk", "0.6",
+                                      "--rounds", "20000", "--seed", "1",
+                                      "--out", str(tmp_path / "x"))
+        assert "(ABOVE the 0.225 noise bound)" in out
+        assert got == "f7cacd7d4d439356a4d80ddd0efab28ee37a0cfaa5aca873121e81aa53060848"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("bell",), "492b7131933458cb002d7eb5cc18370e927ffe9a11c6dc0c4d5e8eedce911221"),
+        (("optimize", "--restarts", "2"),
+         "ea7137240de87afa642d98bc5a1d670d8bca625c2456a55833807cd9018796a8"),
+    ])
+    def test_not_converged_stdout(self, capsys, tmp_path, monkeypatch, argv, digest):
+        solve = bell.optimize_s3
+        monkeypatch.setattr(bell, "optimize_s3", lambda *args, **kwargs: dataclasses.replace(
+            solve(*args, **kwargs), converged=False))
+        out, got = self.stdout_digest(capsys, tmp_path, *argv)
+        assert "  [not converged]" in out
+        assert machine_block(out)["optimizer_converged"] == "0"
+        assert got == digest
 
 
 class TestReconcileCommand:
