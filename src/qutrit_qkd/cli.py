@@ -1,8 +1,10 @@
 """Command-line front end: reproducible experiments and plain-text reports.
 
-Each command prints a plain-text report and returns the ``name value`` pairs
-(full precision) of the machine-readable block that ``main`` prints after it.
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
+Each command returns its report as rows ``(text, name, value)``: a report
+line or None, and a machine-readable pair or None.  ``main`` prints them only
+once the command has succeeded: every text line, then the machine block of
+the named rows at full precision.  Exit codes: 0 success, 2 validation
+error, 3 I/O error, 4 insufficient data.
 """
 
 from __future__ import annotations
@@ -157,23 +159,23 @@ def _config_value(value):
     return ",".join(repr(float(v)) for v in value) if isinstance(value, tuple) else value
 
 
-def _print_config(config: RunConfig) -> None:
-    print("config:")
-    for name in _KEYS:
-        value = getattr(config, name)
+def _block(title: str, items: dict) -> list:
+    """Text rows of a titled ``key = value`` block: the config or a transcript header."""
+    rows = [(title, None, None)]
+    for key, value in items.items():
         if isinstance(value, tuple):
             value = ", ".join(f"{v:.6g}" for v in value)
-        print(f"  {name} = {value}")
+        rows.append((f"  {key} = {value}", None, None))
+    return rows
 
 
-def _machine_block(pairs) -> None:
-    print("-- machine readable --")
-    for name, value in pairs:
-        if isinstance(value, (bool, np.bool_)):
-            value = int(value)
-        if isinstance(value, (float, np.floating)):
-            value = repr(float(value))
-        print(f"{name} {value}")
+def _machine_value(value):
+    """A machine-block value at full precision; booleans as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +190,27 @@ def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
     return config, MixedState.isotropic(diagonal_state(coeffs), effective), divisor
 
 
+def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:
+    """The optimized S3, flagged when no restart converged."""
+    flag = "" if result.converged else "  [not converged]"
+    return [(f"{label}{result.s3:.4f}{flag}", "s3_optimized", result.s3),
+            (None, "optimizer_converged", result.converged)]
+
+
 def cmd_bell(args) -> list:
     config, mixed, divisor = _bell_setup(args)
     s3_exact = bell.s3(mixed, bell.canonical_settings())
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
-    _print_config(config)
-    print()
-    print(f"exact S3 at canonical settings  {s3_exact:.4f}")
-    print(f"optimized S3 ({args.family} family)   {result.s3:.4f}"
-          + ("" if result.converged else "  [not converged]"))
-    print(f"classical bound 2.0000, quantum maximum {bell.QUANTUM_MAX:.4f}")
     return [
-        ("s3_exact", s3_exact),
-        ("s3_optimized", result.s3),
-        ("optimizer_converged", result.converged),
-        ("classical_bound", bell.CLASSICAL_BOUND),
-        ("quantum_max", bell.QUANTUM_MAX),
-        ("normalization_divisor", divisor),
+        *_block("config:", vars(config)),
+        ("", None, None),
+        (f"exact S3 at canonical settings  {s3_exact:.4f}", "s3_exact", s3_exact),
+        *_optimized_rows(f"optimized S3 ({args.family} family)   ", result),
+        (f"classical bound 2.0000, quantum maximum {bell.QUANTUM_MAX:.4f}",
+         "classical_bound", bell.CLASSICAL_BOUND),
+        (None, "quantum_max", bell.QUANTUM_MAX),
+        (None, "normalization_divisor", divisor),
     ]
 
 
@@ -214,49 +219,52 @@ def cmd_optimize(args) -> list:
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed,
                               restarts=args.restarts)
-    _print_config(config)
-    print()
-    print(f"optimized S3 ({args.family} family)  {result.s3:.4f}"
-          + ("" if result.converged else "  [not converged]"))
     return [
-        ("s3_optimized", result.s3),
-        ("optimizer_converged", result.converged),
-        ("family", result.family),
-        ("params", ",".join(repr(float(p)) for p in result.params)),
+        *_block("config:", vars(config)),
+        ("", None, None),
+        *_optimized_rows(f"optimized S3 ({args.family} family)  ", result),
+        (None, "family", result.family),
+        (None, "params", ",".join(repr(float(p)) for p in result.params)),
     ]
 
 
-def _report_session(result: protocol.SessionResult) -> list:
-    """Print a session's report; its machine-block pairs."""
+def _session_rows(result: protocol.SessionResult) -> list:
+    """A session's tallies, S3 estimate, QTER and verdict."""
     fk, fb, fd = result.sifted_fractions
-    print()
-    print(f"rounds             {result.n_rounds} ({result.n_detected} detected)")
-    print(f"sifted fractions   key {fk:.4f}, bell {fb:.4f}, discarded {fd:.4f}")
-    print(f"key length         {len(result.key_a)} trits")
-    for line in result.lines():
-        print(line)
+    n_key = len(result.key_a)
+    noise = "below" if result.qter < protocol.NOISE_BOUND_QUTRIT else "ABOVE"
     return [
-        ("n_rounds", result.n_rounds),
-        ("n_detected", result.n_detected),
-        ("fraction_key", fk),
-        ("fraction_bell", fb),
-        ("fraction_discarded", fd),
-        ("s3_estimate", result.s3_estimate),
-        ("s3_sigma", result.s3_sigma),
-        ("sigmas_above_classical", result.sigmas_above_classical),
-        ("qter", result.qter),
-        ("key_length", len(result.key_a)),
-        ("secure", result.secure),
+        ("", None, None),
+        (f"rounds             {result.n_rounds} ({result.n_detected} detected)",
+         "n_rounds", result.n_rounds),
+        (None, "n_detected", result.n_detected),
+        (f"sifted fractions   key {fk:.4f}, bell {fb:.4f}, discarded {fd:.4f}",
+         "fraction_key", fk),
+        (None, "fraction_bell", fb),
+        (None, "fraction_discarded", fd),
+        # the text reports the key length before the estimate, the block after the QTER
+        (f"key length         {n_key} trits", None, None),
+        (f"S3 estimate        {result.s3_estimate:.4f} +- {result.s3_sigma:.4f}",
+         "s3_estimate", result.s3_estimate),
+        (None, "s3_sigma", result.s3_sigma),
+        (f"classical bound    2.0000 ({result.sigmas_above_classical:.2f} sigma above)",
+         "sigmas_above_classical", result.sigmas_above_classical),
+        (f"QTER               {result.qter:.4f} "
+         f"({noise} the {protocol.NOISE_BOUND_QUTRIT:.3f} noise bound)", "qter", result.qter),
+        (None, "key_length", n_key),
+        (f"verdict            {'SECURE' if result.secure else 'NOT SECURE'}",
+         "secure", result.secure),
     ]
 
 
-def _write_keys(out_dir, result: protocol.SessionResult) -> list:
-    """Write and report both sifted keys in ``out_dir``; their machine-block pairs."""
+def _key_rows(out_dir, result: protocol.SessionResult) -> list:
+    """Write both sifted keys in ``out_dir``, made if missing; their paths."""
+    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, "key_a.txt"), os.path.join(out_dir, "key_b.txt")]
     for path, key, party in zip(paths, (result.key_a, result.key_b), "AB"):
         trits.write_key_file(path, key, comments=(f"sifted key, party {party}",))
-    print(f"key files          {paths[0]}, {paths[1]}")
-    return [("key_a", paths[0]), ("key_b", paths[1])]
+    return [(f"key files          {paths[0]}, {paths[1]}", "key_a", paths[0]),
+            (None, "key_b", paths[1])]
 
 
 def cmd_simulate(args) -> list:
@@ -264,14 +272,16 @@ def cmd_simulate(args) -> list:
     os.makedirs(args.out, exist_ok=True)
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     transcript_path = os.path.join(args.out, "transcript.txt")
-    header = {name: _config_value(getattr(config, name)) for name in _KEYS}
+    header = {name: _config_value(value) for name, value in vars(config).items()}
     # sampled, written and sifted chunk by chunk; on too little data the
-    # transcript is already written, but nothing is printed and no key file written
+    # transcript is already written, but no key file
     result = protocol.analyze(transcript.transcribe(transcript_path, chunks, header))
-    _print_config(config)
-    pairs = _report_session(result)
-    print(f"transcript         {transcript_path}")
-    return pairs + [("transcript", transcript_path)] + _write_keys(args.out, result)
+    return [
+        *_block("config:", vars(config)),
+        *_session_rows(result),
+        (f"transcript         {transcript_path}", "transcript", transcript_path),
+        *_key_rows(args.out, result),
+    ]
 
 
 def cmd_sift(args) -> list:
@@ -280,16 +290,11 @@ def cmd_sift(args) -> list:
         result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    if header:
-        print("transcript header:")
-        for key, value in header.items():
-            print(f"  {key} = {value}")
-    pairs = _report_session(result)
-    if args.out:
-        pairs += _write_keys(args.out, result)
-    return pairs
+    return [
+        *(_block("transcript header:", header) if header else ()),
+        *_session_rows(result),
+        *(_key_rows(args.out, result) if args.out else ()),
+    ]
 
 
 def cmd_reconcile(args) -> list:
@@ -301,19 +306,18 @@ def cmd_reconcile(args) -> list:
     path_b = os.path.join(args.out, "reconciled_b.txt")
     trits.write_key_file(path_a, out_a, comments=("reconciled key, party A",))
     trits.write_key_file(path_b, out_b, comments=("reconciled key, party B",))
-    print(f"input length       {len(key_a)} trits")
-    for line in report.lines():
-        print(line)
-    print(f"output files       {path_a}, {path_b}")
+    dropped = report.dropped_trailing
     return [
-        ("input_length", len(key_a)),
-        ("kept_blocks", report.kept_blocks),
-        ("discarded_blocks", report.discarded_blocks),
-        ("output_length", report.output_length),
-        ("residual_mismatches", report.residual_mismatches),
-        ("dropped_trailing", report.dropped_trailing),
-        ("out_a", path_a),
-        ("out_b", path_b),
+        (f"input length       {len(key_a)} trits", "input_length", len(key_a)),
+        (f"kept blocks          {report.kept_blocks}", "kept_blocks", report.kept_blocks),
+        (f"discarded blocks     {report.discarded_blocks}",
+         "discarded_blocks", report.discarded_blocks),
+        (f"output length        {report.output_length}", "output_length", report.output_length),
+        (f"residual mismatches  {report.residual_mismatches}",
+         "residual_mismatches", report.residual_mismatches),
+        (f"dropped trailing     {dropped}" if dropped else None, "dropped_trailing", dropped),
+        (f"output files       {path_a}, {path_b}", "out_a", path_a),
+        (None, "out_b", path_b),
     ]
 
 
@@ -326,12 +330,11 @@ def cmd_encrypt(args) -> list:
             "(one-time pad requires a key at least as long)")
     cipher = tritcrypt.encrypt(code, key[:code.size])
     unused = int(key.size - code.size)
-    print(f"cipher             {trits.format_trits(cipher, group=3)}")
-    print(f"key trits used     {code.size} ({unused} unused)")
     return [
-        ("cipher", trits.format_trits(cipher)),
-        ("used_key_trits", int(code.size)),
-        ("unused_key_trits", unused),
+        (f"cipher             {trits.format_trits(cipher, group=3)}",
+         "cipher", trits.format_trits(cipher)),
+        (f"key trits used     {code.size} ({unused} unused)", "used_key_trits", code.size),
+        (None, "unused_key_trits", unused),
     ]
 
 
@@ -346,12 +349,11 @@ def cmd_decrypt(args) -> list:
     code = tritcrypt.decrypt(cipher, key[:cipher.size])
     text = tritcrypt.decode(code)
     unused = int(key.size - cipher.size)
-    print(f"text               {text}")
-    print(f"key trits used     {cipher.size} ({unused} unused)")
     return [
-        ("text", text),
-        ("used_key_trits", int(cipher.size)),
-        ("unused_key_trits", unused),
+        (f"text               {text}", "text", text),
+        (f"key trits used     {cipher.size} ({unused} unused)",
+         "used_key_trits", cipher.size),
+        (None, "unused_key_trits", unused),
     ]
 
 
@@ -432,7 +434,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         # looked up on each call, so a rebound cmd_* function is the one run
-        pairs = globals()[f"cmd_{args.command}"](args)
+        rows = globals()[f"cmd_{args.command}"](args)
     except protocol.InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_DATA
@@ -442,7 +444,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _machine_block(pairs)
+    for text, _, _ in rows:
+        if text is not None:
+            print(text)
+    print("-- machine readable --")
+    for _, name, value in rows:
+        if name is not None:
+            print(f"{name} {_machine_value(value)}")
     return EXIT_OK
 
 

@@ -480,15 +480,6 @@ class SecurityReport:
     sigmas_above_classical: float
     qter: float
 
-    def lines(self) -> list[str]:
-        noise = "below" if self.qter < NOISE_BOUND_QUTRIT else "ABOVE"
-        return [
-            f"S3 estimate        {self.s3_estimate:.4f} +- {self.s3_sigma:.4f}",
-            f"classical bound    2.0000 ({self.sigmas_above_classical:.2f} sigma above)",
-            f"QTER               {self.qter:.4f} ({noise} the {NOISE_BOUND_QUTRIT:.3f} noise bound)",
-            f"verdict            {'SECURE' if self.secure else 'NOT SECURE'}",
-        ]
-
 
 def security_verdict(s3_estimate: float, s3_sigma: float, qter_value: float) -> SecurityReport:
     """Secure if and only if the estimated S3 exceeds the classical bound 2."""

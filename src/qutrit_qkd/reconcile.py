@@ -5,7 +5,8 @@ of each block over the public channel and throw away blocks whose sums
 disagree.  One trit of every surviving block is discarded to pay for the
 disclosed parity, so n input blocks shrink to at most 2n/3 output trits.
 The sift is single-pass: error patterns whose trits sum to 0 mod 3 slip
-through, which ``residual_error_rate`` quantifies.
+through, which ``residual_error_rate`` quantifies.  ``parity_sift`` returns
+the counts as a ``ReconciliationReport``; the command line renders them.
 """
 
 from __future__ import annotations
@@ -30,17 +31,6 @@ class ReconciliationReport:
     output_length: int
     residual_mismatches: int       # simulation-only diagnostic
     dropped_trailing: int = 0
-
-    def lines(self) -> list[str]:
-        out = [
-            f"kept blocks          {self.kept_blocks}",
-            f"discarded blocks     {self.discarded_blocks}",
-            f"output length        {self.output_length}",
-            f"residual mismatches  {self.residual_mismatches}",
-        ]
-        if self.dropped_trailing:
-            out.append(f"dropped trailing     {self.dropped_trailing}")
-        return out
 
 
 def parity_sift(key_a, key_b) -> tuple[np.ndarray, np.ndarray, ReconciliationReport]:

@@ -15,17 +15,18 @@ from .trits import as_trits
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
 TRITS_PER_CHAR = 3
+# symbol -> index; the ASCII lowercase letters fold to their capitals
+_INDEX = {ch: i for i, ch in enumerate(ALPHABET)} | {
+    ch: i for i, ch in enumerate(ALPHABET.lower())}
 
 
 def encode(text: str) -> np.ndarray:
-    """Text to code groups; lowercase is folded, anything else is an error."""
-    folded = text.upper()
+    """Text to code groups; ASCII lowercase is folded, anything else is an error."""
     indices = []
-    for ch in folded:
-        idx = ALPHABET.find(ch)
-        if idx < 0:
+    for ch in text:
+        if ch not in _INDEX:
             raise ValidationError(f"character {ch!r} outside the 27-symbol alphabet")
-        indices.append(idx)
+        indices.append(_INDEX[ch])
     idx = np.asarray(indices, dtype=np.int8)
     groups = np.stack([idx // 9, (idx // 3) % 3, idx % 3], axis=1) if len(idx) else \
         np.zeros((0, TRITS_PER_CHAR), dtype=np.int8)

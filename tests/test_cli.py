@@ -191,6 +191,18 @@ class TestSimulateAndSift:
             assert machine_block(out2) == machine_block(out1)
             assert (out_dir / "transcript.txt").read_bytes() == transcript
 
+    def test_verdict_lines_render(self, capsys, tmp_path):
+        """The verdict and QTER lines of a secure and of an eavesdropped session."""
+        cases = ((("--seed", "3"), "SECURE"), (("--seed", "4", "--eve"), "NOT SECURE"))
+        for argv, verdict in cases:
+            code, out, _ = run_cli(capsys, "simulate", "--rounds", "20000", *argv,
+                                   "--out", str(tmp_path / "v"))
+            assert code == 0
+            lines = out.splitlines()
+            assert f"verdict            {verdict}" in lines
+            assert "QTER               0.0000 (below the 0.225 noise bound)" in lines
+            assert machine_block(out)["secure"] == str(int(verdict == "SECURE"))
+
     def test_eve_flag_breaks_security(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "simulate", "--rounds", "100000",
                                "--seed", "4", "--eve", "--out", str(tmp_path / "e"))
@@ -429,6 +441,20 @@ def test_unusable_out_dir_prints_nothing(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sift"])
+def test_late_failure_prints_nothing(capsys, tmp_path, command):
+    """A command that fails after its work, here on a ``key_a.txt`` under
+    --out that is a directory, exits 3 and prints no report."""
+    sim_dir, out_dir = tmp_path / "sim", tmp_path / "out"
+    assert run_cli(capsys, "simulate", "--rounds", "20000", "--out", str(sim_dir))[0] == 0
+    (out_dir / "key_a.txt").mkdir(parents=True)
+    argv = (("simulate", "--rounds", "20000") if command == "simulate"
+            else ("sift", "--transcript", str(sim_dir / "transcript.txt")))
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert "key_a.txt" in err and "Traceback" not in err
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -643,6 +669,17 @@ class TestCipherCommands:
                                "--key-file", str(key_file))
         assert code == 2
         assert "key too short" in err
+
+    @pytest.mark.parametrize("text, typed", [
+        ("straße", "ß"), ("ı", "ı"), ("ſ", "ſ"), ("ﬁ", "ﬁ"), ("café", "é"),
+    ], ids=["sharp-s", "dotless-i", "long-s", "fi-ligature", "e-acute"])
+    def test_non_ascii_letters_refused(self, capsys, tmp_path, text, typed):
+        """Only ASCII a-z fold to capitals; other letters are named as typed."""
+        key_file = tmp_path / "key.txt"
+        key_file.write_text(TABLE_KEY + "\n")
+        code, out, err = run_cli(capsys, "encrypt", text, "--key-file", str(key_file))
+        assert (code, out) == (2, "")
+        assert f"character {typed!r} outside" in err
 
     def test_unused_tail_reported(self, capsys, tmp_path):
         key_file = tmp_path / "key.txt"
