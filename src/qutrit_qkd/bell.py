@@ -1,11 +1,12 @@
 """Three-dimensional Bell parameter S3: exact evaluation and optimization.
 
 The Bell expression combines eight mod-3 coincidence probabilities over two
-settings per side.  Outcomes are labeled 0, 1, 2.  ``coincidence_mod3(T, k)``
-is the probability that B's outcome exceeds A's by k (mod 3); the terms
-"A = B - 1" and "A = B + 1" of the inequality therefore map to k = 1 and
-k = 2 respectively.  This convention is pinned by a unit test reproducing
-the quantum maximum 4/(6*sqrt(3) - 9) at the canonical settings.
+settings per side.  Outcomes are labeled 0, 1, 2; coincidence k is the
+probability that B's outcome exceeds A's by k (mod 3), so the terms
+"A = B - 1" and "A = B + 1" of the inequality map to k = 1 and k = 2.
+``S3_COEFFICIENTS`` states this convention cell by cell, and S3 is its dot
+product with the outcome tables.  A unit test pins it by reproducing the
+quantum maximum 4/(6*sqrt(3) - 9) at the canonical settings.
 """
 
 from __future__ import annotations
@@ -69,22 +70,6 @@ def as_mixture(state) -> MixedState:
     if isinstance(state, MixedState):
         return state
     return MixedState.pure(np.asarray(state, dtype=complex))
-
-
-def outcome_distribution(state, basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """3x3 joint outcome table; rows index A's outcome, columns B's."""
-    require_orthonormal(basis_a)
-    require_orthonormal(basis_b)
-    mixed = as_mixture(state)
-    return born_tables(np.asarray(basis_a), np.asarray(basis_b), mixed.psis,
-                       mixed.weights, mixed.white_noise_weight)[0, :, 0, :]
-
-
-def coincidence_mod3(table: np.ndarray, k: int) -> float:
-    """Probability that the outcomes differ by k (mod 3): sum_j T[j, (j+k)%3]."""
-    t = np.asarray(table)
-    j = np.arange(DIM)
-    return float(t[j, (j + k) % DIM].sum())
 
 
 # Signed coefficient per outcome cell, indexed [a - 1, k, b - 1, l] like the

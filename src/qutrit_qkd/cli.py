@@ -257,10 +257,19 @@ def _session_rows(result: protocol.SessionResult) -> list:
     ]
 
 
-def _key_rows(out_dir, result: protocol.SessionResult) -> list:
-    """Write both sifted keys in ``out_dir``, made if missing; their paths."""
+def _out_paths(out_dir, *names) -> list:
+    """The files ``names`` in ``out_dir``, made if missing.  Called before any
+    sampling, reading or writing; refuses a target that is not a regular file."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, "key_a.txt"), os.path.join(out_dir, "key_b.txt")]
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise IsADirectoryError(f"{path}: exists and is not a regular file")
+    return paths
+
+
+def _key_rows(paths, result: protocol.SessionResult) -> list:
+    """Write both sifted keys to ``paths``; their report rows."""
     for path, key, party in zip(paths, (result.key_a, result.key_b), "AB"):
         trits.write_key_file(path, key, comments=(f"sifted key, party {party}",))
     return [(f"key files          {paths[0]}, {paths[1]}", "key_a", paths[0]),
@@ -269,9 +278,8 @@ def _key_rows(out_dir, result: protocol.SessionResult) -> list:
 
 def cmd_simulate(args) -> list:
     config, (source, eve, a_cfg, b_cfg) = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    transcript_path, *key_paths = _out_paths(args.out, "transcript.txt", "key_a.txt", "key_b.txt")
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
-    transcript_path = os.path.join(args.out, "transcript.txt")
     header = {name: _config_value(value) for name, value in vars(config).items()}
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but no key file
@@ -280,11 +288,12 @@ def cmd_simulate(args) -> list:
         *_block("config:", vars(config)),
         *_session_rows(result),
         (f"transcript         {transcript_path}", "transcript", transcript_path),
-        *_key_rows(args.out, result),
+        *_key_rows(key_paths, result),
     ]
 
 
 def cmd_sift(args) -> list:
+    key_paths = _out_paths(args.out, "key_a.txt", "key_b.txt") if args.out else None
     header = {}
     try:
         result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
@@ -293,17 +302,15 @@ def cmd_sift(args) -> list:
     return [
         *(_block("transcript header:", header) if header else ()),
         *_session_rows(result),
-        *(_key_rows(args.out, result) if args.out else ()),
+        *(_key_rows(key_paths, result) if key_paths else ()),
     ]
 
 
 def cmd_reconcile(args) -> list:
+    path_a, path_b = _out_paths(args.out, "reconciled_a.txt", "reconciled_b.txt")
     key_a = trits.read_key_file(args.key_a)
     key_b = trits.read_key_file(args.key_b)
     out_a, out_b, report = reconcile.parity_sift(key_a, key_b)
-    os.makedirs(args.out, exist_ok=True)
-    path_a = os.path.join(args.out, "reconciled_a.txt")
-    path_b = os.path.join(args.out, "reconciled_b.txt")
     trits.write_key_file(path_a, out_a, comments=("reconciled key, party A",))
     trits.write_key_file(path_b, out_b, comments=("reconciled key, party B",))
     dropped = report.dropped_trailing

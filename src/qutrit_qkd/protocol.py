@@ -25,6 +25,7 @@ from .linalg import (
     SWAP_12,
     MixedState,
     ValidationError,
+    born_amplitudes,
     born_tables,
     computational_basis,
     diagonal_state,
@@ -133,29 +134,22 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
     """Exact ensemble after an intercept-resend measurement on one arm.
 
     Each pure component collapses into at most three product states, one
-    per eavesdropper outcome; the isotropic part is invariant.  The result
-    is separable on the intercepted cut.
+    per eavesdropper outcome, in component-then-outcome order; the isotropic
+    part is invariant.  The result is separable on the intercepted cut.  One
+    Born-kernel call, with identity rows on the arm Eve leaves alone, gives
+    that arm's conditional amplitudes for every component and outcome.
     """
     if not eve.enabled:
         return mixed
-    basis = eve.basis
-    components = []
-    for w, psi in mixed.components:
-        for m in range(DIM):
-            if eve.arm == "B":
-                arm_vec = psi @ basis[m].conj()          # A-side conditional amplitude
-            else:
-                arm_vec = basis[m].conj() @ psi          # B-side conditional amplitude
-            p = float(np.sum(np.abs(arm_vec) ** 2))
-            if p <= 1e-15:
-                continue
-            unit = arm_vec / np.sqrt(p)
-            if eve.arm == "B":
-                post = np.outer(unit, basis[m])
-            else:
-                post = np.outer(basis[m], unit)
-            components.append((w * p, post))
-    return MixedState(components=tuple(components),
+    basis, eye, on_b = eve.basis, computational_basis(), eve.arm == "B"
+    amps = born_amplitudes(*((eye, basis) if on_b else (basis, eye)), mixed.psis)
+    arm = amps.swapaxes(1, 2) if on_b else amps     # [component, outcome, level]
+    p = np.sum(np.abs(arm) ** 2, axis=2)
+    kept = p > 1e-15
+    unit = arm[kept] / np.sqrt(p[kept])[:, None]
+    post = unit[:, :, None] * basis[np.nonzero(kept)[1]][:, None, :]   # [kept, level, Eve's]
+    return MixedState(components=tuple(zip((mixed.weights[:, None] * p)[kept],
+                                           post if on_b else post.swapaxes(1, 2))),
                       white_noise_weight=mixed.white_noise_weight)
 
 
@@ -237,23 +231,6 @@ class Rounds:
 
     def __len__(self) -> int:
         return len(self.round_id)
-
-    def subset(self, mask: np.ndarray) -> "Rounds":
-        return Rounds(*(col[mask] for col in self._columns()))
-
-    def _columns(self):
-        return (self.round_id, self.setting_a, self.outcome_a,
-                self.setting_b, self.outcome_b, self.detected)
-
-
-_ROUND_DTYPES = (np.int64, np.int8, np.int8, np.int8, np.int8, bool)
-
-
-def _concat(chunks) -> Rounds:
-    """One ``Rounds`` holding the chunks' rounds in order."""
-    empty = [np.zeros(0, dtype=dt) for dt in _ROUND_DTYPES]
-    columns = zip(empty, *(chunk._columns() for chunk in chunks))
-    return Rounds(*(np.concatenate(column) for column in columns))
 
 
 # Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
@@ -363,12 +340,6 @@ def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
                      setting_a=sa, outcome_a=_OUTCOME_A.take(idx),
                      setting_b=sb, outcome_b=_OUTCOME_B.take(idx),
                      detected=detected)
-
-
-def run_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
-                a: PartyConfig, b: PartyConfig, seed: int) -> Rounds:
-    """A whole seeded session in memory: the chunks of ``iter_session`` joined."""
-    return _concat(iter_session(n_rounds, source, eve, a, b, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ from .linalg import ValidationError
 def as_trits(values) -> np.ndarray:
     """Coerce a digit string or integer sequence to an int8 trit array."""
     if isinstance(values, str):
-        if values and not (values.isascii() and values.isdigit()):
-            _bad_string(values)
-        values = np.frombuffer(values.encode(), dtype=np.uint8) - np.uint8(48)
+        values = _digits(values.encode())
     arr = np.asarray(values)
     if arr.size and (arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer)):
         raise ValidationError("trit strings must be one-dimensional integer sequences")
@@ -23,11 +21,16 @@ def as_trits(values) -> np.ndarray:
     return arr
 
 
-def _bad_string(s):
-    for ch in s:
-        if ch not in "012":
-            raise ValidationError(f"invalid trit character {ch!r}")
-    raise ValidationError(f"invalid trit string {s!r}")
+def _digits(data: bytes, where: str = "") -> np.ndarray:
+    """Trit values of the UTF-8 bytes ``data``; the first character that is
+    not 0, 1 or 2 is named as typed, after ``where``."""
+    digits = np.frombuffer(data, dtype=np.uint8) - np.uint8(48)
+    bad = digits > 2
+    if bad.any():
+        at = int(bad.argmax())
+        ch = data[at:at + 4].decode(errors="replace")[0]
+        raise ValidationError(f"{where}invalid trit character {ch!r}")
+    return digits
 
 
 def parse_trits(text: str) -> np.ndarray:
@@ -51,14 +54,7 @@ def read_key_file(path) -> np.ndarray:
             line = raw.strip()
             if not line or line.startswith(b"#"):
                 continue
-            chunk = b"".join(line.split())
-            digits = np.frombuffer(chunk, dtype=np.uint8) - np.uint8(48)
-            bad = digits > 2
-            if bad.any():
-                at = int(bad.argmax())
-                ch = chunk[at:at + 4].decode(errors="replace")[0]
-                raise ValidationError(f"{path}:{lineno}: invalid trit character {ch!r}")
-            parts.append(digits)
+            parts.append(_digits(b"".join(line.split()), f"{path}:{lineno}: "))
     return np.concatenate(parts).astype(np.int8)
 
 

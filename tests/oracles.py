@@ -38,6 +38,46 @@ def s3_bruteforce(components, white_weight, bases_a, bases_b):
             - p(0, 0, 1) - p(1, 0, 0) - p(1, 1, 1) - p(0, 1, 2))
 
 
+def coincidence_mod3(table, k):
+    """Probability that B's outcome exceeds A's by k (mod 3) in a 3x3 table
+    ``table[a_outcome][b_outcome]``, the convention of ``s3_bruteforce``."""
+    return sum(table[j][(j + k) % 3] for j in range(3))
+
+
+def intercept_resend_bruteforce(components, white_weight, basis, arm):
+    """The ensemble after Eve measures ``arm`` ("A" or "B") in ``basis`` (rows).
+
+    For each (weight, psi) component and each outcome m, in that order, the
+    other arm's conditional amplitudes are explicit sums over the measured
+    arm's levels; outcomes of probability at most 1e-15 are dropped.  Returns
+    the (weight, normalized product state) pairs and the unchanged white
+    weight.
+    """
+    out = []
+    for weight, psi in components:
+        for m in range(3):
+            amps = []
+            for j in range(3):
+                amp = 0.0 + 0.0j
+                for e in range(3):
+                    cell = psi[j][e] if arm == "B" else psi[e][j]
+                    amp += np.conj(basis[m][e]) * cell
+                amps.append(amp)
+            p = sum(abs(a) ** 2 for a in amps)
+            if p <= 1e-15:
+                continue
+            unit = [a / np.sqrt(p) for a in amps]
+            state = np.zeros((3, 3), dtype=complex)
+            for j in range(3):
+                for e in range(3):
+                    if arm == "B":
+                        state[j][e] = unit[j] * basis[m][e]
+                    else:
+                        state[e][j] = basis[m][e] * unit[j]
+            out.append((weight * p, state))
+    return out, white_weight
+
+
 def phase_mode_sum(coeffs, x):
     """g(x) = sum_j c_j exp(2*pi*i*j*x/3) for Schmidt coefficients c."""
     return sum(c * np.exp(2j * np.pi * j * x / 3.0) for j, c in enumerate(coeffs))

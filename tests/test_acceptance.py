@@ -9,22 +9,23 @@ import time
 import numpy as np
 
 from qutrit_qkd import bell, reconcile, tritcrypt
-from qutrit_qkd.linalg import MixedState, maximally_entangled_state
+from qutrit_qkd.linalg import MixedState, born_tables, maximally_entangled_state
 from qutrit_qkd.protocol import (
     EveConfig,
-    PartyConfig,
     SourceConfig,
-    estimate_s3,
     exact_session_s3,
-    qter,
     reference_source,
     run_protocol,
-    run_session,
-    sift,
 )
 from qutrit_qkd.trits import format_trits, parse_trits
 
-from oracles import complex_gaussian, haar_bases, parity_block_survivors, random_basis
+from oracles import (
+    coincidence_mod3,
+    complex_gaussian,
+    haar_bases,
+    parity_block_survivors,
+    random_basis,
+)
 
 
 def report(num, description, passed, detail=""):
@@ -78,18 +79,14 @@ def test_criterion_03_local_realism_bound():
 
 
 def test_criterion_04_estimator_fidelity():
-    source, eve = SourceConfig(), EveConfig()
-    a, b = PartyConfig(), PartyConfig()
     start = time.perf_counter()
     within = 0
     sigma_ok = True
-    estimates = []
     for seed in range(20):
-        rounds = run_session(1_000_000, source, eve, a, b, seed=seed)
-        s3_hat, sigma = estimate_s3(sift(rounds).counts)
-        estimates.append(s3_hat)
+        result = run_protocol(1_000_000, seed=seed)
+        sigma = result.s3_sigma
         sigma_ok = sigma_ok and sigma < 0.01
-        if abs(s3_hat - bell.QUANTUM_MAX) < 3 * sigma:
+        if abs(result.s3_estimate - bell.QUANTUM_MAX) < 3 * sigma:
             within += 1
     elapsed = time.perf_counter() - start
     passed = sigma_ok and within >= 18 and elapsed < 60.0
@@ -98,13 +95,11 @@ def test_criterion_04_estimator_fidelity():
 
 
 def test_criterion_05_sifting_fractions():
-    a, b = PartyConfig(), PartyConfig()
     n = 1_000_000
-    rounds = run_session(n, SourceConfig(), EveConfig(), a, b, seed=99)
-    sifted = sift(rounds)
-    targets = {"key": (sifted.n_key, 1 / 9),
-               "bell": (sifted.n_bell, 4 / 9),
-               "discard": (sifted.n_discarded, 4 / 9)}
+    result = run_protocol(n, seed=99)
+    targets = {"key": (result.n_key, 1 / 9),
+               "bell": (result.n_bell, 4 / 9),
+               "discard": (result.n_discarded, 4 / 9)}
     detail = []
     passed = True
     for name, (count, p) in targets.items():
@@ -143,10 +138,7 @@ def test_criterion_07_eavesdropper_detectability():
             result.s3_estimate < 2.0 + 3 * result.s3_sigma)
     # computational-basis interception leaves the key error-free
     comp_eve = EveConfig(enabled=True, arm="B")
-    a, b = PartyConfig(), PartyConfig()
-    rounds = run_session(100_000, source, comp_eve, a, b, seed=55)
-    sifted = sift(rounds)
-    key_qter = qter(sifted.key_a, sifted.key_b)
+    key_qter = run_protocol(100_000, source=source, eve=comp_eve, seed=55).qter
     comp_exact = exact_session_s3(source, comp_eve)
     passed = (exact_max <= 2.0 and estimate_ok
               and key_qter == 0.0 and comp_exact <= 2.0)
@@ -205,13 +197,15 @@ def test_criterion_10_property_suites():
         mixtures.append(MixedState(components=tuple(components), white_noise_weight=weights[-1]))
         gaussians += [complex_gaussian(rng) for _ in range(3)]   # A, B1, B2
     bases = haar_bases(np.array(gaussians)).reshape(cases, 3, 3, 3)
-    t1 = np.array([bell.outcome_distribution(m, a, b1) for m, (a, b1, _) in zip(mixtures, bases)])
-    t2 = np.array([bell.outcome_distribution(m, a, b2) for m, (a, _, b2) in zip(mixtures, bases)])
+    # both B bases' tables of a case from one kernel call on the stacked B rows
+    tables = np.array([born_tables(b[0], b[1:].reshape(6, 3), m.psis, m.weights,
+                                   m.white_noise_weight)[0] for m, b in zip(mixtures, bases)])
+    t1, t2 = tables[:, :, 0, :], tables[:, :, 1, :]
     born_ok = bool(np.all(np.abs(t1.sum(axis=(1, 2)) - 1.0) < 1e-10)
                    and t1.min() > -1e-15 and t1.max() < 1.0 + 1e-15)
     # A's marginals (row sums) must not depend on B's basis
     signalling_ok = np.allclose(t1.sum(axis=2), t2.sum(axis=2), atol=1e-10)
-    mod3_ok = all(abs(sum(bell.coincidence_mod3(t, k) for k in range(3)) - 1.0) < 1e-10
+    mod3_ok = all(abs(sum(coincidence_mod3(t, k) for k in range(3)) - 1.0) < 1e-10
                   for t in t1)
 
     codec_ok = True

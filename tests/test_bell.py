@@ -11,10 +11,8 @@ from qutrit_qkd.bell import (
     VISIBILITY_AT_CLASSICAL_BOUND,
     SettingsPair,
     canonical_settings,
-    coincidence_mod3,
     optimize_gamma_family,
     optimize_s3,
-    outcome_distribution,
     s3,
 )
 from qutrit_qkd.linalg import (
@@ -28,7 +26,13 @@ from qutrit_qkd.linalg import (
     phase_rows,
 )
 
-from oracles import random_basis, s3_bruteforce, s3_closed_form, s3_gamma_closed_form
+from oracles import (
+    coincidence_mod3,
+    random_basis,
+    s3_bruteforce,
+    s3_closed_form,
+    s3_gamma_closed_form,
+)
 
 
 def random_product_mixture(rng, max_components=4):
@@ -44,20 +48,28 @@ def random_product_mixture(rng, max_components=4):
     return MixedState(components=tuple(components), white_noise_weight=weights[-1])
 
 
+def pair_table(state, basis_a, basis_b):
+    """3x3 joint outcome table of one basis per side, rows A's outcome,
+    through the validated ``SettingsPair.tables``."""
+    return SettingsPair(a1=basis_a, a2=basis_a, b1=basis_b, b2=basis_b).tables(state)[0, :, 0, :]
+
+
 def random_settings(rng):
     return SettingsPair(a1=random_basis(rng), a2=random_basis(rng),
                         b1=random_basis(rng), b2=random_basis(rng))
 
 
 class TestOutcomeDistribution:
+    """One setting pair's table, read through ``SettingsPair.tables``."""
+
     def test_white(self):
-        table = outcome_distribution(MixedState.white(),
-                                     computational_basis(), computational_basis())
+        table = pair_table(MixedState.white(),
+                           computational_basis(), computational_basis())
         assert np.allclose(table, 1 / 9)
 
     def test_source_form_support(self):
-        table = outcome_distribution(make_state((1, 1, 1)),
-                                     computational_basis(), computational_basis())
+        table = pair_table(make_state((1, 1, 1)),
+                           computational_basis(), computational_basis())
         expected = np.zeros((3, 3))
         expected[0, 0] = expected[1, 2] = expected[2, 1] = 1 / 3
         assert np.allclose(table, expected, atol=1e-14)
@@ -65,13 +77,15 @@ class TestOutcomeDistribution:
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            table = outcome_distribution(random_product_mixture(rng),
-                                         random_basis(rng), random_basis(rng))
+            table = pair_table(random_product_mixture(rng),
+                               random_basis(rng), random_basis(rng))
             assert abs(table.sum() - 1.0) < 1e-10
             assert np.all(table >= -1e-15) and np.all(table <= 1 + 1e-15)
 
 
 class TestCoincidenceMod3:
+    """The mod-3 coincidences of the oracle, on fixed and library tables."""
+
     def test_identity_table(self):
         table = np.eye(3) / 3
         assert coincidence_mod3(table, 0) == pytest.approx(1.0)
@@ -82,16 +96,16 @@ class TestCoincidenceMod3:
             assert coincidence_mod3(table, k) == pytest.approx(1 / 3)
 
     def test_source_form_computational(self):
-        table = outcome_distribution(make_state((1, 1, 1)),
-                                     computational_basis(), computational_basis())
+        table = pair_table(make_state((1, 1, 1)),
+                           computational_basis(), computational_basis())
         # only the (0, 0) cell lies on the k=0 diagonal
         assert coincidence_mod3(table, 0) == pytest.approx(1 / 3)
 
     def test_normalization_over_k(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            table = outcome_distribution(random_product_mixture(rng),
-                                         random_basis(rng), random_basis(rng))
+            table = pair_table(random_product_mixture(rng),
+                               random_basis(rng), random_basis(rng))
             assert abs(sum(coincidence_mod3(table, k) for k in range(3)) - 1.0) < 1e-10
 
 
@@ -105,16 +119,16 @@ class TestS3Exact:
     def test_convention_pin(self):
         # The term mapping is fixed by requiring the closed-form maximum;
         # swapping the two difference classes would give a smaller value.
-        table = outcome_distribution(maximally_entangled_state(),
-                                     phase_rows("A", [0.0]), phase_rows("B", [0.25]))
+        table = pair_table(maximally_entangled_state(),
+                           phase_rows("A", [0.0]), phase_rows("B", [0.25]))
         k_minus_one = coincidence_mod3(table, 1)   # A = B - 1
         k_plus_one = coincidence_mod3(table, 2)    # A = B + 1
         assert k_minus_one != pytest.approx(k_plus_one)
         wrong = 0.0
         cs = canonical_settings()
         for (a, b_), k0, k1 in [((1, 1), 0, 2), ((2, 1), 2, 0), ((2, 2), 0, 2), ((1, 2), 0, 1)]:
-            t = outcome_distribution(maximally_entangled_state(),
-                                     getattr(cs, f"a{a}"), getattr(cs, f"b{b_}"))
+            t = pair_table(maximally_entangled_state(),
+                           getattr(cs, f"a{a}"), getattr(cs, f"b{b_}"))
             wrong += coincidence_mod3(t, k0) - coincidence_mod3(t, k1)
         assert wrong < QUANTUM_MAX - 0.5
 
@@ -148,8 +162,8 @@ class TestS3Exact:
             via_coeffs = 0.0
             for a, b_ in ((1, 1), (2, 1), (2, 2), (1, 2)):
                 coeff = bell.S3_COEFFICIENTS[a - 1, :, b_ - 1, :]
-                table = outcome_distribution(mixed, getattr(settings, f"a{a}"),
-                                             getattr(settings, f"b{b_}"))
+                table = pair_table(mixed, getattr(settings, f"a{a}"),
+                                   getattr(settings, f"b{b_}"))
                 via_coeffs += float((coeff * table).sum())
             assert s3(mixed, settings) == pytest.approx(via_coeffs, abs=1e-12)
 
@@ -180,8 +194,8 @@ class TestS3Exact:
         for _ in range(30):
             mixed = random_product_mixture(rng)
             basis_a = random_basis(rng)
-            t1 = outcome_distribution(mixed, basis_a, random_basis(rng))
-            t2 = outcome_distribution(mixed, basis_a, random_basis(rng))
+            t1 = pair_table(mixed, basis_a, random_basis(rng))
+            t2 = pair_table(mixed, basis_a, random_basis(rng))
             assert np.allclose(t1.sum(axis=1), t2.sum(axis=1), atol=1e-10)
 
     def test_separable_bound_sample(self):

@@ -443,8 +443,8 @@ def test_unusable_out_dir_prints_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "sift"])
 def test_late_failure_prints_nothing(capsys, tmp_path, command):
-    """A command that fails after its work, here on a ``key_a.txt`` under
-    --out that is a directory, exits 3 and prints no report."""
+    """A command whose ``key_a.txt`` under --out is a directory exits 3 and
+    prints no report."""
     sim_dir, out_dir = tmp_path / "sim", tmp_path / "out"
     assert run_cli(capsys, "simulate", "--rounds", "20000", "--out", str(sim_dir))[0] == 0
     (out_dir / "key_a.txt").mkdir(parents=True)
@@ -453,6 +453,26 @@ def test_late_failure_prints_nothing(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
     assert (code, out) == (3, "")
     assert "key_a.txt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate", "transcript.txt"), ("simulate", "key_b.txt"),
+    ("sift", "key_b.txt"), ("reconcile", "reconciled_b.txt"),
+])
+def test_out_target_checked_before_any_write(capsys, tmp_path, command, target):
+    """An output file under --out that exists and is not a regular file
+    exits 3 with an empty stdout, before any other output file is made."""
+    sim_dir, out_dir = tmp_path / "sim", tmp_path / "out"
+    assert run_cli(capsys, "simulate", "--rounds", "2000", "--out", str(sim_dir))[0] == 0
+    (out_dir / target).mkdir(parents=True)
+    argv = {"simulate": ("simulate", "--rounds", "2000"),
+            "sift": ("sift", "--transcript", str(sim_dir / "transcript.txt")),
+            "reconcile": ("reconcile", str(sim_dir / "key_a.txt"), str(sim_dir / "key_b.txt")),
+            }[command]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert target in err and "Traceback" not in err
+    assert os.listdir(out_dir) == [target]
 
 
 def sha256(data: bytes) -> str:
@@ -680,6 +700,12 @@ class TestCipherCommands:
         code, out, err = run_cli(capsys, "encrypt", text, "--key-file", str(key_file))
         assert (code, out) == (2, "")
         assert f"character {typed!r} outside" in err
+
+    def test_bad_trit_character_named(self, capsys, tmp_path):
+        key_file = tmp_path / "key.txt"
+        key_file.write_text(TABLE_KEY + "\n")
+        code, out, err = run_cli(capsys, "decrypt", "015", "--key-file", str(key_file))
+        assert (code, out, err) == (2, "", "error: invalid trit character '5'\n")
 
     def test_unused_tail_reported(self, capsys, tmp_path):
         key_file = tmp_path / "key.txt"

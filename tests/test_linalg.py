@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qutrit_qkd.bell import SettingsPair, outcome_distribution
+from qutrit_qkd.bell import SettingsPair
 from qutrit_qkd.linalg import (
     SWAP_12,
     InvalidStateError,
@@ -144,13 +144,12 @@ class TestJointProbability:
     def test_non_orthonormal_basis_rejected(self):
         bad = np.eye(3, dtype=complex)
         bad[1, 0] = 0.5
-        mixed = MixedState.pure(maximally_entangled_state())
+        comp = computational_basis()
         with pytest.raises(ValidationError):
-            outcome_distribution(mixed, bad, computational_basis())
+            SettingsPair(a1=bad, a2=comp, b1=comp, b2=comp)
         nan = np.full((3, 3), np.nan, dtype=complex)
         with pytest.raises(ValidationError):
-            outcome_distribution(mixed, nan, computational_basis())
-        comp = computational_basis()
+            SettingsPair(a1=nan, a2=comp, b1=comp, b2=comp)
         with pytest.raises(ValidationError):
             SettingsPair(a1=comp, a2=comp, b1=comp, b2=nan)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import random_basis, session_columns_reference
+from oracles import intercept_resend_bruteforce, random_basis, session_columns_reference
 from scipy.stats import chi2
 
 from qutrit_qkd import bell, protocol, transcript
@@ -34,7 +34,6 @@ from qutrit_qkd.protocol import (
     qter,
     reference_source,
     run_protocol,
-    run_session,
     security_verdict,
     sift,
     source_mixture,
@@ -43,6 +42,29 @@ from qutrit_qkd.transcript import iter_transcript, transcribe
 
 IDEAL = SourceConfig()
 NO_EVE = EveConfig()
+ROUND_DTYPES = (np.int64, np.int8, np.int8, np.int8, np.int8, np.bool_)
+
+
+def columns(rounds):
+    """The six columns of ``rounds``, in transcript order."""
+    return tuple(vars(rounds).values())
+
+
+def joined(chunks):
+    """One ``Rounds`` holding the chunks' rounds in order (typed, if there are none)."""
+    empty = Rounds(*(np.zeros(0, dtype=dt) for dt in ROUND_DTYPES))
+    return Rounds(*map(np.concatenate, zip(*map(columns, [empty, *chunks]))))
+
+
+def whole_session(n, source, eve, a, b, seed):
+    """Every column of a seeded session in memory: the chunks of ``iter_session``
+    joined, for tests that read rounds rather than estimates or keys."""
+    return joined(iter_session(n, source, eve, a, b, seed))
+
+
+def sliced(rounds, lo, hi=None):
+    """Rounds ``lo`` up to ``hi`` of ``rounds``."""
+    return Rounds(*(c[lo:hi] for c in columns(rounds)))
 
 
 def forced_parties(setting_a, setting_b):
@@ -103,7 +125,7 @@ class TestAnalyzers:
 class TestSampleRound:
     def test_key_setting_support(self):
         parties = forced_parties(3, 3)
-        rounds = run_session(500, IDEAL, NO_EVE, *parties, seed=1)
+        rounds = whole_session(500, IDEAL, NO_EVE, *parties, seed=1)
         assert rounds.detected.all()
         seen = set(zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()))
         assert seen == {(0, 0), (1, 2), (2, 1)}
@@ -111,7 +133,7 @@ class TestSampleRound:
     def test_full_background_uniform(self):
         source = SourceConfig(background_fraction=1.0)
         parties = forced_parties(3, 3)
-        rounds = run_session(9000, source, NO_EVE, *parties, seed=2)
+        rounds = whole_session(9000, source, NO_EVE, *parties, seed=2)
         counts = np.zeros((3, 3))
         np.add.at(counts, (rounds.outcome_a, rounds.outcome_b), 1)
         # each of the 9 pairs expected 1000 times; 5 sigma binomial band
@@ -121,15 +143,15 @@ class TestSampleRound:
     def test_eve_computational_preserves_key_support(self):
         eve = EveConfig(enabled=True, arm="B")
         parties = forced_parties(3, 3)
-        rounds = run_session(500, eve=eve, source=IDEAL, a=parties[0],
-                             b=parties[1], seed=3)
+        rounds = whole_session(500, eve=eve, source=IDEAL, a=parties[0],
+                               b=parties[1], seed=3)
         for pair in zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()):
             assert pair in {(0, 0), (1, 2), (2, 1)}
 
     def test_undetected_has_no_outcomes(self):
         source = SourceConfig(detection_efficiency=0.05)
         parties = forced_parties(3, 3)
-        rounds = run_session(100, source, NO_EVE, *parties, seed=4)
+        rounds = whole_session(100, source, NO_EVE, *parties, seed=4)
         undetected = ~rounds.detected
         assert undetected.any() and np.all(rounds.outcome_a[undetected] == -1) \
             and np.all(rounds.outcome_b[undetected] == -1)
@@ -170,6 +192,25 @@ class TestPostEveMixture:
                 eve = EveConfig(enabled=True, arm=arm, basis=random_basis(rng))
                 assert exact_session_s3(IDEAL, eve) <= 2.0 + 1e-9
 
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_matches_bruteforce_collapse(self, arm):
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        # b = 0: in the computational basis one outcome of the first component
+        # has probability 0 and is dropped
+        mixed = MixedState(components=((0.5, make_state((0.642, 0.0, 0.539))),
+                                       (0.3, psi / np.linalg.norm(psi))),
+                           white_noise_weight=0.2)
+        for basis in [np.eye(3, dtype=complex)] + [random_basis(rng) for _ in range(20)]:
+            got = post_eve_mixture(mixed, EveConfig(enabled=True, arm=arm, basis=basis))
+            want, white = intercept_resend_bruteforce(mixed.components,
+                                                      mixed.white_noise_weight, basis, arm)
+            assert len(got.components) == len(want) >= 5
+            for (w, state), (w0, state0) in zip(got.components, want):
+                assert abs(w - w0) <= 1e-12
+                assert np.max(np.abs(state - state0)) <= 1e-12
+            assert got.white_noise_weight == white
+
     def test_white_noise_invariant(self):
         eve = EveConfig(enabled=True, arm="B")
         mixed = post_eve_mixture(MixedState.white(), eve)
@@ -180,20 +221,20 @@ class TestPostEveMixture:
 class TestRunSession:
     def test_deterministic(self):
         a, b = PartyConfig(), PartyConfig()
-        r1 = run_session(4000, IDEAL, NO_EVE, a, b, seed=42)
-        r2 = run_session(4000, IDEAL, NO_EVE, a, b, seed=42)
-        for c1, c2 in zip(r1._columns(), r2._columns()):
+        r1 = whole_session(4000, IDEAL, NO_EVE, a, b, seed=42)
+        r2 = whole_session(4000, IDEAL, NO_EVE, a, b, seed=42)
+        for c1, c2 in zip(columns(r1), columns(r2)):
             assert np.array_equal(c1, c2)
 
     def test_zero_rounds_rejected(self):
         a, b = PartyConfig(), PartyConfig()
         with pytest.raises(ValidationError):
-            run_session(0, IDEAL, NO_EVE, a, b, seed=1)
+            iter_session(0, IDEAL, NO_EVE, a, b, seed=1)
 
     def test_setting_pair_frequencies(self):
         n = 200_000
         a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(n, IDEAL, NO_EVE, a, b, seed=7)
+        rounds = whole_session(n, IDEAL, NO_EVE, a, b, seed=7)
         sigma = np.sqrt(n * (1 / 9) * (8 / 9))
         for sa in (1, 2, 3):
             for sb in (1, 2, 3):
@@ -205,7 +246,7 @@ class TestSift:
     def test_partition_of_detected(self):
         a, b = PartyConfig(), PartyConfig()
         source = SourceConfig(detection_efficiency=0.5)
-        rounds = run_session(20_000, source, NO_EVE, a, b, seed=8)
+        rounds = whole_session(20_000, source, NO_EVE, a, b, seed=8)
         sifted = sift(rounds)
         det = rounds.detected
         key = int((det & (rounds.setting_a == 3) & (rounds.setting_b == 3)).sum())
@@ -215,17 +256,14 @@ class TestSift:
         assert key + bell_rounds + mixed == int(det.sum())
 
     def test_fractions(self):
-        a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(200_000, IDEAL, NO_EVE, a, b, seed=9)
-        sifted = sift(rounds)
-        n = len(rounds)
-        assert sifted.n_key / n == pytest.approx(1 / 9, abs=0.005)
-        assert sifted.n_bell / n == pytest.approx(4 / 9, abs=0.01)
-        assert sifted.n_discarded / n == pytest.approx(4 / 9, abs=0.01)
+        key, bell_rounds, discarded = run_protocol(200_000, seed=9).sifted_fractions
+        assert key == pytest.approx(1 / 9, abs=0.005)
+        assert bell_rounds == pytest.approx(4 / 9, abs=0.01)
+        assert discarded == pytest.approx(4 / 9, abs=0.01)
 
     def test_all_key_settings(self):
         parties = forced_parties(3, 3)
-        rounds = run_session(100, IDEAL, NO_EVE, *parties, seed=10)
+        rounds = whole_session(100, IDEAL, NO_EVE, *parties, seed=10)
         sifted = sift(rounds)
         assert sifted.n_key == 100
         assert sifted.n_bell == 0
@@ -233,12 +271,12 @@ class TestSift:
     def test_matches_per_round_tally(self):
         a, b = PartyConfig((0.5, 0.2, 0.3)), PartyConfig((0.1, 0.4, 0.5))
         source = SourceConfig(detection_efficiency=0.5, visibility=0.8)
-        rounds = run_session(3000, source, NO_EVE, a, b, seed=23)
+        rounds = whole_session(3000, source, NO_EVE, a, b, seed=23)
         sifted = sift(rounds)
         counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
         key, bell_rounds, discarded = [], [], []
         for i, (sa, oa, sb, ob, det) in enumerate(zip(
-                *(c.tolist() for c in rounds._columns()[1:]))):
+                *(c.tolist() for c in columns(rounds)[1:]))):
             if not det:
                 continue
             counts[sa - 1, oa, sb - 1, ob] += 1
@@ -261,21 +299,19 @@ class TestSift:
 
     def test_mixed_pair_discarded(self):
         parties = forced_parties(1, 3)
-        rounds = run_session(100, IDEAL, NO_EVE, *parties, seed=11)
+        rounds = whole_session(100, IDEAL, NO_EVE, *parties, seed=11)
         sifted = sift(rounds)
         assert sifted.n_discarded == 100
 
 
 class TestEstimateS3:
     def test_converges_to_exact(self):
-        a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=12)
-        s3_hat, sigma = estimate_s3(sift(rounds).counts)
-        assert abs(s3_hat - bell.QUANTUM_MAX) < 3 * sigma
+        result = run_protocol(100_000, seed=12)
+        assert abs(result.s3_estimate - bell.QUANTUM_MAX) < 3 * result.s3_sigma
 
     def test_missing_pair_rejected(self):
         parties = forced_parties(1, 1)
-        rounds = run_session(1000, IDEAL, NO_EVE, *parties, seed=13)
+        rounds = whole_session(1000, IDEAL, NO_EVE, *parties, seed=13)
         with pytest.raises(InsufficientDataError):
             estimate_s3(sift(rounds).counts)
 
@@ -315,11 +351,8 @@ class TestEstimateS3:
 
     def test_visibility_tuned_to_reference(self):
         visibility = 2.688 / bell.QUANTUM_MAX
-        source = SourceConfig(visibility=visibility)
-        a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(300_000, source, NO_EVE, a, b, seed=14)
-        s3_hat, sigma = estimate_s3(sift(rounds).counts)
-        assert abs(s3_hat - 2.688) < 3 * sigma
+        result = run_protocol(300_000, source=SourceConfig(visibility=visibility), seed=14)
+        assert abs(result.s3_estimate - 2.688) < 3 * result.s3_sigma
 
     def test_empirical_tables_chi_square(self):
         # pooled chi-square over the nine setting-pair tables at n = 1e5;
@@ -329,7 +362,7 @@ class TestEstimateS3:
         threshold = chi2.ppf(0.999, df=72)
         passes = 0
         for seed in range(100):
-            rounds = run_session(100_000, IDEAL, NO_EVE, a, b, seed=seed)
+            rounds = whole_session(100_000, IDEAL, NO_EVE, a, b, seed=seed)
             # every round is detected; cell [sa - 1, oa, sb - 1, ob] of all 81
             cells = 27 * rounds.setting_a.astype(int) + 9 * rounds.outcome_a \
                 + 3 * rounds.setting_b + rounds.outcome_b - 30
@@ -364,7 +397,7 @@ class TestKeysAndVerdict:
 
     def test_ideal_qter_zero(self):
         parties = forced_parties(3, 3)
-        rounds = run_session(10_000, IDEAL, NO_EVE, *parties, seed=15)
+        rounds = whole_session(10_000, IDEAL, NO_EVE, *parties, seed=15)
         sifted = sift(rounds)
         assert qter(sifted.key_a, sifted.key_b) == 0.0
 
@@ -429,7 +462,7 @@ class TestProtocolSession:
 
     def test_party_estimate_matches_omniscient(self):
         result = run_protocol(50_000, seed=18)
-        sifted = sift(run_session(50_000, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=18))
+        sifted = sift(whole_session(50_000, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=18))
         s3_hat, sigma = estimate_s3(sifted.counts)
         assert result.s3_estimate == pytest.approx(s3_hat, abs=1e-12)
         assert result.s3_sigma == pytest.approx(sigma, abs=1e-12)
@@ -464,13 +497,13 @@ class TestChunkedSession:
 
     def session(self, n, seed):
         a, b = PartyConfig(self.BIAS_A), PartyConfig(self.BIAS_B)
-        return run_session(n, self.SOURCE, self.EVE, a, b, seed=seed)
+        return whole_session(n, self.SOURCE, self.EVE, a, b, seed=seed)
 
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 7])
     def test_matches_reference_oracle(self, n):
         tables = protocol._setting_tables(self.SOURCE, self.EVE)
         expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, 0.4, seed=n)
-        got = self.session(n, seed=n)._columns()
+        got = columns(self.session(n, seed=n))
         for col, want in zip(got, expected):
             assert col.dtype == want.dtype
             assert np.array_equal(col, want)
@@ -484,7 +517,7 @@ class TestChunkedSession:
     def test_analyze_uneven_splits(self):
         rounds = self.session(C + 5000, seed=31)
         cuts = (0, 1, 1000, len(rounds))
-        parts = [rounds.subset(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        parts = [sliced(rounds, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         whole, split = analyze([rounds]), analyze(iter(parts))
         for name in ("s3_estimate", "s3_sigma", "qter", "sifted_fractions",
                      "secure", "n_rounds", "n_detected"):
@@ -515,19 +548,19 @@ class TestChunkedSession:
         rounds = self.session(3000, seed=32)
         whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
         list(transcribe(whole, [rounds], header={"seed": 32}))
-        list(transcribe(split, (rounds.subset(slice(0, 7)), rounds.subset(slice(7, None))),
+        list(transcribe(split, (sliced(rounds, 0, 7), sliced(rounds, 7)),
                         header={"seed": 32}))
         assert split.read_bytes() == whole.read_bytes()
         header = {}
         chunks = list(iter_transcript(split, header))
         assert header == {"seed": "32"} and len(chunks) > 1
         assert sum(len(c) for c in chunks) == len(rounds)
-        for c1, c2 in zip(protocol._concat(chunks)._columns(), rounds._columns()):
+        for c1, c2 in zip(columns(joined(chunks)), columns(rounds)):
             assert np.array_equal(c1, c2)
 
     def test_writer_checks_ids_across_chunks(self, tmp_path):
         rounds = self.session(10, seed=33)
-        first = rounds.subset(slice(0, 5))
+        first = sliced(rounds, 0, 5)
         with pytest.raises(ValidationError, match="round index 5: round_id 0 does not exceed"):
             list(transcribe(tmp_path / "t.txt", (first, first)))
 
@@ -588,9 +621,9 @@ class TestBucketLookup:
         expected = session_columns_reference(n, tables, bias, bias[::-1], detection, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "_setting_tables", lambda source, eve: tables)
-            got = run_session(n, SourceConfig(detection_efficiency=detection), NO_EVE,
-                              PartyConfig(bias), PartyConfig(bias[::-1]), seed=seed)
-        for col, want in zip(got._columns(), expected):
+            got = whole_session(n, SourceConfig(detection_efficiency=detection), NO_EVE,
+                                PartyConfig(bias), PartyConfig(bias[::-1]), seed=seed)
+        for col, want in zip(columns(got), expected):
             assert col.dtype == want.dtype
             assert np.array_equal(col, want)
 
@@ -598,14 +631,14 @@ class TestBucketLookup:
 class TestTranscriptIO:
     def test_round_trip(self, tmp_path):
         a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(500, SourceConfig(detection_efficiency=0.7),
-                             NO_EVE, a, b, seed=21)
+        rounds = whole_session(500, SourceConfig(detection_efficiency=0.7),
+                               NO_EVE, a, b, seed=21)
         path = tmp_path / "transcript.txt"
         list(transcribe(path, [rounds], header={"seed": 21, "rounds": 500}))
         header = {}
-        loaded = protocol._concat(iter_transcript(path, header))
+        loaded = joined(iter_transcript(path, header))
         assert header == {"seed": "21", "rounds": "500"}
-        for c1, c2 in zip(rounds._columns(), loaded._columns()):
+        for c1, c2 in zip(columns(rounds), columns(loaded)):
             assert np.array_equal(c1, c2)
 
     def test_bad_line_reports_lineno(self, tmp_path):
@@ -617,15 +650,15 @@ class TestTranscriptIO:
     @pytest.mark.parametrize("chunk_rows", [None, 64])
     def test_writer_matches_reference_text(self, tmp_path, chunk_rows):
         a, b = PartyConfig(), PartyConfig()
-        rounds = run_session(1500, SourceConfig(detection_efficiency=0.7),
-                             NO_EVE, a, b, seed=22)
+        rounds = whole_session(1500, SourceConfig(detection_efficiency=0.7),
+                               NO_EVE, a, b, seed=22)
         chunks = [rounds] if chunk_rows is None else [
-            rounds.subset(slice(lo, lo + chunk_rows)) for lo in range(0, len(rounds), chunk_rows)]
+            sliced(rounds, lo, lo + chunk_rows) for lo in range(0, len(rounds), chunk_rows)]
         header = {"seed": 22, "coefficients": (1.0, 1.0, 1.0)}
         path = tmp_path / "transcript.txt"
         list(transcribe(path, chunks, header=header))
         expected = [f"# {key} = {value}\n" for key, value in header.items()]
-        for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in rounds._columns())):
+        for rid, sa, oa, sb, ob, det in zip(*(c.tolist() for c in columns(rounds))):
             oa, ob = (oa, ob) if det else ("-", "-")
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(det)}\n")
         assert path.read_bytes() == "".join(expected).encode()
@@ -653,11 +686,10 @@ class TestTranscriptIO:
         text, rows = self.READ_CASES[case]
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
-        loaded = protocol._concat(iter_transcript(path))
-        columns = loaded._columns()
-        assert [c.dtype for c in columns] == [np.int64, np.int8, np.int8,
-                                              np.int8, np.int8, np.bool_]
-        assert list(zip(*(c.tolist() for c in columns))) == rows
+        loaded = columns(joined(iter_transcript(path)))
+        assert [c.dtype for c in loaded] == [np.int64, np.int8, np.int8,
+                                             np.int8, np.int8, np.bool_]
+        assert list(zip(*(c.tolist() for c in loaded))) == rows
 
     def test_reader_header_anywhere(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -706,7 +738,7 @@ class TestTranscriptIO:
         lines[n // 2:n // 2] = ["\n", "  # midway\n"]
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        loaded = protocol._concat(iter_transcript(path))
+        loaded = joined(iter_transcript(path))
         assert np.array_equal(loaded.round_id, np.arange(n))
         assert np.array_equal(loaded.setting_a, 1 + np.arange(n) % 3)
         bad_line = 25_000
@@ -722,7 +754,7 @@ class TestTranscriptIO:
         ("round_id", 1, "round index 3: round_id 1 does not exceed"),
     ])
     def test_writer_rejects_unreadable_rounds(self, tmp_path, column, value, message):
-        rounds = run_session(10, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=1)
+        rounds = whole_session(10, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=1)
         getattr(rounds, column)[3] = value
         with pytest.raises(ValidationError, match=message):
             list(transcribe(tmp_path / "t.txt", [rounds]))
@@ -748,16 +780,16 @@ class TestTranscriptIO:
                         outcome_b=np.where(det, outcomes % 3, -1).astype(np.int8),
                         detected=det)
         chunks = [rounds] if chunk_rows is None else [
-            rounds.subset(slice(lo, lo + chunk_rows)) for lo in range(0, n, chunk_rows)]
+            sliced(rounds, lo, lo + chunk_rows) for lo in range(0, n, chunk_rows)]
         path = tmp_path / "t.txt"
         list(transcribe(path, chunks))
         expected = []
-        for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in rounds._columns())):
+        for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in columns(rounds))):
             oa, ob = (oa, ob) if seen else ("-", "-")
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
         assert path.read_bytes() == "".join(expected).encode()
-        loaded = protocol._concat(iter_transcript(path))
-        for c1, c2 in zip(loaded._columns(), rounds._columns()):
+        loaded = joined(iter_transcript(path))
+        for c1, c2 in zip(columns(loaded), columns(rounds)):
             assert c1.dtype == c2.dtype and np.array_equal(c1, c2)
 
     @staticmethod
@@ -783,8 +815,8 @@ class TestTranscriptIO:
            block_bytes=st.sampled_from([64, 200, 512, 1000]))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_reader_layouts_agree(self, edits, block_bytes):
-        rounds = run_session(400, SourceConfig(detection_efficiency=0.7),
-                             NO_EVE, PartyConfig(), PartyConfig(), seed=23)
+        rounds = whole_session(400, SourceConfig(detection_efficiency=0.7),
+                               NO_EVE, PartyConfig(), PartyConfig(), seed=23)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
             plain, edited = os.path.join(tmp, "plain.txt"), os.path.join(tmp, "edited.txt")
@@ -801,11 +833,11 @@ class TestTranscriptIO:
             for path in (plain, edited):
                 header = {}
                 chunks = list(iter_transcript(path, header))
-                results.append((protocol._concat(chunks)._columns(), header))
+                results.append((columns(joined(chunks)), header))
         (cols1, header1), (cols2, header2) = results
         assert header1 == {"seed": "23"}
         assert header2 == ({"seed": "23", "note": "x"} if 4 in edits.values() else header1)
-        for c1, c2, c0 in zip(cols1, cols2, rounds._columns()):
+        for c1, c2, c0 in zip(cols1, cols2, columns(rounds)):
             assert c1.dtype == c2.dtype == c0.dtype
             assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
         # both paths run: the header lines alone and each block with an edited
@@ -847,10 +879,10 @@ class TestTranscriptIO:
         """The error message reading ``path`` raises, or its rounds and header."""
         header = {}
         try:
-            columns = protocol._concat(list(iter_transcript(path, header)))._columns()
+            loaded = columns(joined(iter_transcript(path, header)))
         except ValidationError as exc:
             return str(exc)
-        return [(c.dtype, c.tolist()) for c in columns], header
+        return [(c.dtype, c.tolist()) for c in loaded], header
 
     @given(j=st.integers(1, 300), kind=st.sampled_from(DAMAGE), pick=st.integers(0, 11),
            first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]),
@@ -867,9 +899,9 @@ class TestTranscriptIO:
                                                       block_bytes):
         # ids of 1-3, 4-5, 8-9 or 18 digits, so the damage meets odd and even
         # widths, width changes and the first, middle and last line of a block
-        session = run_session(300, SourceConfig(detection_efficiency=0.7),
-                              NO_EVE, PartyConfig(), PartyConfig(), seed=24)
-        rounds = Rounds(session.round_id + first_id, *session._columns()[1:])
+        session = whole_session(300, SourceConfig(detection_efficiency=0.7),
+                                NO_EVE, PartyConfig(), PartyConfig(), seed=24)
+        rounds = Rounds(session.round_id + first_id, *columns(session)[1:])
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
             path = os.path.join(tmp, "t.txt")

@@ -112,8 +112,15 @@ class TestTritStrings:
             parse_trits("20a")
 
     def test_as_trits_range_check(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^trit value 3 outside \{0, 1, 2\}$"):
             as_trits([0, 3, 1])
+
+    @pytest.mark.parametrize("text, typed", [("015", "5"), ("01a", "a"), ("01é", "é")])
+    def test_bad_character_named_as_typed(self, text, typed):
+        """Every string reports its first character outside 0-2 the same way."""
+        with pytest.raises(ValidationError) as info:
+            as_trits(text)
+        assert str(info.value) == f"invalid trit character {typed!r}"
 
     def test_format_grouping(self):
         assert format_trits([2, 0, 1, 0, 2, 1], group=3) == "201 021"
