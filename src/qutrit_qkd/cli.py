@@ -10,6 +10,7 @@ error, 3 I/O error, 4 insufficient data.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -258,9 +259,12 @@ def _session_rows(result: protocol.SessionResult) -> list:
 
 
 def _out_paths(out_dir, *names) -> list:
-    """The files ``names`` in ``out_dir``, made if missing.  Called before any
-    sampling, reading or writing; refuses a target that is not a regular file."""
-    os.makedirs(out_dir, exist_ok=True)
+    """The files ``names`` in ``out_dir``, checked before any sampling, reading
+    or writing: an ``out_dir`` that is not a directory, or a target that
+    exists and is not a regular file, is refused.  Nothing is made here; the
+    command makes ``out_dir`` just before its first write."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
     paths = [os.path.join(out_dir, name) for name in names]
     for path in paths:
         if os.path.exists(path) and not os.path.isfile(path):
@@ -281,6 +285,7 @@ def cmd_simulate(args) -> list:
     transcript_path, *key_paths = _out_paths(args.out, "transcript.txt", "key_a.txt", "key_b.txt")
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     header = {name: _config_value(value) for name, value in vars(config).items()}
+    os.makedirs(args.out, exist_ok=True)
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but no key file
     result = protocol.analyze(transcript.transcribe(transcript_path, chunks, header))
@@ -299,6 +304,8 @@ def cmd_sift(args) -> list:
         result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
+    if key_paths:
+        os.makedirs(args.out, exist_ok=True)
     return [
         *(_block("transcript header:", header) if header else ()),
         *_session_rows(result),
@@ -311,6 +318,7 @@ def cmd_reconcile(args) -> list:
     key_a = trits.read_key_file(args.key_a)
     key_b = trits.read_key_file(args.key_b)
     out_a, out_b, report = reconcile.parity_sift(key_a, key_b)
+    os.makedirs(args.out, exist_ok=True)
     trits.write_key_file(path_a, out_a, comments=("reconciled key, party A",))
     trits.write_key_file(path_b, out_b, comments=("reconciled key, party B",))
     dropped = report.dropped_trailing

@@ -10,10 +10,15 @@ source state.
 Sampling is Monte-Carlo over exact Born-rule outcome tables; an enabled
 intercept-resend eavesdropper is applied as an exact post-measurement
 ensemble before sampling, never as an outcome heuristic.
+
+A round is one uint8 code, 10 * (3 * (setting_a - 1) + setting_b - 1) plus
+3 * outcome_a + outcome_b, or 9 if undetected (``Rounds``): the sampler emits
+it, ``sift`` counts it with one ``bincount``, the transcript codec writes it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -220,17 +225,27 @@ def reference_source() -> SourceConfig:
 
 @dataclass
 class Rounds:
-    """Column-oriented store of protocol rounds (-1 marks absent outcomes)."""
+    """A chunk of rounds: ``round_id`` (int64) and ``code`` (uint8), one per round.
+
+    ``code = 10 * (3 * (setting_a - 1) + (setting_b - 1)) + o``, where ``o`` is
+    ``3 * outcome_a + outcome_b`` if detected and 9 if not: 0 to 89, decoded
+    by ``CODE_FIELDS``.  It is the transcript writer's line-tail index too.
+    """
 
     round_id: np.ndarray
-    setting_a: np.ndarray
-    outcome_a: np.ndarray
-    setting_b: np.ndarray
-    outcome_b: np.ndarray
-    detected: np.ndarray
+    code: np.ndarray
 
     def __len__(self) -> int:
         return len(self.round_id)
+
+
+# The fields of the 90 round codes, rows in transcript order: setting_a,
+# outcome_a, setting_b, outcome_b (-1 when undetected) and detected (0 or 1).
+_pair, _o = np.divmod(np.arange(90), 10)
+CODE_FIELDS = np.stack((1 + _pair // 3, np.where(_o < 9, _o // 3, -1), 1 + _pair % 3,
+                        np.where(_o < 9, _o % 3, -1), _o < 9)).astype(np.int8)
+CODE_FIELDS.setflags(write=False)
+del _pair, _o
 
 
 # Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
@@ -244,9 +259,6 @@ _SESSION_CHUNK_ROWS = 1 << 16
 # near 12000 rounds on a 2-core Xeon.
 _BUCKETS = 256
 _BUCKET_MIN_ROUNDS = 1 << 14
-# outcome-pair index 3*outcome_a + outcome_b, or 9 for an undetected round
-_OUTCOME_A = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, -1], dtype=np.int8)
-_OUTCOME_B = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, -1], dtype=np.int8)
 
 
 def _setting_cdf(party: PartyConfig) -> np.ndarray:
@@ -271,10 +283,15 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
     Settings and detection are drawn per round, outcomes from the exact
     per-setting-pair tables of the fixed analyzers; ``a`` and ``b`` give the
     setting probabilities.  Chunking does not change the draws: identical
-    seeds and configurations reproduce the session bit for bit.
+    seeds and configurations reproduce the session bit for bit.  ``n_rounds``
+    must be a positive and ``seed`` a non-negative integer (numpy integers
+    too); both are checked before any table is built.
     """
-    if n_rounds <= 0:
-        raise ValidationError(f"n_rounds must be positive, got {n_rounds}")
+    for name, value, least in (("n_rounds", n_rounds, 1), ("seed", seed, 0)):
+        if not hasattr(value, "__index__") or operator.index(value) < least:
+            wording = "positive" if least else "non-negative"
+            raise ValidationError(f"{name} must be a {wording} integer, got {value!r}")
+    n_rounds, seed = operator.index(n_rounds), operator.index(seed)
     t = _setting_tables(source, eve)
     cdf = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
     # row k holds every setting pair's k-th cumulative outcome probability
@@ -328,18 +345,17 @@ def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
         detected = draw(2) < detection
         u = draw(3)
         # outcome index = number of cumulative probabilities <= u
-        pair = 3 * sa.astype(np.int16) + sb - 4
+        pair = 3 * sa + sb - 4
         if buckets is None:
             idx = _count_below(thresholds, pair, u)
         else:
-            idx = buckets.take(_BUCKETS * pair + (u * _BUCKETS).astype(np.int16))
+            idx = buckets.take(_BUCKETS * pair.astype(np.int16)
+                               + (u * _BUCKETS).astype(np.int16))
             hard = np.flatnonzero(idx < 0)      # u in a bucket split by a threshold
             idx[hard] = _count_below(thresholds, pair.take(hard), u.take(hard))
         idx[~detected] = 9
-        yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64),
-                     setting_a=sa, outcome_a=_OUTCOME_A.take(idx),
-                     setting_b=sb, outcome_b=_OUTCOME_B.take(idx),
-                     detected=detected)
+        idx += 10 * pair
+        yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64), code=idx.view(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +375,14 @@ class Party:
         ``counts[:2, :, :2, :]`` of the count tensor; detected rounds in
         neither are discarded.  This is the only statement of the sifting rule."""
         return self.detected & (self.settings == 3) & (other_settings == 3)
+
+
+# Per round code: whether it is a key round (the sifting rule applied once,
+# at import, to the 90 codes), and the key trits it gives A and B.  B's
+# outcomes 1 and 2 are exchanged here, and nowhere else.
+_IS_KEY = Party(CODE_FIELDS[0], CODE_FIELDS[4] == 1).sift_masks(CODE_FIELDS[2])
+_KEY_A = CODE_FIELDS[1]
+_KEY_B = SWAP_12.take(CODE_FIELDS[3], mode="clip")
 
 
 @dataclass(frozen=True)
@@ -393,18 +417,16 @@ class Sifted:
 
 
 def sift(rounds: Rounds) -> Sifted:
-    """Count tensor and both keys of a session (see ``Party.sift_masks``)."""
-    det = rounds.detected
-    key = Party(rounds.setting_a, det).sift_masks(rounds.setting_b)
-    cells = 27 * rounds.setting_a.astype(np.int16) + 9 * rounds.outcome_a \
-        + 3 * rounds.setting_b + rounds.outcome_b - 30
-    # detected cells through an index list, which a boolean compress is
-    # slower than at any detection rate below 1; at 1 there is nothing to drop
-    detected_cells = cells if det.all() else cells.take(np.flatnonzero(det))
-    counts = np.bincount(detected_cells, minlength=81).reshape(DIM, DIM, DIM, DIM)
-    rows = np.flatnonzero(key)      # indices, not a mask: key rounds are sparse
-    return Sifted(counts=counts, key_a=rounds.outcome_a.take(rows).astype(np.int8),
-                  key_b=SWAP_12[rounds.outcome_b.take(rows)])
+    """Count tensor and both keys of a session (see ``Party.sift_masks``): the
+    codes' histogram as [sa - 1, sb - 1, o], undetected o = 9 cut, transposed.
+    A code of 90 or more lengthens the histogram and is refused."""
+    hist = np.bincount(rounds.code, minlength=90)
+    if len(hist) > 90:
+        raise ValidationError(f"round code {len(hist) - 1} is not from 0 to 89")
+    counts = hist.reshape(DIM, DIM, 10)[..., :9].reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3)
+    # indices, not a mask: key rounds are sparse
+    codes = rounds.code.take(np.flatnonzero(_IS_KEY.take(rounds.code)))
+    return Sifted(counts=counts, key_a=_KEY_A.take(codes), key_b=_KEY_B.take(codes))
 
 
 def estimate_s3(counts: np.ndarray) -> tuple[float, float]:

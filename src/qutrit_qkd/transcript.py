@@ -9,15 +9,18 @@ Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
 lines whose first field starts with '#' are skipped; '# key = value' lines
 anywhere form the header.
 
-The writer's layout is the id's digits, then ``" c c c c c"`` and a newline:
-single spaces, lines 11 to 28 bytes long and never shorter than the line
-before.  Both directions work chunk by chunk and see a run of lines of one
-length as fixed-width records of whole fields, stored or looked up as
-little-endian integers: the writer renders each session chunk as arrays of
-such records, and the reader reads each block of the writer's layout as
-such records too, after splitting off the '#' lines the block starts with
-(the header).  Those lines and any other block go through the general
-grammar of ``_parse_lines``, which alone words the error messages.
+A round is its ``protocol.Rounds`` code: the writer renders row ``code`` of
+its 90 line tails, and the reader turns each row's validated fields back
+into that code.  The writer's layout is the id's digits, then
+``" c c c c c"`` and a newline: single spaces, lines 11 to 28 bytes long and
+never shorter than the line before.  Both directions work chunk by chunk and
+see a run of lines of one length as fixed-width records of whole fields,
+stored or looked up as little-endian integers: the writer renders each
+session chunk as arrays of such records, and the reader reads each block of
+the writer's layout as such records too, after splitting off the '#' lines
+the block starts with (the header).  Those lines and any other block go
+through the general grammar of ``_parse_lines``, which alone words the
+error messages.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .linalg import ValidationError
-from .protocol import Rounds
+from .protocol import CODE_FIELDS, Rounds
 
 _READ_BLOCK_BYTES = 1 << 18
 _MAX_ID_DIGITS = 18                 # every such id fits in an int64
@@ -41,19 +44,10 @@ _CHAR_VALUE = np.full(256, 10, dtype=np.int8)
 _CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
 _CHAR_VALUE[_DASH] = -1
 
-# The writer's 11-byte line tails " sa oa sb ob det\n", row
-# 10 * (3 * (sa - 1) + (sb - 1)) + (3 * oa + ob, or 9 for an undetected round).
-_pair, _outcomes = np.divmod(np.arange(90), 10)
-_seen = _outcomes < 9
+# The writer's 11-byte line tails " sa oa sb ob det\n", one per round code.
 _TAILS = np.full((90, 11), ord(" "), dtype=np.uint8)
 _TAILS[:, 10] = ord("\n")
-_TAILS[:, 1:10:2] = np.stack((
-    49 + _pair // 3,
-    np.where(_seen, 48 + _outcomes // 3, _DASH),
-    49 + _pair % 3,
-    np.where(_seen, 48 + _outcomes % 3, _DASH),
-    48 + _seen,
-), axis=1)
+_TAILS[:, 1:10:2] = np.where(CODE_FIELDS >= 0, 48 + CODE_FIELDS, _DASH).T
 # row k: the four decimal digits of k, zero-padded (int16 keeps the build small)
 _DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
@@ -71,7 +65,7 @@ _FIELD_VALUE[ord(" ") + 256 * np.arange(256)] = _CHAR_VALUE
 _d = np.arange(10)
 _DIGIT_PAIR = np.full(1 << 16, -1, dtype=np.int16)
 _DIGIT_PAIR[48 + _d[:, None] + 256 * (48 + _d)] = 10 * _d[:, None] + _d
-del _pair, _outcomes, _seen, _d
+del _d
 
 _WRITE_SLICE_ROWS = 1 << 13         # rows per record array: its temporaries stay small
 
@@ -107,39 +101,19 @@ def _faults(ids, id_ok, prev_id, values) -> np.ndarray:
     ))
 
 
-def _first_fault(ids, id_ok, prev_id, values, fields_of):
-    """(row, message) for the first row breaking the transcript grammar, or None.
-
-    ``fields_of`` renders one row's six fields as text for the message.
-    """
-    faults = _faults(ids, id_ok, prev_id, values)
-    bad = faults.any(axis=0)
-    if not bad.any():
-        return None
-    row = int(bad.argmax())
-    fields = fields_of(row)
-    message = _FAULTS[int(faults[:, row].argmax())].format(
-        *fields, want="0, 1 or 2" if fields[5] == "1" else "'-'",
-        prev=ids[row - 1] if row else prev_id)
-    return row, message
-
-
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
 
-def _codes(values: np.ndarray) -> np.ndarray:
-    """A settings or outcomes column as uint8: 0..9 as themselves, others above 9."""
-    if values.dtype in (np.int8, np.uint8):
-        return values.view(np.uint8)
-    return np.where((values >= 0) & (values <= 9), values, 255).astype(np.uint8)
-
-
-def _round_fields(rounds: Rounds, i: int) -> tuple:
-    det = bool(rounds.detected[i])
-    return (str(rounds.round_id[i]), str(rounds.setting_a[i]),
-            str(rounds.outcome_a[i]) if det else "-", str(rounds.setting_b[i]),
-            str(rounds.outcome_b[i]) if det else "-", str(int(det)))
+def _unwritable(ids, code, prev_id) -> tuple:
+    """(row, message) for the first round the reader would reject: an id out
+    of range or not above the one before, or a code outside 0 to 89."""
+    faults = np.stack(((ids < 0) | (ids >= _ID_LIMIT), (code < 0) | (code >= 90),
+                       ids <= np.concatenate(([prev_id], ids[:-1]))))
+    row = int(faults.any(axis=0).argmax())
+    message = (_FAULTS[0].format(str(ids[row])), f"round code {code[row]} is not from 0 to 89",
+               _FAULTS[-1].format(ids[row], prev=ids[row - 1] if row else prev_id))
+    return row, message[int(faults[:, row].argmax())]
 
 
 def _record(width: int) -> np.dtype:
@@ -161,13 +135,12 @@ def _record(width: int) -> np.dtype:
     })
 
 
-def _write_rows(fh, ids: np.ndarray, tail: np.ndarray) -> None:
-    """Write valid rows: increasing ids, and each row's ``_TAILS`` index.
+def _write_rows(fh, ids: np.ndarray, code: np.ndarray) -> None:
+    """Write valid rows: increasing ids, and each row's code as an intp.
 
     Rows of one id width are contiguous; each such run is written as
     arrays of ``_record(width)``, at most ``_WRITE_SLICE_ROWS`` at a time.
     """
-    tail = tail.astype(np.intp)         # the index type of ``take``, cast once
     lo = 0
     while lo < len(ids):
         width = len(str(ids[lo]))
@@ -181,8 +154,8 @@ def _write_rows(fh, ids: np.ndarray, tail: np.ndarray) -> None:
         rows["d0"] = _DIGITS4_U32.take(rest) >> 8 * (3 - (width - 1) % 4)
         for i, group in enumerate(reversed(groups), start=1):
             rows[f"d{i}"] = _DIGITS4_U32.take(group)
-        rows["head"] = _TAIL_HEAD.take(tail[lo:hi])
-        rows["end"] = _TAIL_END.take(tail[lo:hi])
+        rows["head"] = _TAIL_HEAD.take(code[lo:hi])
+        rows["end"] = _TAIL_END.take(code[lo:hi])
         fh.write(rows)
         lo = hi
 
@@ -204,24 +177,12 @@ def transcribe(path, chunks: Iterable[Rounds],
         for rounds in chunks:
             if len(rounds):
                 ids = rounds.round_id.astype(np.int64, copy=False)
-                det = rounds.detected.astype(bool, copy=False)
-                sa, oa, sb, ob = (_codes(c) for c in (rounds.setting_a, rounds.outcome_a,
-                                                      rounds.setting_b, rounds.outcome_b))
-                # uint8: a setting of 0 wraps to 255
-                valid = (sa - 1 < 3) & (sb - 1 < 3) & (~det | (oa < 3) & (ob < 3))
-                if not (valid.all() and prev_id < ids[0] and ids[-1] < _ID_LIMIT
-                        and (ids[1:] > ids[:-1]).all()):
-                    # undetected outcomes are written as '-', which reads as 255
-                    values = (sa, np.where(det, oa, 255), sb, np.where(det, ob, 255),
-                              det.view(np.uint8))
-                    row, message = _first_fault(
-                        ids, (ids >= 0) & (ids < _ID_LIMIT), prev_id, values,
-                        lambda row: _round_fields(rounds, row))
+                code = rounds.code.astype(np.intp)     # the index type of ``take``
+                if not (0 <= code.min() and code.max() < 90 and prev_id < ids[0]
+                        and ids[-1] < _ID_LIMIT and (ids[1:] > ids[:-1]).all()):
+                    row, message = _unwritable(ids, code, prev_id)
                     raise ValidationError(f"{path}: round index {base + row}: {message}")
-                tail = 3 * oa + ob              # uint8; undetected rounds wrap, then get 9
-                tail[~det] = 9
-                tail += 30 * sa + 10 * sb - 40
-                _write_rows(fh, ids, tail)
+                _write_rows(fh, ids, code)
                 prev_id = ids[-1]
             base += len(rounds)
             yield rounds
@@ -232,7 +193,7 @@ def transcribe(path, chunks: Iterable[Rounds],
 # ---------------------------------------------------------------------------
 
 def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
-    """Columns of the rounds in ``data``, whole lines ending in a newline.
+    """The rounds in ``data``, whole lines ending in a newline, and its line count.
 
     ``line0`` is the number of lines before ``data`` and ``prev_id`` the
     last round id before it; header lines are added to ``header``.
@@ -275,21 +236,27 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     if wrong.any():
         j = lines[wrong.argmax()]
         errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
-    fault = _first_fault(ids, id_ok, prev_id, values, lambda row: tuple(
-        data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row]))
-    if fault is not None:
-        row, message = fault
-        errors.append((rows[row], message))
+    faults = _faults(ids, id_ok, prev_id, values)
+    bad = faults.any(axis=0)
+    if bad.any():
+        row = int(bad.argmax())
+        text = tuple(data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row])
+        errors.append((rows[row], _FAULTS[int(faults[:, row].argmax())].format(
+            *text, want="0, 1 or 2" if text[5] == "1" else "'-'",
+            prev=ids[row - 1] if row else prev_id)))
     if errors:
         at, message = min(errors)
         raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
 
-    return _columns(ids, values), len(newlines)
+    return _rounds(ids, values), len(newlines)
 
 
-def _columns(ids, values) -> tuple:
-    sa, oa, sb, ob, det = values
-    return ids, sa, oa, sb, ob, det.astype(bool)
+def _rounds(ids, values) -> Rounds:
+    """Rows of valid field values (``_CHAR_VALUE`` values) as their round codes."""
+    sa, oa, sb, ob, det = (v.view(np.uint8) for v in values)
+    code = np.where(det == 1, 3 * oa + ob, np.uint8(9))
+    code += 30 * sa + 10 * sb - 40
+    return Rounds(ids, code)
 
 
 def _parse_fixed(data: bytes, prev_id: int):
@@ -341,7 +308,7 @@ def _parse_fixed(data: bytes, prev_id: int):
         lo = hi
     if _faults(ids, np.ones(n, dtype=bool), prev_id, values).any():
         return None
-    return _columns(ids, values), n
+    return _rounds(ids, values), n
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
@@ -372,11 +339,11 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
                 line0 += _parse_lines(data[:cut], path, line0, prev_id, header)[1]
                 data = data[cut:]
             if data:
-                cols, n_lines = (_parse_fixed(data, prev_id)
-                                 or _parse_lines(data, path, line0, prev_id, header))
+                rounds, n_lines = (_parse_fixed(data, prev_id)
+                                   or _parse_lines(data, path, line0, prev_id, header))
                 line0 += n_lines
-                if len(cols[0]):
-                    prev_id = cols[0][-1]
-                    yield Rounds(*cols)
+                if len(rounds):
+                    prev_id = rounds.round_id[-1]
+                    yield rounds
             if not block:
                 break

@@ -475,6 +475,28 @@ def test_out_target_checked_before_any_write(capsys, tmp_path, command, target):
     assert os.listdir(out_dir) == [target]
 
 
+@pytest.mark.parametrize("case, exit_code", [
+    ("reconcile missing keys", 3), ("reconcile bad key", 2),
+    ("sift missing transcript", 3), ("sift bad transcript", 2),
+])
+def test_failed_command_makes_no_out_dir(capsys, tmp_path, case, exit_code):
+    """A command that fails on its inputs leaves no --out directory behind."""
+    bad_key, bad_transcript = tmp_path / "bad_key.txt", tmp_path / "bad.txt"
+    bad_key.write_text("0120\n0135\n")
+    bad_transcript.write_text("0 1 0 1 0 1\n1 9 7 1 0 1\n")
+    missing = str(tmp_path / "missing.txt")
+    argv = {"reconcile missing keys": ("reconcile", missing, missing),
+            "reconcile bad key": ("reconcile", str(bad_key), str(bad_key)),
+            "sift missing transcript": ("sift", "--transcript", missing),
+            "sift bad transcript": ("sift", "--transcript", str(bad_transcript)),
+            }[case]
+    out_dir = tmp_path / "new" / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert (code, out) == (exit_code, "")
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

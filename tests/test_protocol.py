@@ -42,18 +42,26 @@ from qutrit_qkd.transcript import iter_transcript, transcribe
 
 IDEAL = SourceConfig()
 NO_EVE = EveConfig()
-ROUND_DTYPES = (np.int64, np.int8, np.int8, np.int8, np.int8, np.bool_)
 
 
 def columns(rounds):
-    """The six columns of ``rounds``, in transcript order."""
-    return tuple(vars(rounds).values())
+    """The six transcript columns of ``rounds`` (round_id, setting_a, outcome_a,
+    setting_b, outcome_b, detected), decoded from its codes by ``divmod``:
+    code = 10 * (3 * (setting_a - 1) + setting_b - 1) + (3 * outcome_a +
+    outcome_b, or 9 if undetected).  Outcomes are -1 on undetected rounds."""
+    pair, outcomes = np.divmod(rounds.code.astype(np.int64), 10)
+    sa, sb = np.divmod(pair, 3)
+    oa, ob = np.divmod(outcomes, 3)
+    det = outcomes < 9
+    return (rounds.round_id, (1 + sa).astype(np.int8), np.where(det, oa, -1).astype(np.int8),
+            (1 + sb).astype(np.int8), np.where(det, ob, -1).astype(np.int8), det)
 
 
 def joined(chunks):
     """One ``Rounds`` holding the chunks' rounds in order (typed, if there are none)."""
-    empty = Rounds(*(np.zeros(0, dtype=dt) for dt in ROUND_DTYPES))
-    return Rounds(*map(np.concatenate, zip(*map(columns, [empty, *chunks]))))
+    chunks = [Rounds(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)), *chunks]
+    return Rounds(np.concatenate([c.round_id for c in chunks]),
+                  np.concatenate([c.code for c in chunks]))
 
 
 def whole_session(n, source, eve, a, b, seed):
@@ -64,7 +72,7 @@ def whole_session(n, source, eve, a, b, seed):
 
 def sliced(rounds, lo, hi=None):
     """Rounds ``lo`` up to ``hi`` of ``rounds``."""
-    return Rounds(*(c[lo:hi] for c in columns(rounds)))
+    return Rounds(rounds.round_id[lo:hi], rounds.code[lo:hi])
 
 
 def forced_parties(setting_a, setting_b):
@@ -125,17 +133,17 @@ class TestAnalyzers:
 class TestSampleRound:
     def test_key_setting_support(self):
         parties = forced_parties(3, 3)
-        rounds = whole_session(500, IDEAL, NO_EVE, *parties, seed=1)
-        assert rounds.detected.all()
-        seen = set(zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()))
+        _, _, oa, _, ob, det = columns(whole_session(500, IDEAL, NO_EVE, *parties, seed=1))
+        assert det.all()
+        seen = set(zip(oa.tolist(), ob.tolist()))
         assert seen == {(0, 0), (1, 2), (2, 1)}
 
     def test_full_background_uniform(self):
         source = SourceConfig(background_fraction=1.0)
         parties = forced_parties(3, 3)
-        rounds = whole_session(9000, source, NO_EVE, *parties, seed=2)
+        _, _, oa, _, ob, _ = columns(whole_session(9000, source, NO_EVE, *parties, seed=2))
         counts = np.zeros((3, 3))
-        np.add.at(counts, (rounds.outcome_a, rounds.outcome_b), 1)
+        np.add.at(counts, (oa, ob), 1)
         # each of the 9 pairs expected 1000 times; 5 sigma binomial band
         sigma = np.sqrt(9000 * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - 1000) < 5 * sigma)
@@ -143,18 +151,18 @@ class TestSampleRound:
     def test_eve_computational_preserves_key_support(self):
         eve = EveConfig(enabled=True, arm="B")
         parties = forced_parties(3, 3)
-        rounds = whole_session(500, eve=eve, source=IDEAL, a=parties[0],
-                               b=parties[1], seed=3)
-        for pair in zip(rounds.outcome_a.tolist(), rounds.outcome_b.tolist()):
+        _, _, oa, _, ob, _ = columns(whole_session(500, eve=eve, source=IDEAL, a=parties[0],
+                                                   b=parties[1], seed=3))
+        for pair in zip(oa.tolist(), ob.tolist()):
             assert pair in {(0, 0), (1, 2), (2, 1)}
 
     def test_undetected_has_no_outcomes(self):
         source = SourceConfig(detection_efficiency=0.05)
         parties = forced_parties(3, 3)
-        rounds = whole_session(100, source, NO_EVE, *parties, seed=4)
-        undetected = ~rounds.detected
-        assert undetected.any() and np.all(rounds.outcome_a[undetected] == -1) \
-            and np.all(rounds.outcome_b[undetected] == -1)
+        _, _, oa, _, ob, det = columns(whole_session(100, source, NO_EVE, *parties, seed=4))
+        undetected = ~det
+        assert undetected.any() and np.all(oa[undetected] == -1) \
+            and np.all(ob[undetected] == -1)
 
 
 class TestPostEveMixture:
@@ -231,14 +239,44 @@ class TestRunSession:
         with pytest.raises(ValidationError):
             iter_session(0, IDEAL, NO_EVE, a, b, seed=1)
 
+    @pytest.mark.parametrize("entry", ["run_protocol", "iter_session"])
+    @pytest.mark.parametrize("n_rounds, seed, message", [
+        (1e3, 0, "n_rounds must be a positive integer, got 1000.0"),
+        ("300", 0, "n_rounds must be a positive integer, got '300'"),
+        (-5, 0, "n_rounds must be a positive integer, got -5"),
+        (300, -1, "seed must be a non-negative integer, got -1"),
+        (300, 1.5, "seed must be a non-negative integer, got 1.5"),
+        (300, np.int64(-2), "seed must be a non-negative integer, got "),
+        (np.int64(300), np.uint8(5), None),
+    ])
+    def test_arguments_checked_before_any_table(self, monkeypatch, entry, n_rounds, seed,
+                                                message):
+        a, b = PartyConfig(), PartyConfig()
+        want = run_protocol(300, seed=5)
+        tables = protocol._setting_tables
+        built = []
+        monkeypatch.setattr(protocol, "_setting_tables",
+                            lambda *args: built.append(1) or tables(*args))
+        call = {"run_protocol": lambda: run_protocol(n_rounds, seed=seed),
+                "iter_session": lambda: analyze(iter_session(n_rounds, IDEAL, NO_EVE, a, b,
+                                                             seed=seed))}[entry]
+        if message is None:
+            got = call()
+            assert np.array_equal(got.counts, want.counts)
+            assert np.array_equal(got.key_a, want.key_a) and got.s3_estimate == want.s3_estimate
+        else:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value).startswith(message) and not built
+
     def test_setting_pair_frequencies(self):
         n = 200_000
         a, b = PartyConfig(), PartyConfig()
-        rounds = whole_session(n, IDEAL, NO_EVE, a, b, seed=7)
+        _, setting_a, _, setting_b, _, _ = columns(whole_session(n, IDEAL, NO_EVE, a, b, seed=7))
         sigma = np.sqrt(n * (1 / 9) * (8 / 9))
         for sa in (1, 2, 3):
             for sb in (1, 2, 3):
-                count = int(((rounds.setting_a == sa) & (rounds.setting_b == sb)).sum())
+                count = int(((setting_a == sa) & (setting_b == sb)).sum())
                 assert abs(count - n / 9) < 5 * sigma
 
 
@@ -248,10 +286,10 @@ class TestSift:
         source = SourceConfig(detection_efficiency=0.5)
         rounds = whole_session(20_000, source, NO_EVE, a, b, seed=8)
         sifted = sift(rounds)
-        det = rounds.detected
-        key = int((det & (rounds.setting_a == 3) & (rounds.setting_b == 3)).sum())
-        bell_rounds = int((det & (rounds.setting_a <= 2) & (rounds.setting_b <= 2)).sum())
-        mixed = int((det & ((rounds.setting_a == 3) != (rounds.setting_b == 3))).sum())
+        _, sa, _, sb, _, det = columns(rounds)
+        key = int((det & (sa == 3) & (sb == 3)).sum())
+        bell_rounds = int((det & (sa <= 2) & (sb <= 2)).sum())
+        mixed = int((det & ((sa == 3) != (sb == 3))).sum())
         assert (sifted.n_key, sifted.n_bell, sifted.n_discarded) == (key, bell_rounds, mixed)
         assert key + bell_rounds + mixed == int(det.sum())
 
@@ -271,12 +309,17 @@ class TestSift:
     def test_matches_per_round_tally(self):
         a, b = PartyConfig((0.5, 0.2, 0.3)), PartyConfig((0.1, 0.4, 0.5))
         source = SourceConfig(detection_efficiency=0.5, visibility=0.8)
-        rounds = whole_session(3000, source, NO_EVE, a, b, seed=23)
+        session = whole_session(3000, source, NO_EVE, a, b, seed=23)
+        # the session holds 87 of the 90 codes (setting pair (2, 1) is rare):
+        # one round of each code follows it
+        rounds = joined([session, Rounds(3000 + np.arange(90), np.arange(90, dtype=np.uint8))])
+        assert set(rounds.code.tolist()) == set(range(90))
         sifted = sift(rounds)
         counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
         key, bell_rounds, discarded = [], [], []
+        _, setting_a, outcome_a, setting_b, outcome_b, detected = columns(rounds)
         for i, (sa, oa, sb, ob, det) in enumerate(zip(
-                *(c.tolist() for c in columns(rounds)[1:]))):
+                *(c.tolist() for c in (setting_a, outcome_a, setting_b, outcome_b, detected)))):
             if not det:
                 continue
             counts[sa - 1, oa, sb - 1, ob] += 1
@@ -287,15 +330,20 @@ class TestSift:
             else:
                 discarded.append(i)
         assert np.array_equal(sifted.counts, counts)
-        key_mask = Party(rounds.setting_a, rounds.detected).sift_masks(rounds.setting_b)
+        key_mask = Party(setting_a, detected).sift_masks(setting_b)
         assert np.flatnonzero(key_mask).tolist() == key
         assert (sifted.n_key, sifted.n_bell, sifted.n_discarded) == (
             len(key), len(bell_rounds), len(discarded))
-        assert sorted(key + bell_rounds + discarded) == np.flatnonzero(rounds.detected).tolist()
+        assert sorted(key + bell_rounds + discarded) == np.flatnonzero(detected).tolist()
         assert key and bell_rounds and discarded
-        assert sifted.key_a.tolist() == [int(rounds.outcome_a[i]) for i in key]
+        assert sifted.key_a.tolist() == [int(outcome_a[i]) for i in key]
         relabel = {0: 0, 1: 2, 2: 1}
-        assert sifted.key_b.tolist() == [relabel[int(rounds.outcome_b[i])] for i in key]
+        assert sifted.key_b.tolist() == [relabel[int(outcome_b[i])] for i in key]
+
+    def test_code_above_89_rejected(self):
+        rounds = Rounds(np.arange(3), np.array([0, 90, 89], dtype=np.uint8))
+        with pytest.raises(ValidationError, match="round code 90 is not from 0 to 89"):
+            sift(rounds)
 
     def test_mixed_pair_discarded(self):
         parties = forced_parties(1, 3)
@@ -322,7 +370,7 @@ class TestEstimateS3:
     def test_estimator_algebra_all_positive_cells(self):
         # counts placed only on each pair's positive-coefficient cells give
         # exactly +1 per pair, so S3 = 4 (an algebraic, non-physical check)
-        rows = {"setting_a": [], "setting_b": [], "outcome_a": [], "outcome_b": []}
+        codes = []
         positive_cells = {
             (1, 1): [(0, 0), (1, 1), (2, 2)],
             (2, 1): [(2, 0), (0, 1), (1, 2)],
@@ -331,20 +379,8 @@ class TestEstimateS3:
         }
         for (sa, sb), cells in positive_cells.items():
             for (oa, ob) in cells:
-                for _ in range(10):
-                    rows["setting_a"].append(sa)
-                    rows["setting_b"].append(sb)
-                    rows["outcome_a"].append(oa)
-                    rows["outcome_b"].append(ob)
-        n = len(rows["setting_a"])
-        rounds = Rounds(
-            round_id=np.arange(n),
-            setting_a=np.array(rows["setting_a"], dtype=np.int8),
-            outcome_a=np.array(rows["outcome_a"], dtype=np.int8),
-            setting_b=np.array(rows["setting_b"], dtype=np.int8),
-            outcome_b=np.array(rows["outcome_b"], dtype=np.int8),
-            detected=np.ones(n, dtype=bool),
-        )
+                codes += [10 * (3 * (sa - 1) + sb - 1) + 3 * oa + ob] * 10
+        rounds = Rounds(round_id=np.arange(len(codes)), code=np.array(codes, dtype=np.uint8))
         s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert s3_hat == pytest.approx(4.0, abs=1e-12)
         assert sigma == pytest.approx(0.0, abs=1e-12)
@@ -362,10 +398,9 @@ class TestEstimateS3:
         threshold = chi2.ppf(0.999, df=72)
         passes = 0
         for seed in range(100):
-            rounds = whole_session(100_000, IDEAL, NO_EVE, a, b, seed=seed)
+            _, sa, oa, sb, ob, _ = columns(whole_session(100_000, IDEAL, NO_EVE, a, b, seed=seed))
             # every round is detected; cell [sa - 1, oa, sb - 1, ob] of all 81
-            cells = 27 * rounds.setting_a.astype(int) + 9 * rounds.outcome_a \
-                + 3 * rounds.setting_b + rounds.outcome_b - 30
+            cells = 27 * sa.astype(int) + 9 * oa + 3 * sb + ob - 30
             all_counts = np.bincount(cells, minlength=81).reshape(3, 3, 3, 3)
             stat = 0.0
             for sa, sb in itertools.product((1, 2, 3), repeat=2):
@@ -382,14 +417,10 @@ class TestEstimateS3:
 
 class TestKeysAndVerdict:
     def test_extract_remap(self):
-        rounds = Rounds(
-            round_id=np.arange(3),
-            setting_a=np.full(3, 3, dtype=np.int8),
-            outcome_a=np.array([1, 0, 2], dtype=np.int8),
-            setting_b=np.full(3, 3, dtype=np.int8),
-            outcome_b=np.array([2, 0, 1], dtype=np.int8),
-            detected=np.ones(3, dtype=bool),
-        )
+        # settings (3, 3); outcome pairs (1, 2), (0, 0) and (2, 1)
+        rounds = Rounds(round_id=np.arange(3), code=np.array([85, 80, 87], dtype=np.uint8))
+        assert [c.tolist() for c in columns(rounds)[1:5]] == [
+            [3, 3, 3], [1, 0, 2], [3, 3, 3], [2, 0, 1]]
         sifted = sift(rounds)
         key_a, key_b = sifted.key_a, sifted.key_b
         assert key_a.tolist() == [1, 0, 2]
@@ -686,10 +717,9 @@ class TestTranscriptIO:
         text, rows = self.READ_CASES[case]
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
-        loaded = columns(joined(iter_transcript(path)))
-        assert [c.dtype for c in loaded] == [np.int64, np.int8, np.int8,
-                                             np.int8, np.int8, np.bool_]
-        assert list(zip(*(c.tolist() for c in loaded))) == rows
+        loaded = joined(iter_transcript(path))
+        assert (loaded.round_id.dtype, loaded.code.dtype) == (np.int64, np.uint8)
+        assert list(zip(*(c.tolist() for c in columns(loaded)))) == rows
 
     def test_reader_header_anywhere(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -740,7 +770,7 @@ class TestTranscriptIO:
         path.write_text("".join(lines))
         loaded = joined(iter_transcript(path))
         assert np.array_equal(loaded.round_id, np.arange(n))
-        assert np.array_equal(loaded.setting_a, 1 + np.arange(n) % 3)
+        assert np.array_equal(columns(loaded)[1], 1 + np.arange(n) % 3)
         bad_line = 25_000
         lines[bad_line - 1] = lines[bad_line - 1].replace(" 2 1 1\n", " 2 1 -\n")
         path.write_text("".join(lines))
@@ -749,8 +779,8 @@ class TestTranscriptIO:
             list(iter_transcript(path))
 
     @pytest.mark.parametrize("column, value, message", [
-        ("setting_a", 4, "round index 3: setting_a '4'"),
-        ("outcome_b", -1, "round index 3: outcome_b '-1' must be 0, 1 or 2"),
+        ("code", 90, "round index 3: round code 90 is not from 0 to 89"),
+        ("code", 255, "round index 3: round code 255 is not from 0 to 89"),
         ("round_id", 1, "round index 3: round_id 1 does not exceed"),
     ])
     def test_writer_rejects_unreadable_rounds(self, tmp_path, column, value, message):
@@ -770,15 +800,7 @@ class TestTranscriptIO:
                       if 0 <= i + k < 10**18})
         n = len(ids)
         assert n >= 90
-        code = np.arange(n) % 90
-        pair, outcomes = code // 10, code % 10
-        det = outcomes < 9
-        rounds = Rounds(round_id=np.array(ids, dtype=np.int64),
-                        setting_a=(1 + pair // 3).astype(np.int8),
-                        outcome_a=np.where(det, outcomes // 3, -1).astype(np.int8),
-                        setting_b=(1 + pair % 3).astype(np.int8),
-                        outcome_b=np.where(det, outcomes % 3, -1).astype(np.int8),
-                        detected=det)
+        rounds = Rounds(np.array(ids, dtype=np.int64), np.arange(n) % 90)
         chunks = [rounds] if chunk_rows is None else [
             sliced(rounds, lo, lo + chunk_rows) for lo in range(0, n, chunk_rows)]
         path = tmp_path / "t.txt"
@@ -789,8 +811,9 @@ class TestTranscriptIO:
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
         assert path.read_bytes() == "".join(expected).encode()
         loaded = joined(iter_transcript(path))
-        for c1, c2 in zip(columns(loaded), columns(rounds)):
-            assert c1.dtype == c2.dtype and np.array_equal(c1, c2)
+        assert loaded.round_id.dtype == np.int64 and loaded.code.dtype == np.uint8
+        assert np.array_equal(loaded.round_id, rounds.round_id)
+        assert np.array_equal(loaded.code, rounds.code)
 
     @staticmethod
     def _edited(text, edits):
@@ -833,11 +856,12 @@ class TestTranscriptIO:
             for path in (plain, edited):
                 header = {}
                 chunks = list(iter_transcript(path, header))
-                results.append((columns(joined(chunks)), header))
+                loaded = joined(chunks)
+                results.append(((loaded.round_id, loaded.code), header))
         (cols1, header1), (cols2, header2) = results
         assert header1 == {"seed": "23"}
         assert header2 == ({"seed": "23", "note": "x"} if 4 in edits.values() else header1)
-        for c1, c2, c0 in zip(cols1, cols2, columns(rounds)):
+        for c1, c2, c0 in zip(cols1, cols2, (rounds.round_id, rounds.code)):
             assert c1.dtype == c2.dtype == c0.dtype
             assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
         # both paths run: the header lines alone and each block with an edited
@@ -879,10 +903,10 @@ class TestTranscriptIO:
         """The error message reading ``path`` raises, or its rounds and header."""
         header = {}
         try:
-            loaded = columns(joined(iter_transcript(path, header)))
+            loaded = joined(iter_transcript(path, header))
         except ValidationError as exc:
             return str(exc)
-        return [(c.dtype, c.tolist()) for c in loaded], header
+        return [(c.dtype, c.tolist()) for c in (loaded.round_id, loaded.code)], header
 
     @given(j=st.integers(1, 300), kind=st.sampled_from(DAMAGE), pick=st.integers(0, 11),
            first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]),
@@ -901,7 +925,7 @@ class TestTranscriptIO:
         # widths, width changes and the first, middle and last line of a block
         session = whole_session(300, SourceConfig(detection_efficiency=0.7),
                                 NO_EVE, PartyConfig(), PartyConfig(), seed=24)
-        rounds = Rounds(session.round_id + first_id, *columns(session)[1:])
+        rounds = Rounds(session.round_id + first_id, session.code)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
             path = os.path.join(tmp, "t.txt")
