@@ -251,13 +251,17 @@ del _pair, _o
 # Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
 # by column (settings A, settings B, detection, outcome uniforms), n draws
 # each, so chunk [lo, lo + m) of column j is draws j*n + lo ... of the stream.
+# At detection 1 every round is detected and the detection column is not drawn;
+# the outcome column keeps its place in the stream.
 _SESSION_CHUNK_ROWS = 1 << 16
 # Outcome-index lookup over _BUCKETS (a power of two) buckets of u per setting
 # pair.  Only sessions of at least _BUCKET_MIN_ROUNDS rounds build the table:
-# below that its fixed cost (the build, ~35 us, and the exact pass over the
+# below that its fixed cost (the build, ~70 us, and the exact pass over the
 # rows of split buckets) exceeds what the lookup saves.  The two broke even
-# near 12000 rounds on a 2-core Xeon.
-_BUCKETS = 256
+# near 16000 rounds on a 2-core Xeon.  With 1024 buckets 0.8 % of the rows of
+# a visibility-0.9 source on the reference coefficients fall in split buckets,
+# against 3.1 % with 256.
+_BUCKETS = 1024
 _BUCKET_MIN_ROUNDS = 1 << 14
 
 
@@ -266,14 +270,6 @@ def _setting_cdf(party: PartyConfig) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def _settings(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Settings 1..3 from uniforms, as ``Generator.choice`` maps them."""
-    s = np.ones(len(u), dtype=np.int8)
-    s += u >= cdf[0]
-    s += u >= cdf[1]
-    return s
 
 
 def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
@@ -340,21 +336,31 @@ def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
             bitgen.advance(column * n + lo)
             return rng.random(m)
 
-        sa = _settings(draw(0), cdf_a)
-        sb = _settings(draw(1), cdf_b)
-        detected = draw(2) < detection
+        # setting pair 3 * (setting_a - 1) + setting_b - 1: a setting is 1 plus the
+        # number of its party's cumulative probabilities <= u, as Generator.choice maps u
+        u = draw(0)
+        pair = (u >= cdf_a[0]).view(np.int8)
+        pair += u >= cdf_a[1]
+        pair *= 3
+        u = draw(1)
+        pair += u >= cdf_b[0]
+        pair += u >= cdf_b[1]
         u = draw(3)
         # outcome index = number of cumulative probabilities <= u
-        pair = 3 * sa + sb - 4
         if buckets is None:
             idx = _count_below(thresholds, pair, u)
         else:
-            idx = buckets.take(_BUCKETS * pair.astype(np.int16)
-                               + (u * _BUCKETS).astype(np.int16))
+            # bucket key K * pair + floor(K * u), cast into intp as it is multiplied
+            key = np.multiply(u, _BUCKETS, out=np.empty(m, dtype=np.intp), casting="unsafe")
+            key += np.multiply(pair, _BUCKETS, dtype=np.int16)   # 8 * K fits int16
+            idx = buckets.take(key)
+            del key                             # not held while the chunk is yielded
             hard = np.flatnonzero(idx < 0)      # u in a bucket split by a threshold
             idx[hard] = _count_below(thresholds, pair.take(hard), u.take(hard))
-        idx[~detected] = 9
-        idx += 10 * pair
+        if detection < 1.0:                     # else every draw(2) < detection
+            idx[draw(2) >= detection] = 9
+        pair *= 10
+        idx += pair
         yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64), code=idx.view(np.uint8))
 
 
@@ -383,6 +389,11 @@ class Party:
 _IS_KEY = Party(CODE_FIELDS[0], CODE_FIELDS[4] == 1).sift_masks(CODE_FIELDS[2])
 _KEY_A = CODE_FIELDS[1]
 _KEY_B = SWAP_12.take(CODE_FIELDS[3], mode="clip")
+# The key codes are one run, [_KEY_LO, _KEY_LO + _KEY_WIDTH), so ``sift`` finds
+# key rounds with one uint8 range compare.
+_KEY_LO, _KEY_WIDTH = np.uint8(np.argmax(_IS_KEY)), np.uint8(np.count_nonzero(_IS_KEY))
+if not _IS_KEY[_KEY_LO:_KEY_LO + _KEY_WIDTH].all():
+    raise RuntimeError("the key round codes are not contiguous")
 
 
 @dataclass(frozen=True)
@@ -419,13 +430,17 @@ class Sifted:
 def sift(rounds: Rounds) -> Sifted:
     """Count tensor and both keys of a session (see ``Party.sift_masks``): the
     codes' histogram as [sa - 1, sb - 1, o], undetected o = 9 cut, transposed.
-    A code of 90 or more lengthens the histogram and is refused."""
+    A code of 90 or more lengthens the histogram and is refused.  Key rounds
+    are the one run of codes the sifting rule keeps (80 to 88), found with one
+    uint8 range compare, ``code - _KEY_LO < _KEY_WIDTH``."""
     hist = np.bincount(rounds.code, minlength=90)
     if len(hist) > 90:
         raise ValidationError(f"round code {len(hist) - 1} is not from 0 to 89")
     counts = hist.reshape(DIM, DIM, 10)[..., :9].reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3)
-    # indices, not a mask: key rounds are sparse
-    codes = rounds.code.take(np.flatnonzero(_IS_KEY.take(rounds.code)))
+    # indices, not a mask: key rounds are sparse.  The difference is taken in
+    # uint8 whatever the codes' integer dtype, so codes below the run wrap above it.
+    is_key = np.subtract(rounds.code, _KEY_LO, dtype=np.uint8, casting="unsafe") < _KEY_WIDTH
+    codes = rounds.code.take(np.flatnonzero(is_key))
     return Sifted(counts=counts, key_a=_KEY_A.take(codes), key_b=_KEY_B.take(codes))
 
 

@@ -14,11 +14,12 @@ def as_trits(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and (arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer)):
         raise ValidationError("trit strings must be one-dimensional integer sequences")
-    arr = arr.astype(np.int8).reshape(-1)
+    arr = arr.reshape(-1)
+    # checked in the input's own dtype: an int8 cast first would wrap 257 to 1
     if arr.size and (arr.min() < 0 or arr.max() > 2):
         bad = arr[(arr < 0) | (arr > 2)][0]
         raise ValidationError(f"trit value {bad} outside {{0, 1, 2}}")
-    return arr
+    return arr.astype(np.int8)
 
 
 def _digits(data: bytes, where: str = "") -> np.ndarray:

@@ -340,6 +340,20 @@ class TestSift:
         relabel = {0: 0, 1: 2, 2: 1}
         assert sifted.key_b.tolist() == [relabel[int(outcome_b[i])] for i in key]
 
+    def test_key_rows_are_the_code_run_80_to_88(self):
+        # the codes on either side of the run, repeated: 79 - 80 wraps to 255
+        # in uint8 and 89 - 80 is 9, so neither is a key row
+        assert (protocol._KEY_LO, protocol._KEY_WIDTH) == (80, 9)
+        code = np.tile(np.array([79, 80, 88, 89], dtype=np.uint8), 5)
+        key_codes = np.tile([80, 88], 5)
+        # codes held in a wider integer dtype are sifted the same way
+        for dtype in (np.uint8, np.int64):
+            sifted = sift(Rounds(np.arange(len(code)), code.astype(dtype)))
+            assert sifted.key_a.tolist() == protocol._KEY_A[key_codes].tolist() == [0, 2] * 5
+            assert sifted.key_b.tolist() == protocol._KEY_B[key_codes].tolist() == [0, 1] * 5
+        with pytest.raises(ValidationError, match="round code 90"):
+            sift(Rounds(np.arange(len(code) + 1), np.append(code, np.uint8(90))))
+
     def test_code_above_89_rejected(self):
         rounds = Rounds(np.arange(3), np.array([0, 90, 89], dtype=np.uint8))
         with pytest.raises(ValidationError, match="round code 90 is not from 0 to 89"):
@@ -657,6 +671,27 @@ class TestBucketLookup:
         for col, want in zip(columns(got), expected):
             assert col.dtype == want.dtype
             assert np.array_equal(col, want)
+
+
+class TestDetectionColumn:
+    BIAS_A, BIAS_B = TestChunkedSession.BIAS_A, TestChunkedSession.BIAS_B
+    EVE = EveConfig(enabled=True, arm="A")
+
+    @pytest.mark.parametrize("n", [M - 1, M, C + 1])
+    @pytest.mark.parametrize("detection", [1.0, np.nextafter(1.0, 0.0)])
+    def test_matches_reference_oracle_at_the_edge(self, n, detection):
+        """At detection 1 the detection column is not drawn; just below 1 it is.
+        Either way the outcome column keeps its place in the stream."""
+        source = SourceConfig(coefficients=(0.642, 0.546, 0.539), visibility=0.9,
+                              detection_efficiency=detection)
+        tables = protocol._setting_tables(source, self.EVE)
+        expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, detection, n)
+        a, b = PartyConfig(self.BIAS_A), PartyConfig(self.BIAS_B)
+        got = whole_session(n, source, self.EVE, a, b, seed=n)
+        for col, want in zip(columns(got), expected):
+            assert np.array_equal(col, want)
+        if detection == 1.0:
+            assert not (got.code % 10 == 9).any()
 
 
 class TestTranscriptIO:

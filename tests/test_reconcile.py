@@ -68,6 +68,11 @@ class TestParitySift:
         with pytest.raises(ValidationError):
             parity_sift((0, 1, 2), (0, 1))
 
+    def test_out_of_range_trit_refused(self):
+        # 256 would wrap to 0 in int8, and the block would be kept
+        with pytest.raises(ValidationError, match="trit value 256"):
+            parity_sift((0, 1, 2), (256, 1, 2))
+
     def test_trailing_remainder_dropped(self):
         out_a, out_b, report = parity_sift((0, 0, 0, 1, 2), (0, 0, 0, 1, 2))
         assert report.dropped_trailing == 2

@@ -115,6 +115,14 @@ class TestTritStrings:
         with pytest.raises(ValidationError, match=r"^trit value 3 outside \{0, 1, 2\}$"):
             as_trits([0, 3, 1])
 
+    @pytest.mark.parametrize("bad", [255, 256, 257, 2**40])
+    def test_as_trits_range_checked_before_int8_cast(self, bad):
+        """A value int8 would wrap into 0-2, or below 0, is named as given."""
+        with pytest.raises(ValidationError, match=rf"^trit value {bad} outside \{{0, 1, 2\}}$"):
+            as_trits([0, 1, bad])
+        with pytest.raises(ValidationError, match=rf"^trit value {bad} "):
+            format_trits([bad, 2])
+
     @pytest.mark.parametrize("text, typed", [("015", "5"), ("01a", "a"), ("01é", "é")])
     def test_bad_character_named_as_typed(self, text, typed):
         """Every string reports its first character outside 0-2 the same way."""
