@@ -58,8 +58,17 @@ class SettingsPair:
 
 
 def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
-    """Phase-basis settings at offsets (a1, a2, b1, b2), canonical by default."""
-    return _settings_from_rows(*_phase_family_rows(offsets))
+    """Phase-basis settings at offsets (a1, a2, b1, b2), canonical by default.
+
+    ``offsets`` must be exactly four finite reals (``ValidationError``).
+    """
+    try:
+        x = np.asarray(offsets, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (4,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"offsets must be 4 finite reals (a1, a2, b1, b2), got {offsets!r}")
+    return _settings_from_rows(*_phase_family_rows(x))
 
 
 def _phase_family_rows(offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +149,11 @@ def _check_solver_inputs(tolerance: float, restarts: int) -> None:
     # a relative tolerance is below 1; near 1e300 L-BFGS-B's ftol / eps overflows
     if not (0 < tolerance < 1):
         raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
-    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+    if (isinstance(restarts, (bool, np.bool_)) or not isinstance(restarts, (int, np.integer))
+            or restarts < 1):
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
 
 
-# d(phase row)/d(offset): level j of every row, of either party, times 2*pi*i*j/3
-_PHASE_ROW_DERIVATIVE = 2j * np.pi * np.arange(DIM) / DIM
 _S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
 
 
@@ -156,31 +164,63 @@ def _s3_cells(amp, weights):
     return float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2))), 2.0 * weighted * amp.conj()
 
 
-def _phase_s3_gradient(offsets, psis, weights, dpsis=None):
-    """S3 of ``psis`` mixed by ``weights`` at phase offsets (a1, a2, b1, b2),
-    with its gradient in the offsets, followed by the derivative along
-    ``dpsis`` (the states' derivative in one more parameter) when given.
+# In the phase family, level j of a row at offset t is its offset-0 entry times
+# exp(2 pi i j t / 3), so S3 is a trigonometric polynomial of the offsets
+# x = (a1, a2, b1, b2): sum over the basis pairs (a, b) and the level differences
+# p, q in {-2 .. 2} of F[a, b, p, q] exp(-2 pi i (p x_a + q x_{2+b}) / 3).
+# _FREQUENCIES is the (100, 4) matrix of those exponents' integer factors.
+_EYE = np.eye(DIM)
+_DIFFERENCES = np.arange(1 - DIM, DIM)
+_FREQUENCIES = (np.eye(4)[:2, None, None, None] * _DIFFERENCES[:, None, None]
+                + np.eye(4)[None, 2:, None, None] * _DIFFERENCES[:, None]).reshape(-1, 4)
+_EXPONENTS = (-2j * np.pi / DIM) * _FREQUENCIES
+_SLOPES = (2.0 * np.pi / DIM) * _FREQUENCIES
+# _LEVEL_BINS[(i, j, n, o), (p, q)] is 1 where the level differences i - n and
+# j - o are _DIFFERENCES[p] and _DIFFERENCES[q]
+_LEVEL_PAIRS = np.subtract.outer(np.arange(DIM), np.arange(DIM))[:, :, None] == _DIFFERENCES
+_LEVEL_BINS = np.einsum("inp,joq->ijnopq", _LEVEL_PAIRS, _LEVEL_PAIRS) \
+    .reshape(DIM ** 4, len(_DIFFERENCES) ** 2).astype(float)
+# S3_COEFFICIENTS as (basis pair (a, b), row pair (k, l))
+_S3_PAIRS = S3_COEFFICIENTS.transpose(0, 2, 1, 3).reshape(4, DIM * DIM)
+# each party's offset-0 rows split into their levels: row 3 k + j is level j of row k
+_LEVEL_ROWS_A, _LEVEL_ROWS_B = ((phase_rows(party, [0.0])[:, None, :] * _EYE)
+                                .reshape(DIM * DIM, DIM) for party in "AB")
+# |00>, |11> and |22>, whose combinations c make the gamma family
+_SCHMIDT_TERMS = _EYE[:, :, None] * _EYE[:, None, :]
 
-    One kernel call on stacked inputs yields the amplitudes and each of
-    their derivatives; then dS3/dp = sum_m w_m sum C * 2 Re(conj(amp) damp).
-    The white-noise part adds nothing: each setting pair's coefficients
+
+def _phase_cross_terms(psis) -> np.ndarray:
+    """(m, m, 100) coefficients T[s, t] of the phase-family polynomial that
+    amplitude s times the conjugate of amplitude t contributes to S3, for
+    the (m, 3, 3) states ``psis``.
+
+    One kernel call on the level-split offset-0 rows gives each state's
+    amplitude per (row k, level i, row l, level j).  The products of two
+    amplitudes' levels are weighted per row pair with ``S3_COEFFICIENTS``
+    and binned by their level differences (p, q).  The mixture
+    sum_s w_s |psi_s><psi_s| has coefficients sum_s w_s T[s, s]; the
+    white-noise part adds nothing, since each setting pair's coefficients
     sum to zero.
     """
-    rows_a, rows_b = _phase_family_rows(offsets)
-    n, m = 2 * DIM, len(psis)
-    stacked = psis if dpsis is None else np.concatenate((psis, dpsis))
-    amps = born_amplitudes(np.concatenate((rows_a, rows_a * _PHASE_ROW_DERIVATIVE)),
-                           np.concatenate((rows_b, rows_b * _PHASE_ROW_DERIVATIVE)),
-                           stacked)
-    value, dcells = _s3_cells(amps[:m, :n, :n], weights)
-    grad = [(dcells * amps[:m, n:, :n]).real.reshape(m, 2, DIM, n).sum(axis=(0, 2, 3)),
-            (dcells * amps[:m, :n, n:]).real.reshape(m, n, 2, DIM).sum(axis=(0, 1, 3))]
-    if dpsis is not None:
-        grad.insert(0, [np.sum((dcells * amps[m:, :n, :n]).real)])
-    return value, np.concatenate(grad)
+    amps = born_amplitudes(_LEVEL_ROWS_A, _LEVEL_ROWS_B, psis).reshape(-1, DIM, DIM, DIM, DIM)
+    amps = amps.transpose(0, 1, 3, 2, 4).reshape(-1, DIM * DIM, DIM * DIM)   # [s, (k, l), (i, j)]
+    m = len(amps)
+    pairs = amps[:, None, :, :, None] * amps.conj()[None, :, :, None, :]
+    cross = _S3_PAIRS @ pairs.reshape(m, m, DIM * DIM, DIM ** 4) @ _LEVEL_BINS
+    return cross.reshape(m, m, len(_FREQUENCIES))
 
 
-_EYE = np.eye(DIM)
+def _phase_coefficients(mixed: MixedState) -> np.ndarray:
+    """(100,) coefficients of S3 of ``mixed`` in the phase family."""
+    return np.einsum("s,ssn->n", mixed.weights, _phase_cross_terms(mixed.psis))
+
+
+def _phase_polynomial(offsets, coefficients):
+    """Sum Re z and (2 pi / 3) Im(z) @ M for z = F exp(-2 pi i/3 M x), with F
+    the coefficients (..., 100), M ``_FREQUENCIES`` and x the offsets
+    (a1, a2, b1, b2): S3 and its gradient in the offsets."""
+    z = coefficients * np.exp(_EXPONENTS @ offsets)
+    return z.real.sum(axis=-1), z.imag @ _SLOPES
 
 
 def _unitary_s3_gradient(params, base, psis, weights):
@@ -255,10 +295,12 @@ def optimize_s3(
     ``family`` selects the search space: "phase" varies the four offsets of
     the Fourier-phase family; "unitary" varies all four bases over the full
     local-unitary family (8 parameters each).  Both run L-BFGS-B on the
-    exact gradient, from one Born-kernel call per evaluation on unvalidated
-    rows; the reported value is the exact S3 re-evaluated at the returned
-    settings.  Deterministic for a fixed seed; ties are broken by restart
-    order.
+    exact gradient of unvalidated rows: the phase family evaluates S3 as a
+    trigonometric polynomial of the offsets whose coefficients come from
+    one Born-kernel call per solve, the unitary family makes one kernel
+    call per evaluation.  The reported value is the exact S3 re-evaluated
+    at the returned settings.  Deterministic for a fixed seed; ties are
+    broken by restart order.
     """
     _check_solver_inputs(tolerance, restarts)
     if family not in ("phase", "unitary"):
@@ -270,9 +312,10 @@ def optimize_s3(
         rows = _phase_family_rows
         starts = [np.asarray(CANONICAL_OFFSETS, dtype=float)]
         starts += [rng.uniform(0.0, 3.0, size=4) for _ in range(restarts - 1)]
+        coefficients = _phase_coefficients(mixed)
 
         def objective(x):
-            value, grad = _phase_s3_gradient(x, mixed.psis, mixed.weights)
+            value, grad = _phase_polynomial(x, coefficients)
             return -value, -grad
     else:
         base = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
@@ -297,14 +340,22 @@ def optimize_s3(
     )
 
 
-def _gamma_s3_gradient(x):
-    """S3 of (|00> + |g||11> + |22>)/sqrt(2 + g^2) at phase offsets, for
-    x = (g, a1, a2, b1, b2), and its gradient in x."""
+def _gamma_s3_gradient(x, cross):
+    """S3 of c = (1, g, 1)/sqrt(2 + g^2) on |00>, |11>, |22> at phase offsets,
+    for x = (g, a1, a2, b1, b2), and its gradient in x.
+
+    ``cross`` is ``_phase_cross_terms(_SCHMIDT_TERMS)`` as (9, 100), so the
+    coefficients are (c (x) c) @ cross.  The real sum over frequencies of
+    cross[s, t] is symmetric in (s, t), so S3's derivative along dc = dc/dg
+    is that of the coefficients (2 dc (x) c) @ cross.
+    """
     g = abs(x[0])
     norm = np.sqrt(2.0 + g * g)
-    psi = np.diag((1.0, g, 1.0)) / norm
-    dpsi = np.sign(x[0]) * (np.diag((0.0, 1.0, 0.0)) / norm - psi * (g / norm ** 2))
-    return _phase_s3_gradient(x[1:], psi[None], np.ones(1), dpsi[None])
+    c = np.array((1.0, g, 1.0)) / norm
+    dc = np.sign(x[0]) * (np.array((0.0, 1.0, 0.0)) / norm - c * (g / norm ** 2))
+    values, grads = _phase_polynomial(
+        x[1:], np.outer(np.concatenate((c, 2.0 * dc)), c).reshape(2, DIM * DIM) @ cross)
+    return values[0], np.concatenate((values[1:], grads[0]))
 
 
 @dataclass(frozen=True)
@@ -323,15 +374,17 @@ def optimize_gamma_family(
     """Jointly optimize the middle Schmidt coefficient and the phase settings.
 
     Searches over states (|00> + g|11> + |22>)/sqrt(2 + g^2) together with
-    the four phase offsets, by multi-start L-BFGS-B on the exact gradient.
+    the four phase offsets, by multi-start L-BFGS-B on the exact gradient of
+    the phase-family polynomial (one Born-kernel call per solve).
     The optimum exceeds the maximal-entanglement value: a non-maximally
     entangled state violates the inequality more.
     """
     _check_solver_inputs(tolerance, restarts)
     rng = np.random.default_rng(seed)
+    cross = _phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM * DIM, -1)
 
     def objective(x):
-        value, grad = _gamma_s3_gradient(x)
+        value, grad = _gamma_s3_gradient(x, cross)
         return -value, -grad
 
     starts = [np.concatenate(([1.0], CANONICAL_OFFSETS))]

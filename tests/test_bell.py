@@ -143,6 +143,14 @@ class TestS3Exact:
         assert s3(mixed, canonical_settings()) == pytest.approx(
             visibility * QUANTUM_MAX, abs=1e-9)
 
+    @pytest.mark.parametrize("offsets", [(0.0, 0.5, 0.25), (0.0, 0.5, 0.25, -0.25, 1.0),
+                                         (0.0, float("nan"), 0.25, -0.25),
+                                         (0.0, 0.5, float("inf"), -0.25), "0.0",
+                                         ((0.0, 0.5), (0.25, -0.25))])
+    def test_offsets_must_be_four_finite_reals(self, offsets):
+        with pytest.raises(ValidationError, match="offsets must be 4 finite reals"):
+            canonical_settings(offsets)
+
     def test_closed_form_oracle_random_offsets(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -269,7 +277,7 @@ class TestAnalyticGradients:
             coeffs = rng.uniform(0.05, 1.0, size=3)
             coeffs /= np.linalg.norm(coeffs)
             state = MixedState.pure(diagonal_state(coeffs))
-            value, grad = bell._phase_s3_gradient(offsets, state.psis, state.weights)
+            value, grad = bell._phase_polynomial(offsets, bell._phase_coefficients(state))
             assert value == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-12)
             expected = central_difference(lambda x: s3_closed_form(coeffs, x), offsets)
             assert np.max(np.abs(grad - expected)) <= 1e-6
@@ -282,7 +290,7 @@ class TestAnalyticGradients:
             coeffs /= np.linalg.norm(coeffs)
             visibility = rng.uniform(0.1, 0.95)
             mixed = MixedState.isotropic(diagonal_state(coeffs), visibility)
-            value, grad = bell._phase_s3_gradient(offsets, mixed.psis, mixed.weights)
+            value, grad = bell._phase_polynomial(offsets, bell._phase_coefficients(mixed))
             # uniform noise contributes nothing to S3
             assert value == pytest.approx(visibility * s3_closed_form(coeffs, offsets),
                                           abs=1e-12)
@@ -295,10 +303,11 @@ class TestAnalyticGradients:
             coeffs = np.array((1.0, x[0], 1.0))
             return s3_closed_form(coeffs / np.linalg.norm(coeffs), x[1:])
 
+        cross = bell._phase_cross_terms(bell._SCHMIDT_TERMS).reshape(9, -1)
         rng = np.random.default_rng(43)
         for _ in range(20):
             x = np.concatenate((rng.uniform(0.1, 2.0, 1), rng.uniform(-3, 3, 4)))
-            value, grad = bell._gamma_s3_gradient(x)
+            value, grad = bell._gamma_s3_gradient(x, cross)
             assert value == pytest.approx(closed_form(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(closed_form, x))) <= 1e-6
 
@@ -320,6 +329,72 @@ class TestAnalyticGradients:
             value, grad = bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
             assert value == pytest.approx(kernel_value(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(kernel_value, x))) <= 1e-8
+
+
+def random_entangled_mixture(rng, n_components):
+    """Non-diagonal pure components (complex, entangled) mixed with white noise."""
+    weights = rng.dirichlet(np.ones(n_components + 1))
+    components = []
+    for w in weights[:-1]:
+        psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        components.append((w, psi / np.linalg.norm(psi)))
+    return MixedState(components=tuple(components), white_noise_weight=weights[-1])
+
+
+class TestPhasePolynomial:
+    """The phase-family polynomial against validated ``s3`` at
+    ``canonical_settings(x)`` and central differences of it."""
+
+    @staticmethod
+    def validated_s3(mixed):
+        return lambda x: s3(mixed, canonical_settings(x))
+
+    @pytest.mark.parametrize("n_components", [1, 2, 3])
+    def test_value_and_gradient_on_mixtures(self, n_components):
+        rng = np.random.default_rng(50 + n_components)
+        for _ in range(10):
+            mixed = random_entangled_mixture(rng, n_components)
+            coefficients = bell._phase_coefficients(mixed)
+            x = rng.uniform(-3, 3, size=4)
+            value, grad = bell._phase_polynomial(x, coefficients)
+            assert value == pytest.approx(self.validated_s3(mixed)(x), abs=1e-12)
+            expected = central_difference(self.validated_s3(mixed), x)
+            assert np.max(np.abs(grad - expected)) <= 1e-6
+
+    def test_zero_components_give_zero(self):
+        coefficients = bell._phase_coefficients(MixedState.white())
+        assert coefficients.shape == (100,)
+        assert np.all(coefficients == 0.0)
+        value, grad = bell._phase_polynomial(np.array(CANONICAL_OFFSETS), coefficients)
+        assert value == 0.0
+        assert np.all(grad == 0.0)
+
+    def test_offsets_shifted_by_three(self):
+        rng = np.random.default_rng(54)
+        mixed = random_entangled_mixture(rng, 2)
+        coefficients = bell._phase_coefficients(mixed)
+        for _ in range(10):
+            x = rng.uniform(-3, 3, size=4)
+            value = bell._phase_polynomial(x, coefficients)[0]
+            shift = 3.0 * rng.integers(-2, 3, size=4)
+            assert bell._phase_polynomial(x + shift, coefficients)[0] == pytest.approx(
+                value, abs=1e-12)
+            assert value == pytest.approx(s3(mixed, canonical_settings(x + shift)), abs=1e-12)
+
+    def test_one_kernel_call_per_solve(self, monkeypatch):
+        calls = []
+        kernel = bell.born_amplitudes
+
+        def counting_kernel(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(bell, "born_amplitudes", counting_kernel)
+        optimize_s3(diagonal_state((0.642, 0.546, 0.539)), seed=11)
+        assert len(calls) == 1
+        calls.clear()
+        optimize_gamma_family(tolerance=1e-8, seed=0, restarts=2)
+        assert len(calls) == 1
 
 
 def isotropic_s3(visibility):
@@ -401,7 +476,8 @@ class TestOptimizer:
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"restarts": 2.0},
                                         {"tolerance": float("nan")},
                                         {"tolerance": float("inf")},
-                                        {"tolerance": 1e300}, {"tolerance": 1.0}])
+                                        {"tolerance": 1e300}, {"tolerance": 1.0},
+                                        {"restarts": True}, {"restarts": np.bool_(True)}])
     def test_bad_solver_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             optimize_s3(maximally_entangled_state(), **kwargs)

@@ -50,6 +50,7 @@ class TestBellCommand:
         code, out, _ = run_cli(capsys, "bell", "--visibility", "0")
         assert code == 0
         assert float(machine_block(out)["s3_exact"]) == pytest.approx(0.0, abs=1e-12)
+        assert float(machine_block(out)["s3_optimized"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_measured_coefficients(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "--coefficients", "0.642,0.546,0.539")
