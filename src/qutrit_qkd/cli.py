@@ -232,7 +232,7 @@ def cmd_optimize(args) -> list:
 def _session_rows(result: protocol.SessionResult) -> list:
     """A session's tallies, S3 estimate, QTER and verdict."""
     fk, fb, fd = result.sifted_fractions
-    n_key = len(result.key_a)
+    n_key = result.n_key
     noise = "below" if result.qter < protocol.NOISE_BOUND_QUTRIT else "ABOVE"
     return [
         ("", None, None),

@@ -394,6 +394,12 @@ _KEY_B = SWAP_12.take(CODE_FIELDS[3], mode="clip")
 _KEY_LO, _KEY_WIDTH = np.uint8(np.argmax(_IS_KEY)), np.uint8(np.count_nonzero(_IS_KEY))
 if not _IS_KEY[_KEY_LO:_KEY_LO + _KEY_WIDTH].all():
     raise RuntimeError("the key round codes are not contiguous")
+# Key-round outcome pairs [outcome_a, outcome_b] whose two key trits differ.
+_KEY_ERRORS = (_KEY_A != _KEY_B)[_KEY_LO:_KEY_LO + _KEY_WIDTH].reshape(DIM, DIM)
+# The Bell pairs in the order S3 adds their terms, and their blocks [pair, oa, ob].
+_BELL_PAIRS = ((1, 1), (2, 1), (2, 2), (1, 2))
+_PAIR_A, _PAIR_B = np.array(_BELL_PAIRS).T - 1
+_PAIR_COEFFICIENTS = bell.S3_COEFFICIENTS.swapaxes(1, 2)[_PAIR_A, _PAIR_B]
 
 
 @dataclass(frozen=True)
@@ -401,9 +407,9 @@ class Sifted:
     """A session sifted in one pass.
 
     ``counts[sa - 1, oa, sb - 1, ob]`` counts the detected rounds by setting
-    pair and outcome pair; every round count is read from it.  ``key_a`` and
-    ``key_b`` are the key-round outcomes in round order, B's with outcomes 1
-    and 2 exchanged.
+    pair and outcome pair; every round count and every statistic is read from
+    it.  ``key_a`` and ``key_b`` are the key-round outcomes in round order,
+    B's with outcomes 1 and 2 exchanged, carried only to the output.
     """
 
     counts: np.ndarray
@@ -416,7 +422,7 @@ class Sifted:
 
     @property
     def n_key(self) -> int:
-        return len(self.key_a)
+        return int(self.counts[2, :, 2, :].sum())
 
     @property
     def n_bell(self) -> int:
@@ -444,40 +450,50 @@ def sift(rounds: Rounds) -> Sifted:
     return Sifted(counts=counts, key_a=_KEY_A.take(codes), key_b=_KEY_B.take(codes))
 
 
-def estimate_s3(counts: np.ndarray) -> tuple[float, float]:
-    """Empirical S3 and its standard error from a count tensor.
+def _count_tensors(counts) -> np.ndarray:
+    """``counts`` as floats, each checked to be a finite, non-negative integer."""
+    given = np.asarray(counts)
+    c = given.astype(float)
+    if c.shape[-4:] != (DIM, DIM, DIM, DIM):
+        raise ValidationError(f"count tensor must have shape (..., 3, 3, 3, 3), got {c.shape}")
+    # an integer dtype holds finite whole numbers only
+    ok = given >= 0 if given.dtype.kind in "iu" else np.isfinite(c) & (c >= 0) & (np.floor(c) == c)
+    if not ok.all():
+        raise ValidationError(f"count {c[~ok][0]} is not a non-negative integer")
+    return c
 
-    ``counts`` is indexed like ``Sifted.counts``; only the four Bell setting
-    pairs are read.  Probabilities are per-setting-pair frequencies; the
-    uncertainty treats every outcome count as an independent Poisson
+
+def estimate_s3(counts):
+    """Empirical S3 and its standard error from a count tensor or a stack of them.
+
+    ``counts`` is indexed like ``Sifted.counts``, after any stack axes; two
+    numpy floats for one tensor, two arrays for a stack.  Only the four Bell
+    setting pairs are read.  Probabilities are per-setting-pair frequencies;
+    the uncertainty treats every outcome count as an independent Poisson
     variable propagated through the Bell expression.
     """
-    all_counts = np.asarray(counts, dtype=float)
-    if all_counts.shape != (DIM, DIM, DIM, DIM):
-        raise ValidationError(f"count tensor must have shape (3, 3, 3, 3), got {all_counts.shape}")
-    s3_total = 0.0
-    variance = 0.0
-    for a, b in ((1, 1), (2, 1), (2, 2), (1, 2)):
-        coeff = bell.S3_COEFFICIENTS[a - 1, :, b - 1, :]
-        pair_counts = all_counts[a - 1, :, b - 1, :]
-        total = pair_counts.sum()
-        if total == 0:
-            raise InsufficientDataError(f"no rounds with setting pair {(a, b)}")
-        contribution = float((coeff * pair_counts).sum() / total)
-        s3_total += contribution
-        variance += float((pair_counts * ((coeff - contribution) / total) ** 2).sum())
-    return s3_total, float(np.sqrt(variance))
+    block = _count_tensors(counts).swapaxes(-3, -2)[..., _PAIR_A, _PAIR_B, :, :]
+    total = block.sum(axis=(-2, -1), keepdims=True)         # (..., pair, 1, 1)
+    if not total.all():
+        first = np.argmax((total == 0).reshape(-1, 4).any(axis=0))
+        raise InsufficientDataError(f"no rounds with setting pair {_BELL_PAIRS[first]}")
+    term = (_PAIR_COEFFICIENTS * block).sum(axis=(-2, -1), keepdims=True) / total
+    variance = (block * ((_PAIR_COEFFICIENTS - term) / total) ** 2).sum(axis=(-2, -1))
+    term = term[..., 0, 0]
+    # the pair terms of S3 and of its variance added in _BELL_PAIRS order, one by one
+    s3 = term[..., 0] + term[..., 1] + term[..., 2] + term[..., 3]
+    variance = variance[..., 0] + variance[..., 1] + variance[..., 2] + variance[..., 3]
+    return s3, np.sqrt(variance)
 
 
-def qter(key_a, key_b) -> float:
-    """Fraction of positions where the two trit keys differ."""
-    a = np.asarray(key_a)
-    b = np.asarray(key_b)
-    if a.shape != b.shape:
-        raise ValidationError(f"key length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
+def qter(counts):
+    """Share of key rounds whose key trits differ, the error cells of the key block
+    ``counts[..., 2, :, 2, :]``: a numpy float for one tensor, an array for a stack."""
+    key = _count_tensors(counts)[..., 2, :, 2, :]
+    n = key.sum(axis=(-2, -1))
+    if (n == 0).any():
         raise InsufficientDataError("cannot compute a trit error rate on empty keys")
-    return float(np.mean(a != b))
+    return key[..., _KEY_ERRORS].sum(axis=-1) / n
 
 
 @dataclass(frozen=True)
@@ -539,10 +555,10 @@ def analyze(chunks: Iterable[Rounds]) -> SessionResult:
         keys_b.append(sifted.key_b)
     if n == 0:
         raise InsufficientDataError("no rounds")
-    key_a, key_b = np.concatenate(keys_a), np.concatenate(keys_b)
     s3_hat, s3_sigma = estimate_s3(counts)
-    report = security_verdict(s3_hat, s3_sigma, qter(key_a, key_b))
-    return SessionResult(counts=counts, key_a=key_a, key_b=key_b, n_rounds=n, **vars(report))
+    report = security_verdict(s3_hat, s3_sigma, qter(counts))
+    return SessionResult(counts=counts, key_a=np.concatenate(keys_a),
+                         key_b=np.concatenate(keys_b), n_rounds=n, **vars(report))
 
 
 def run_protocol(n_rounds: int, source: SourceConfig | None = None,

@@ -114,29 +114,6 @@ def parity_block_survivors():
     return out
 
 
-def residual_error_rate_exact(error_rate):
-    """Exact post-sift mismatch fraction under independent trit errors.
-
-    Enumerates the 27 per-block error patterns; a pattern survives iff its
-    trit sum is 0 mod 3, and each nonzero entry among the first two output
-    positions is a residual mismatch.
-    """
-    def p(e):
-        return 1.0 - error_rate if e == 0 else error_rate / 2.0
-
-    kept_weight = 0.0
-    mismatch_weight = 0.0
-    for pattern, kept in parity_block_survivors():
-        if not kept:
-            continue
-        weight = p(pattern[0]) * p(pattern[1]) * p(pattern[2])
-        kept_weight += weight
-        mismatch_weight += weight * ((pattern[0] != 0) + (pattern[1] != 0))
-    if kept_weight == 0.0:
-        return 0.0
-    return mismatch_weight / (2.0 * kept_weight)
-
-
 def session_columns_reference(n, tables, p_a, p_b, detection, seed):
     """A whole session drawn the direct way, as six columns.
 

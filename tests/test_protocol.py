@@ -75,6 +75,14 @@ def sliced(rounds, lo, hi=None):
     return Rounds(rounds.round_id[lo:hi], rounds.code[lo:hi])
 
 
+def key_counts(cells):
+    """A count tensor with only key rounds: ``cells[(outcome_a, outcome_b)]`` of each."""
+    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    for (oa, ob), k in cells.items():
+        counts[2, oa, 2, ob] = k
+    return counts
+
+
 def forced_parties(setting_a, setting_b):
     probs_a = tuple(1.0 if s == setting_a else 0.0 for s in (1, 2, 3))
     probs_b = tuple(1.0 if s == setting_b else 0.0 for s in (1, 2, 3))
@@ -366,6 +374,32 @@ class TestSift:
         assert sifted.n_discarded == 100
 
 
+def estimate_s3_per_pair(counts):
+    """The estimator as a loop over the four Bell pairs, the reference the
+    stacked ``estimate_s3`` must equal bit for bit."""
+    all_counts = np.asarray(counts, dtype=float)
+    s3_total, variance = 0.0, 0.0
+    for a, b in ((1, 1), (2, 1), (2, 2), (1, 2)):
+        coeff = bell.S3_COEFFICIENTS[a - 1, :, b - 1, :]
+        pair_counts = all_counts[a - 1, :, b - 1, :]
+        total = pair_counts.sum()
+        contribution = float((coeff * pair_counts).sum() / total)
+        s3_total += contribution
+        variance += float((pair_counts * ((coeff - contribution) / total) ** 2).sum())
+    return s3_total, float(np.sqrt(variance))
+
+
+_CALIBRATED = calibrate_noise()
+# the four sources the verdict_sweep benchmark cycles through
+SWEEP_SOURCES = (
+    (IDEAL, NO_EVE),
+    (SourceConfig(visibility=0.69), NO_EVE),
+    (SourceConfig(coefficients=protocol.REFERENCE_COEFFICIENTS, visibility=_CALIBRATED[0],
+                  key_crosstalk=_CALIBRATED[1]), NO_EVE),
+    (IDEAL, EveConfig(enabled=True, arm="B")),
+)
+
+
 class TestEstimateS3:
     def test_converges_to_exact(self):
         result = run_protocol(100_000, seed=12)
@@ -380,6 +414,19 @@ class TestEstimateS3:
     def test_count_tensor_shape_checked(self):
         with pytest.raises(ValidationError, match="shape"):
             estimate_s3(np.ones((2, 3, 2, 3)))
+
+    @pytest.mark.parametrize("value", [-1, -1.0, np.inf, -np.inf, np.nan, 0.5])
+    def test_malformed_counts_rejected(self, value):
+        # one bad cell, in one member of a stack too, in an integer array (-1)
+        # or a float one; checked before any arithmetic, so no RuntimeWarning
+        # (an error under pytest) escapes
+        counts = np.ones((3, 3, 3, 3), dtype=type(value))
+        counts[2, 1, 0, 2] = value
+        for given in (counts, np.stack((np.ones_like(counts), counts))):
+            with pytest.raises(ValidationError, match=f"count {float(value)} is not a non-"):
+                estimate_s3(given)
+            with pytest.raises(ValidationError, match="non-negative integer"):
+                qter(given)
 
     def test_estimator_algebra_all_positive_cells(self):
         # counts placed only on each pair's positive-coefficient cells give
@@ -398,6 +445,27 @@ class TestEstimateS3:
         s3_hat, sigma = estimate_s3(sift(rounds).counts)
         assert s3_hat == pytest.approx(4.0, abs=1e-12)
         assert sigma == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [300, 3000, 50_000])
+    def test_matches_per_pair_loop(self, n):
+        # bit for bit, S3 against the per-pair loop the stacked estimator
+        # replaced and the QTER against the key arrays, over the four
+        # verdict_sweep sources
+        results = []
+        for source, eve in SWEEP_SOURCES:
+            for seed in range(40 if n < 50_000 else 6):
+                try:
+                    r = run_protocol(n, source, eve, seed=seed)
+                except InsufficientDataError:
+                    continue
+                assert (r.s3_estimate, r.s3_sigma) == estimate_s3_per_pair(r.counts)
+                assert r.qter == float(np.mean(r.key_a != r.key_b))
+                assert r.n_key == len(r.key_a)
+                results.append(r)
+        s3_hat, sigma = estimate_s3(np.stack([r.counts for r in results]))
+        assert s3_hat.tolist() == [r.s3_estimate for r in results]
+        assert sigma.tolist() == [r.s3_sigma for r in results]
+        assert qter(np.stack([r.counts for r in results])).tolist() == [r.qter for r in results]
 
     def test_visibility_tuned_to_reference(self):
         visibility = 2.688 / bell.QUANTUM_MAX
@@ -443,22 +511,28 @@ class TestKeysAndVerdict:
     def test_ideal_qter_zero(self):
         parties = forced_parties(3, 3)
         rounds = whole_session(10_000, IDEAL, NO_EVE, *parties, seed=15)
-        sifted = sift(rounds)
-        assert qter(sifted.key_a, sifted.key_b) == 0.0
+        assert qter(sift(rounds).counts) == 0.0
 
     def test_qter_reference_fraction(self):
-        key_a = np.zeros(150, dtype=np.int8)
-        key_b = key_a.copy()
-        key_b[:14] = 1
-        assert qter(key_a, key_b) == pytest.approx(0.0933, abs=5e-5)
+        # 150 key rounds, 14 of them in error: A's key trit 0 against B's
+        # trits 0, 2 (outcome 1, relabelled) and 1 (outcome 2)
+        counts = key_counts({(0, 0): 136, (0, 1): 9, (0, 2): 5})
+        assert qter(counts) == 14 / 150
+        assert qter(counts) == pytest.approx(0.0933, abs=5e-5)
 
     def test_qter_extremes_and_mismatch(self):
-        assert qter([0, 1, 2], [0, 1, 2]) == 0.0
-        assert qter([0, 1, 2], [1, 2, 0]) == 1.0
-        with pytest.raises(ValidationError):
-            qter([0, 1], [0, 1, 2])
-        with pytest.raises(InsufficientDataError):
-            qter([], [])
+        matching = key_counts({(0, 0): 5, (1, 2): 7, (2, 1): 1})
+        mismatching = key_counts({(0, 1): 2, (0, 2): 3, (1, 0): 1, (1, 1): 4, (2, 0): 2,
+                                  (2, 2): 6})
+        assert qter(matching) == 0.0
+        assert qter(mismatching) == 1.0
+        assert qter(np.stack((matching, mismatching))).tolist() == [0.0, 1.0]
+        empty = np.ones((3, 3, 3, 3), dtype=np.int64)
+        empty[2, :, 2, :] = 0
+        with pytest.raises(InsufficientDataError, match="^cannot compute .* empty keys$"):
+            qter(empty)
+        with pytest.raises(InsufficientDataError, match="empty keys"):
+            qter(np.stack((matching, empty)))
 
     def test_verdict_reference_values(self):
         report = security_verdict(2.688, 0.171, 0.093)
@@ -476,6 +550,59 @@ class TestKeysAndVerdict:
         verdict = security_verdict(r.s3_estimate, r.s3_sigma, r.qter)
         assert r.sigmas_above_classical == verdict.sigmas_above_classical
         assert r.secure == verdict.secure
+
+
+def count_ensemble(rng, members, n_rounds, source, eve=NO_EVE, a=PartyConfig(),
+                   b=PartyConfig()):
+    """Count tensors of ``members`` sessions of ``n_rounds`` rounds, drawn at
+    once: rounds are i.i.d., so a session's cells are Multinomial(n, p) with
+    p = setting probabilities x detection x the exact setting-pair tables,
+    plus one undetected cell, which is dropped."""
+    p = (np.asarray(a.setting_probabilities)[:, None, None, None]
+         * np.asarray(b.setting_probabilities)[:, None] * source.detection_efficiency
+         * protocol._setting_tables(source, eve)).ravel()
+    draws = rng.multinomial(n_rounds, np.append(p, max(0.0, 1.0 - p.sum())), size=members)
+    return draws[:, :81].reshape(members, 3, 3, 3, 3)
+
+
+class TestCountEnsembles:
+    SOURCE = SourceConfig(coefficients=(0.642, 0.546, 0.539), visibility=0.8,
+                          key_crosstalk=0.1, detection_efficiency=0.5)
+
+    @pytest.mark.parametrize("eve", [NO_EVE, EveConfig(enabled=True, arm="A")])
+    def test_matches_round_sampler(self, eve):
+        # two-sample chi-square on the counts summed over 100 sessions of
+        # 2000 rounds each way, the undetected rounds as an 82nd cell
+        a, b = PartyConfig((0.2, 0.3, 0.5)), PartyConfig((0.25, 0.15, 0.6))
+        n, members = 2000, 100
+        drawn = count_ensemble(np.random.default_rng(7), members, n, self.SOURCE, eve, a, b)
+        sampled = sum(sift(whole_session(n, self.SOURCE, eve, a, b, seed)).counts
+                      for seed in range(members))
+        cells = [np.append(c.ravel(), n * members - c.sum()) for c in (drawn.sum(axis=0), sampled)]
+        both = cells[0] + cells[1]
+        stat = float(((cells[0] - cells[1])[both > 0] ** 2 / both[both > 0]).sum())
+        assert stat < chi2.ppf(0.999, df=np.count_nonzero(both) - 1)
+
+    def test_stack_equals_member_calls(self):
+        # the reference profile: about 15 Bell and 4 key rounds per session
+        counts = count_ensemble(np.random.default_rng(8), 3000, 300, reference_source())
+        bell_totals = counts.swapaxes(2, 3)[:, :2, :2].sum(axis=(-2, -1)).reshape(-1, 4)
+        empty = (bell_totals == 0)[:, [0, 2, 3, 1]]     # pairs (1,1), (2,1), (2,2), (1,2)
+        first = ((1, 1), (2, 1), (2, 2), (1, 2))[int(np.argmax(empty.any(axis=0)))]
+        assert empty.any()
+        with pytest.raises(InsufficientDataError,
+                           match=rf"^no rounds with setting pair \({first[0]}, {first[1]}\)$"):
+            estimate_s3(counts)
+        no_key = counts[:, 2, :, 2, :].sum(axis=(-2, -1)) == 0
+        assert no_key.any()
+        with pytest.raises(InsufficientDataError, match="empty keys"):
+            qter(counts)
+        kept = counts[~empty.any(axis=1) & ~no_key]
+        assert len(kept) >= 2000
+        s3_hat, sigma = estimate_s3(kept)
+        assert s3_hat.tolist() == [estimate_s3(c)[0] for c in kept]
+        assert sigma.tolist() == [estimate_s3(c)[1] for c in kept]
+        assert qter(kept).tolist() == [qter(c) for c in kept]
 
 
 class TestNoiseKnobs:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qutrit_qkd.linalg import ValidationError
-from qutrit_qkd.reconcile import parity_sift, residual_error_rate
+from qutrit_qkd.reconcile import parity_sift
 from qutrit_qkd.trits import read_key_file, write_key_file
 
-from oracles import parity_block_survivors, residual_error_rate_exact
+from oracles import parity_block_survivors
 
 
 class TestBlockParity:
@@ -107,25 +107,6 @@ class TestParitySift:
             assert int(keep.sum()) == report.kept_blocks
             assert report.residual_mismatches == int(
                 (blocks_a[keep][:, :2] != blocks_b[keep][:, :2]).sum())
-
-
-class TestResidualErrorRate:
-    def test_zero_error_rate(self):
-        assert residual_error_rate(0.0) == 0.0
-
-    def test_reference_error_rate(self):
-        exact = residual_error_rate_exact(0.093)
-        assert 0.0 < exact < 0.02
-        assert abs(residual_error_rate(0.093) - exact) <= 1e-15
-
-    def test_full_error_rate(self):
-        exact = residual_error_rate_exact(1.0)
-        assert exact == pytest.approx(1.0)
-        assert residual_error_rate(1.0) == pytest.approx(1.0)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            residual_error_rate(1.5)
 
 
 class TestKeyFiles:
