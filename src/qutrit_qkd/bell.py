@@ -146,7 +146,7 @@ def _settings_from_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> SettingsPair:
 
 
 def _check_solver_inputs(tolerance: float, restarts: int) -> None:
-    # a relative tolerance is below 1; near 1e300 L-BFGS-B's ftol / eps overflows
+    # a relative tolerance is below 1
     if not (0 < tolerance < 1):
         raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
     if (isinstance(restarts, (bool, np.bool_)) or not isinstance(restarts, (int, np.integer))
@@ -173,7 +173,6 @@ _EYE = np.eye(DIM)
 _DIFFERENCES = np.arange(1 - DIM, DIM)
 _FREQUENCIES = (np.eye(4)[:2, None, None, None] * _DIFFERENCES[:, None, None]
                 + np.eye(4)[None, 2:, None, None] * _DIFFERENCES[:, None]).reshape(-1, 4)
-_EXPONENTS = (-2j * np.pi / DIM) * _FREQUENCIES
 _SLOPES = (2.0 * np.pi / DIM) * _FREQUENCIES
 # _LEVEL_BINS[(i, j, n, o), (p, q)] is 1 where the level differences i - n and
 # j - o are _DIFFERENCES[p] and _DIFFERENCES[q]
@@ -218,9 +217,13 @@ def _phase_coefficients(mixed: MixedState) -> np.ndarray:
 def _phase_polynomial(offsets, coefficients):
     """Sum Re z and (2 pi / 3) Im(z) @ M for z = F exp(-2 pi i/3 M x), with F
     the coefficients (..., 100), M ``_FREQUENCIES`` and x the offsets
-    (a1, a2, b1, b2): S3 and its gradient in the offsets."""
-    z = coefficients * np.exp(_EXPONENTS @ offsets)
-    return z.real.sum(axis=-1), z.imag @ _SLOPES
+    (..., 4) = (a1, a2, b1, b2): S3 and its gradient in the offsets, per
+    leading index.  Real cosines and sines of the angles 2 pi/3 M x cost
+    less than the complex exponential."""
+    angles = offsets @ _SLOPES.T
+    cos, sin = np.cos(angles), np.sin(angles)
+    re, im = coefficients.real, coefficients.imag
+    return (re * cos + im * sin).sum(axis=-1), (im * cos - re * sin) @ _SLOPES
 
 
 def _unitary_s3_gradient(params, base, psis, weights):
@@ -255,23 +258,106 @@ def _unitary_s3_gradient(params, base, psis, weights):
     return value, grad.reshape(-1)
 
 
-def _multistart(objective, starts, tolerance: float, maxiter: int):
-    """Best point over L-BFGS-B runs from each start, and whether any converged.
+_ARMIJO = 1e-4      # share of the first-order rise a step must achieve
+_BACKTRACKS = 50    # step cuts before a line search gives up
 
-    The objective returns (value, gradient); ties are broken by start order.
+
+def _backtrack(objective, x0, f0, p, rise, x1, f1, g1):
+    """Armijo backtracking from the trial points x1 = x0 + p, whose values f1
+    and gradients g1 are known; only the rejected rows are evaluated again.
+    Each cut moves to the maximum of the quadratic through f0, rise and the
+    rejected value, kept within [0.1, 0.5] of the step.  Updates x1, f1, g1
+    in place and returns the rows where no step rose enough."""
+    rejected = ~(f1 >= f0 + _ARMIJO * rise)
+    if not rejected.any():
+        return rejected
+    step = np.ones(len(x0))
+    for _ in range(_BACKTRACKS):
+        t, r = step[rejected], rise[rejected]
+        peak = 0.5 * r * t * t / np.maximum(f0[rejected] + r * t - f1[rejected], 1e-300)
+        step[rejected] = np.fmin(np.fmax(peak, 0.1 * t), 0.5 * t)
+        x1[rejected] = x0[rejected] + step[rejected, None] * p[rejected]
+        f1[rejected], g1[rejected] = objective(x1[rejected])
+        rejected = ~(f1 >= f0 + _ARMIJO * step * rise)
+        if not rejected.any():
+            break
+    return rejected
+
+
+def _ascend(objective, starts, tolerance: float, maxiter: int):
+    """BFGS ascent from every row of ``starts`` (k, d) at once.
+
+    ``objective`` maps an (m, d) stack of points to their values (m,) and
+    gradients (m, d).  Each restart keeps its own inverse-Hessian estimate
+    and its own Armijo backtracking (``_backtrack``); its first step, along
+    the gradient, is at most 1 long, and the estimate starts from the
+    identity scaled to the curvature that step found.  A restart leaves the
+    stack when it stops.  It has converged when max |gradient| <=
+    ``tolerance`` or its value rose by at most ``tolerance`` * 1e-2 relative
+    to max(|value|, 1), L-BFGS-B's gtol and ftol; it has not when
+    ``maxiter`` iterations pass or no step of the line search rises.
+    Returns the final points (k, d), values (k,) and per-restart converged
+    flags (k,).
     """
-    # Deferred: scipy.optimize costs more to import than most commands take to run.
-    from scipy.optimize import minimize
+    x = np.array(starts, dtype=float)
+    f, g = objective(x)
+    converged = np.abs(g).max(axis=1) <= tolerance
+    live = np.flatnonzero(~converged)
+    x0, f0, g0 = x[live], f[live], g[live]
+    d = x.shape[1]
+    h = np.eye(d) / np.maximum(np.linalg.norm(g0, axis=1), 1.0)[:, None, None]
+    for iteration in range(maxiter):
+        if not len(live):
+            break
+        p = (h @ g0[:, :, None])[:, :, 0]
+        rise = (g0 * p).sum(axis=1)
+        x1 = x0 + p
+        f1, g1 = objective(x1)
+        failed = _backtrack(objective, x0, f0, p, rise, x1, f1, g1)
+        # a step never lowers the value, so max(|f0|, |f1|) = max(f1, -f0)
+        done = ((np.abs(g1).max(axis=1) <= tolerance)
+                | (f1 - f0 <= tolerance * 1e-2 * np.maximum(np.maximum(f1, -f0), 1.0)))
+        if failed.any():   # these restarts stop where they were
+            x1[failed], f1[failed], g1[failed] = x0[failed], f0[failed], g0[failed]
+            done &= ~failed
+        # inverse-Hessian update for minimizing -f: s = x1 - x0, y = g0 - g1;
+        # rho = 0 leaves h as it is where the curvature y.s is not above
+        # machine epsilon times y.y, L-BFGS-B's test for skipping an update
+        s, y = x1 - x0, g0 - g1
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        curved = sy > 2.2e-16 * yy
+        if iteration == 0:
+            h = np.eye(d) * np.divide(sy, yy, out=np.ones_like(sy), where=curved)[:, None, None]
+        hy = (h @ y[:, :, None])[:, :, 0]
+        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        a = rho[:, None] * s
+        v = (rho * (y * hy).sum(axis=1) + 1.0)[:, None] * s - hy
+        h += a[:, :, None] * v[:, None, :] - hy[:, :, None] * a[:, None, :]
+        stop = done | failed
+        if stop.any():
+            x[live[stop]], f[live[stop]] = x1[stop], f1[stop]
+            converged[live[done]] = True
+            keep = ~stop
+            live, h, x1, f1, g1 = live[keep], h[keep], x1[keep], f1[keep], g1[keep]
+        x0, f0, g0 = x1, f1, g1
+    x[live], f[live] = x0, f0
+    return x, f, converged
 
-    options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": maxiter}
-    best_x, best_val, converged = None, np.inf, False
-    for x0 in starts:
-        res = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
-        converged = converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = res.fun
-            best_x = res.x
-    return best_x, converged
+
+def _best(objective, starts, tolerance: float, maxiter: int):
+    """The best final point of ``_ascend`` (the earliest restart on ties),
+    and whether any restart converged."""
+    x, f, converged = _ascend(objective, starts, tolerance, maxiter)
+    return x[np.argmax(f)], bool(converged.any())
+
+
+def _unitary_objective(base, mixed: MixedState):
+    """The unitary family's objective on a stack of params, one row at a time."""
+    def objective(x):
+        values, grads = zip(*(_unitary_s3_gradient(row, base, mixed.psis, mixed.weights)
+                              for row in x))
+        return np.array(values), np.array(grads)
+    return objective
 
 
 @dataclass(frozen=True)
@@ -294,13 +380,13 @@ def optimize_s3(
 
     ``family`` selects the search space: "phase" varies the four offsets of
     the Fourier-phase family; "unitary" varies all four bases over the full
-    local-unitary family (8 parameters each).  Both run L-BFGS-B on the
-    exact gradient of unvalidated rows: the phase family evaluates S3 as a
-    trigonometric polynomial of the offsets whose coefficients come from
-    one Born-kernel call per solve, the unitary family makes one kernel
-    call per evaluation.  The reported value is the exact S3 re-evaluated
-    at the returned settings.  Deterministic for a fixed seed; ties are
-    broken by restart order.
+    local-unitary family (8 parameters each).  Both run every restart as one
+    stack through ``_ascend`` (BFGS) on the exact gradient of unvalidated
+    rows: the phase family evaluates S3 as a trigonometric polynomial of the
+    offsets whose coefficients come from one Born-kernel call per solve, the
+    unitary family makes one kernel call per restart and evaluation.  The
+    reported value is the exact S3 re-evaluated at the returned settings.
+    Deterministic for a fixed seed; ties are broken by restart order.
     """
     _check_solver_inputs(tolerance, restarts)
     if family not in ("phase", "unitary"):
@@ -310,52 +396,47 @@ def optimize_s3(
 
     if family == "phase":
         rows = _phase_family_rows
-        starts = [np.asarray(CANONICAL_OFFSETS, dtype=float)]
-        starts += [rng.uniform(0.0, 3.0, size=4) for _ in range(restarts - 1)]
+        starts = np.vstack((CANONICAL_OFFSETS, rng.uniform(0.0, 3.0, size=(restarts - 1, 4))))
         coefficients = _phase_coefficients(mixed)
 
         def objective(x):
-            value, grad = _phase_polynomial(x, coefficients)
-            return -value, -grad
+            return _phase_polynomial(x, coefficients)
     else:
         base = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
 
         def rows(x):
             return _unitary_family_rows(x, base)
-        starts = [np.zeros(32)]
-        starts += [rng.normal(scale=0.6, size=32) for _ in range(restarts - 1)]
+        starts = np.vstack((np.zeros(32), rng.normal(scale=0.6, size=(restarts - 1, 32))))
+        objective = _unitary_objective(base, mixed)
 
-        def objective(x):
-            value, grad = _unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
-            return -value, -grad
-
-    best_x, converged = _multistart(objective, starts, tolerance, maxiter=4000)
+    best_x, converged = _best(objective, starts, tolerance, maxiter=4000)
     settings = _settings_from_rows(*rows(best_x))
     return OptimizeResult(
         settings=settings,
         s3=s3(mixed, settings),
         converged=converged,
         family=family,
-        params=np.asarray(best_x),
+        params=best_x,
     )
 
 
 def _gamma_s3_gradient(x, cross):
     """S3 of c = (1, g, 1)/sqrt(2 + g^2) on |00>, |11>, |22> at phase offsets,
-    for x = (g, a1, a2, b1, b2), and its gradient in x.
+    for x = (g, a1, a2, b1, b2) (..., 5), and its gradient in x.
 
     ``cross`` is ``_phase_cross_terms(_SCHMIDT_TERMS)`` as (9, 100), so the
     coefficients are (c (x) c) @ cross.  The real sum over frequencies of
     cross[s, t] is symmetric in (s, t), so S3's derivative along dc = dc/dg
     is that of the coefficients (2 dc (x) c) @ cross.
     """
-    g = abs(x[0])
+    g = np.abs(x[..., :1])
     norm = np.sqrt(2.0 + g * g)
-    c = np.array((1.0, g, 1.0)) / norm
-    dc = np.sign(x[0]) * (np.array((0.0, 1.0, 0.0)) / norm - c * (g / norm ** 2))
+    c = np.concatenate((np.ones_like(g), g, np.ones_like(g)), axis=-1) / norm
+    dc = np.sign(x[..., :1]) * (np.array((0.0, 1.0, 0.0)) / norm - c * (g / norm ** 2))
+    pairs = np.stack((c, 2.0 * dc), axis=-2)[..., :, None] * c[..., None, None, :]
     values, grads = _phase_polynomial(
-        x[1:], np.outer(np.concatenate((c, 2.0 * dc)), c).reshape(2, DIM * DIM) @ cross)
-    return values[0], np.concatenate((values[1:], grads[0]))
+        x[..., None, 1:], pairs.reshape(*x.shape[:-1], 2, DIM * DIM) @ cross)
+    return values[..., 0], np.concatenate((values[..., 1:], grads[..., 0, :]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -374,24 +455,21 @@ def optimize_gamma_family(
     """Jointly optimize the middle Schmidt coefficient and the phase settings.
 
     Searches over states (|00> + g|11> + |22>)/sqrt(2 + g^2) together with
-    the four phase offsets, by multi-start L-BFGS-B on the exact gradient of
-    the phase-family polynomial (one Born-kernel call per solve).
+    the four phase offsets, by one stacked BFGS ascent (``_ascend``) over
+    all restarts on the exact gradient of the phase-family polynomial (one
+    Born-kernel call per solve).
     The optimum exceeds the maximal-entanglement value: a non-maximally
     entangled state violates the inequality more.
     """
     _check_solver_inputs(tolerance, restarts)
     rng = np.random.default_rng(seed)
     cross = _phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM * DIM, -1)
+    starts = np.vstack((np.concatenate(([1.0], CANONICAL_OFFSETS)),
+                        rng.uniform((0.2, 0.0, 0.0, 0.0, 0.0), (1.5, 3.0, 3.0, 3.0, 3.0),
+                                    size=(restarts - 1, 5))))
 
-    def objective(x):
-        value, grad = _gamma_s3_gradient(x, cross)
-        return -value, -grad
-
-    starts = [np.concatenate(([1.0], CANONICAL_OFFSETS))]
-    for _ in range(restarts - 1):
-        starts.append(np.concatenate((rng.uniform(0.2, 1.5, 1), rng.uniform(0.0, 3.0, 4))))
-
-    best, converged = _multistart(objective, starts, tolerance, maxiter=6000)
+    best, converged = _best(lambda x: _gamma_s3_gradient(x, cross), starts, tolerance,
+                            maxiter=6000)
     gamma = abs(best[0])
     settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings)

@@ -440,9 +440,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # scipy's own OpenBLAS reads this when the first solve loads it; with a
-    # core taken by another process, its threads slow L-BFGS-B several-fold.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse has printed the help, or a usage error

@@ -557,3 +557,102 @@ class TestOptimizer:
         for _ in range(20):
             u = bell._unitaries(rng.normal(size=8))[0]
             assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+
+
+def lbfgsb_best(objective, starts, tolerance):
+    """Best value scipy's L-BFGS-B reaches from ``starts`` on the single-row
+    ``objective``, with the solver's gtol and ftol: an independent reference."""
+    from scipy.optimize import minimize
+
+    def negated(x):
+        value, grad = objective(x)
+        return -value, -grad
+
+    options = {"gtol": tolerance, "ftol": tolerance * 1e-2, "maxiter": 4000}
+    return max(-minimize(negated, x0, jac=True, method="L-BFGS-B", options=options).fun
+               for x0 in starts)
+
+
+class TestAscent:
+    """The stacked BFGS ascent ``bell._ascend`` behind every Bell solve."""
+
+    @staticmethod
+    def phase_objective(coefficients):
+        polynomial = bell._phase_coefficients(MixedState.pure(diagonal_state(coefficients)))
+        return lambda x: bell._phase_polynomial(x, polynomial)
+
+    @staticmethod
+    def gamma_objective():
+        cross = bell._phase_cross_terms(bell._SCHMIDT_TERMS).reshape(9, -1)
+        return lambda x: bell._gamma_s3_gradient(x, cross)
+
+    @pytest.mark.parametrize("seed", [61, 62, 63, 64])
+    def test_phase_solve_reaches_lbfgsb_best(self, seed):
+        coefficients = np.random.default_rng(seed).uniform(0.05, 1.0, size=3)
+        result = optimize_s3(diagonal_state(coefficients), seed=seed)
+        # optimize_s3's starts: the canonical offsets, then uniform draws
+        rng = np.random.default_rng(seed)
+        starts = np.vstack((CANONICAL_OFFSETS, rng.uniform(0.0, 3.0, size=(19, 4))))
+        assert result.converged
+        assert result.s3 >= lbfgsb_best(self.phase_objective(coefficients), starts,
+                                        1e-6) - 1e-10
+
+    def test_each_restart_as_if_solved_alone(self):
+        rng = np.random.default_rng(65)
+        phase = (self.phase_objective(rng.uniform(0.05, 1.0, size=3)),
+                 np.vstack((CANONICAL_OFFSETS, rng.uniform(0.0, 3.0, size=(11, 4)))), 1e-6)
+        gamma = (self.gamma_objective(),
+                 rng.uniform((0.2, 0.0, 0.0, 0.0, 0.0), (1.5, 3.0, 3.0, 3.0, 3.0), size=(6, 5)),
+                 1e-8)
+        mixed = MixedState.pure(diagonal_state((0.642, 0.546, 0.539)))
+        base = np.concatenate(bell._phase_family_rows(CANONICAL_OFFSETS)).reshape(4, 3, 3)
+        unitary = (bell._unitary_objective(base, mixed),
+                   rng.normal(scale=0.6, size=(3, 32)), 1e-5)
+        for objective, starts, tolerance in (phase, gamma, unitary):
+            x, values, converged = bell._ascend(objective, starts, tolerance, 4000)
+            assert x.shape == starts.shape
+            for i, start in enumerate(starts):
+                _, alone, alone_converged = bell._ascend(objective, start[None], tolerance, 4000)
+                assert values[i] == pytest.approx(alone[0], abs=1e-12)
+                assert converged[i] == alone_converged[0]
+
+    def test_values_never_fall(self):
+        objective = self.phase_objective((0.642, 0.546, 0.539))
+        starts = np.random.default_rng(66).uniform(0.0, 3.0, size=(10, 4))
+        _, values, _ = bell._ascend(objective, starts, 1e-6, 4000)
+        assert np.all(values >= objective(starts)[0])
+
+    def test_iteration_cap_is_not_convergence(self):
+        objective = self.phase_objective((0.642, 0.546, 0.539))
+        start = np.array([[0.3, 1.1, 2.0, 0.7]])
+        assert np.abs(objective(start)[1]).max() > 1e-2
+        x, values, converged = bell._ascend(objective, start, 1e-6, maxiter=1)
+        assert not converged[0]
+        assert values[0] > objective(start)[0][0]
+        assert not bell._ascend(self.gamma_objective(), np.array([[0.4, 0.3, 1.1, 2.0, 0.7]]),
+                                1e-8, maxiter=1)[2][0]
+
+    def test_start_at_optimum_converges_in_place(self):
+        state = maximally_entangled_state()
+        phase = optimize_s3(state, restarts=1)
+        assert phase.converged
+        assert np.array_equal(phase.params, CANONICAL_OFFSETS)
+        assert phase.s3 == pytest.approx(QUANTUM_MAX, abs=1e-12)
+        unitary = optimize_s3(state, family="unitary", restarts=1)
+        assert unitary.converged
+        assert np.array_equal(unitary.params, np.zeros(32))
+        assert unitary.s3 == pytest.approx(QUANTUM_MAX, abs=1e-12)
+
+    def test_ties_go_to_the_earlier_restart(self):
+        # -(x^2 - 1)^2 has equal maxima at -1 and 1, reached from mirrored
+        # starts by mirrored arithmetic, so the two values tie exactly
+        def double_well(x):
+            return -((x * x - 1.0) ** 2).sum(axis=1), -4.0 * x * (x * x - 1.0)
+
+        for starts in ([[0.5], [-0.5]], [[-0.5], [0.5]]):
+            x, values, _ = bell._ascend(double_well, np.array(starts), 1e-9, 4000)
+            assert values[0] == values[1]
+            best, converged = bell._best(double_well, np.array(starts), 1e-9, 4000)
+            assert converged
+            assert np.array_equal(best, x[0])
+            assert np.sign(best[0]) == np.sign(starts[0][0])

@@ -739,18 +739,38 @@ class TestCipherCommands:
 
 
 # Run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
-# lists.  The last line of stdout is JSON: the scipy modules loaded and
-# OPENBLAS_NUM_THREADS.
+# lists.  The last line of stdout is JSON: the scipy modules loaded.
 FRESH_CLI = """
-import json, os, sys
+import json, sys
 from qutrit_qkd import cli
 
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
-print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-                  "threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+# Run in a fresh interpreter where importing scipy raises ImportError:
+# sys.argv[1] is a JSON list of CLI argument lists, run before the library
+# solves.  The last line of stdout is JSON: whether each library solve
+# converged.
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from qutrit_qkd import bell, cli
+from qutrit_qkd.linalg import maximally_entangled_state
+
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+state = maximally_entangled_state()
+solves = [bell.optimize_s3(state, restarts=2),
+          bell.optimize_s3(state, family="unitary", restarts=2),
+          bell.optimize_gamma_family(restarts=2)]
+print(json.dumps([solve.converged for solve in solves]))
 """
 
 
@@ -771,20 +791,19 @@ print(json.dumps(calls))
 """
 
 
-def fresh_python(script, commands, **env_update):
+def fresh_python(script, commands):
     """Run ``script`` on ``commands`` in a fresh interpreter; its last stdout line as JSON."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(os.environ)
     src = str(Path(qutrit_qkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(env_update)
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def fresh_cli(commands, **env_update):
-    return fresh_python(FRESH_CLI, commands, **env_update)
+def fresh_cli(commands):
+    return fresh_python(FRESH_CLI, commands)
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path):
@@ -818,11 +837,15 @@ class TestColdStart:
             ["encrypt", "HELLO", "--key-file", str(tmp_path / "reconciled_a.txt")],
             ["decrypt", TABLE_CIPHER, "--key-file", str(table_key)],
         ])
-        assert loaded["scipy"] == []
+        assert loaded == []
 
-    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
-    def test_solve_loads_scipy_on_one_blas_thread(self, preset, expected):
-        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-        loaded = fresh_cli([["optimize", "--family", "phase", "--restarts", "1"]], **env)
-        assert "scipy.optimize" in loaded["scipy"]
-        assert loaded["threads"] == expected
+    def test_solves_never_load_scipy(self):
+        loaded = fresh_cli([["bell"], ["optimize", "--family", "phase", "--restarts", "2"],
+                            ["optimize", "--family", "unitary", "--restarts", "1"]])
+        assert loaded == []
+
+    def test_solves_run_where_scipy_cannot_be_imported(self):
+        converged = fresh_python(SCIPY_BLOCKED, [
+            ["bell", "--coefficients", "0.642,0.546,0.539"],
+            ["optimize", "--family", "unitary", "--restarts", "1"]])
+        assert converged == [True, True, True]
