@@ -103,6 +103,10 @@ def s3(state, settings: SettingsPair) -> float:
     The signed eight-term sum over the mod-3 coincidences, evaluated as the
     dot product of ``S3_COEFFICIENTS`` with the outcome tables; the "B - 1"
     terms take k = 1 and the "B + 1" term takes k = 2 (see module docstring).
+    The phase-family settings (``canonical_settings``) are written for the
+    Schmidt-diagonal form ``diagonal_state(c)``, which is
+    ``make_state(c)[:, SWAP_12]``; on the source form ``make_state(c)``
+    they give S3 = 0 up to rounding, with no warning.
     """
     return s3_of(settings.tables(state))
 
@@ -154,16 +158,6 @@ def _check_solver_inputs(tolerance: float, restarts: int) -> None:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
 
 
-_S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
-
-
-def _s3_cells(amp, weights):
-    """S3 of the (m, 6, 6) amplitudes ``amp`` mixed by ``weights``, and
-    D = 2 w C conj(amp), so that dS3 = Re sum D d(amp)."""
-    weighted = np.asarray(weights)[:, None, None] * _S3_CELLS
-    return float(np.sum(weighted * (amp.real ** 2 + amp.imag ** 2))), 2.0 * weighted * amp.conj()
-
-
 # In the phase family, level j of a row at offset t is its offset-0 entry times
 # exp(2 pi i j t / 3), so S3 is a trigonometric polynomial of the offsets
 # x = (a1, a2, b1, b2): sum over the basis pairs (a, b) and the level differences
@@ -181,6 +175,8 @@ _LEVEL_BINS = np.einsum("inp,joq->ijnopq", _LEVEL_PAIRS, _LEVEL_PAIRS) \
     .reshape(DIM ** 4, len(_DIFFERENCES) ** 2).astype(float)
 # S3_COEFFICIENTS as (basis pair (a, b), row pair (k, l))
 _S3_PAIRS = S3_COEFFICIENTS.transpose(0, 2, 1, 3).reshape(4, DIM * DIM)
+# and as (A's row (a, k), B's row (b, l)), the unitary family's cells
+_S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
 # each party's offset-0 rows split into their levels: row 3 k + j is level j of row k
 _LEVEL_ROWS_A, _LEVEL_ROWS_B = ((phase_rows(party, [0.0])[:, None, :] * _EYE)
                                 .reshape(DIM * DIM, DIM) for party in "AB")
@@ -228,34 +224,41 @@ def _phase_polynomial(offsets, coefficients):
 
 def _unitary_s3_gradient(params, base, psis, weights):
     """S3 of ``psis`` mixed by ``weights`` at the bases exp(iH_q) base_q,
-    q = a1, a2, b1, b2, with its gradient in the 32 ``params`` (8 per H_q).
+    q = a1, a2, b1, b2, with its gradient in the 32 ``params`` (8 per H_q),
+    for a stack of params (..., 32): values (...) and gradients (..., 32).
 
-    One kernel call, with the identity appended to each side's rows, yields
-    the amplitudes and the states contracted with the other side's rows,
-    hence X = dS3/d(rows) as the sum over the opposite side of
-    D = 2 w C conj(amp); dS3 = Re sum conj(d rows) X.  With H = V diag(w)
+    One kernel call on the whole stack, with the identity appended to each
+    side's rows (..., 1, 9, 3), yields the amplitudes amp (..., m, 6, 6) and
+    the states contracted with the other side's rows, hence X = dS3/d(rows)
+    as the sum over the states and the opposite side of D = 2 w C conj(amp)
+    (C the cells' S3 coefficients, w the weights); dS3 = Re sum conj(d rows)
+    X, with X (..., 4, 3, 3) per basis.  With H = V diag(w)
     V^dagger, the derivative of exp(iH) along G is V (L o V^dagger G V)
     V^dagger with the divided differences L_jk = (e^{iw_j} - e^{iw_k}) /
     (w_j - w_k), written i e^{i(w_j+w_k)/2} sinc((w_j-w_k)/2 pi) so that it
     stays exact where eigenvalues coincide (as at params = 0).  Hence
     dS3/dtheta_m = Re <G_m, V (conj(L) o V^dagger X base^dagger V) V^dagger>.
     """
-    u, w, v = _unitaries(np.reshape(params, (4, 8)))
-    rows = (u @ base).reshape(4 * DIM, DIM)
+    stack = np.shape(params)[:-1]
+    u, w, v = _unitaries(np.reshape(params, (*stack, 4, 8)))
+    rows = (u @ base).reshape(*stack, 1, 4 * DIM, DIM)   # the 1 broadcasts over the states
     n = 2 * DIM
-    amps = born_amplitudes(np.concatenate((rows[:n], _EYE)),
-                           np.concatenate((rows[n:], _EYE)), psis)
-    value, dcells = _s3_cells(amps[:, :n, :n], weights)
-    x_a = np.sum(dcells @ amps[:, n:, :n].swapaxes(-1, -2), axis=0)
-    x_b = np.sum(dcells.swapaxes(-1, -2) @ amps[:, :n, n:], axis=0)
-    x = np.concatenate((x_a, x_b)).reshape(4, DIM, DIM)
+    eye = np.broadcast_to(_EYE, (*stack, 1, DIM, DIM))
+    amps = born_amplitudes(np.concatenate((rows[..., :n, :], eye), axis=-2),
+                           np.concatenate((rows[..., n:, :], eye), axis=-2), psis)
+    cells, weighted = amps[..., :n, :n], np.asarray(weights)[:, None, None] * _S3_CELLS
+    values = np.sum(weighted * (cells.real ** 2 + cells.imag ** 2), axis=(-3, -2, -1))
+    dcells = 2.0 * weighted * cells.conj()
+    x_a = np.sum(dcells @ amps[..., n:, :n].swapaxes(-1, -2), axis=-3)
+    x_b = np.sum(dcells.swapaxes(-1, -2) @ amps[..., :n, n:], axis=-3)
+    x = np.concatenate((x_a, x_b), axis=-2).reshape(*stack, 4, DIM, DIM)
     vh = v.conj().swapaxes(-1, -2)
-    spread = w[:, :, None] - w[:, None, :]
-    mean = (w[:, :, None] + w[:, None, :]) / 2.0
+    spread = w[..., :, None] - w[..., None, :]
+    mean = (w[..., :, None] + w[..., None, :]) / 2.0
     divided = 1j * np.exp(1j * mean) * np.sinc(spread / (2.0 * np.pi))
     k = v @ (divided.conj() * (vh @ x @ base.conj().swapaxes(-1, -2) @ v)) @ vh
-    grad = (k.reshape(4, DIM * DIM) @ _GELL_MANN.reshape(8, DIM * DIM).conj().T).real
-    return value, grad.reshape(-1)
+    grad = (k.reshape(*stack, 4, DIM * DIM) @ _GELL_MANN.reshape(8, DIM * DIM).conj().T).real
+    return values, grad.reshape(*stack, 32)
 
 
 _ARMIJO = 1e-4      # share of the first-order rise a step must achieve
@@ -351,15 +354,6 @@ def _best(objective, starts, tolerance: float, maxiter: int):
     return x[np.argmax(f)], bool(converged.any())
 
 
-def _unitary_objective(base, mixed: MixedState):
-    """The unitary family's objective on a stack of params, one row at a time."""
-    def objective(x):
-        values, grads = zip(*(_unitary_s3_gradient(row, base, mixed.psis, mixed.weights)
-                              for row in x))
-        return np.array(values), np.array(grads)
-    return objective
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     settings: SettingsPair
@@ -384,9 +378,12 @@ def optimize_s3(
     stack through ``_ascend`` (BFGS) on the exact gradient of unvalidated
     rows: the phase family evaluates S3 as a trigonometric polynomial of the
     offsets whose coefficients come from one Born-kernel call per solve, the
-    unitary family makes one kernel call per restart and evaluation.  The
+    unitary family makes one kernel call per evaluation of the stack.  The
     reported value is the exact S3 re-evaluated at the returned settings.
     Deterministic for a fixed seed; ties are broken by restart order.
+    The phase family is written for the Schmidt-diagonal form
+    ``diagonal_state(c)`` = ``make_state(c)[:, SWAP_12]``: on the source
+    form ``make_state(c)`` it returns S3 = 0 up to rounding, converged.
     """
     _check_solver_inputs(tolerance, restarts)
     if family not in ("phase", "unitary"):
@@ -407,7 +404,9 @@ def optimize_s3(
         def rows(x):
             return _unitary_family_rows(x, base)
         starts = np.vstack((np.zeros(32), rng.normal(scale=0.6, size=(restarts - 1, 32))))
-        objective = _unitary_objective(base, mixed)
+
+        def objective(x):
+            return _unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
 
     best_x, converged = _best(objective, starts, tolerance, maxiter=4000)
     settings = _settings_from_rows(*rows(best_x))

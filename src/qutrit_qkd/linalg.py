@@ -81,11 +81,6 @@ def diagonal_state(coeffs) -> np.ndarray:
     return _frozen(np.diag(c).astype(complex))
 
 
-def maximally_entangled_state() -> np.ndarray:
-    """(|00> + |11> + |22>)/sqrt(3)."""
-    return diagonal_state((1.0, 1.0, 1.0))
-
-
 def state_norm_sq(state: np.ndarray) -> float:
     return float(np.sum(np.abs(state) ** 2))
 
@@ -184,11 +179,13 @@ class MixedState:
 def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Amplitudes <a_r| <b_c| psi> for each state, shaped (m, len(rows_a), len(rows_b)).
 
-    The product is real-linear in each argument, so passing the derivative
-    of rows or of states gives the derivative of the amplitudes.  Nothing
-    is validated.
+    Rows (r, 3) serve every state (m, 3, 3).  Row stacks (..., r, 3)
+    broadcast against the states as matrix stacks do: rows (k, 1, r, 3)
+    and (k, 1, c, 3) give amplitudes (k, m, r, c).  The product is
+    real-linear in each argument, so passing the derivative of rows or of
+    states gives the derivative of the amplitudes.  Nothing is validated.
     """
-    return rows_a.conj() @ psis @ rows_b.conj().T
+    return rows_a.conj() @ psis @ rows_b.conj().swapaxes(-1, -2)
 
 
 def born_tables(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray,

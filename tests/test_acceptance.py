@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from qutrit_qkd import bell, reconcile, tritcrypt
-from qutrit_qkd.linalg import MixedState, born_tables, maximally_entangled_state
+from qutrit_qkd.linalg import MixedState, born_tables, diagonal_state
 from qutrit_qkd.protocol import (
     EveConfig,
     SourceConfig,
@@ -38,7 +38,7 @@ def report(num, description, passed, detail=""):
 def test_criterion_01_exact_bell_maximum():
     target = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)
     start = time.perf_counter()
-    value = bell.s3(maximally_entangled_state(), bell.canonical_settings())
+    value = bell.s3(diagonal_state((1.0, 1.0, 1.0)), bell.canonical_settings())
     elapsed = time.perf_counter() - start
     passed = abs(value - target) < 1e-4 and abs(value - 2.87293) < 1e-4 and elapsed < 1.0
     report(1, "exact S3 at canonical settings equals 4/(6*sqrt(3)-9)", passed,

@@ -22,7 +22,6 @@ from qutrit_qkd.linalg import (
     computational_basis,
     diagonal_state,
     make_state,
-    maximally_entangled_state,
     phase_rows,
 )
 
@@ -111,7 +110,7 @@ class TestCoincidenceMod3:
 
 class TestS3Exact:
     def test_quantum_maximum_at_canonical_settings(self):
-        value = s3(maximally_entangled_state(), canonical_settings())
+        value = s3(diagonal_state((1.0, 1.0, 1.0)), canonical_settings())
         assert value == pytest.approx(QUANTUM_MAX, abs=1e-12)
         assert value == pytest.approx(2.87293, abs=1e-4)
         assert value > CLASSICAL_BOUND
@@ -119,7 +118,7 @@ class TestS3Exact:
     def test_convention_pin(self):
         # The term mapping is fixed by requiring the closed-form maximum;
         # swapping the two difference classes would give a smaller value.
-        table = pair_table(maximally_entangled_state(),
+        table = pair_table(diagonal_state((1.0, 1.0, 1.0)),
                            phase_rows("A", [0.0]), phase_rows("B", [0.25]))
         k_minus_one = coincidence_mod3(table, 1)   # A = B - 1
         k_plus_one = coincidence_mod3(table, 2)    # A = B + 1
@@ -127,7 +126,7 @@ class TestS3Exact:
         wrong = 0.0
         cs = canonical_settings()
         for (a, b_), k0, k1 in [((1, 1), 0, 2), ((2, 1), 2, 0), ((2, 2), 0, 2), ((1, 2), 0, 1)]:
-            t = pair_table(maximally_entangled_state(),
+            t = pair_table(diagonal_state((1.0, 1.0, 1.0)),
                            getattr(cs, f"a{a}"), getattr(cs, f"b{b_}"))
             wrong += coincidence_mod3(t, k0) - coincidence_mod3(t, k1)
         assert wrong < QUANTUM_MAX - 0.5
@@ -139,7 +138,7 @@ class TestS3Exact:
 
     @pytest.mark.parametrize("visibility", [0.25, 0.5, 0.75])
     def test_visibility_scaling(self, visibility):
-        mixed = MixedState.isotropic(maximally_entangled_state(), visibility)
+        mixed = MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)), visibility)
         assert s3(mixed, canonical_settings()) == pytest.approx(
             visibility * QUANTUM_MAX, abs=1e-9)
 
@@ -159,6 +158,9 @@ class TestS3Exact:
             coeffs /= np.linalg.norm(coeffs)
             got = s3(diagonal_state(coeffs), canonical_settings(offsets))
             assert got == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-10)
+            # the phase family is written for the Schmidt-diagonal form: on the
+            # source form make_state(c) it sees no correlation at all
+            assert abs(s3(make_state(coeffs), canonical_settings(offsets))) < 1e-12
 
     def test_profile_matches_coefficient_path(self):
         # the exact evaluation (correlation profile) and the estimator's
@@ -176,7 +178,7 @@ class TestS3Exact:
             assert s3(mixed, settings) == pytest.approx(via_coeffs, abs=1e-12)
 
     def test_mod3_coincidences_normalized(self):
-        t = canonical_settings().tables(maximally_entangled_state())
+        t = canonical_settings().tables(diagonal_state((1.0, 1.0, 1.0)))
         profile = {(a, b_): np.array([coincidence_mod3(t[a - 1, :, b_ - 1, :], k)
                                       for k in range(3)])
                    for a in (1, 2) for b_ in (1, 2)}
@@ -185,12 +187,12 @@ class TestS3Exact:
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_returns_a_float(self):
-        assert isinstance(s3(maximally_entangled_state(), canonical_settings()), float)
+        assert isinstance(s3(diagonal_state((1.0, 1.0, 1.0)), canonical_settings()), float)
 
     def test_linearity_in_mixture(self):
         rng = np.random.default_rng(5)
         settings = random_settings(rng)
-        psi1 = maximally_entangled_state()
+        psi1 = diagonal_state((1.0, 1.0, 1.0))
         psi2 = make_state((1, 0, 0))
         mixed = MixedState(components=((0.3, psi1), (0.45, psi2)),
                            white_noise_weight=0.25)
@@ -253,7 +255,7 @@ class TestKernelS3:
     def test_white_only_mixture(self):
         rng = np.random.default_rng(33)
         settings = random_settings(rng)
-        white = MixedState.isotropic(maximally_entangled_state(), 0.0)
+        white = MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)), 0.0)
         assert kernel_s3(np.concatenate((settings.a1, settings.a2)),
                          np.concatenate((settings.b1, settings.b2)),
                          white.psis, white.weights, white.white_noise_weight) \
@@ -316,7 +318,7 @@ class TestAnalyticGradients:
         # differences of exp(iH) fall back to their derivative limit
         base = canonical_settings()
         base = np.stack((base.a1, base.a2, base.b1, base.b2))
-        mixed = MixedState(components=((0.55, maximally_entangled_state()),
+        mixed = MixedState(components=((0.55, diagonal_state((1.0, 1.0, 1.0))),
                                        (0.3, make_state((0.642, 0.546, 0.539)))),
                            white_noise_weight=0.15)
 
@@ -325,8 +327,22 @@ class TestAnalyticGradients:
                              mixed.weights, mixed.white_noise_weight)
 
         rng = np.random.default_rng(44)
-        for x in [np.zeros(32)] + [rng.normal(scale=0.8, size=32) for _ in range(5)]:
-            value, grad = bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+        stack = np.vstack([np.zeros(32)] + [rng.normal(scale=0.8, size=32) for _ in range(5)])
+        calls = []
+        kernel = bell.born_amplitudes
+
+        def counting_kernel(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bell, "born_amplitudes", counting_kernel)
+            values, grads = bell._unitary_s3_gradient(stack, base, mixed.psis, mixed.weights)
+        assert len(calls) == 1
+        assert values.shape == (6,) and grads.shape == (6, 32)
+        for x, value, grad in zip(stack, values, grads):
+            alone, alone_grad = bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+            assert value == alone and np.array_equal(grad, alone_grad)
             assert value == pytest.approx(kernel_value(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(kernel_value, x))) <= 1e-8
 
@@ -399,7 +415,7 @@ class TestPhasePolynomial:
 
 def isotropic_s3(visibility):
     """S3 of the maximal state under isotropic noise, at the canonical settings."""
-    return s3(MixedState.isotropic(maximally_entangled_state(), visibility),
+    return s3(MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)), visibility),
               canonical_settings())
 
 
@@ -411,7 +427,7 @@ class TestVisibilityLaw:
     def test_threshold(self):
         assert isotropic_s3(0.6962) == pytest.approx(2.0, abs=1e-3)
         assert VISIBILITY_AT_CLASSICAL_BOUND == pytest.approx(0.69615, abs=1e-5)
-        mixed = MixedState.isotropic(maximally_entangled_state(),
+        mixed = MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)),
                                      VISIBILITY_AT_CLASSICAL_BOUND)
         assert s3(mixed, canonical_settings()) == pytest.approx(2.0, abs=1e-12)
 
@@ -424,7 +440,7 @@ class TestVisibilityLaw:
 
 class TestOptimizer:
     def test_phase_family_reaches_maximum(self):
-        result = optimize_s3(maximally_entangled_state(), family="phase",
+        result = optimize_s3(diagonal_state((1.0, 1.0, 1.0)), family="phase",
                              tolerance=1e-7, seed=1, restarts=8)
         assert result.s3 == pytest.approx(QUANTUM_MAX, abs=1e-4)
         assert result.converged
@@ -434,11 +450,11 @@ class TestOptimizer:
         # once each relabeled basis absorbs a cyclic outcome shift (integer
         # offset change); this point reproduces the maximum exactly
         exchanged = canonical_settings((0.5, 1.0, -0.25, -0.75))
-        value = s3(maximally_entangled_state(), exchanged)
+        value = s3(diagonal_state((1.0, 1.0, 1.0)), exchanged)
         assert value == pytest.approx(QUANTUM_MAX, abs=1e-12)
         # the multi-start optimizer reaches the same maximum from any seed
         for seed in (4, 5):
-            result = optimize_s3(maximally_entangled_state(), family="phase",
+            result = optimize_s3(diagonal_state((1.0, 1.0, 1.0)), family="phase",
                                  tolerance=1e-7, seed=seed, restarts=8)
             assert result.s3 == pytest.approx(QUANTUM_MAX, abs=1e-4)
 
@@ -462,16 +478,16 @@ class TestOptimizer:
         assert result.s3 == pytest.approx(scan_max, abs=1e-4)
 
     def test_deterministic_for_seed(self):
-        r1 = optimize_s3(maximally_entangled_state(), tolerance=1e-6, seed=9, restarts=4)
-        r2 = optimize_s3(maximally_entangled_state(), tolerance=1e-6, seed=9, restarts=4)
+        r1 = optimize_s3(diagonal_state((1.0, 1.0, 1.0)), tolerance=1e-6, seed=9, restarts=4)
+        r2 = optimize_s3(diagonal_state((1.0, 1.0, 1.0)), tolerance=1e-6, seed=9, restarts=4)
         assert r1.s3 == r2.s3
         assert np.array_equal(r1.params, r2.params)
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
-            optimize_s3(maximally_entangled_state(), tolerance=0.0)
+            optimize_s3(diagonal_state((1.0, 1.0, 1.0)), tolerance=0.0)
         with pytest.raises(ValidationError):
-            optimize_s3(maximally_entangled_state(), family="gradient")
+            optimize_s3(diagonal_state((1.0, 1.0, 1.0)), family="gradient")
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"restarts": 2.0},
                                         {"tolerance": float("nan")},
@@ -480,7 +496,7 @@ class TestOptimizer:
                                         {"restarts": True}, {"restarts": np.bool_(True)}])
     def test_bad_solver_inputs(self, kwargs):
         with pytest.raises(ValidationError):
-            optimize_s3(maximally_entangled_state(), **kwargs)
+            optimize_s3(diagonal_state((1.0, 1.0, 1.0)), **kwargs)
         with pytest.raises(ValidationError):
             optimize_gamma_family(**kwargs)
 
@@ -510,9 +526,10 @@ class TestOptimizer:
             validations.append(1)
             return validate(*args, **kwargs)
 
-        def counting_kernel(*args, **kwargs):
-            evaluations.append(1)
-            return kernel(*args, **kwargs)
+        def counting_kernel(rows_a, *args):
+            # one evaluation per parameter row: the leading stack of rows_a
+            evaluations.append(int(np.prod(rows_a.shape[:-3])))
+            return kernel(rows_a, *args)
 
         monkeypatch.setattr(linalg, "require_orthonormal", counting_validate)
         monkeypatch.setattr(bell, "require_orthonormal", counting_validate)
@@ -521,9 +538,9 @@ class TestOptimizer:
         for tolerance in (1e-1, 1e-6):
             validations.clear()
             evaluations.clear()
-            optimize_s3(maximally_entangled_state(), family="unitary",
+            optimize_s3(diagonal_state((1.0, 1.0, 1.0)), family="unitary",
                         tolerance=tolerance, seed=1, restarts=4)
-            counts.append((len(validations), len(evaluations)))
+            counts.append((len(validations), sum(evaluations)))
         (v_loose, n_loose), (v_tight, n_tight) = counts
         assert n_tight > n_loose > 10
         assert v_tight == v_loose <= 8
@@ -606,7 +623,7 @@ class TestAscent:
                  1e-8)
         mixed = MixedState.pure(diagonal_state((0.642, 0.546, 0.539)))
         base = np.concatenate(bell._phase_family_rows(CANONICAL_OFFSETS)).reshape(4, 3, 3)
-        unitary = (bell._unitary_objective(base, mixed),
+        unitary = (lambda x: bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights),
                    rng.normal(scale=0.6, size=(3, 32)), 1e-5)
         for objective, starts, tolerance in (phase, gamma, unitary):
             x, values, converged = bell._ascend(objective, starts, tolerance, 4000)
@@ -633,7 +650,7 @@ class TestAscent:
                                 1e-8, maxiter=1)[2][0]
 
     def test_start_at_optimum_converges_in_place(self):
-        state = maximally_entangled_state()
+        state = diagonal_state((1.0, 1.0, 1.0))
         phase = optimize_s3(state, restarts=1)
         assert phase.converged
         assert np.array_equal(phase.params, CANONICAL_OFFSETS)

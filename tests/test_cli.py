@@ -760,13 +760,13 @@ SCIPY_BLOCKED = """
 import json, sys
 sys.modules["scipy"] = None
 from qutrit_qkd import bell, cli
-from qutrit_qkd.linalg import maximally_entangled_state
+from qutrit_qkd.linalg import diagonal_state
 
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
-state = maximally_entangled_state()
+state = diagonal_state((1.0, 1.0, 1.0))
 solves = [bell.optimize_s3(state, restarts=2),
           bell.optimize_s3(state, family="unitary", restarts=2),
           bell.optimize_gamma_family(restarts=2)]

@@ -7,11 +7,11 @@ from qutrit_qkd.linalg import (
     InvalidStateError,
     MixedState,
     ValidationError,
+    born_amplitudes,
     born_tables,
     computational_basis,
     diagonal_state,
     make_state,
-    maximally_entangled_state,
     normalize_coefficients,
     orthonormality_residual,
     phase_rows,
@@ -65,7 +65,7 @@ class TestRelabel:
     """The B-side 1<->2 relabel is ``psi[:, SWAP_12]``."""
 
     def test_maps_source_form_to_diagonal(self):
-        assert np.allclose(make_state((1, 1, 1))[:, SWAP_12], maximally_entangled_state())
+        assert np.allclose(make_state((1, 1, 1))[:, SWAP_12], diagonal_state((1.0, 1.0, 1.0)))
 
     def test_involution(self):
         rng = np.random.default_rng(2)
@@ -225,8 +225,27 @@ class TestBornTables:
             bases_a = [random_basis(rng) for _ in range(n_a)]
             bases_b = [random_basis(rng) for _ in range(n_b)]
             self.check_against_oracle(white, bases_a, bases_b)
-            self.check_against_oracle(MixedState.isotropic(maximally_entangled_state(), 0.0),
+            self.check_against_oracle(MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)), 0.0),
                                       bases_a, bases_b)
+
+    def test_row_stacks_broadcast_against_states(self):
+        # rows (k, 1, r, 3) against states (m, 3, 3): amplitudes (k, m, r, c),
+        # slice i equal to the 2-D call on rows i
+        rng = np.random.default_rng(23)
+        psis = np.stack([random_state(rng) for _ in range(2)])
+        rows_a = np.stack([np.concatenate((random_basis(rng), random_basis(rng)))
+                           for _ in range(4)])
+        rows_b = np.stack([random_basis(rng) for _ in range(4)])
+        amps = born_amplitudes(rows_a[:, None], rows_b[:, None], psis)
+        assert amps.shape == (4, 2, 6, 3)
+        for i in range(4):
+            assert np.array_equal(amps[i], born_amplitudes(rows_a[i], rows_b[i], psis))
+            for s, psi in enumerate(psis):
+                for r in range(6):
+                    for c in range(3):
+                        expected = born_probability_bruteforce(
+                            [(1.0, psi)], 0.0, rows_a[i], r, rows_b[i], c)
+                        assert abs(abs(amps[i, s, r, c]) ** 2 - expected) < 1e-13
 
     def test_phase_rows_stack_phase_bases(self):
         offsets = [0.0, 0.5, -1.25, 2.75]
@@ -240,18 +259,18 @@ class TestBornTables:
 class TestMixedState:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            MixedState(components=((0.5, maximally_entangled_state()),),
+            MixedState(components=((0.5, diagonal_state((1.0, 1.0, 1.0))),),
                        white_noise_weight=0.6)
         with pytest.raises(ValidationError):
-            MixedState(components=((1.0, maximally_entangled_state()),),
+            MixedState(components=((1.0, diagonal_state((1.0, 1.0, 1.0))),),
                        white_noise_weight=float("nan"))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
-            MixedState(components=((-0.1, maximally_entangled_state()),),
+            MixedState(components=((-0.1, diagonal_state((1.0, 1.0, 1.0))),),
                        white_noise_weight=1.1)
         with pytest.raises(ValidationError):
-            MixedState(components=((float("nan"), maximally_entangled_state()),),
+            MixedState(components=((float("nan"), diagonal_state((1.0, 1.0, 1.0))),),
                        white_noise_weight=1.0)
 
     def test_component_must_be_normalized(self):
@@ -262,7 +281,7 @@ class TestMixedState:
 
     def test_isotropic_range(self):
         with pytest.raises(ValidationError):
-            MixedState.isotropic(maximally_entangled_state(), 1.2)
+            MixedState.isotropic(diagonal_state((1.0, 1.0, 1.0)), 1.2)
 
     def test_diagonal_state_normalizes(self):
         st = diagonal_state((2.0, 2.0, 1.0))
