@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import tempfile
@@ -819,6 +820,45 @@ class TestDetectionColumn:
             assert np.array_equal(col, want)
         if detection == 1.0:
             assert not (got.code % 10 == 9).any()
+
+
+class TestDrawPins:
+    """The draws themselves, pinned: the oracle tests read the same tables as
+    the sampler, so a change to the law would move both together.  300 rounds
+    take the exact-count path; 70000 the bucket lookup, across a chunk edge."""
+
+    BIAS_A, BIAS_B = TestChunkedSession.BIAS_A, TestChunkedSession.BIAS_B
+    REFERENCE = (0.642, 0.546, 0.539)
+    CASES = {
+        "eve_a_random_basis": (
+            SourceConfig(coefficients=REFERENCE, visibility=0.9, detection_efficiency=0.4),
+            EveConfig(enabled=True, arm="A", basis=random_basis(np.random.default_rng(27))),
+            "0x1.f7b3c8ad514a0p-2"),
+        "background_crosstalk": (
+            SourceConfig(coefficients=REFERENCE, visibility=0.95, background_fraction=0.05,
+                         key_crosstalk=0.1, detection_efficiency=float(np.nextafter(1.0, 0.0))),
+            NO_EVE, "0x1.4ba8d8c539338p+1"),
+    }
+
+    @pytest.mark.parametrize("case, n, digest", [
+        ("eve_a_random_basis", 300,
+         "f625cdc799fda146627ba2385cfc098c26a253933661e5d934672a25f44eacd3"),
+        ("eve_a_random_basis", 70_000,
+         "21e34104c89c74676b91c817409610b369534a9cbd0586d19d00704afda51fbf"),
+        ("background_crosstalk", 300,
+         "734445466c3c3be1de75fc3be75eaa73d60fc0c0310916234481a4963914e8ad"),
+        ("background_crosstalk", 70_000,
+         "007b77bc3325f6a146dd9fa5397dbbfad31dd3e5ef60a921d9986266ec25e810"),
+    ])
+    def test_codes_ids_and_exact_s3(self, case, n, digest):
+        source, eve, s3_hex = self.CASES[case]
+        h = hashlib.sha256()
+        for rounds in iter_session(n, source, eve, PartyConfig(self.BIAS_A),
+                                   PartyConfig(self.BIAS_B), seed=n):
+            h.update(rounds.round_id.tobytes())
+            h.update(rounds.code.tobytes())
+        assert h.hexdigest() == digest
+        assert exact_session_s3(source, eve).hex() == s3_hex
 
 
 class TestTranscriptIO:
