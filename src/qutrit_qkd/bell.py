@@ -30,6 +30,7 @@ CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = float(4.0 / (6.0 * np.sqrt(3.0) - 9.0))   # ~2.87293, maximal entanglement
 NONMAX_QUANTUM_MAX = float(1.0 + np.sqrt(11.0 / 3.0))   # ~2.91485, gamma ~0.7923
 VISIBILITY_AT_CLASSICAL_BOUND = CLASSICAL_BOUND / QUANTUM_MAX
+MAX_RESTARTS = 10_000   # a solve allocates its whole stack of starts at once
 
 # Offsets (a1, a2, b1, b2) of the phase-basis family achieving QUANTUM_MAX
 # on the Schmidt-diagonal maximally entangled state.
@@ -154,8 +155,9 @@ def _check_solver_inputs(tolerance: float, restarts: int) -> None:
     if not (0 < tolerance < 1):
         raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
     if (isinstance(restarts, (bool, np.bool_)) or not isinstance(restarts, (int, np.integer))
-            or restarts < 1):
-        raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
+            or not 1 <= restarts <= MAX_RESTARTS):
+        raise ValidationError(
+            f"restarts must be an integer from 1 to {MAX_RESTARTS}, got {restarts!r}")
 
 
 # In the phase family, level j of a row at offset t is its offset-0 entry times
@@ -348,10 +350,11 @@ def _ascend(objective, starts, tolerance: float, maxiter: int):
 
 
 def _best(objective, starts, tolerance: float, maxiter: int):
-    """The best final point of ``_ascend`` (the earliest restart on ties),
-    and whether any restart converged."""
+    """The best final point of ``_ascend`` (the earliest restart within rounding,
+    1e-10 relative, of the best value), and whether any restart converged."""
     x, f, converged = _ascend(objective, starts, tolerance, maxiter)
-    return x[np.argmax(f)], bool(converged.any())
+    top = f.max()
+    return x[np.argmax(f >= top - 1e-10 * max(abs(top), 1.0))], bool(converged.any())
 
 
 @dataclass(frozen=True)
@@ -380,7 +383,8 @@ def optimize_s3(
     offsets whose coefficients come from one Born-kernel call per solve, the
     unitary family makes one kernel call per evaluation of the stack.  The
     reported value is the exact S3 re-evaluated at the returned settings.
-    Deterministic for a fixed seed; ties are broken by restart order.
+    Deterministic for a fixed seed.  Values within 1e-10 (relative) of the best
+    tie, and the earliest tied restart wins: the canonical start, if it is one.
     The phase family is written for the Schmidt-diagonal form
     ``diagonal_state(c)`` = ``make_state(c)[:, SWAP_12]``: on the source
     form ``make_state(c)`` it returns S3 = 0 up to rounding, converged.

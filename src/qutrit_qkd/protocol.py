@@ -158,28 +158,42 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
                       white_noise_weight=mixed.white_noise_weight)
 
 
-def _setting_tables(source: SourceConfig, eve: EveConfig) -> np.ndarray:
-    """Exact outcome tables of all setting pairs, with outcome-level noise folded in.
+@dataclass(frozen=True)
+class SessionLaw:
+    """One round's exact law, as read-only copies: ``tables[sa - 1, oa, sb - 1, ob]``
+    given the setting pair, each party's setting probabilities, ``detection``."""
 
-    Indexed ``[setting_a - 1, outcome_a, setting_b - 1, outcome_b]``.
-    Background replaces any round's outcomes with a uniform pair; key
-    crosstalk does the same on the (3, 3) pair only.  Both act at the
-    probability level, so folding them into the tables is exact.  All nine
-    pairs come from one call of the Born kernel.
-    """
+    tables: np.ndarray
+    settings_a: np.ndarray
+    settings_b: np.ndarray
+    detection: float
+
+    def __post_init__(self):
+        for name in ("tables", "settings_a", "settings_b"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
+def session_law(source: SourceConfig, eve: EveConfig = EveConfig(),
+                a: PartyConfig = PartyConfig(), b: PartyConfig = PartyConfig()) -> SessionLaw:
+    """The ``SessionLaw`` that ``iter_session`` samples and ``exact_session_s3`` reads,
+    its nine tables from one Born-kernel call.  Background, and key crosstalk on the
+    (3, 3) pair only, replace a round's outcomes with a uniform pair: both act at the
+    probability level, so folding them into the tables is exact."""
     mixed = post_eve_mixture(source_mixture(source), eve)
     t = born_tables(_ROWS_A, _ROWS_B, mixed.psis, mixed.weights, mixed.white_noise_weight)
-    uniform = 1.0 / 9.0
-    t = (1.0 - source.background_fraction) * t + source.background_fraction * uniform
-    if source.key_crosstalk > 0.0:
-        t[2, :, 2, :] = (1.0 - source.key_crosstalk) * t[2, :, 2, :] \
-            + source.key_crosstalk * uniform
-    return t
+    background, crosstalk, uniform = source.background_fraction, source.key_crosstalk, 1.0 / 9.0
+    t = (1.0 - background) * t + background * uniform
+    if crosstalk > 0.0:
+        t[2, :, 2, :] = (1.0 - crosstalk) * t[2, :, 2, :] + crosstalk * uniform
+    return SessionLaw(t, a.setting_probabilities, b.setting_probabilities,
+                      source.detection_efficiency)
 
 
 def exact_session_s3(source: SourceConfig, eve: EveConfig = EveConfig()) -> float:
     """Exact S3 implied by a session configuration (no sampling)."""
-    return bell.s3_of(_setting_tables(source, eve)[:2, :, :2, :])
+    return bell.s3_of(session_law(source, eve).tables[:2, :, :2, :])
 
 
 def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
@@ -265,20 +279,13 @@ _BUCKETS = 1024
 _BUCKET_MIN_ROUNDS = 1 << 14
 
 
-def _setting_cdf(party: PartyConfig) -> np.ndarray:
-    p = np.asarray(party.setting_probabilities, dtype=float)
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
                  a: PartyConfig, b: PartyConfig, seed: int) -> Iterator[Rounds]:
     """A seeded measurement session as ``Rounds`` chunks of at most 65536 rounds.
 
-    Settings and detection are drawn per round, outcomes from the exact
-    per-setting-pair tables of the fixed analyzers; ``a`` and ``b`` give the
-    setting probabilities.  Chunking does not change the draws: identical
+    Each round's settings, detection and outcomes are drawn from the exact
+    ``session_law(source, eve, a, b)``; ``a`` and ``b`` give the setting
+    probabilities.  Chunking does not change the draws: identical
     seeds and configurations reproduce the session bit for bit.  ``n_rounds``
     must be a positive and ``seed`` a non-negative integer (numpy integers
     too); both are checked before any table is built.
@@ -287,13 +294,8 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
         if not hasattr(value, "__index__") or operator.index(value) < least:
             wording = "positive" if least else "non-negative"
             raise ValidationError(f"{name} must be a {wording} integer, got {value!r}")
-    n_rounds, seed = operator.index(n_rounds), operator.index(seed)
-    t = _setting_tables(source, eve)
-    cdf = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
-    # row k holds every setting pair's k-th cumulative outcome probability
-    thresholds = np.ascontiguousarray(cdf[:, :8].T)
-    return _sample_chunks(n_rounds, np.random.PCG64(seed), thresholds,
-                          _setting_cdf(a), _setting_cdf(b), source.detection_efficiency)
+    return _sample_chunks(operator.index(n_rounds), operator.index(seed),
+                          session_law(source, eve, a, b))
 
 
 def _count_below(thresholds, pair, u) -> np.ndarray:
@@ -324,7 +326,12 @@ def _bucket_table(thresholds) -> np.ndarray:
     return table.ravel()
 
 
-def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
+def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[Rounds]:
+    cdf_a, cdf_b = (c / c[-1] for c in (law.settings_a.cumsum(), law.settings_b.cumsum()))
+    # row k holds every setting pair's k-th cumulative outcome probability
+    cdf = np.cumsum(law.tables.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
+    thresholds = np.ascontiguousarray(cdf[:, :8].T)
+    bitgen = np.random.PCG64(seed)
     rng = np.random.Generator(bitgen)
     seeded = bitgen.state
     buckets = _bucket_table(thresholds) if n >= _BUCKET_MIN_ROUNDS else None
@@ -357,8 +364,8 @@ def _sample_chunks(n: int, bitgen, thresholds, cdf_a, cdf_b, detection):
             del key                             # not held while the chunk is yielded
             hard = np.flatnonzero(idx < 0)      # u in a bucket split by a threshold
             idx[hard] = _count_below(thresholds, pair.take(hard), u.take(hard))
-        if detection < 1.0:                     # else every draw(2) < detection
-            idx[draw(2) >= detection] = 9
+        if law.detection < 1.0:                 # else every draw(2) < detection
+            idx[draw(2) >= law.detection] = 9
         pair *= 10
         idx += pair
         yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64), code=idx.view(np.uint8))
@@ -561,13 +568,8 @@ def analyze(chunks: Iterable[Rounds]) -> SessionResult:
                          key_b=np.concatenate(keys_b), n_rounds=n, **vars(report))
 
 
-def run_protocol(n_rounds: int, source: SourceConfig | None = None,
-                 eve: EveConfig | None = None,
-                 parties: tuple | None = None, seed: int = 0) -> SessionResult:
-    """A seeded session, sampled by ``iter_session`` and analyzed chunk by
-    chunk by ``analyze``."""
-    source = source if source is not None else SourceConfig()
-    eve = eve if eve is not None else EveConfig()
-    a_cfg, b_cfg = parties if parties is not None else (PartyConfig(), PartyConfig())
-    return analyze(iter_session(n_rounds, source, eve, a_cfg, b_cfg, seed))
+def run_protocol(n_rounds: int, source: SourceConfig = SourceConfig(), eve: EveConfig = EveConfig(),
+                 parties: tuple = (PartyConfig(), PartyConfig()), seed: int = 0) -> SessionResult:
+    """A seeded session, sampled by ``iter_session`` and analyzed chunk by chunk."""
+    return analyze(iter_session(n_rounds, source, eve, *parties, seed))
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestBellCommand:
         assert code == 2
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("seed", ["1225932841", "1660815165"])
+    def test_optimized_not_below_canonical_start(self, capsys, seed):
+        # at these seeds a later restart outranked the canonical start by the
+        # ~1e-12 rounding of the phase polynomial and landed below it exactly
+        code, out, _ = run_cli(capsys, "bell", "--coefficients", "0.642,0.546,0.539",
+                               "--seed", seed)
+        assert code == 0
+        values = machine_block(out)
+        assert float(values["s3_optimized"]) >= float(values["s3_exact"])
+
 
 class TestOptimizeCommand:
     def test_phase_family(self, capsys):
@@ -99,6 +110,17 @@ class TestOptimizeCommand:
         code, _, err = run_cli(capsys, "optimize", "--tolerance", "nan")
         assert code == 2
         assert "tolerance" in err
+
+    def test_huge_restarts_rejected_before_allocation(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "optimize", "--restarts", "100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "restarts must be an integer from 1 to 10000, got 100000000" in err
+        assert peak < 1_000_000     # the phase starts alone would take 3.2 GB
 
 
 # coefficient triples whose squared norm overflows or underflows, and the

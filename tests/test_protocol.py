@@ -262,10 +262,9 @@ class TestRunSession:
                                                 message):
         a, b = PartyConfig(), PartyConfig()
         want = run_protocol(300, seed=5)
-        tables = protocol._setting_tables
+        law = protocol.session_law
         built = []
-        monkeypatch.setattr(protocol, "_setting_tables",
-                            lambda *args: built.append(1) or tables(*args))
+        monkeypatch.setattr(protocol, "session_law", lambda *args: built.append(1) or law(*args))
         call = {"run_protocol": lambda: run_protocol(n_rounds, seed=seed),
                 "iter_session": lambda: analyze(iter_session(n_rounds, IDEAL, NO_EVE, a, b,
                                                              seed=seed))}[entry]
@@ -477,7 +476,7 @@ class TestEstimateS3:
         # pooled chi-square over the nine setting-pair tables at n = 1e5;
         # at least 99 of 100 seeded repetitions stay below the 99.9% quantile
         a, b = PartyConfig(), PartyConfig()
-        tables = protocol._setting_tables(IDEAL, NO_EVE)
+        tables = protocol.session_law(IDEAL).tables
         threshold = chi2.ppf(0.999, df=72)
         passes = 0
         for seed in range(100):
@@ -553,15 +552,13 @@ class TestKeysAndVerdict:
         assert r.secure == verdict.secure
 
 
-def count_ensemble(rng, members, n_rounds, source, eve=NO_EVE, a=PartyConfig(),
-                   b=PartyConfig()):
-    """Count tensors of ``members`` sessions of ``n_rounds`` rounds, drawn at
-    once: rounds are i.i.d., so a session's cells are Multinomial(n, p) with
-    p = setting probabilities x detection x the exact setting-pair tables,
-    plus one undetected cell, which is dropped."""
-    p = (np.asarray(a.setting_probabilities)[:, None, None, None]
-         * np.asarray(b.setting_probabilities)[:, None] * source.detection_efficiency
-         * protocol._setting_tables(source, eve)).ravel()
+def count_ensemble(rng, members, n_rounds, law):
+    """Count tensors of ``members`` sessions of ``n_rounds`` rounds of the
+    ``SessionLaw`` ``law``, drawn at once: rounds are i.i.d., so a session's
+    cells are Multinomial(n, p) with p = setting probabilities x detection x
+    the exact setting-pair tables, plus one undetected cell, which is dropped."""
+    p = (law.settings_a[:, None, None, None] * law.settings_b[:, None] * law.detection
+         * law.tables).ravel()
     draws = rng.multinomial(n_rounds, np.append(p, max(0.0, 1.0 - p.sum())), size=members)
     return draws[:, :81].reshape(members, 3, 3, 3, 3)
 
@@ -576,7 +573,8 @@ class TestCountEnsembles:
         # 2000 rounds each way, the undetected rounds as an 82nd cell
         a, b = PartyConfig((0.2, 0.3, 0.5)), PartyConfig((0.25, 0.15, 0.6))
         n, members = 2000, 100
-        drawn = count_ensemble(np.random.default_rng(7), members, n, self.SOURCE, eve, a, b)
+        law = protocol.session_law(self.SOURCE, eve, a, b)
+        drawn = count_ensemble(np.random.default_rng(7), members, n, law)
         sampled = sum(sift(whole_session(n, self.SOURCE, eve, a, b, seed)).counts
                       for seed in range(members))
         cells = [np.append(c.ravel(), n * members - c.sum()) for c in (drawn.sum(axis=0), sampled)]
@@ -586,7 +584,8 @@ class TestCountEnsembles:
 
     def test_stack_equals_member_calls(self):
         # the reference profile: about 15 Bell and 4 key rounds per session
-        counts = count_ensemble(np.random.default_rng(8), 3000, 300, reference_source())
+        counts = count_ensemble(np.random.default_rng(8), 3000, 300,
+                                protocol.session_law(reference_source()))
         bell_totals = counts.swapaxes(2, 3)[:, :2, :2].sum(axis=(-2, -1)).reshape(-1, 4)
         empty = (bell_totals == 0)[:, [0, 2, 3, 1]]     # pairs (1,1), (2,1), (2,2), (1,2)
         first = ((1, 1), (2, 1), (2, 2), (1, 2))[int(np.argmax(empty.any(axis=0)))]
@@ -615,7 +614,7 @@ class TestNoiseKnobs:
     def test_calibration_hits_targets_exactly(self):
         source = reference_source()
         assert exact_session_s3(source) == pytest.approx(2.688, abs=1e-9)
-        table = protocol._setting_tables(source, NO_EVE)[2, :, 2, :]
+        table = protocol.session_law(source).tables[2, :, 2, :]
         match = table[0, 0] + table[1, 2] + table[2, 1]
         assert 1.0 - match == pytest.approx(14 / 150, abs=1e-9)
 
@@ -624,6 +623,24 @@ class TestNoiseKnobs:
             calibrate_noise(target_s3=3.0)
         with pytest.raises(ValidationError):
             calibrate_noise(target_s3=2.87, target_qter=0.7)  # above the 2/3 ceiling
+
+
+class TestSessionLaw:
+    def test_fields_are_read_only_copies(self):
+        bias = [0.2, 0.3, 0.5]
+        law = protocol.session_law(TestCountEnsembles.SOURCE, NO_EVE, PartyConfig(tuple(bias)))
+        assert law.tables.shape == (3, 3, 3, 3)
+        assert np.allclose(law.tables.sum(axis=(1, 3)), 1.0, rtol=0, atol=1e-12)
+        assert law.settings_a.tolist() == bias and law.settings_b.tolist() == [1 / 3] * 3
+        assert law.detection == 0.5
+        for array in (law.tables, law.settings_a, law.settings_b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        tables = law.tables.copy()
+        copied = protocol.SessionLaw(tables, bias, bias, 1.0)
+        tables[...] = 0.0
+        bias[0] = 0.9
+        assert np.array_equal(copied.tables, law.tables) and copied.settings_a[0] == 0.2
 
 
 class TestProtocolSession:
@@ -674,7 +691,7 @@ class TestChunkedSession:
 
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 7])
     def test_matches_reference_oracle(self, n):
-        tables = protocol._setting_tables(self.SOURCE, self.EVE)
+        tables = protocol.session_law(self.SOURCE, self.EVE).tables
         expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, 0.4, seed=n)
         got = columns(self.session(n, seed=n))
         for col, want in zip(got, expected):
@@ -792,10 +809,8 @@ class TestBucketLookup:
     def test_matches_reference_oracle(self, n, pairs, bias, detection, seed):
         tables = self.tables(pairs[:4], seed)
         expected = session_columns_reference(n, tables, bias, bias[::-1], detection, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "_setting_tables", lambda source, eve: tables)
-            got = whole_session(n, SourceConfig(detection_efficiency=detection), NO_EVE,
-                                PartyConfig(bias), PartyConfig(bias[::-1]), seed=seed)
+        law = protocol.SessionLaw(tables, bias, bias[::-1], detection)
+        got = joined(protocol._sample_chunks(n, seed, law))
         for col, want in zip(columns(got), expected):
             assert col.dtype == want.dtype
             assert np.array_equal(col, want)
@@ -812,7 +827,7 @@ class TestDetectionColumn:
         Either way the outcome column keeps its place in the stream."""
         source = SourceConfig(coefficients=(0.642, 0.546, 0.539), visibility=0.9,
                               detection_efficiency=detection)
-        tables = protocol._setting_tables(source, self.EVE)
+        tables = protocol.session_law(source, self.EVE).tables
         expected = session_columns_reference(n, tables, self.BIAS_A, self.BIAS_B, detection, n)
         a, b = PartyConfig(self.BIAS_A), PartyConfig(self.BIAS_B)
         got = whole_session(n, source, self.EVE, a, b, seed=n)
