@@ -37,7 +37,7 @@ MAX_RESTARTS = 10_000   # a solve allocates its whole stack of starts at once
 CANONICAL_OFFSETS = (0.0, 0.5, 0.25, -0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SettingsPair:
     """The two analyzer bases per side used in the Bell test."""
 
@@ -74,6 +74,14 @@ def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
 
 def _phase_family_rows(offsets) -> tuple[np.ndarray, np.ndarray]:
     return phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:4])
+
+
+# The canonical bases (a1, a2, b1, b2), built once and read-only: the
+# protocol's analyzers, the exact S3 that ``cli bell`` reports and the unitary
+# family's base.
+_CANONICAL_BASES = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
+_CANONICAL_BASES.setflags(write=False)
+CANONICAL_SETTINGS = SettingsPair(*_CANONICAL_BASES)
 
 
 def as_mixture(state) -> MixedState:
@@ -163,13 +171,14 @@ def _check_solver_inputs(tolerance: float, restarts: int) -> None:
 # In the phase family, level j of a row at offset t is its offset-0 entry times
 # exp(2 pi i j t / 3), so S3 is a trigonometric polynomial of the offsets
 # x = (a1, a2, b1, b2): sum over the basis pairs (a, b) and the level differences
-# p, q in {-2 .. 2} of F[a, b, p, q] exp(-2 pi i (p x_a + q x_{2+b}) / 3).
+# p, q in {-2 .. 2} of F[a, b, p, q] exp(-2 pi i p x_a / 3) exp(-2 pi i q x_{2+b} / 3).
 # _FREQUENCIES is the (100, 4) matrix of those exponents' integer factors.
 _EYE = np.eye(DIM)
 _DIFFERENCES = np.arange(1 - DIM, DIM)
 _FREQUENCIES = (np.eye(4)[:2, None, None, None] * _DIFFERENCES[:, None, None]
                 + np.eye(4)[None, 2:, None, None] * _DIFFERENCES[:, None]).reshape(-1, 4)
 _SLOPES = (2.0 * np.pi / DIM) * _FREQUENCIES
+_PHASES = (-2j * np.pi / DIM) * _DIFFERENCES
 # _LEVEL_BINS[(i, j, n, o), (p, q)] is 1 where the level differences i - n and
 # j - o are _DIFFERENCES[p] and _DIFFERENCES[q]
 _LEVEL_PAIRS = np.subtract.outer(np.arange(DIM), np.arange(DIM))[:, :, None] == _DIFFERENCES
@@ -212,16 +221,34 @@ def _phase_coefficients(mixed: MixedState) -> np.ndarray:
     return np.einsum("s,ssn->n", mixed.weights, _phase_cross_terms(mixed.psis))
 
 
-def _phase_polynomial(offsets, coefficients):
-    """Sum Re z and (2 pi / 3) Im(z) @ M for z = F exp(-2 pi i/3 M x), with F
-    the coefficients (..., 100), M ``_FREQUENCIES`` and x the offsets
-    (..., 4) = (a1, a2, b1, b2): S3 and its gradient in the offsets, per
-    leading index.  Real cosines and sines of the angles 2 pi/3 M x cost
-    less than the complex exponential."""
-    angles = offsets @ _SLOPES.T
-    cos, sin = np.cos(angles), np.sin(angles)
-    re, im = coefficients.real, coefficients.imag
-    return (re * cos + im * sin).sum(axis=-1), (im * cos - re * sin) @ _SLOPES
+def _phase_weights(coefficients) -> np.ndarray:
+    """Real weights (..., 200, 5) of the phase polynomial with coefficients
+    F (..., 100) against ``_phase_terms``: with z = F e, Re z = Re F Re e -
+    Im F Im e gives S3 (column 0) and Im z = Im F Re e + Re F Im e times
+    the slopes (2 pi / 3) M, M ``_FREQUENCIES``, its gradient in the
+    offsets (columns 1 to 4)."""
+    re, im = coefficients.real[..., None], coefficients.imag[..., None]
+    value = np.stack((re, -im), axis=-2)
+    grad = np.stack((im, re), axis=-2) * _SLOPES[:, None, :]
+    return np.concatenate((value, grad), axis=-1).reshape(*coefficients.shape[:-1], -1, 5)
+
+
+def _phase_terms(offsets) -> np.ndarray:
+    """The 100 exponentials e = exp(-2 pi i/3 M x) of the offsets x (..., 4)
+    = (a1, a2, b1, b2), M ``_FREQUENCIES``, as (..., 200) reals (real and
+    imaginary parts interleaved).  Each is the product of one A and one B
+    factor exp(-2 pi i p x_j / 3), p = -2 .. 2: 20 exponentials per row."""
+    e = np.exp(offsets[..., :, None] * _PHASES)
+    terms = e[..., :2, None, :, None] * e[..., None, 2:, None, :]
+    return terms.reshape(*offsets.shape[:-1], len(_FREQUENCIES)).view(float)
+
+
+def _phase_polynomial(offsets, weights):
+    """S3 and its gradient in the offsets (..., 4) = (a1, a2, b1, b2), per
+    leading index, for ``weights`` (200, 5) from ``_phase_weights``: one
+    product of ``_phase_terms`` with the weights."""
+    out = _phase_terms(offsets) @ weights
+    return out[..., 0], out[..., 1:]
 
 
 def _unitary_s3_gradient(params, base, psis, weights):
@@ -267,85 +294,88 @@ _ARMIJO = 1e-4      # share of the first-order rise a step must achieve
 _BACKTRACKS = 50    # step cuts before a line search gives up
 
 
-def _backtrack(objective, x0, f0, p, rise, x1, f1, g1):
-    """Armijo backtracking from the trial points x1 = x0 + p, whose values f1
-    and gradients g1 are known; only the rejected rows are evaluated again.
-    Each cut moves to the maximum of the quadratic through f0, rise and the
-    rejected value, kept within [0.1, 0.5] of the step.  Updates x1, f1, g1
-    in place and returns the rows where no step rose enough."""
-    rejected = ~(f1 >= f0 + _ARMIJO * rise)
-    if not rejected.any():
-        return rejected
-    step = np.ones(len(x0))
-    for _ in range(_BACKTRACKS):
-        t, r = step[rejected], rise[rejected]
-        peak = 0.5 * r * t * t / np.maximum(f0[rejected] + r * t - f1[rejected], 1e-300)
-        step[rejected] = np.fmin(np.fmax(peak, 0.1 * t), 0.5 * t)
-        x1[rejected] = x0[rejected] + step[rejected, None] * p[rejected]
-        f1[rejected], g1[rejected] = objective(x1[rejected])
-        rejected = ~(f1 >= f0 + _ARMIJO * step * rise)
-        if not rejected.any():
-            break
-    return rejected
-
-
 def _ascend(objective, starts, tolerance: float, maxiter: int):
     """BFGS ascent from every row of ``starts`` (k, d) at once.
 
     ``objective`` maps an (m, d) stack of points to their values (m,) and
     gradients (m, d).  Each restart keeps its own inverse-Hessian estimate
-    and its own Armijo backtracking (``_backtrack``); its first step, along
-    the gradient, is at most 1 long, and the estimate starts from the
-    identity scaled to the curvature that step found.  A restart leaves the
-    stack when it stops.  It has converged when max |gradient| <=
-    ``tolerance`` or its value rose by at most ``tolerance`` * 1e-2 relative
-    to max(|value|, 1), L-BFGS-B's gtol and ftol; it has not when
-    ``maxiter`` iterations pass or no step of the line search rises.
-    Returns the final points (k, d), values (k,) and per-restart converged
-    flags (k,).
+    and its own Armijo backtracking, and one objective call per pass
+    evaluates every live restart at x0 + t p: t = 1 for a fresh step, the
+    next cut for a rejected one.  Each cut moves to the maximum of the
+    quadratic through f0, the rise and the rejected value, kept within
+    [0.1, 0.5] of the step; a line search that still finds no rise after
+    ``_BACKTRACKS`` cuts has failed.  The first step, along the gradient, is
+    at most 1 long, and the estimate starts from the identity scaled to the
+    curvature that step found.  A restart leaves the stack when it stops.
+    It has converged when max |gradient| <= ``tolerance`` or its value rose
+    by at most ``tolerance`` * 1e-2 relative to max(|value|, 1), L-BFGS-B's
+    gtol and ftol; it has not when ``maxiter`` (>= 1) iterations pass or its
+    line search fails.  Returns the final points (k, d), values (k,) and
+    per-restart converged flags (k,).
     """
     x = np.array(starts, dtype=float)
     f, g = objective(x)
     converged = np.abs(g).max(axis=1) <= tolerance
     live = np.flatnonzero(~converged)
     x0, f0, g0 = x[live], f[live], g[live]
-    d = x.shape[1]
+    n, d = x0.shape
     h = np.eye(d) / np.maximum(np.linalg.norm(g0, axis=1), 1.0)[:, None, None]
-    for iteration in range(maxiter):
-        if not len(live):
-            break
+    step, cuts, iterations = np.ones(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    backtracking, unscaled = False, True   # some row is between cuts; before its first step
+    while len(live):
+        # a rejected step leaves h and g0 as they were, so p and rise repeat
         p = (h @ g0[:, :, None])[:, :, 0]
         rise = (g0 * p).sum(axis=1)
-        x1 = x0 + p
+        x1 = x0 + step[:, None] * p
         f1, g1 = objective(x1)
-        failed = _backtrack(objective, x0, f0, p, rise, x1, f1, g1)
+        moved = f1 >= f0 + _ARMIJO * step * rise
+        iterations += moved
+        first = None
+        if unscaled:
+            first, unscaled = moved & (iterations == 1), not iterations.all()
         # a step never lowers the value, so max(|f0|, |f1|) = max(f1, -f0)
         done = ((np.abs(g1).max(axis=1) <= tolerance)
                 | (f1 - f0 <= tolerance * 1e-2 * np.maximum(np.maximum(f1, -f0), 1.0)))
-        if failed.any():   # these restarts stop where they were
-            x1[failed], f1[failed], g1[failed] = x0[failed], f0[failed], g0[failed]
-            done &= ~failed
+        if backtracking or not moved.all():
+            rejected = ~moved
+            failed = rejected & (cuts == _BACKTRACKS)
+            retry = rejected & ~failed
+            t, r = step[retry], rise[retry]
+            peak = 0.5 * r * t * t / np.maximum(f0[retry] + r * t - f1[retry], 1e-300)
+            step[~retry] = 1.0
+            step[retry] = np.fmin(np.fmax(peak, 0.1 * t), 0.5 * t)
+            cuts = np.where(retry, cuts + 1, 0)
+            backtracking = retry.any()
+            # rejected rows stay where they were: s = y = 0 below leaves h as it is
+            x1[rejected], f1[rejected], g1[rejected] = x0[rejected], f0[rejected], g0[rejected]
+            done &= moved
+            stop = done | failed
+        else:
+            stop = done
         # inverse-Hessian update for minimizing -f: s = x1 - x0, y = g0 - g1;
         # rho = 0 leaves h as it is where the curvature y.s is not above
         # machine epsilon times y.y, L-BFGS-B's test for skipping an update
         s, y = x1 - x0, g0 - g1
         sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
         curved = sy > 2.2e-16 * yy
-        if iteration == 0:
-            h = np.eye(d) * np.divide(sy, yy, out=np.ones_like(sy), where=curved)[:, None, None]
+        if first is not None and first.any():
+            # after its first step a restart's estimate is the identity scaled by y.s/y.y
+            scale = np.divide(sy, yy, out=np.ones_like(sy), where=curved)
+            h = np.where(first[:, None, None], np.eye(d) * scale[:, None, None], h)
         hy = (h @ y[:, :, None])[:, :, 0]
         rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
         a = rho[:, None] * s
         v = (rho * (y * hy).sum(axis=1) + 1.0)[:, None] * s - hy
         h += a[:, :, None] * v[:, None, :] - hy[:, :, None] * a[:, None, :]
-        stop = done | failed
+        if iterations.max() >= maxiter:
+            stop = stop | (iterations == maxiter)
         if stop.any():
             x[live[stop]], f[live[stop]] = x1[stop], f1[stop]
             converged[live[done]] = True
             keep = ~stop
-            live, h, x1, f1, g1 = live[keep], h[keep], x1[keep], f1[keep], g1[keep]
+            live, h, x1, f1, g1, step, cuts, iterations = (
+                z[keep] for z in (live, h, x1, f1, g1, step, cuts, iterations))
         x0, f0, g0 = x1, f1, g1
-    x[live], f[live] = x0, f0
     return x, f, converged
 
 
@@ -357,7 +387,7 @@ def _best(objective, starts, tolerance: float, maxiter: int):
     return x[np.argmax(f >= top - 1e-10 * max(abs(top), 1.0))], bool(converged.any())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     settings: SettingsPair
     s3: float
@@ -398,19 +428,17 @@ def optimize_s3(
     if family == "phase":
         rows = _phase_family_rows
         starts = np.vstack((CANONICAL_OFFSETS, rng.uniform(0.0, 3.0, size=(restarts - 1, 4))))
-        coefficients = _phase_coefficients(mixed)
+        weights = _phase_weights(_phase_coefficients(mixed))
 
         def objective(x):
-            return _phase_polynomial(x, coefficients)
+            return _phase_polynomial(x, weights)
     else:
-        base = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
-
         def rows(x):
-            return _unitary_family_rows(x, base)
+            return _unitary_family_rows(x, _CANONICAL_BASES)
         starts = np.vstack((np.zeros(32), rng.normal(scale=0.6, size=(restarts - 1, 32))))
 
         def objective(x):
-            return _unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+            return _unitary_s3_gradient(x, _CANONICAL_BASES, mixed.psis, mixed.weights)
 
     best_x, converged = _best(objective, starts, tolerance, maxiter=4000)
     settings = _settings_from_rows(*rows(best_x))
@@ -423,26 +451,34 @@ def optimize_s3(
     )
 
 
-def _gamma_s3_gradient(x, cross):
+# The gamma family's polynomials per Schmidt pair (s, t) of |00>, |11>, |22>,
+# weighted against ``_phase_terms``: (200, 9 * 5), built once.
+_SCHMIDT_WEIGHTS = _phase_weights(_phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM * DIM, -1)) \
+    .transpose(1, 0, 2).reshape(2 * len(_FREQUENCIES), -1)
+_SCHMIDT_WEIGHTS.setflags(write=False)
+
+
+def _gamma_s3_gradient(x, weights):
     """S3 of c = (1, g, 1)/sqrt(2 + g^2) on |00>, |11>, |22> at phase offsets,
     for x = (g, a1, a2, b1, b2) (..., 5), and its gradient in x.
 
-    ``cross`` is ``_phase_cross_terms(_SCHMIDT_TERMS)`` as (9, 100), so the
-    coefficients are (c (x) c) @ cross.  The real sum over frequencies of
-    cross[s, t] is symmetric in (s, t), so S3's derivative along dc = dc/dg
-    is that of the coefficients (2 dc (x) c) @ cross.
+    ``weights`` is ``_SCHMIDT_WEIGHTS``: the phase terms times it give the
+    value and offset gradient of each Schmidt pair's polynomial, and S3 is
+    their sum weighted by c (x) c.  The real sum over frequencies of a pair
+    (s, t)'s polynomial is symmetric in (s, t), so S3's derivative along
+    dc = dc/dg is the same sum weighted by 2 dc (x) c.
     """
     g = np.abs(x[..., :1])
     norm = np.sqrt(2.0 + g * g)
     c = np.concatenate((np.ones_like(g), g, np.ones_like(g)), axis=-1) / norm
     dc = np.sign(x[..., :1]) * (np.array((0.0, 1.0, 0.0)) / norm - c * (g / norm ** 2))
     pairs = np.stack((c, 2.0 * dc), axis=-2)[..., :, None] * c[..., None, None, :]
-    values, grads = _phase_polynomial(
-        x[..., None, 1:], pairs.reshape(*x.shape[:-1], 2, DIM * DIM) @ cross)
-    return values[..., 0], np.concatenate((values[..., 1:], grads[..., 0, :]), axis=-1)
+    per_pair = (_phase_terms(x[..., 1:]) @ weights).reshape(*x.shape[:-1], DIM * DIM, 5)
+    out = pairs.reshape(*x.shape[:-1], 2, DIM * DIM) @ per_pair
+    return out[..., 0, 0], np.concatenate((out[..., 1, :1], out[..., 0, 1:]), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaOptimum:
     gamma: float
     s3: float
@@ -459,21 +495,21 @@ def optimize_gamma_family(
 
     Searches over states (|00> + g|11> + |22>)/sqrt(2 + g^2) together with
     the four phase offsets, by one stacked BFGS ascent (``_ascend``) over
-    all restarts on the exact gradient of the phase-family polynomial (one
-    Born-kernel call per solve).
+    all restarts on the exact gradient of the phase-family polynomial,
+    whose weights for this family (``_SCHMIDT_WEIGHTS``) are built at
+    import: a solve makes no Born-kernel call.
     The optimum exceeds the maximal-entanglement value: a non-maximally
     entangled state violates the inequality more.
     """
     _check_solver_inputs(tolerance, restarts)
     rng = np.random.default_rng(seed)
-    cross = _phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM * DIM, -1)
     starts = np.vstack((np.concatenate(([1.0], CANONICAL_OFFSETS)),
                         rng.uniform((0.2, 0.0, 0.0, 0.0, 0.0), (1.5, 3.0, 3.0, 3.0, 3.0),
                                     size=(restarts - 1, 5))))
 
-    best, converged = _best(lambda x: _gamma_s3_gradient(x, cross), starts, tolerance,
+    best, converged = _best(lambda x: _gamma_s3_gradient(x, _SCHMIDT_WEIGHTS), starts, tolerance,
                             maxiter=6000)
-    gamma = abs(best[0])
+    gamma = float(abs(best[0]))
     settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings)
     return GammaOptimum(gamma=gamma, s3=value, settings=settings, converged=converged)

@@ -200,7 +200,7 @@ def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:
 
 def cmd_bell(args) -> list:
     config, mixed, divisor = _bell_setup(args)
-    s3_exact = bell.s3(mixed, bell.canonical_settings())
+    s3_exact = bell.s3(mixed, bell.CANONICAL_SETTINGS)
     result = bell.optimize_s3(mixed, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
     return [

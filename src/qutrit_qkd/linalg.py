@@ -126,7 +126,7 @@ def require_orthonormal(basis: np.ndarray, tol: float = ORTHO_TOL) -> None:
         raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedState:
     """Weighted ensemble of pure bipartite states plus an isotropic part.
 

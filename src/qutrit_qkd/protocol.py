@@ -100,7 +100,7 @@ class PartyConfig:
                 f"setting probabilities must be 3 non-negative reals summing to 1, got {p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EveConfig:
     """Intercept-resend adversary on one arm with a fixed measurement basis."""
 
@@ -119,7 +119,7 @@ class EveConfig:
 
 # The fixed analyzers, rows of settings 1, 2 and 3 stacked (9, 3) per party: the
 # canonical phase bases, B's relabeled 1<->2 as the source form is, then the key basis.
-_BELL = bell.canonical_settings()
+_BELL = bell.CANONICAL_SETTINGS
 _ROWS_A = np.concatenate((_BELL.a1, _BELL.a2, computational_basis()))
 _ROWS_B = np.concatenate((_BELL.b1[:, SWAP_12], _BELL.b2[:, SWAP_12], computational_basis()))
 _ROWS_A.setflags(write=False)
@@ -158,7 +158,7 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
                       white_noise_weight=mixed.white_noise_weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionLaw:
     """One round's exact law, as read-only copies: ``tables[sa - 1, oa, sb - 1, ob]``
     given the setting pair, each party's setting probabilities, ``detection``."""
@@ -205,7 +205,7 @@ def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
     rate is 2/3 of the total uniform-noise weight seen by key rounds.
     Raises if the targets are outside the reachable region.
     """
-    s3_pure = bell.s3(diagonal_state(coefficients), bell.canonical_settings())
+    s3_pure = bell.s3(diagonal_state(coefficients), bell.CANONICAL_SETTINGS)
     visibility = target_s3 / s3_pure
     if not 0.0 < visibility <= 1.0:
         raise ValidationError(

@@ -117,6 +117,21 @@ class TestConfigs:
         assert a.setting_probabilities == (0.25, 0.25, 0.5)
         assert b.setting_probabilities == (0.2, 0.2, 0.6)
 
+    @pytest.mark.parametrize("build", [
+        bell.canonical_settings,
+        lambda: bell.optimize_s3(make_state((1.0, 1.0, 1.0))[:, SWAP_12], restarts=1),
+        lambda: bell.optimize_gamma_family(restarts=1),
+        lambda: MixedState.isotropic(make_state((1.0, 1.0, 1.0)), 0.9),
+        lambda: EveConfig(enabled=True),
+        lambda: protocol.session_law(SourceConfig()),
+    ], ids=["SettingsPair", "OptimizeResult", "GammaOptimum", "MixedState", "EveConfig",
+            "SessionLaw"])
+    def test_array_holders_compare_by_identity(self, build):
+        # value equality over numpy fields is ambiguous: these compare and hash by identity
+        first, second = build(), build()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
 
 class TestAnalyzers:
     """The fixed analyzers: settings 1, 2 and 3 (key) stacked per party."""
