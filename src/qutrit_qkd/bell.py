@@ -321,7 +321,7 @@ def _ascend(objective, starts, tolerance: float, maxiter: int):
     n, d = x0.shape
     h = np.eye(d) / np.maximum(np.linalg.norm(g0, axis=1), 1.0)[:, None, None]
     step, cuts, iterations = np.ones(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    backtracking, unscaled = False, True   # some row is between cuts; before its first step
+    backtracking, unscaled = False, True   # some row is between cuts; has taken no step
     while len(live):
         # a rejected step leaves h and g0 as they were, so p and rise repeat
         p = (h @ g0[:, :, None])[:, :, 0]
@@ -330,12 +330,10 @@ def _ascend(objective, starts, tolerance: float, maxiter: int):
         f1, g1 = objective(x1)
         moved = f1 >= f0 + _ARMIJO * step * rise
         iterations += moved
-        first = None
-        if unscaled:
-            first, unscaled = moved & (iterations == 1), not iterations.all()
         # a step never lowers the value, so max(|f0|, |f1|) = max(f1, -f0)
         done = ((np.abs(g1).max(axis=1) <= tolerance)
                 | (f1 - f0 <= tolerance * 1e-2 * np.maximum(np.maximum(f1, -f0), 1.0)))
+        failed = False
         if backtracking or not moved.all():
             rejected = ~moved
             failed = rejected & (cuts == _BACKTRACKS)
@@ -349,26 +347,23 @@ def _ascend(objective, starts, tolerance: float, maxiter: int):
             # rejected rows stay where they were: s = y = 0 below leaves h as it is
             x1[rejected], f1[rejected], g1[rejected] = x0[rejected], f0[rejected], g0[rejected]
             done &= moved
-            stop = done | failed
-        else:
-            stop = done
         # inverse-Hessian update for minimizing -f: s = x1 - x0, y = g0 - g1;
         # rho = 0 leaves h as it is where the curvature y.s is not above
         # machine epsilon times y.y, L-BFGS-B's test for skipping an update
         s, y = x1 - x0, g0 - g1
         sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
         curved = sy > 2.2e-16 * yy
-        if first is not None and first.any():
-            # after its first step a restart's estimate is the identity scaled by y.s/y.y
+        if unscaled:   # after its first step a restart starts from the identity times y.s/y.y
+            first = moved & (iterations == 1)
             scale = np.divide(sy, yy, out=np.ones_like(sy), where=curved)
             h = np.where(first[:, None, None], np.eye(d) * scale[:, None, None], h)
+            unscaled = not iterations.all()
         hy = (h @ y[:, :, None])[:, :, 0]
         rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
         a = rho[:, None] * s
         v = (rho * (y * hy).sum(axis=1) + 1.0)[:, None] * s - hy
         h += a[:, :, None] * v[:, None, :] - hy[:, :, None] * a[:, None, :]
-        if iterations.max() >= maxiter:
-            stop = stop | (iterations == maxiter)
+        stop = done | failed | (iterations == maxiter)
         if stop.any():
             x[live[stop]], f[live[stop]] = x1[stop], f1[stop]
             converged[live[done]] = True
