@@ -23,6 +23,7 @@ from .linalg import (
     born_tables,
     diagonal_state,
     phase_rows,
+    require_integer,
     require_orthonormal,
 )
 
@@ -69,17 +70,19 @@ def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
         x = None
     if x is None or x.shape != (4,) or not np.all(np.isfinite(x)):
         raise ValidationError(f"offsets must be 4 finite reals (a1, a2, b1, b2), got {offsets!r}")
-    return _settings_from_rows(*_phase_family_rows(x))
+    return SettingsPair(*_phase_bases(x))
 
 
-def _phase_family_rows(offsets) -> tuple[np.ndarray, np.ndarray]:
-    return phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:4])
+def _phase_bases(offsets) -> np.ndarray:
+    """The (4, 3, 3) stack of phase bases (a1, a2, b1, b2) at those offsets."""
+    rows = (phase_rows("A", offsets[:2]), phase_rows("B", offsets[2:4]))
+    return np.concatenate(rows).reshape(4, DIM, DIM)
 
 
 # The canonical bases (a1, a2, b1, b2), built once and read-only: the
 # protocol's analyzers, the exact S3 that ``cli bell`` reports and the unitary
 # family's base.
-_CANONICAL_BASES = np.concatenate(_phase_family_rows(CANONICAL_OFFSETS)).reshape(4, DIM, DIM)
+_CANONICAL_BASES = _phase_bases(CANONICAL_OFFSETS)
 _CANONICAL_BASES.setflags(write=False)
 CANONICAL_SETTINGS = SettingsPair(*_CANONICAL_BASES)
 
@@ -147,25 +150,12 @@ def _unitaries(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
 
 
-def _unitary_family_rows(params, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 8 parameters per basis, perturbing the (4, 3, 3) stack of base bases
-    # (a1, a2, b1, b2); the map exp(iH) U0 still ranges over all of U(3).
-    bases = _unitaries(np.reshape(params, (4, 8)))[0] @ base
-    return bases[:2].reshape(2 * DIM, DIM), bases[2:].reshape(2 * DIM, DIM)
-
-
-def _settings_from_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> SettingsPair:
-    return SettingsPair(a1=rows_a[:DIM], a2=rows_a[DIM:], b1=rows_b[:DIM], b2=rows_b[DIM:])
-
-
-def _check_solver_inputs(tolerance: float, restarts: int) -> None:
+def _check_solver_inputs(tolerance: float, restarts: int, seed: int) -> None:
     # a relative tolerance is below 1
     if not (0 < tolerance < 1):
         raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
-    if (isinstance(restarts, (bool, np.bool_)) or not isinstance(restarts, (int, np.integer))
-            or not 1 <= restarts <= MAX_RESTARTS):
-        raise ValidationError(
-            f"restarts must be an integer from 1 to {MAX_RESTARTS}, got {restarts!r}")
+    require_integer("restarts", restarts, 1, MAX_RESTARTS)
+    require_integer("seed", seed, 0)
 
 
 # In the phase family, level j of a row at offset t is its offset-0 entry times
@@ -251,10 +241,11 @@ def _phase_polynomial(offsets, weights):
     return out[..., 0], out[..., 1:]
 
 
-def _unitary_s3_gradient(params, base, psis, weights):
+def _unitary_s3_gradient(params, psis, weights):
     """S3 of ``psis`` mixed by ``weights`` at the bases exp(iH_q) base_q,
-    q = a1, a2, b1, b2, with its gradient in the 32 ``params`` (8 per H_q),
-    for a stack of params (..., 32): values (...) and gradients (..., 32).
+    q = a1, a2, b1, b2, with base ``_CANONICAL_BASES`` (exp(iH) base still
+    ranges over all of U(3)), and its gradient in the 32 ``params`` (8 per
+    H_q), for a stack of params (..., 32): values (...) and gradients (..., 32).
 
     One kernel call on the whole stack, with the identity appended to each
     side's rows (..., 1, 9, 3), yields the amplitudes amp (..., m, 6, 6) and
@@ -270,7 +261,8 @@ def _unitary_s3_gradient(params, base, psis, weights):
     """
     stack = np.shape(params)[:-1]
     u, w, v = _unitaries(np.reshape(params, (*stack, 4, 8)))
-    rows = (u @ base).reshape(*stack, 1, 4 * DIM, DIM)   # the 1 broadcasts over the states
+    # the 1 broadcasts over the states
+    rows = (u @ _CANONICAL_BASES).reshape(*stack, 1, 4 * DIM, DIM)
     n = 2 * DIM
     eye = np.broadcast_to(_EYE, (*stack, 1, DIM, DIM))
     amps = born_amplitudes(np.concatenate((rows[..., :n, :], eye), axis=-2),
@@ -285,7 +277,7 @@ def _unitary_s3_gradient(params, base, psis, weights):
     spread = w[..., :, None] - w[..., None, :]
     mean = (w[..., :, None] + w[..., None, :]) / 2.0
     divided = 1j * np.exp(1j * mean) * np.sinc(spread / (2.0 * np.pi))
-    k = v @ (divided.conj() * (vh @ x @ base.conj().swapaxes(-1, -2) @ v)) @ vh
+    k = v @ (divided.conj() * (vh @ x @ _CANONICAL_BASES.conj().swapaxes(-1, -2) @ v)) @ vh
     grad = (k.reshape(*stack, 4, DIM * DIM) @ _GELL_MANN.reshape(8, DIM * DIM).conj().T).real
     return values, grad.reshape(*stack, 32)
 
@@ -414,29 +406,27 @@ def optimize_s3(
     ``diagonal_state(c)`` = ``make_state(c)[:, SWAP_12]``: on the source
     form ``make_state(c)`` it returns S3 = 0 up to rounding, converged.
     """
-    _check_solver_inputs(tolerance, restarts)
+    _check_solver_inputs(tolerance, restarts, seed)
     if family not in ("phase", "unitary"):
         raise ValidationError(f"unknown settings family {family!r}")
     mixed = as_mixture(state)
     rng = np.random.default_rng(seed)
 
     if family == "phase":
-        rows = _phase_family_rows
         starts = np.vstack((CANONICAL_OFFSETS, rng.uniform(0.0, 3.0, size=(restarts - 1, 4))))
         weights = _phase_weights(_phase_coefficients(mixed))
 
         def objective(x):
             return _phase_polynomial(x, weights)
     else:
-        def rows(x):
-            return _unitary_family_rows(x, _CANONICAL_BASES)
         starts = np.vstack((np.zeros(32), rng.normal(scale=0.6, size=(restarts - 1, 32))))
 
         def objective(x):
-            return _unitary_s3_gradient(x, _CANONICAL_BASES, mixed.psis, mixed.weights)
+            return _unitary_s3_gradient(x, mixed.psis, mixed.weights)
 
     best_x, converged = _best(objective, starts, tolerance, maxiter=4000)
-    settings = _settings_from_rows(*rows(best_x))
+    settings = (canonical_settings(best_x) if family == "phase"
+                else SettingsPair(*(_unitaries(best_x.reshape(4, 8))[0] @ _CANONICAL_BASES)))
     return OptimizeResult(
         settings=settings,
         s3=s3(mixed, settings),
@@ -453,13 +443,13 @@ _SCHMIDT_WEIGHTS = _phase_weights(_phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM
 _SCHMIDT_WEIGHTS.setflags(write=False)
 
 
-def _gamma_s3_gradient(x, weights):
+def _gamma_s3_gradient(x):
     """S3 of c = (1, g, 1)/sqrt(2 + g^2) on |00>, |11>, |22> at phase offsets,
     for x = (g, a1, a2, b1, b2) (..., 5), and its gradient in x.
 
-    ``weights`` is ``_SCHMIDT_WEIGHTS``: the phase terms times it give the
-    value and offset gradient of each Schmidt pair's polynomial, and S3 is
-    their sum weighted by c (x) c.  The real sum over frequencies of a pair
+    The phase terms times ``_SCHMIDT_WEIGHTS`` give the value and offset
+    gradient of each Schmidt pair's polynomial, and S3 is their sum
+    weighted by c (x) c.  The real sum over frequencies of a pair
     (s, t)'s polynomial is symmetric in (s, t), so S3's derivative along
     dc = dc/dg is the same sum weighted by 2 dc (x) c.
     """
@@ -468,7 +458,7 @@ def _gamma_s3_gradient(x, weights):
     c = np.concatenate((np.ones_like(g), g, np.ones_like(g)), axis=-1) / norm
     dc = np.sign(x[..., :1]) * (np.array((0.0, 1.0, 0.0)) / norm - c * (g / norm ** 2))
     pairs = np.stack((c, 2.0 * dc), axis=-2)[..., :, None] * c[..., None, None, :]
-    per_pair = (_phase_terms(x[..., 1:]) @ weights).reshape(*x.shape[:-1], DIM * DIM, 5)
+    per_pair = (_phase_terms(x[..., 1:]) @ _SCHMIDT_WEIGHTS).reshape(*x.shape[:-1], DIM * DIM, 5)
     out = pairs.reshape(*x.shape[:-1], 2, DIM * DIM) @ per_pair
     return out[..., 0, 0], np.concatenate((out[..., 1, :1], out[..., 0, 1:]), axis=-1)
 
@@ -496,14 +486,13 @@ def optimize_gamma_family(
     The optimum exceeds the maximal-entanglement value: a non-maximally
     entangled state violates the inequality more.
     """
-    _check_solver_inputs(tolerance, restarts)
+    _check_solver_inputs(tolerance, restarts, seed)
     rng = np.random.default_rng(seed)
     starts = np.vstack((np.concatenate(([1.0], CANONICAL_OFFSETS)),
                         rng.uniform((0.2, 0.0, 0.0, 0.0, 0.0), (1.5, 3.0, 3.0, 3.0, 3.0),
                                     size=(restarts - 1, 5))))
 
-    best, converged = _best(lambda x: _gamma_s3_gradient(x, _SCHMIDT_WEIGHTS), starts, tolerance,
-                            maxiter=6000)
+    best, converged = _best(_gamma_s3_gradient, starts, tolerance, maxiter=6000)
     gamma = float(abs(best[0]))
     settings = canonical_settings(best[1:])
     value = s3(diagonal_state((1.0, gamma, 1.0)), settings)

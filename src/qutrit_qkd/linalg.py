@@ -9,6 +9,7 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,6 @@ DIM = 3
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
-
-
-class InvalidStateError(ValidationError):
-    """State construction from degenerate inputs (e.g. all-zero coefficients)."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -57,7 +54,7 @@ def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
         unit, divisor = normalize_coefficients(c / c.max())
         return unit, float(c.max()) * divisor
     if norm == 0.0:
-        raise InvalidStateError("all-zero coefficients do not define a state")
+        raise ValidationError("all-zero coefficients do not define a state")
     return c / norm, norm
 
 
@@ -85,11 +82,21 @@ def state_norm_sq(state: np.ndarray) -> float:
     return float(np.sum(np.abs(state) ** 2))
 
 
-def require_normalized(state: np.ndarray, tol: float = NORM_TOL) -> None:
-    if not (abs(state_norm_sq(state) - 1.0) <= tol):
-        raise ValidationError(
-            f"state norm^2 = {state_norm_sq(state):.15f} deviates from 1 by more than {tol}"
-        )
+def require_normalized(state: np.ndarray) -> None:
+    if not (abs(state_norm_sq(state) - 1.0) <= NORM_TOL):
+        raise ValidationError(f"state norm^2 = {state_norm_sq(state):.15f} deviates from 1 "
+                              f"by more than {NORM_TOL}")
+
+
+def require_integer(name: str, value, least: int, most: float = np.inf) -> int:
+    """``value`` as an int if it is an integer from ``least`` to ``most``
+    (numpy's too, not a bool); else ``ValidationError`` naming ``name``."""
+    if (isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__")
+            or not least <= operator.index(value) <= most):
+        wording = (f"an integer from {least} to {most}" if most < np.inf
+                   else "a positive integer" if least else "a non-negative integer")
+        raise ValidationError(f"{name} must be {wording}, got {value!r}")
+    return operator.index(value)
 
 
 def computational_basis() -> np.ndarray:
@@ -120,10 +127,13 @@ def orthonormality_residual(basis: np.ndarray) -> float:
     return float(np.max(np.abs(b @ b.conj().T - np.eye(DIM))))
 
 
-def require_orthonormal(basis: np.ndarray, tol: float = ORTHO_TOL) -> None:
+def require_orthonormal(basis: np.ndarray) -> None:
+    shape = np.shape(basis)
+    if shape != (DIM, DIM):
+        raise ValidationError(f"basis must be 3x3, got shape {shape}")
     r = orthonormality_residual(basis)
-    if not (r <= tol):
-        raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {tol}")
+    if not (r <= ORTHO_TOL):
+        raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {ORTHO_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +180,6 @@ class MixedState:
         if visibility == 0.0:
             return cls(components=(), white_noise_weight=1.0)
         return cls(components=((visibility, state),), white_noise_weight=1.0 - visibility)
-
-    @classmethod
-    def white(cls) -> "MixedState":
-        return cls(components=(), white_noise_weight=1.0)
 
 
 def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ it, ``sift`` counts it with one ``bincount``, the transcript codec writes it.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .linalg import (
     computational_basis,
     diagonal_state,
     make_state,
+    require_integer,
     require_orthonormal,
 )
 
@@ -288,14 +288,10 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
     probabilities.  Chunking does not change the draws: identical
     seeds and configurations reproduce the session bit for bit.  ``n_rounds``
     must be a positive and ``seed`` a non-negative integer (numpy integers
-    too); both are checked before any table is built.
+    too, bools not); both are checked before any table is built.
     """
-    for name, value, least in (("n_rounds", n_rounds, 1), ("seed", seed, 0)):
-        if not hasattr(value, "__index__") or operator.index(value) < least:
-            wording = "positive" if least else "non-negative"
-            raise ValidationError(f"{name} must be a {wording} integer, got {value!r}")
-    return _sample_chunks(operator.index(n_rounds), operator.index(seed),
-                          session_law(source, eve, a, b))
+    return _sample_chunks(require_integer("n_rounds", n_rounds, 1),
+                          require_integer("seed", seed, 0), session_law(source, eve, a, b))
 
 
 def _count_below(thresholds, pair, u) -> np.ndarray:
@@ -460,6 +456,8 @@ def sift(rounds: Rounds) -> Sifted:
 def _count_tensors(counts) -> np.ndarray:
     """``counts`` as floats, each checked to be a finite, non-negative integer."""
     given = np.asarray(counts)
+    if given.dtype.kind not in "biuf":
+        raise ValidationError(f"counts must be bool, integer or real, got dtype {given.dtype}")
     c = given.astype(float)
     if c.shape[-4:] != (DIM, DIM, DIM, DIM):
         raise ValidationError(f"count tensor must have shape (..., 3, 3, 3, 3), got {c.shape}")

@@ -62,7 +62,7 @@ class TestOutcomeDistribution:
     """One setting pair's table, read through ``SettingsPair.tables``."""
 
     def test_white(self):
-        table = pair_table(MixedState.white(),
+        table = pair_table(MixedState(white_noise_weight=1.0),
                            computational_basis(), computational_basis())
         assert np.allclose(table, 1 / 9)
 
@@ -133,8 +133,9 @@ class TestS3Exact:
 
     def test_white_state_zero(self):
         rng = np.random.default_rng(3)
-        assert s3(MixedState.white(), canonical_settings()) == pytest.approx(0.0, abs=1e-12)
-        assert s3(MixedState.white(), random_settings(rng)) == pytest.approx(0.0, abs=1e-12)
+        white = MixedState(white_noise_weight=1.0)
+        assert s3(white, canonical_settings()) == pytest.approx(0.0, abs=1e-12)
+        assert s3(white, random_settings(rng)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("visibility", [0.25, 0.5, 0.75])
     def test_visibility_scaling(self, visibility):
@@ -310,7 +311,7 @@ class TestAnalyticGradients:
         rng = np.random.default_rng(43)
         for _ in range(20):
             x = np.concatenate((rng.uniform(0.1, 2.0, 1), rng.uniform(-3, 3, 4)))
-            value, grad = bell._gamma_s3_gradient(x, bell._SCHMIDT_WEIGHTS)
+            value, grad = bell._gamma_s3_gradient(x)
             assert value == pytest.approx(closed_form(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(closed_form, x))) <= 1e-6
 
@@ -324,8 +325,8 @@ class TestAnalyticGradients:
                            white_noise_weight=0.15)
 
         def kernel_value(x):
-            return kernel_s3(*bell._unitary_family_rows(x, base), mixed.psis,
-                             mixed.weights, mixed.white_noise_weight)
+            rows = (bell._unitaries(x.reshape(4, 8))[0] @ base).reshape(2, 6, 3)
+            return kernel_s3(*rows, mixed.psis, mixed.weights, mixed.white_noise_weight)
 
         rng = np.random.default_rng(44)
         stack = np.vstack([np.zeros(32)] + [rng.normal(scale=0.8, size=32) for _ in range(5)])
@@ -338,11 +339,11 @@ class TestAnalyticGradients:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bell, "born_amplitudes", counting_kernel)
-            values, grads = bell._unitary_s3_gradient(stack, base, mixed.psis, mixed.weights)
+            values, grads = bell._unitary_s3_gradient(stack, mixed.psis, mixed.weights)
         assert len(calls) == 1
         assert values.shape == (6,) and grads.shape == (6, 32)
         for x, value, grad in zip(stack, values, grads):
-            alone, alone_grad = bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights)
+            alone, alone_grad = bell._unitary_s3_gradient(x, mixed.psis, mixed.weights)
             assert value == alone and np.array_equal(grad, alone_grad)
             assert value == pytest.approx(kernel_value(x), abs=1e-12)
             assert np.max(np.abs(grad - central_difference(kernel_value, x))) <= 1e-8
@@ -379,7 +380,7 @@ class TestPhasePolynomial:
             assert np.max(np.abs(grad - expected)) <= 1e-6
 
     def test_zero_components_give_zero(self):
-        coefficients = bell._phase_coefficients(MixedState.white())
+        coefficients = bell._phase_coefficients(MixedState(white_noise_weight=1.0))
         assert coefficients.shape == (100,)
         assert np.all(coefficients == 0.0)
         value, grad = bell._phase_polynomial(np.array(CANONICAL_OFFSETS),
@@ -497,12 +498,23 @@ class TestOptimizer:
                                         {"tolerance": float("nan")},
                                         {"tolerance": float("inf")},
                                         {"tolerance": 1e300}, {"tolerance": 1.0},
-                                        {"restarts": True}, {"restarts": np.bool_(True)}])
+                                        {"restarts": True}, {"restarts": np.bool_(True)},
+                                        {"seed": -1}, {"seed": 1.5}, {"seed": "3"},
+                                        {"seed": True}, {"seed": np.int64(-2)}])
     def test_bad_solver_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             optimize_s3(diagonal_state((1.0, 1.0, 1.0)), **kwargs)
         with pytest.raises(ValidationError):
             optimize_gamma_family(**kwargs)
+
+    def test_numpy_integer_seed(self):
+        state = diagonal_state((1.0, 0.7, 0.4))
+        for family in ("phase", "unitary"):
+            ours = optimize_s3(state, family=family, seed=np.int64(3), restarts=3)
+            assert np.array_equal(ours.params,
+                                  optimize_s3(state, family=family, seed=3, restarts=3).params)
+        gamma = optimize_gamma_family(seed=np.uint8(3), restarts=3)
+        assert gamma.gamma == optimize_gamma_family(seed=3, restarts=3).gamma
 
     def test_raw_objective_matches_validated_value(self):
         # the optimizer's unvalidated evaluation and the validated re-evaluation
@@ -605,7 +617,7 @@ class TestAscent:
 
     @staticmethod
     def gamma_objective():
-        return lambda x: bell._gamma_s3_gradient(x, bell._SCHMIDT_WEIGHTS)
+        return bell._gamma_s3_gradient
 
     @pytest.mark.parametrize("seed", [61, 62, 63, 64])
     def test_phase_solve_reaches_lbfgsb_best(self, seed):
@@ -626,8 +638,7 @@ class TestAscent:
                  rng.uniform((0.2, 0.0, 0.0, 0.0, 0.0), (1.5, 3.0, 3.0, 3.0, 3.0), size=(6, 5)),
                  1e-8)
         mixed = MixedState.pure(diagonal_state((0.642, 0.546, 0.539)))
-        base = np.concatenate(bell._phase_family_rows(CANONICAL_OFFSETS)).reshape(4, 3, 3)
-        unitary = (lambda x: bell._unitary_s3_gradient(x, base, mixed.psis, mixed.weights),
+        unitary = (lambda x: bell._unitary_s3_gradient(x, mixed.psis, mixed.weights),
                    rng.normal(scale=0.6, size=(3, 32)), 1e-5)
         for objective, starts, tolerance in (phase, gamma, unitary):
             x, values, converged = bell._ascend(objective, starts, tolerance, 4000)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from dataclasses import fields
@@ -8,6 +9,7 @@ import pytest
 from qutrit_qkd import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "qutrit_qkd"
 MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "transcript", "trits",
            "tritcrypt")
 
@@ -35,3 +37,26 @@ def test_recognized_keys_match_config_parsers():
     text = README.read_text().split("Recognized keys:", 1)[1].split(".\n", 1)[0]
     keys = re.findall(r"`(\w+)`", text)
     assert keys == [f.name for f in fields(cli.RunConfig)]
+
+
+def test_no_dead_private_names():
+    """Every module-level private function, class or constant of the package
+    is read somewhere in it, so no helper outlives its last caller."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            defined |= {(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert len(defined) >= 90
+    assert sorted(f"{module}.{name}" for module, name in defined if name not in loaded) == []

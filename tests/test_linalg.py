@@ -4,7 +4,6 @@ import pytest
 from qutrit_qkd.bell import SettingsPair
 from qutrit_qkd.linalg import (
     SWAP_12,
-    InvalidStateError,
     MixedState,
     ValidationError,
     born_amplitudes,
@@ -47,7 +46,7 @@ class TestMakeState:
         assert divisor ** 2 == pytest.approx(1.000801, rel=1e-6)
 
     def test_zero_coefficients_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValidationError, match="all-zero"):
             make_state((0.0, 0.0, 0.0))
 
     def test_negative_coefficients_rejected(self):
@@ -125,9 +124,10 @@ class TestJointProbability:
     def test_white_uniform(self):
         rng = np.random.default_rng(5)
         basis_a, basis_b = random_basis(rng), random_basis(rng)
+        white = MixedState(white_noise_weight=1.0)
         for k in range(3):
             for l in range(3):
-                p = joint_probability(MixedState.white(), basis_a, k, basis_b, l)
+                p = joint_probability(white, basis_a, k, basis_b, l)
                 assert p == pytest.approx(1 / 9, abs=1e-12)
 
     def test_computational_eigenstate(self):
@@ -219,7 +219,7 @@ class TestBornTables:
 
     def test_white_only_mixtures(self):
         rng = np.random.default_rng(22)
-        white = MixedState.white()
+        white = MixedState(white_noise_weight=1.0)
         assert white.psis.shape == (0, 3, 3) and white.weights.shape == (0,)
         for n_a, n_b in [(1, 1), (2, 3), (3, 2)]:
             bases_a = [random_basis(rng) for _ in range(n_a)]

@@ -112,6 +112,18 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             EveConfig(enabled=True, basis=np.full((3, 3), np.nan, dtype=complex))
 
+    @pytest.mark.parametrize("basis", [np.ones((2, 3)), np.eye(2), np.eye(4)[:3], np.ones(3)],
+                             ids=["2x3", "2x2", "3x4-orthonormal-rows", "vector"])
+    @pytest.mark.parametrize("build", [
+        lambda basis: bell.SettingsPair(basis, np.eye(3), np.eye(3), np.eye(3)),
+        lambda basis: EveConfig(enabled=True, basis=basis),
+    ], ids=["SettingsPair", "EveConfig"])
+    def test_basis_shape_checked(self, build, basis):
+        # three orthonormal rows of length 4 pass the residual test alone
+        with pytest.raises(ValidationError, match="basis must be 3x3, got shape") as info:
+            build(basis)
+        assert str(basis.shape) in str(info.value)
+
     def test_biased_parties(self):
         a, b = PartyConfig((0.25, 0.25, 0.5)), PartyConfig((0.2, 0.2, 0.6))
         assert a.setting_probabilities == (0.25, 0.25, 0.5)
@@ -245,7 +257,7 @@ class TestPostEveMixture:
 
     def test_white_noise_invariant(self):
         eve = EveConfig(enabled=True, arm="B")
-        mixed = post_eve_mixture(MixedState.white(), eve)
+        mixed = post_eve_mixture(MixedState(white_noise_weight=1.0), eve)
         assert mixed.white_noise_weight == 1.0
         assert len(mixed.components) == 0
 
@@ -272,6 +284,8 @@ class TestRunSession:
         (300, 1.5, "seed must be a non-negative integer, got 1.5"),
         (300, np.int64(-2), "seed must be a non-negative integer, got "),
         (np.int64(300), np.uint8(5), None),
+        (True, 0, "n_rounds must be a positive integer, got True"),
+        (300, True, "seed must be a non-negative integer, got True"),
     ])
     def test_arguments_checked_before_any_table(self, monkeypatch, entry, n_rounds, seed,
                                                 message):
@@ -442,6 +456,17 @@ class TestEstimateS3:
                 estimate_s3(given)
             with pytest.raises(ValidationError, match="non-negative integer"):
                 qter(given)
+
+    @pytest.mark.parametrize("counts", [np.full((3, 3, 3, 3), "2"), np.full((3, 3, 3, 3), b"2"),
+                                        np.full((3, 3, 3, 3), 2 + 0j),
+                                        np.full((3, 3, 3, 3), 2, dtype=object)],
+                             ids=["str", "bytes", "complex", "object"])
+    def test_count_dtype_checked(self, counts):
+        # refused before any cast: strings would parse, complex lose its imaginary part
+        for given in (counts, np.stack((counts, counts))):
+            for estimator in (estimate_s3, qter):
+                with pytest.raises(ValidationError, match=f"got dtype {counts.dtype}"):
+                    estimator(given)
 
     def test_estimator_algebra_all_positive_cells(self):
         # counts placed only on each pair's positive-coefficient cells give
