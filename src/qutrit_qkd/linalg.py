@@ -131,6 +131,9 @@ def require_orthonormal(basis: np.ndarray) -> None:
     shape = np.shape(basis)
     if shape != (DIM, DIM):
         raise ValidationError(f"basis must be 3x3, got shape {shape}")
+    dtype = np.asarray(basis).dtype
+    if dtype.kind not in "biufc":
+        raise ValidationError(f"basis must hold numbers, got dtype {dtype}")
     r = orthonormality_residual(basis)
     if not (r <= ORTHO_TOL):
         raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {ORTHO_TOL}")

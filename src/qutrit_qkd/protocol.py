@@ -12,8 +12,9 @@ intercept-resend eavesdropper is applied as an exact post-measurement
 ensemble before sampling, never as an outcome heuristic.
 
 A round is one uint8 code, 10 * (3 * (setting_a - 1) + setting_b - 1) plus
-3 * outcome_a + outcome_b, or 9 if undetected (``Rounds``): the sampler emits
-it, ``sift`` counts it with one ``bincount``, the transcript codec writes it.
+3 * outcome_a + outcome_b, or 9 if undetected, and a chunk of rounds is a 1-D
+array of codes: the sampler emits it, ``sift`` counts it with one ``bincount``,
+the transcript codec writes it.  A round's id is its position in the session.
 """
 
 from __future__ import annotations
@@ -237,22 +238,6 @@ def reference_source() -> SourceConfig:
 # Sampling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Rounds:
-    """A chunk of rounds: ``round_id`` (int64) and ``code`` (uint8), one per round.
-
-    ``code = 10 * (3 * (setting_a - 1) + (setting_b - 1)) + o``, where ``o`` is
-    ``3 * outcome_a + outcome_b`` if detected and 9 if not: 0 to 89, decoded
-    by ``CODE_FIELDS``.  It is the transcript writer's line-tail index too.
-    """
-
-    round_id: np.ndarray
-    code: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.round_id)
-
-
 # The fields of the 90 round codes, rows in transcript order: setting_a,
 # outcome_a, setting_b, outcome_b (-1 when undetected) and detected (0 or 1).
 _pair, _o = np.divmod(np.arange(90), 10)
@@ -280,8 +265,8 @@ _BUCKET_MIN_ROUNDS = 1 << 14
 
 
 def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
-                 a: PartyConfig, b: PartyConfig, seed: int) -> Iterator[Rounds]:
-    """A seeded measurement session as ``Rounds`` chunks of at most 65536 rounds.
+                 a: PartyConfig, b: PartyConfig, seed: int) -> Iterator[np.ndarray]:
+    """A seeded measurement session as uint8 round-code chunks of at most 65536 rounds.
 
     Each round's settings, detection and outcomes are drawn from the exact
     ``session_law(source, eve, a, b)``; ``a`` and ``b`` give the setting
@@ -322,7 +307,7 @@ def _bucket_table(thresholds) -> np.ndarray:
     return table.ravel()
 
 
-def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[Rounds]:
+def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[np.ndarray]:
     cdf_a, cdf_b = (c / c[-1] for c in (law.settings_a.cumsum(), law.settings_b.cumsum()))
     # row k holds every setting pair's k-th cumulative outcome probability
     cdf = np.cumsum(law.tables.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
@@ -364,7 +349,7 @@ def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[Rounds]:
             idx[draw(2) >= law.detection] = 9
         pair *= 10
         idx += pair
-        yield Rounds(round_id=np.arange(lo, lo + m, dtype=np.int64), code=idx.view(np.uint8))
+        yield idx.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +421,27 @@ class Sifted:
         return self.n_detected - self.n_key - self.n_bell
 
 
-def sift(rounds: Rounds) -> Sifted:
-    """Count tensor and both keys of a session (see ``Party.sift_masks``): the
-    codes' histogram as [sa - 1, sb - 1, o], undetected o = 9 cut, transposed.
-    A code of 90 or more lengthens the histogram and is refused.  Key rounds
-    are the one run of codes the sifting rule keeps (80 to 88), found with one
-    uint8 range compare, ``code - _KEY_LO < _KEY_WIDTH``."""
-    hist = np.bincount(rounds.code, minlength=90)
+def sift(code) -> Sifted:
+    """Count tensor and both keys of an array of round codes (see
+    ``Party.sift_masks``): the codes' histogram as [sa - 1, sb - 1, o],
+    undetected o = 9 cut, transposed.  Codes must be integers; a negative one
+    is refused first, and one of 90 or more lengthens the histogram and is
+    refused.  Key rounds are the one run of codes the sifting rule keeps (80
+    to 88), found with one uint8 range compare, ``code - _KEY_LO < _KEY_WIDTH``."""
+    code = np.asarray(code)
+    if code.dtype.kind not in "iu":
+        raise ValidationError(f"round codes must be integers, got dtype {code.dtype}")
+    if code.dtype.kind == "i" and code.size and code.min() < 0:
+        raise ValidationError(f"round code {code.min()} is not from 0 to 89")
+    hist = np.bincount(code, minlength=90)
     if len(hist) > 90:
         raise ValidationError(f"round code {len(hist) - 1} is not from 0 to 89")
     counts = hist.reshape(DIM, DIM, 10)[..., :9].reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3)
     # indices, not a mask: key rounds are sparse.  The difference is taken in
     # uint8 whatever the codes' integer dtype, so codes below the run wrap above it.
-    is_key = np.subtract(rounds.code, _KEY_LO, dtype=np.uint8, casting="unsafe") < _KEY_WIDTH
-    codes = rounds.code.take(np.flatnonzero(is_key))
-    return Sifted(counts=counts, key_a=_KEY_A.take(codes), key_b=_KEY_B.take(codes))
+    is_key = np.subtract(code, _KEY_LO, dtype=np.uint8, casting="unsafe") < _KEY_WIDTH
+    key = code.take(np.flatnonzero(is_key))
+    return Sifted(counts=counts, key_a=_KEY_A.take(key), key_b=_KEY_B.take(key))
 
 
 def _count_tensors(counts) -> np.ndarray:
@@ -543,19 +534,19 @@ class SessionResult(Sifted, SecurityReport):
         return self.n_key / n, self.n_bell / n, self.n_discarded / n
 
 
-def analyze(chunks: Iterable[Rounds]) -> SessionResult:
+def analyze(chunks: Iterable[np.ndarray]) -> SessionResult:
     """Sift a session chunk by chunk, then estimate S3, the QTER and the verdict.
 
-    ``chunks`` is an iterable of ``Rounds`` in round order; each is sifted
-    once and dropped, keeping only the count tensor and the keys.
+    ``chunks`` is an iterable of round-code arrays in round order; each is
+    sifted once and dropped, keeping only the count tensor and the keys.
     """
     counts = np.zeros((DIM, DIM, DIM, DIM), dtype=np.int64)
     n = 0
     keys_a, keys_b = [], []
-    for rounds in chunks:
-        sifted = sift(rounds)
+    for code in chunks:
+        sifted = sift(code)
         counts += sifted.counts
-        n += len(rounds)
+        n += len(code)
         keys_a.append(sifted.key_a)
         keys_b.append(sifted.key_b)
     if n == 0:

@@ -9,9 +9,11 @@ Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
 lines whose first field starts with '#' are skipped; '# key = value' lines
 anywhere form the header.
 
-A round is its ``protocol.Rounds`` code: the writer renders row ``code`` of
-its 90 line tails, and the reader turns each row's validated fields back
-into that code.  The writer's layout is the id's digits, then
+A round is its ``protocol`` round code, and a chunk of rounds an array of
+codes: the writer renders row ``code`` of its 90 line tails, and the reader
+turns each row's validated fields back into that code.  The writer numbers
+the rounds by their positions in the session, 0 to n - 1; the reader accepts
+any ids the grammar allows.  The writer's layout is the id's digits, then
 ``" c c c c c"`` and a newline: single spaces, lines 11 to 28 bytes long and
 never shorter than the line before.  Both directions work chunk by chunk and
 see a run of lines of one length as fixed-width records of whole fields,
@@ -30,11 +32,10 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .linalg import ValidationError
-from .protocol import CODE_FIELDS, Rounds
+from .protocol import CODE_FIELDS
 
 _READ_BLOCK_BYTES = 1 << 18
 _MAX_ID_DIGITS = 18                 # every such id fits in an int64
-_ID_LIMIT = 10 ** _MAX_ID_DIGITS
 _DASH = ord("-")
 
 _IS_SOLID = np.ones(256, dtype=bool)
@@ -105,17 +106,6 @@ def _faults(ids, id_ok, prev_id, values) -> np.ndarray:
 # Writing
 # ---------------------------------------------------------------------------
 
-def _unwritable(ids, code, prev_id) -> tuple:
-    """(row, message) for the first round the reader would reject: an id out
-    of range or not above the one before, or a code outside 0 to 89."""
-    faults = np.stack(((ids < 0) | (ids >= _ID_LIMIT), (code < 0) | (code >= 90),
-                       ids <= np.concatenate(([prev_id], ids[:-1]))))
-    row = int(faults.any(axis=0).argmax())
-    message = (_FAULTS[0].format(str(ids[row])), f"round code {code[row]} is not from 0 to 89",
-               _FAULTS[-1].format(ids[row], prev=ids[row - 1] if row else prev_id))
-    return row, message[int(faults[:, row].argmax())]
-
-
 def _record(width: int) -> np.dtype:
     """The writer's line for a ``width``-digit id as a record of whole fields.
 
@@ -160,32 +150,34 @@ def _write_rows(fh, ids: np.ndarray, code: np.ndarray) -> None:
         lo = hi
 
 
-def transcribe(path, chunks: Iterable[Rounds],
-               header: dict | None = None) -> Iterator[Rounds]:
-    """Write a session to a transcript file as its chunks pass through.
+def transcribe(path, chunks: Iterable[np.ndarray],
+               header: dict | None = None) -> Iterator[np.ndarray]:
+    """Write a session's round-code chunks to a transcript file as they pass through.
 
-    Yields each ``Rounds`` chunk once its lines are written, so a session
-    can be written and analyzed in one pass; the file is complete when the
-    iteration ends.  Header lines are '# key = value'.  Rounds that the
-    reader would reject raise ValidationError naming the round's index in
-    the session; the lines of earlier chunks are already written by then.
+    Yields each chunk once its lines are written, so a session can be
+    written and analyzed in one pass; the file is complete when the
+    iteration ends.  Header lines are '# key = value'.  A round's id is its
+    index in the session.  Codes must be integers from 0 to 89, else
+    ValidationError, naming the round's index for a code out of range; the
+    lines of earlier chunks are already written by then.
     """
     with open(path, "wb") as fh:
         fh.write("".join(f"# {key} = {value}\n"
                          for key, value in (header or {}).items()).encode())
-        prev_id, base = -1, 0
-        for rounds in chunks:
-            if len(rounds):
-                ids = rounds.round_id.astype(np.int64, copy=False)
-                code = rounds.code.astype(np.intp)     # the index type of ``take``
-                if not (0 <= code.min() and code.max() < 90 and prev_id < ids[0]
-                        and ids[-1] < _ID_LIMIT and (ids[1:] > ids[:-1]).all()):
-                    row, message = _unwritable(ids, code, prev_id)
-                    raise ValidationError(f"{path}: round index {base + row}: {message}")
-                _write_rows(fh, ids, code)
-                prev_id = ids[-1]
-            base += len(rounds)
-            yield rounds
+        base = 0
+        for chunk in chunks:
+            given = np.asarray(chunk)
+            if given.dtype.kind not in "iu":
+                raise ValidationError(f"{path}: round codes must be integers, "
+                                      f"got dtype {given.dtype}")
+            code = given.astype(np.intp)                # the index type of ``take``
+            if len(code) and not (0 <= code.min() and code.max() < 90):
+                row = int(((code < 0) | (code >= 90)).argmax())
+                raise ValidationError(f"{path}: round index {base + row}: "
+                                      f"round code {code[row]} is not from 0 to 89")
+            _write_rows(fh, np.arange(base, base + len(code)), code)
+            base += len(code)
+            yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +185,8 @@ def transcribe(path, chunks: Iterable[Rounds],
 # ---------------------------------------------------------------------------
 
 def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
-    """The rounds in ``data``, whole lines ending in a newline, and its line count.
+    """The round codes and ids in ``data``, whole lines ending in a newline,
+    and its line count.
 
     ``line0`` is the number of lines before ``data`` and ``prev_id`` the
     last round id before it; header lines are added to ``header``.
@@ -248,15 +241,15 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
         at, message = min(errors)
         raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
 
-    return _rounds(ids, values), len(newlines)
+    return _codes(values), ids, len(newlines)
 
 
-def _rounds(ids, values) -> Rounds:
+def _codes(values) -> np.ndarray:
     """Rows of valid field values (``_CHAR_VALUE`` values) as their round codes."""
     sa, oa, sb, ob, det = (v.view(np.uint8) for v in values)
     code = np.where(det == 1, 3 * oa + ob, np.uint8(9))
     code += 30 * sa + 10 * sb - 40
-    return Rounds(ids, code)
+    return code
 
 
 def _parse_fixed(data: bytes, prev_id: int):
@@ -308,15 +301,16 @@ def _parse_fixed(data: bytes, prev_id: int):
         lo = hi
     if _faults(ids, np.ones(n, dtype=bool), prev_id, values).any():
         return None
-    return _rounds(ids, values), n
+    return _codes(values), ids, n
 
 
-def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
+def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
     """Parse a transcript file one read block at a time.
 
-    Yields the rounds of each block as a ``Rounds`` chunk, in file order,
-    and adds header lines to ``header`` as they are read.  Raises
-    ValidationError with the line number of the first bad line.
+    Yields the round codes of each block as a uint8 chunk, in file order,
+    and adds header lines to ``header`` as they are read.  Ids are checked
+    (strictly increasing) and dropped.  Raises ValidationError with the line
+    number of the first bad line.
     """
     header = {} if header is None else header
     line0, prev_id, rest = 0, -1, b""
@@ -336,14 +330,14 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[Rounds]:
             while data.startswith(b"#", cut):
                 cut = data.index(b"\n", cut) + 1
             if cut:
-                line0 += _parse_lines(data[:cut], path, line0, prev_id, header)[1]
+                line0 += _parse_lines(data[:cut], path, line0, prev_id, header)[2]
                 data = data[cut:]
             if data:
-                rounds, n_lines = (_parse_fixed(data, prev_id)
-                                   or _parse_lines(data, path, line0, prev_id, header))
+                code, ids, n_lines = (_parse_fixed(data, prev_id)
+                                      or _parse_lines(data, path, line0, prev_id, header))
                 line0 += n_lines
-                if len(rounds):
-                    prev_id = rounds.round_id[-1]
-                    yield rounds
+                if len(code):
+                    prev_id = ids[-1]
+                    yield code
             if not block:
                 break
