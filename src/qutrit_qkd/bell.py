@@ -23,8 +23,10 @@ from .linalg import (
     born_tables,
     diagonal_state,
     phase_rows,
+    require_array,
     require_integer,
     require_orthonormal,
+    require_real,
 )
 
 CLASSICAL_BOUND = 2.0
@@ -60,17 +62,9 @@ class SettingsPair:
 
 
 def canonical_settings(offsets=CANONICAL_OFFSETS) -> SettingsPair:
-    """Phase-basis settings at offsets (a1, a2, b1, b2), canonical by default.
-
-    ``offsets`` must be exactly four finite reals (``ValidationError``).
-    """
-    try:
-        x = np.asarray(offsets, dtype=float)
-    except (TypeError, ValueError):
-        x = None
-    if x is None or x.shape != (4,) or not np.all(np.isfinite(x)):
-        raise ValidationError(f"offsets must be 4 finite reals (a1, a2, b1, b2), got {offsets!r}")
-    return SettingsPair(*_phase_bases(x))
+    """Phase-basis settings at four finite real offsets (a1, a2, b1, b2), canonical
+    by default; any other ``offsets`` raise ``ValidationError``."""
+    return SettingsPair(*_phase_bases(require_array("offsets", offsets, "iuf", (4,))))
 
 
 def _phase_bases(offsets) -> np.ndarray:
@@ -90,7 +84,7 @@ CANONICAL_SETTINGS = SettingsPair(*_CANONICAL_BASES)
 def as_mixture(state) -> MixedState:
     if isinstance(state, MixedState):
         return state
-    return MixedState.pure(np.asarray(state, dtype=complex))
+    return MixedState.pure(state)
 
 
 # Signed coefficient per outcome cell, indexed [a - 1, k, b - 1, l] like the
@@ -151,9 +145,7 @@ def _unitaries(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_solver_inputs(tolerance: float, restarts: int, seed: int) -> None:
-    # a relative tolerance is below 1
-    if not (0 < tolerance < 1):
-        raise ValidationError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    require_real("tolerance", tolerance, 0, 1, "()")   # a relative tolerance is below 1
     require_integer("restarts", restarts, 1, MAX_RESTARTS)
     require_integer("seed", seed, 0)
 

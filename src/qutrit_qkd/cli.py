@@ -20,7 +20,8 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import bell, protocol, reconcile, transcript, tritcrypt, trits
-from .linalg import MixedState, ValidationError, diagonal_state, normalize_coefficients
+from .linalg import (MixedState, ValidationError, diagonal_state, normalize_coefficients,
+                     require_integer)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -146,8 +147,7 @@ def resolve_config(args) -> tuple[RunConfig, tuple]:
 def _session(config: RunConfig) -> tuple:
     """(source, eve, party_a, party_b) of a run.  Building them, after the
     seed check, is the range check of every config value."""
-    if config.seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {config.seed}")
+    require_integer("seed", config.seed, 0)
     source = protocol.SourceConfig(**{attr: getattr(config, name)
                                       for name, attr in _SOURCE_FIELDS.items()})
     eve = protocol.EveConfig(enabled=config.eve, arm=config.eve_arm)

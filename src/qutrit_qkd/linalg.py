@@ -42,11 +42,9 @@ def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     divisor is reported so callers can surface how much renormalization
     was applied.
     """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (DIM,):
-        raise ValidationError(f"expected 3 coefficients, got shape {c.shape}")
-    if np.any(c < 0) or not np.all(np.isfinite(c)):
-        raise ValidationError("coefficients must be finite and non-negative")
+    c = require_array("coefficients", coeffs, "iuf", (DIM,)).astype(float)
+    if np.any(c < 0):
+        raise ValidationError(f"coefficients must be non-negative, got {c}")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(c))
     if not 0.0 < norm < np.inf and c.max() > 0.0:
@@ -78,16 +76,6 @@ def diagonal_state(coeffs) -> np.ndarray:
     return _frozen(np.diag(c).astype(complex))
 
 
-def state_norm_sq(state: np.ndarray) -> float:
-    return float(np.sum(np.abs(state) ** 2))
-
-
-def require_normalized(state: np.ndarray) -> None:
-    if not (abs(state_norm_sq(state) - 1.0) <= NORM_TOL):
-        raise ValidationError(f"state norm^2 = {state_norm_sq(state):.15f} deviates from 1 "
-                              f"by more than {NORM_TOL}")
-
-
 def require_integer(name: str, value, least: int, most: float = np.inf) -> int:
     """``value`` as an int if it is an integer from ``least`` to ``most``
     (numpy's too, not a bool); else ``ValidationError`` naming ``name``."""
@@ -97,6 +85,43 @@ def require_integer(name: str, value, least: int, most: float = np.inf) -> int:
                    else "a positive integer" if least else "a non-negative integer")
         raise ValidationError(f"{name} must be {wording}, got {value!r}")
     return operator.index(value)
+
+
+def require_real(name: str, value, least: float, most: float, ends: str = "[]") -> float:
+    """``value`` as a float if it is a real (numpy's too; not a bool, not NaN) in
+    the interval from ``least`` to ``most`` with ``ends`` "[]", "(]", "[)" or "()";
+    else ``ValidationError`` naming ``name``."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and (least < value if ends[0] == "(" else least <= value)
+            and (value < most if ends[1] == ")" else value <= most)):
+        return float(value)
+    raise ValidationError(f"{name} must be a real in {ends[0]}{least}, {most}{ends[1]}, "
+                          f"got {value!r}")
+
+
+_KIND_WORDS = {"iu": "integers", "iuf": "reals", "biuf": "reals or bools", "biufc": "numeric"}
+
+
+def require_array(name: str, value, kinds: str, shape: tuple) -> np.ndarray:
+    """``np.asarray(value)``, not cast, if its dtype kind is in ``kinds`` (a key of
+    ``_KIND_WORDS``), its shape is ``shape``, whose first entry may be ``None`` (any
+    length) or ``...`` (any leading axes), and its values are finite; else ``ValidationError``."""
+    try:
+        a = np.asarray(value)
+    except ValueError:                  # a ragged nesting of sequences
+        raise ValidationError(f"{name} must be a rectangular array") from None
+    if a.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be {_KIND_WORDS[kinds]}, got dtype {a.dtype}")
+    lead = shape[0]
+    if not (a.shape == shape
+            or lead is None and a.ndim == len(shape) and a.shape[1:] == shape[1:]
+            or lead is ... and a.shape[a.ndim - len(shape) + 1:] == shape[1:]):
+        spec = str(shape).replace("None", "n").replace("Ellipsis", "...")
+        raise ValidationError(f"{name} must have shape {spec}, got shape {a.shape}")
+    # count_nonzero, not all(): a fraction of the overhead on small arrays
+    if a.dtype.kind in "fc" and np.count_nonzero(np.isfinite(a)) < a.size:
+        raise ValidationError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+    return a
 
 
 def computational_basis() -> np.ndarray:
@@ -116,7 +141,7 @@ def phase_rows(party: str, offsets) -> np.ndarray:
     if party not in ("A", "B"):
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
     sign_k = _OUTCOMES if party == "A" else -_OUTCOMES
-    offsets = np.asarray(offsets, dtype=float)[:, None, None]
+    offsets = require_array("offsets", offsets, "iuf", (None,))[:, None, None]
     return (np.exp(2j * np.pi * _OUTCOMES.T * (sign_k + offsets) / DIM)
             / np.sqrt(DIM)).reshape(-1, DIM)
 
@@ -128,13 +153,7 @@ def orthonormality_residual(basis: np.ndarray) -> float:
 
 
 def require_orthonormal(basis: np.ndarray) -> None:
-    shape = np.shape(basis)
-    if shape != (DIM, DIM):
-        raise ValidationError(f"basis must be 3x3, got shape {shape}")
-    dtype = np.asarray(basis).dtype
-    if dtype.kind not in "biufc":
-        raise ValidationError(f"basis must hold numbers, got dtype {dtype}")
-    r = orthonormality_residual(basis)
+    r = orthonormality_residual(require_array("basis", basis, "biufc", (DIM, DIM)))
     if not (r <= ORTHO_TOL):
         raise ValidationError(f"basis orthonormality residual {r:.3e} exceeds {ORTHO_TOL}")
 
@@ -153,23 +172,22 @@ class MixedState:
     white_noise_weight: float = 0.0
 
     def __post_init__(self):
-        comps = tuple((float(w), np.asarray(s, dtype=complex)) for w, s in self.components)
-        object.__setattr__(self, "components", comps)
-        total = self.white_noise_weight
-        for w, s in comps:
-            if not (w >= -NORM_TOL):
-                raise ValidationError(f"negative component weight {w}")
-            if s.shape != (DIM, DIM):
-                raise ValidationError(f"component state has shape {s.shape}, expected (3, 3)")
-            require_normalized(s)
-            total += w
-        if not (self.white_noise_weight >= -NORM_TOL):
-            raise ValidationError("negative white-noise weight")
+        weights = [require_real("component weight", w, -NORM_TOL, np.inf, "[)")
+                   for w, _ in self.components]
+        states = [s for _, s in self.components] or np.zeros((0, DIM, DIM))
+        psis = np.asarray(require_array("component states", states, "biufc", (None, DIM, DIM)),
+                          dtype=complex)
+        total = sum(weights, require_real("white_noise_weight", self.white_noise_weight,
+                                          -NORM_TOL, np.inf, "[)"))
+        for s in psis:
+            if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
+                raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "
+                                      f"from 1 by more than {NORM_TOL}")
         if not (abs(total - 1.0) <= NORM_TOL):
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "psis", _frozen(
-            np.array([s for _, s in comps], dtype=complex).reshape(-1, DIM, DIM)))
-        object.__setattr__(self, "weights", _frozen(np.array([w for w, _ in comps])))
+        object.__setattr__(self, "components", tuple(zip(weights, psis)))
+        object.__setattr__(self, "psis", _frozen(psis))
+        object.__setattr__(self, "weights", _frozen(np.array(weights)))
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "MixedState":
@@ -178,8 +196,7 @@ class MixedState:
     @classmethod
     def isotropic(cls, state: np.ndarray, visibility: float) -> "MixedState":
         """visibility * |state><state| + (1 - visibility) * uniform noise."""
-        if not 0.0 <= visibility <= 1.0:
-            raise ValidationError(f"visibility {visibility} outside [0, 1]")
+        visibility = require_real("visibility", visibility, 0, 1)
         if visibility == 0.0:
             return cls(components=(), white_noise_weight=1.0)
         return cls(components=((visibility, state),), white_noise_weight=1.0 - visibility)

@@ -35,8 +35,11 @@ from .linalg import (
     computational_basis,
     diagonal_state,
     make_state,
+    normalize_coefficients,
+    require_array,
     require_integer,
     require_orthonormal,
+    require_real,
 )
 
 # Tolerable noise fraction for secure three-level key distribution
@@ -75,17 +78,11 @@ class SourceConfig:
     key_crosstalk: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
-        if not 0.0 <= self.background_fraction <= 1.0:
-            raise ValidationError(
-                f"background_fraction {self.background_fraction} outside [0, 1]")
-        if not 0.0 < self.detection_efficiency <= 1.0:
-            raise ValidationError(
-                f"detection_efficiency {self.detection_efficiency} outside (0, 1]")
-        if not 0.0 <= self.key_crosstalk <= 1.0:
-            raise ValidationError(f"key_crosstalk {self.key_crosstalk} outside [0, 1]")
-        make_state(self.coefficients)  # validates the coefficient triple
+        require_real("visibility", self.visibility, 0, 1)
+        require_real("background_fraction", self.background_fraction, 0, 1)
+        require_real("detection_efficiency", self.detection_efficiency, 0, 1, "(]")
+        require_real("key_crosstalk", self.key_crosstalk, 0, 1)
+        normalize_coefficients(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,8 @@ class PartyConfig:
     setting_probabilities: tuple = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
-        p = np.asarray(self.setting_probabilities, dtype=float)
-        if p.shape != (3,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
+        p = require_array("setting probabilities", self.setting_probabilities, "iuf", (DIM,))
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
             raise ValidationError(
                 f"setting probabilities must be 3 non-negative reals summing to 1, got {p}")
 
@@ -245,6 +242,17 @@ CODE_FIELDS = np.stack((1 + _pair // 3, np.where(_o < 9, _o // 3, -1), 1 + _pair
                         np.where(_o < 9, _o % 3, -1), _o < 9)).astype(np.int8)
 CODE_FIELDS.setflags(write=False)
 del _pair, _o
+
+
+def require_codes(code, first: int = 0) -> np.ndarray:
+    """``code`` as a 1-D integer array of round codes from 0 to 89, not cast; else
+    ``ValidationError``, naming a code out of range and its round index, ``first`` + row."""
+    code = require_array("round codes", code, "iu", (None,))
+    if code.size and (code.max() >= 90 or code.dtype.kind == "i" and code.min() < 0):
+        row = int(((code < 0) | (code >= 90)).argmax())
+        raise ValidationError(f"round index {first + row}: "
+                              f"round code {code[row]} is not from 0 to 89")
+    return code
 
 
 # Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
@@ -424,18 +432,11 @@ class Sifted:
 def sift(code) -> Sifted:
     """Count tensor and both keys of an array of round codes (see
     ``Party.sift_masks``): the codes' histogram as [sa - 1, sb - 1, o],
-    undetected o = 9 cut, transposed.  Codes must be integers; a negative one
-    is refused first, and one of 90 or more lengthens the histogram and is
-    refused.  Key rounds are the one run of codes the sifting rule keeps (80
-    to 88), found with one uint8 range compare, ``code - _KEY_LO < _KEY_WIDTH``."""
-    code = np.asarray(code)
-    if code.dtype.kind not in "iu":
-        raise ValidationError(f"round codes must be integers, got dtype {code.dtype}")
-    if code.dtype.kind == "i" and code.size and code.min() < 0:
-        raise ValidationError(f"round code {code.min()} is not from 0 to 89")
+    undetected o = 9 cut, transposed, after ``require_codes``.  Key rounds
+    are the one run of codes the sifting rule keeps (80 to 88), found with
+    one uint8 range compare, ``code - _KEY_LO < _KEY_WIDTH``."""
+    code = require_codes(code)
     hist = np.bincount(code, minlength=90)
-    if len(hist) > 90:
-        raise ValidationError(f"round code {len(hist) - 1} is not from 0 to 89")
     counts = hist.reshape(DIM, DIM, 10)[..., :9].reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3)
     # indices, not a mask: key rounds are sparse.  The difference is taken in
     # uint8 whatever the codes' integer dtype, so codes below the run wrap above it.
@@ -446,14 +447,10 @@ def sift(code) -> Sifted:
 
 def _count_tensors(counts) -> np.ndarray:
     """``counts`` as floats, each checked to be a finite, non-negative integer."""
-    given = np.asarray(counts)
-    if given.dtype.kind not in "biuf":
-        raise ValidationError(f"counts must be bool, integer or real, got dtype {given.dtype}")
+    given = require_array("counts", counts, "biuf", (..., DIM, DIM, DIM, DIM))
     c = given.astype(float)
-    if c.shape[-4:] != (DIM, DIM, DIM, DIM):
-        raise ValidationError(f"count tensor must have shape (..., 3, 3, 3, 3), got {c.shape}")
-    # an integer dtype holds finite whole numbers only
-    ok = given >= 0 if given.dtype.kind in "iu" else np.isfinite(c) & (c >= 0) & (np.floor(c) == c)
+    # an integer dtype holds whole numbers only
+    ok = given >= 0 if given.dtype.kind in "iu" else (c >= 0) & (np.floor(c) == c)
     if not ok.all():
         raise ValidationError(f"count {c[~ok][0]} is not a non-negative integer")
     return c

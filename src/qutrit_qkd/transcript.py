@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .linalg import ValidationError
-from .protocol import CODE_FIELDS
+from .protocol import CODE_FIELDS, require_codes
 
 _READ_BLOCK_BYTES = 1 << 18
 _MAX_ID_DIGITS = 18                 # every such id fits in an int64
@@ -157,8 +157,8 @@ def transcribe(path, chunks: Iterable[np.ndarray],
     Yields each chunk once its lines are written, so a session can be
     written and analyzed in one pass; the file is complete when the
     iteration ends.  Header lines are '# key = value'.  A round's id is its
-    index in the session.  Codes must be integers from 0 to 89, else
-    ValidationError, naming the round's index for a code out of range; the
+    index in the session.  Each chunk is checked by ``require_codes``, which
+    names the round's index in the session for a code out of range; the
     lines of earlier chunks are already written by then.
     """
     with open(path, "wb") as fh:
@@ -166,15 +166,7 @@ def transcribe(path, chunks: Iterable[np.ndarray],
                          for key, value in (header or {}).items()).encode())
         base = 0
         for chunk in chunks:
-            given = np.asarray(chunk)
-            if given.dtype.kind not in "iu":
-                raise ValidationError(f"{path}: round codes must be integers, "
-                                      f"got dtype {given.dtype}")
-            code = given.astype(np.intp)                # the index type of ``take``
-            if len(code) and not (0 <= code.min() and code.max() < 90):
-                row = int(((code < 0) | (code >= 90)).argmax())
-                raise ValidationError(f"{path}: round index {base + row}: "
-                                      f"round code {code[row]} is not from 0 to 89")
+            code = require_codes(chunk, base).astype(np.intp)   # the index type of ``take``
             _write_rows(fh, np.arange(base, base + len(code)), code)
             base += len(code)
             yield chunk

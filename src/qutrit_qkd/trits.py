@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import ValidationError, require_array
 
 
 def as_trits(values) -> np.ndarray:
-    """Coerce a digit string or integer sequence to an int8 trit array."""
+    """Coerce a digit string or a 1-D integer sequence (``[]`` too) to an int8 trit array."""
     if isinstance(values, str):
         values = _digits(values.encode())
-    arr = np.asarray(values)
-    if arr.size and (arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer)):
-        raise ValidationError("trit strings must be one-dimensional integer sequences")
-    arr = arr.reshape(-1)
+    elif isinstance(values, (list, tuple)) and not values:
+        values = np.zeros(0, dtype=np.int8)         # numpy reads [] as float64
+    arr = require_array("trits", values, "iu", (None,))
     # checked in the input's own dtype: an int8 cast first would wrap 257 to 1
     if arr.size and (arr.min() < 0 or arr.max() > 2):
         bad = arr[(arr < 0) | (arr > 2)][0]

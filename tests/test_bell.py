@@ -143,13 +143,18 @@ class TestS3Exact:
         assert s3(mixed, canonical_settings()) == pytest.approx(
             visibility * QUANTUM_MAX, abs=1e-9)
 
-    @pytest.mark.parametrize("offsets", [(0.0, 0.5, 0.25), (0.0, 0.5, 0.25, -0.25, 1.0),
-                                         (0.0, float("nan"), 0.25, -0.25),
-                                         (0.0, 0.5, float("inf"), -0.25), "0.0",
-                                         ((0.0, 0.5), (0.25, -0.25))])
-    def test_offsets_must_be_four_finite_reals(self, offsets):
-        with pytest.raises(ValidationError, match="offsets must be 4 finite reals"):
+    @pytest.mark.parametrize("offsets, message", [
+        ((0.0, 0.5, 0.25), "offsets must have shape (4,), got shape (3,)"),
+        ((0.0, 0.5, 0.25, -0.25, 1.0), "offsets must have shape (4,), got shape (5,)"),
+        ((0.0, float("nan"), 0.25, -0.25), "offsets must be finite, got nan"),
+        ((0.0, 0.5, float("inf"), -0.25), "offsets must be finite, got inf"),
+        ("0.0", "offsets must be reals, got dtype <U3"),
+        (((0.0, 0.5), (0.25, -0.25)), "offsets must have shape (4,), got shape (2, 2)"),
+    ], ids=["offsets0", "offsets1", "offsets2", "offsets3", "0.0", "offsets5"])
+    def test_offsets_must_be_four_finite_reals(self, offsets, message):
+        with pytest.raises(ValidationError) as info:
             canonical_settings(offsets)
+        assert str(info.value) == message
 
     def test_closed_form_oracle_random_offsets(self):
         rng = np.random.default_rng(4)

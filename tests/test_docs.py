@@ -8,19 +8,24 @@ import pytest
 
 from qutrit_qkd import cli
 
+import test_boundary
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src" / "qutrit_qkd"
 MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "transcript", "trits",
            "tritcrypt")
 
 
+def api_note_bullets():
+    notes = README.read_text().split("\n## API notes\n", 1)[1].split("\n## ", 1)[0]
+    return re.split(r"\n(?=- )", notes)
+
+
 def api_note_names():
     """Each `module.name` that README's "API notes" write, outside the
     bullets that list removed names."""
-    notes = README.read_text().split("\n## API notes\n", 1)[1].split("\n## ", 1)[0]
-    bullets = re.split(r"\n(?=- )", notes)
     pattern = re.compile(rf"`({'|'.join(MODULES)})\.(\w+)")
-    return sorted({name for bullet in bullets if not bullet.startswith("- Removed")
+    return sorted({name for bullet in api_note_bullets() if not bullet.startswith("- Removed")
                    for name in pattern.findall(bullet)})
 
 
@@ -31,6 +36,15 @@ def test_api_notes_name_something():
 @pytest.mark.parametrize("module, name", api_note_names())
 def test_api_notes_name_existing_api(module, name):
     getattr(importlib.import_module(f"qutrit_qkd.{module}"), name)
+
+
+def test_boundary_table_matches_api_notes():
+    """The entry points README lists as boundary-checked are those the
+    boundary table tries, no more and no fewer."""
+    bullet, = [b for b in api_note_bullets() if b.startswith("- Boundary-checked entry points")]
+    named = set(re.findall(rf"`((?:{'|'.join(MODULES)})\.[\w.]+)`", bullet))
+    assert named == test_boundary.entry_points()
+    assert len(named) >= 26
 
 
 def test_recognized_keys_match_config_parsers():

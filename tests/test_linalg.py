@@ -14,10 +14,13 @@ from qutrit_qkd.linalg import (
     normalize_coefficients,
     orthonormality_residual,
     phase_rows,
-    state_norm_sq,
 )
 
 from oracles import born_probability_bruteforce, random_basis
+
+
+def state_norm_sq(state):
+    return float(np.sum(np.abs(state) ** 2))
 
 
 def random_state(rng):

@@ -127,12 +127,12 @@ class TestConfigs:
             EveConfig(enabled=True, basis=np.full((3, 3), np.nan, dtype=complex))
 
     @pytest.mark.parametrize("basis, message", [
-        (np.ones((2, 3)), "basis must be 3x3, got shape (2, 3)"),
-        (np.eye(2), "basis must be 3x3, got shape (2, 2)"),
-        (np.eye(4)[:3], "basis must be 3x3, got shape (3, 4)"),
-        (np.ones(3), "basis must be 3x3, got shape (3,)"),
-        (np.full((3, 3), "a"), "basis must hold numbers, got dtype <U1"),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], "basis must hold numbers, got dtype <U21"),
+        (np.ones((2, 3)), "basis must have shape (3, 3), got shape (2, 3)"),
+        (np.eye(2), "basis must have shape (3, 3), got shape (2, 2)"),
+        (np.eye(4)[:3], "basis must have shape (3, 3), got shape (3, 4)"),
+        (np.ones(3), "basis must have shape (3, 3), got shape (3,)"),
+        (np.full((3, 3), "a"), "basis must be numeric, got dtype <U1"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], "basis must be numeric, got dtype <U21"),
     ], ids=["2x3", "2x2", "3x4-orthonormal-rows", "vector", "str", "x-entry"])
     @pytest.mark.parametrize("build", [
         lambda basis: bell.SettingsPair(basis, np.eye(3), np.eye(3), np.eye(3)),
@@ -415,8 +415,10 @@ class TestSift:
     def test_code_above_89_rejected(self):
         # and codes below 0 or not integers, refused before the histogram
         for code, message in [
-                (np.array([0, 90, 89], dtype=np.uint8), "round code 90 is not from 0 to 89"),
-                (np.array([-1, 3], dtype=np.int64), "round code -1 is not from 0 to 89"),
+                (np.array([0, 90, 89], dtype=np.uint8),
+                 "round index 1: round code 90 is not from 0 to 89"),
+                (np.array([-1, 3], dtype=np.int64),
+                 "round index 0: round code -1 is not from 0 to 89"),
                 (np.array([80.9, 3.2]), "round codes must be integers, got dtype float64"),
                 (np.array([True, False]), "round codes must be integers, got dtype bool")]:
             with pytest.raises(ValidationError) as info:
@@ -475,13 +477,16 @@ class TestEstimateS3:
     def test_malformed_counts_rejected(self, value):
         # one bad cell, in one member of a stack too, in an integer array (-1)
         # or a float one; checked before any arithmetic, so no RuntimeWarning
-        # (an error under pytest) escapes
+        # (an error under pytest) escapes.  Infinite and NaN counts are refused
+        # by the finiteness check of every real array.
         counts = np.ones((3, 3, 3, 3), dtype=type(value))
         counts[2, 1, 0, 2] = value
+        message = (f"^count {float(value)} is not a non-negative integer$" if np.isfinite(value)
+                   else f"^counts must be finite, got {value}$")
         for given in (counts, np.stack((np.ones_like(counts), counts))):
-            with pytest.raises(ValidationError, match=f"count {float(value)} is not a non-"):
+            with pytest.raises(ValidationError, match=message):
                 estimate_s3(given)
-            with pytest.raises(ValidationError, match="non-negative integer"):
+            with pytest.raises(ValidationError, match=message):
                 qter(given)
 
     @pytest.mark.parametrize("counts", [np.full((3, 3, 3, 3), "2"), np.full((3, 3, 3, 3), b"2"),
