@@ -172,13 +172,13 @@ class MixedState:
     white_noise_weight: float = 0.0
 
     def __post_init__(self):
-        weights = [require_real("component weight", w, -NORM_TOL, np.inf, "[)")
+        weights = [require_real("component weight", w, -NORM_TOL, 1 + NORM_TOL)
                    for w, _ in self.components]
         states = [s for _, s in self.components] or np.zeros((0, DIM, DIM))
         psis = np.asarray(require_array("component states", states, "biufc", (None, DIM, DIM)),
                           dtype=complex)
         total = sum(weights, require_real("white_noise_weight", self.white_noise_weight,
-                                          -NORM_TOL, np.inf, "[)"))
+                                          -NORM_TOL, 1 + NORM_TOL))
         for s in psis:
             if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
                 raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "

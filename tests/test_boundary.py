@@ -151,7 +151,7 @@ def test_array_messages(value, message):
     (lambda: protocol.SourceConfig(detection_efficiency=0.0),
      "detection_efficiency must be a real in (0, 1], got 0.0"),
     (lambda: MixedState(components=((float("nan"), STATE),)),
-     "component weight must be a real in [-1e-12, inf), got nan"),
+     "component weight must be a real in [-1e-12, 1.000000000001], got nan"),
     (lambda: bell.optimize_s3(STATE, tolerance=1.0),
      "tolerance must be a real in (0, 1), got 1.0"),
     (lambda: protocol.sift(np.array([[3, 80]], dtype=np.uint8)),
