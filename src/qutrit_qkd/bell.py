@@ -7,6 +7,10 @@ probability that B's outcome exceeds A's by k (mod 3), so the terms
 ``S3_COEFFICIENTS`` states this convention cell by cell, and S3 is its dot
 product with the outcome tables.  A unit test pins it by reproducing the
 quantum maximum 4/(6*sqrt(3) - 9) at the canonical settings.
+
+States are taken in the Schmidt-diagonal form a|00> + b|11> + c|22> of
+``diagonal_state``, the form the phase-family settings of Collins, Gisin,
+Linden, Massar and Popescu are written for.
 """
 
 from __future__ import annotations
@@ -109,10 +113,6 @@ def s3(state, settings: SettingsPair) -> float:
     The signed eight-term sum over the mod-3 coincidences, evaluated as the
     dot product of ``S3_COEFFICIENTS`` with the outcome tables; the "B - 1"
     terms take k = 1 and the "B + 1" term takes k = 2 (see module docstring).
-    The phase-family settings (``canonical_settings``) are written for the
-    Schmidt-diagonal form ``diagonal_state(c)``, which is
-    ``make_state(c)[:, SWAP_12]``; on the source form ``make_state(c)``
-    they give S3 = 0 up to rounding, with no warning.
     """
     return s3_of(settings.tables(state))
 
@@ -394,9 +394,6 @@ def optimize_s3(
     reported value is the exact S3 re-evaluated at the returned settings.
     Deterministic for a fixed seed.  Values within 1e-10 (relative) of the best
     tie, and the earliest tied restart wins: the canonical start, if it is one.
-    The phase family is written for the Schmidt-diagonal form
-    ``diagonal_state(c)`` = ``make_state(c)[:, SWAP_12]``: on the source
-    form ``make_state(c)`` it returns S3 = 0 up to rounding, converged.
     """
     _check_solver_inputs(tolerance, restarts, seed)
     if family not in ("phase", "unitary"):

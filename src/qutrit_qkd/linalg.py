@@ -1,8 +1,10 @@
 """Exact complex linear algebra for qutrit pairs.
 
 States are dense complex amplitude arrays: a single qutrit is a length-3
-vector, a bipartite state a 3x3 array indexed ``[j_A, j_B]``.  Measurement
-bases are 3x3 arrays whose *rows* are the outcome vectors.  Everything is
+vector, a bipartite state a 3x3 array indexed ``[j_A, j_B]``;
+``diagonal_state`` builds one in the Schmidt-diagonal form (the lab's labels,
+and the relabel to them, belong to ``protocol``).  Measurement bases are 3x3
+arrays whose *rows* are the outcome vectors.  Everything is
 immutable by convention (arrays are returned with ``writeable=False``) and
 every operation is a pure function.
 """
@@ -29,12 +31,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The permutation exchanging labels 1 and 2: B's side of the source form
-# a|00> + b|12> + c|21> is relabeled by it (``psi[:, SWAP_12]`` is the
-# Schmidt-diagonal form), and so are B's key outcomes.
-SWAP_12 = _frozen(np.array([0, 2, 1], dtype=np.int8))
-
-
 def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     """Return (unit coefficients, applied divisor) for three real amplitudes.
 
@@ -54,20 +50,6 @@ def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     if norm == 0.0:
         raise ValidationError("all-zero coefficients do not define a state")
     return c / norm, norm
-
-
-def make_state(coeffs) -> np.ndarray:
-    """Two-qutrit state a|00> + b|12> + c|21| from three real coefficients.
-
-    The input is renormalized (see :func:`normalize_coefficients`); relative
-    phases are taken to be zero.
-    """
-    c, _ = normalize_coefficients(coeffs)
-    psi = np.zeros((DIM, DIM), dtype=complex)
-    psi[0, 0] = c[0]
-    psi[1, 2] = c[1]
-    psi[2, 1] = c[2]
-    return _frozen(psi)
 
 
 def diagonal_state(coeffs) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Two-party entanglement-based qutrit key distribution, simulated end to end.
 
-The source emits pairs in the form a|00> + b|12> + c|21>.  Each party
-switches between three analyzer settings: 1 and 2 probe the Bell
-inequality, 3 is the key setting with perfect correlations.  B's Bell
-analyzers fold in the 1<->2 relabel so that the sampled statistics match
-the canonical phase-basis tables on the Schmidt-diagonal form of the
-source state.
+The source emits pairs in the lab's labels, a|00> + b|12> + c|21>: the
+Schmidt-diagonal form with B's labels 1 and 2 exchanged by ``SWAP_12``.  This
+module is the only one that knows those labels.  ``SourceConfig`` builds the
+emitted state once, B's Bell analyzers fold in the same relabel so that the
+sampled statistics match the canonical phase-basis tables on the
+Schmidt-diagonal form, and B's key trits undo it.  Each party switches between
+three analyzer settings: 1 and 2 probe the Bell inequality, 3 is the key
+setting with perfect correlations.
 
 Sampling is Monte-Carlo over exact Born-rule outcome tables; an enabled
 intercept-resend eavesdropper is applied as an exact post-measurement
@@ -27,15 +29,12 @@ import numpy as np
 from . import bell
 from .linalg import (
     DIM,
-    SWAP_12,
     MixedState,
     ValidationError,
     born_amplitudes,
     born_tables,
     computational_basis,
     diagonal_state,
-    make_state,
-    normalize_coefficients,
     require_array,
     require_integer,
     require_orthonormal,
@@ -50,6 +49,13 @@ NOISE_BOUND_QUTRIT = 0.225
 REFERENCE_COEFFICIENTS = (0.642, 0.546, 0.539)
 REFERENCE_S3 = 2.688
 REFERENCE_QTER = 14.0 / 150.0
+
+
+# The permutation exchanging labels 1 and 2: B's side of the Schmidt-diagonal
+# form a|00> + b|11> + c|22> becomes the source's a|00> + b|12> + c|21> under
+# ``psi[:, SWAP_12]``, and back again, since it is its own inverse.
+SWAP_12 = np.array([0, 2, 1], dtype=np.int8)
+SWAP_12.setflags(write=False)
 
 
 class InsufficientDataError(RuntimeError):
@@ -68,7 +74,9 @@ class SourceConfig:
     ``background_fraction`` replaces a round's outcome pair with a uniform
     pair (accidental coincidences), and ``key_crosstalk`` does the same for
     key-setting rounds only, modelling unwanted-channel crosstalk in the
-    key analyzers independently of the Bell channels.
+    key analyzers independently of the Bell channels.  ``mixture`` is the
+    emitted ensemble, the source-form state mixed with isotropic noise at
+    ``visibility``, built once here and read by every session.
     """
 
     coefficients: tuple = (1.0, 1.0, 1.0)
@@ -78,11 +86,11 @@ class SourceConfig:
     key_crosstalk: float = 0.0
 
     def __post_init__(self):
-        require_real("visibility", self.visibility, 0, 1)
+        object.__setattr__(self, "mixture", MixedState.isotropic(
+            diagonal_state(self.coefficients)[:, SWAP_12], self.visibility))
         require_real("background_fraction", self.background_fraction, 0, 1)
         require_real("detection_efficiency", self.detection_efficiency, 0, 1, "(]")
         require_real("key_crosstalk", self.key_crosstalk, 0, 1)
-        normalize_coefficients(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -127,11 +135,6 @@ _ROWS_B.setflags(write=False)
 # ---------------------------------------------------------------------------
 # Exact state-level machinery
 # ---------------------------------------------------------------------------
-
-def source_mixture(source: SourceConfig) -> MixedState:
-    """The emitted two-qutrit ensemble before any eavesdropping."""
-    return MixedState.isotropic(make_state(source.coefficients), source.visibility)
-
 
 def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
     """Exact ensemble after an intercept-resend measurement on one arm.
@@ -179,7 +182,7 @@ def session_law(source: SourceConfig, eve: EveConfig = EveConfig(),
     its nine tables from one Born-kernel call.  Background, and key crosstalk on the
     (3, 3) pair only, replace a round's outcomes with a uniform pair: both act at the
     probability level, so folding them into the tables is exact."""
-    mixed = post_eve_mixture(source_mixture(source), eve)
+    mixed = post_eve_mixture(source.mixture, eve)
     t = born_tables(_ROWS_A, _ROWS_B, mixed.psis, mixed.weights, mixed.white_noise_weight)
     background, crosstalk, uniform = source.background_fraction, source.key_crosstalk, 1.0 / 9.0
     t = (1.0 - background) * t + background * uniform
@@ -203,6 +206,8 @@ def calibrate_noise(coefficients=REFERENCE_COEFFICIENTS,
     rate is 2/3 of the total uniform-noise weight seen by key rounds.
     Raises if the targets are outside the reachable region.
     """
+    target_s3 = require_real("target_s3", target_s3, -np.inf, np.inf)
+    target_qter = require_real("target_qter", target_qter, -np.inf, np.inf)
     s3_pure = bell.s3(diagonal_state(coefficients), bell.CANONICAL_SETTINGS)
     visibility = target_s3 / s3_pure
     if not 0.0 < visibility <= 1.0:
@@ -465,7 +470,12 @@ def estimate_s3(counts):
     the uncertainty treats every outcome count as an independent Poisson
     variable propagated through the Bell expression.
     """
-    block = _count_tensors(counts).swapaxes(-3, -2)[..., _PAIR_A, _PAIR_B, :, :]
+    return _estimate_s3(_count_tensors(counts))
+
+
+def _estimate_s3(c: np.ndarray):
+    """``estimate_s3`` of checked float counts ``c``."""
+    block = c.swapaxes(-3, -2)[..., _PAIR_A, _PAIR_B, :, :]
     total = block.sum(axis=(-2, -1), keepdims=True)         # (..., pair, 1, 1)
     if not total.all():
         first = np.argmax((total == 0).reshape(-1, 4).any(axis=0))
@@ -482,7 +492,12 @@ def estimate_s3(counts):
 def qter(counts):
     """Share of key rounds whose key trits differ, the error cells of the key block
     ``counts[..., 2, :, 2, :]``: a numpy float for one tensor, an array for a stack."""
-    key = _count_tensors(counts)[..., 2, :, 2, :]
+    return _qter(_count_tensors(counts))
+
+
+def _qter(c: np.ndarray):
+    """``qter`` of checked float counts ``c``."""
+    key = c[..., 2, :, 2, :]
     n = key.sum(axis=(-2, -1))
     if (n == 0).any():
         raise InsufficientDataError("cannot compute a trit error rate on empty keys")
@@ -548,8 +563,8 @@ def analyze(chunks: Iterable[np.ndarray]) -> SessionResult:
         keys_b.append(sifted.key_b)
     if n == 0:
         raise InsufficientDataError("no rounds")
-    s3_hat, s3_sigma = estimate_s3(counts)
-    report = security_verdict(s3_hat, s3_sigma, qter(counts))
+    c = _count_tensors(counts)
+    report = security_verdict(*_estimate_s3(c), _qter(c))
     return SessionResult(counts=counts, key_a=np.concatenate(keys_a),
                          key_b=np.concatenate(keys_b), n_rounds=n, **vars(report))
 

@@ -21,9 +21,9 @@ from qutrit_qkd.linalg import (
     born_tables,
     computational_basis,
     diagonal_state,
-    make_state,
     phase_rows,
 )
+from qutrit_qkd.protocol import SWAP_12
 
 from oracles import (
     coincidence_mod3,
@@ -67,7 +67,7 @@ class TestOutcomeDistribution:
         assert np.allclose(table, 1 / 9)
 
     def test_source_form_support(self):
-        table = pair_table(make_state((1, 1, 1)),
+        table = pair_table(diagonal_state((1, 1, 1))[:, SWAP_12],
                            computational_basis(), computational_basis())
         expected = np.zeros((3, 3))
         expected[0, 0] = expected[1, 2] = expected[2, 1] = 1 / 3
@@ -95,7 +95,7 @@ class TestCoincidenceMod3:
             assert coincidence_mod3(table, k) == pytest.approx(1 / 3)
 
     def test_source_form_computational(self):
-        table = pair_table(make_state((1, 1, 1)),
+        table = pair_table(diagonal_state((1, 1, 1))[:, SWAP_12],
                            computational_basis(), computational_basis())
         # only the (0, 0) cell lies on the k=0 diagonal
         assert coincidence_mod3(table, 0) == pytest.approx(1 / 3)
@@ -165,8 +165,9 @@ class TestS3Exact:
             got = s3(diagonal_state(coeffs), canonical_settings(offsets))
             assert got == pytest.approx(s3_closed_form(coeffs, offsets), abs=1e-10)
             # the phase family is written for the Schmidt-diagonal form: on the
-            # source form make_state(c) it sees no correlation at all
-            assert abs(s3(make_state(coeffs), canonical_settings(offsets))) < 1e-12
+            # source form, B's labels 1 and 2 exchanged, it sees no correlation at all
+            source_form = diagonal_state(coeffs)[:, SWAP_12]
+            assert abs(s3(source_form, canonical_settings(offsets))) < 1e-12
 
     def test_profile_matches_coefficient_path(self):
         # the exact evaluation (correlation profile) and the estimator's
@@ -199,7 +200,7 @@ class TestS3Exact:
         rng = np.random.default_rng(5)
         settings = random_settings(rng)
         psi1 = diagonal_state((1.0, 1.0, 1.0))
-        psi2 = make_state((1, 0, 0))
+        psi2 = diagonal_state((1, 0, 0))[:, SWAP_12]
         mixed = MixedState(components=((0.3, psi1), (0.45, psi2)),
                            white_noise_weight=0.25)
         expected = 0.3 * s3(psi1, settings) + 0.45 * s3(psi2, settings)
@@ -326,7 +327,7 @@ class TestAnalyticGradients:
         base = canonical_settings()
         base = np.stack((base.a1, base.a2, base.b1, base.b2))
         mixed = MixedState(components=((0.55, diagonal_state((1.0, 1.0, 1.0))),
-                                       (0.3, make_state((0.642, 0.546, 0.539)))),
+                                       (0.3, diagonal_state((0.642, 0.546, 0.539))[:, SWAP_12])),
                            white_noise_weight=0.15)
 
         def kernel_value(x):

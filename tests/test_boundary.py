@@ -14,7 +14,6 @@ from qutrit_qkd.linalg import (
     MixedState,
     ValidationError,
     diagonal_state,
-    make_state,
     normalize_coefficients,
     phase_rows,
     require_orthonormal,
@@ -26,7 +25,6 @@ EYE = np.eye(3)
 # (entry point, argument) -> a call with ``x`` in that argument
 ARRAYS = {
     ("linalg.normalize_coefficients", "coeffs"): normalize_coefficients,
-    ("linalg.make_state", "coeffs"): make_state,
     ("linalg.diagonal_state", "coeffs"): diagonal_state,
     ("linalg.phase_rows", "offsets"): lambda x: phase_rows("A", x),
     ("linalg.require_orthonormal", "basis"): require_orthonormal,
@@ -63,6 +61,8 @@ REALS = {
     ("protocol.SourceConfig", "detection_efficiency"):
         lambda x: protocol.SourceConfig(detection_efficiency=x),
     ("protocol.SourceConfig", "key_crosstalk"): lambda x: protocol.SourceConfig(key_crosstalk=x),
+    ("protocol.calibrate_noise", "target_s3"): lambda x: protocol.calibrate_noise(target_s3=x),
+    ("protocol.calibrate_noise", "target_qter"): lambda x: protocol.calibrate_noise(target_qter=x),
     ("bell.optimize_s3", "tolerance"): lambda x: bell.optimize_s3(STATE, tolerance=x, restarts=1),
     ("bell.optimize_gamma_family", "tolerance"):
         lambda x: bell.optimize_gamma_family(tolerance=x, restarts=1),
@@ -139,7 +139,7 @@ def test_malformed_argument(entry, call, inputs):
 def test_array_messages(value, message):
     # one template per kind of fault, each naming the argument
     with pytest.raises(ValidationError) as info:
-        make_state(value)
+        diagonal_state(value)
     assert str(info.value) == message
 
 
@@ -158,8 +158,13 @@ def test_array_messages(value, message):
      "round codes must have shape (n,), got shape (1, 2)"),
     (lambda: protocol.estimate_s3(np.ones((3, 3))),
      "counts must have shape (..., 3, 3, 3, 3), got shape (3, 3)"),
+    (lambda: protocol.calibrate_noise(target_s3="x"),
+     "target_s3 must be a real in [-inf, inf], got 'x'"),
+    # an infinite target is a real: it still gets the message an unreachable one gets
+    (lambda: protocol.calibrate_noise(target_qter=float("-inf")),
+     "target QTER -inf unreachable at visibility 0.9363"),
 ], ids=["visibility-bool", "visibility-str", "detection-0", "weight-nan", "tolerance-1",
-         "codes-2d", "counts-2d"])
+         "codes-2d", "counts-2d", "target-s3-str", "target-qter-inf"])
 def test_real_and_shape_messages(build, message):
     with pytest.raises(ValidationError) as info:
         build()

@@ -74,3 +74,17 @@ def test_no_dead_private_names():
               if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     assert len(defined) >= 90
     assert sorted(f"{module}.{name}" for module, name in defined if name not in loaded) == []
+
+
+def test_swap_12_only_in_protocol():
+    """The lab's 1<->2 relabel is protocol's alone: ``SWAP_12`` is assigned and
+    read in ``protocol.py`` and named by no other module, not even in an import."""
+    stored, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "SWAP_12":
+                (stored if isinstance(node.ctx, ast.Store) else read).add(path.stem)
+            elif (isinstance(node, ast.Attribute) and node.attr == "SWAP_12"
+                  or isinstance(node, ast.alias) and node.name == "SWAP_12"):
+                read.add(path.stem)
+    assert (stored, read) == ({"protocol"}, {"protocol"})

@@ -3,18 +3,17 @@ import pytest
 
 from qutrit_qkd.bell import SettingsPair
 from qutrit_qkd.linalg import (
-    SWAP_12,
     MixedState,
     ValidationError,
     born_amplitudes,
     born_tables,
     computational_basis,
     diagonal_state,
-    make_state,
     normalize_coefficients,
     orthonormality_residual,
     phase_rows,
 )
+from qutrit_qkd.protocol import SWAP_12
 
 from oracles import born_probability_bruteforce, random_basis
 
@@ -28,21 +27,28 @@ def random_state(rng):
     return psi / np.linalg.norm(psi)
 
 
+def source_form(coeffs):
+    """The source's a|00> + b|12> + c|21>, as ``SourceConfig`` builds it."""
+    return diagonal_state(coeffs)[:, SWAP_12]
+
+
 class TestMakeState:
+    """The source form: the Schmidt-diagonal state with B's labels 1 and 2 exchanged."""
+
     def test_equal_coefficients(self):
-        psi = make_state((1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3)))
+        psi = source_form((1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3)))
         for cell in [(0, 0), (1, 2), (2, 1)]:
             assert psi[cell] == pytest.approx(0.57735, abs=1e-5)
         assert state_norm_sq(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_term(self):
-        psi = make_state((1, 0, 0))
+        psi = source_form((1, 0, 0))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1
         assert np.allclose(psi, expected)
 
     def test_measured_coefficients_renormalized(self):
-        psi = make_state((0.642, 0.546, 0.539))
+        psi = source_form((0.642, 0.546, 0.539))
         assert abs(psi[0, 0]) ** 2 == pytest.approx(0.642 ** 2 / 1.000801, rel=1e-6)
         assert state_norm_sq(psi) == pytest.approx(1.0, abs=1e-12)
         _, divisor = normalize_coefficients((0.642, 0.546, 0.539))
@@ -50,16 +56,16 @@ class TestMakeState:
 
     def test_zero_coefficients_rejected(self):
         with pytest.raises(ValidationError, match="all-zero"):
-            make_state((0.0, 0.0, 0.0))
+            source_form((0.0, 0.0, 0.0))
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValidationError):
-            make_state((0.5, -0.5, 0.5))
+            source_form((0.5, -0.5, 0.5))
 
     def test_random_triples_normalized(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            psi = make_state(rng.uniform(0.01, 5.0, size=3))
+            psi = source_form(rng.uniform(0.01, 5.0, size=3))
             assert abs(state_norm_sq(psi) - 1.0) < 1e-12
 
 
@@ -67,7 +73,7 @@ class TestRelabel:
     """The B-side 1<->2 relabel is ``psi[:, SWAP_12]``."""
 
     def test_maps_source_form_to_diagonal(self):
-        assert np.allclose(make_state((1, 1, 1))[:, SWAP_12], diagonal_state((1.0, 1.0, 1.0)))
+        assert np.allclose(source_form((1, 1, 1))[:, SWAP_12], diagonal_state((1.0, 1.0, 1.0)))
 
     def test_involution(self):
         rng = np.random.default_rng(2)
@@ -75,7 +81,7 @@ class TestRelabel:
         assert np.allclose(psi[:, SWAP_12][:, SWAP_12], psi)
 
     def test_product_state_fixed_point(self):
-        psi = make_state((1, 0, 0))
+        psi = source_form((1, 0, 0))
         assert np.allclose(psi[:, SWAP_12], psi)
 
     def test_preserves_inner_products(self):
@@ -134,12 +140,12 @@ class TestJointProbability:
                 assert p == pytest.approx(1 / 9, abs=1e-12)
 
     def test_computational_eigenstate(self):
-        mixed = MixedState.pure(make_state((1, 0, 0)))
+        mixed = MixedState.pure(source_form((1, 0, 0)))
         comp = computational_basis()
         assert joint_probability(mixed, comp, 0, comp, 0) == pytest.approx(1.0)
 
     def test_maximal_state_support(self):
-        mixed = MixedState.pure(make_state((1, 1, 1)))
+        mixed = MixedState.pure(source_form((1, 1, 1)))
         comp = computational_basis()
         assert joint_probability(mixed, comp, 1, comp, 2) == pytest.approx(1 / 3)
         assert joint_probability(mixed, comp, 1, comp, 1) == pytest.approx(0.0, abs=1e-15)

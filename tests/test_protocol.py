@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -11,15 +13,16 @@ from hypothesis import strategies as st
 from oracles import intercept_resend_bruteforce, random_basis, session_columns_reference
 from scipy.stats import chi2
 
-from qutrit_qkd import bell, protocol, transcript
+from qutrit_qkd import bell, linalg, protocol, transcript
 from qutrit_qkd.linalg import (
-    SWAP_12,
     MixedState,
     ValidationError,
-    make_state,
+    diagonal_state,
+    normalize_coefficients,
     orthonormality_residual,
 )
 from qutrit_qkd.protocol import (
+    SWAP_12,
     EveConfig,
     InsufficientDataError,
     Party,
@@ -36,7 +39,6 @@ from qutrit_qkd.protocol import (
     run_protocol,
     security_verdict,
     sift,
-    source_mixture,
 )
 from qutrit_qkd.transcript import iter_transcript, transcribe
 
@@ -98,6 +100,23 @@ def key_counts(cells):
     return counts
 
 
+def count_calls(monkeypatch, fn) -> list:
+    """A list that grows by one at each call of ``fn``, counted under every name
+    the package's modules bind it by."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qutrit_qkd."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def forced_parties(setting_a, setting_b):
     probs_a = tuple(1.0 if s == setting_a else 0.0 for s in (1, 2, 3))
     probs_b = tuple(1.0 if s == setting_b else 0.0 for s in (1, 2, 3))
@@ -115,6 +134,26 @@ class TestConfigs:
             SourceConfig(detection_efficiency=0.0)
         with pytest.raises(ValidationError):
             SourceConfig(coefficients=(0, 0, 0))
+
+    def test_source_faults_reported_in_field_order(self):
+        faults = {"coefficients": (1, -1, 1), "visibility": 2.0, "background_fraction": -1.0,
+                  "detection_efficiency": 0.0, "key_crosstalk": 2.0}
+        for i, name in enumerate(faults):
+            with pytest.raises(ValidationError, match=f"^{name} must"):
+                SourceConfig(**dict(list(faults.items())[i:]))
+
+    def test_mixture_holds_the_source_form(self):
+        c, _ = normalize_coefficients(protocol.REFERENCE_COEFFICIENTS)
+        source = SourceConfig(protocol.REFERENCE_COEFFICIENTS, visibility=1)
+        want = np.zeros((3, 3), dtype=complex)
+        want[0, 0], want[1, 2], want[2, 1] = c
+        assert np.array_equal(source.mixture.psis, [want])
+        assert source.mixture.weights.tolist() == [1.0]
+        assert source.mixture.white_noise_weight == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            source.mixture.psis[0, 0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            source.mixture = None
 
     def test_party_probabilities(self):
         with pytest.raises(ValidationError):
@@ -152,9 +191,9 @@ class TestConfigs:
 
     @pytest.mark.parametrize("build", [
         bell.canonical_settings,
-        lambda: bell.optimize_s3(make_state((1.0, 1.0, 1.0))[:, SWAP_12], restarts=1),
+        lambda: bell.optimize_s3(diagonal_state((1.0, 1.0, 1.0)), restarts=1),
         lambda: bell.optimize_gamma_family(restarts=1),
-        lambda: MixedState.isotropic(make_state((1.0, 1.0, 1.0)), 0.9),
+        lambda: SourceConfig(visibility=0.9).mixture,
         lambda: EveConfig(enabled=True),
         lambda: protocol.session_law(SourceConfig()),
     ], ids=["SettingsPair", "OptimizeResult", "GammaOptimum", "MixedState", "EveConfig",
@@ -224,7 +263,7 @@ class TestSampleRound:
 
 class TestPostEveMixture:
     def test_computational_eve_collapse_enumeration(self):
-        psi = make_state((0.642, 0.546, 0.539))
+        psi = diagonal_state((0.642, 0.546, 0.539))[:, SWAP_12]
         mixed = post_eve_mixture(MixedState.pure(psi), EveConfig(enabled=True, arm="B"))
         # collapse onto |00>, |21>, |12> with the squared coefficients
         expected = {
@@ -244,7 +283,7 @@ class TestPostEveMixture:
         rng = np.random.default_rng(5)
         for arm in ("A", "B"):
             eve = EveConfig(enabled=True, arm=arm, basis=random_basis(rng))
-            mixed = post_eve_mixture(source_mixture(SourceConfig(visibility=0.8)), eve)
+            mixed = post_eve_mixture(SourceConfig(visibility=0.8).mixture, eve)
             for _, state in mixed.components:
                 # rank-1 amplitude matrix == product state
                 s = np.linalg.svd(state, compute_uv=False)
@@ -263,7 +302,7 @@ class TestPostEveMixture:
         psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         # b = 0: in the computational basis one outcome of the first component
         # has probability 0 and is dropped
-        mixed = MixedState(components=((0.5, make_state((0.642, 0.0, 0.539))),
+        mixed = MixedState(components=((0.5, diagonal_state((0.642, 0.0, 0.539))[:, SWAP_12]),
                                        (0.3, psi / np.linalg.norm(psi))),
                            white_noise_weight=0.2)
         for basis in [np.eye(3, dtype=complex)] + [random_basis(rng) for _ in range(20)]:
@@ -715,6 +754,12 @@ class TestSessionLaw:
 
 
 class TestProtocolSession:
+    def test_one_normalization_and_one_count_check_per_session(self, monkeypatch):
+        normalized = count_calls(monkeypatch, linalg.normalize_coefficients)
+        checked = count_calls(monkeypatch, protocol._count_tensors)
+        run_protocol(300, SourceConfig(visibility=0.69))
+        assert (len(normalized), len(checked)) == (1, 1)
+
     def test_fractions_sum_to_detected(self):
         result = run_protocol(30_000, source=SourceConfig(detection_efficiency=0.4),
                               seed=17)
