@@ -9,14 +9,15 @@ Schmidt-diagonal form, and B's key trits undo it.  Each party switches between
 three analyzer settings: 1 and 2 probe the Bell inequality, 3 is the key
 setting with perfect correlations.
 
-Sampling is Monte-Carlo over exact Born-rule outcome tables; an enabled
-intercept-resend eavesdropper is applied as an exact post-measurement
-ensemble before sampling, never as an outcome heuristic.
+An enabled intercept-resend eavesdropper is applied as an exact
+post-measurement ensemble before sampling, never as an outcome heuristic.
 
 A round is one uint8 code, 10 * (3 * (setting_a - 1) + setting_b - 1) plus
 3 * outcome_a + outcome_b, or 9 if undetected, and a chunk of rounds is a 1-D
 array of codes: the sampler emits it, ``sift`` counts it with one ``bincount``,
 the transcript codec writes it.  A round's id is its position in the session.
+The sampler draws each code from the exact law of the 90 codes, built from
+the Born-rule tables, by inverting one uniform per round.
 """
 
 from __future__ import annotations
@@ -260,109 +261,87 @@ def require_codes(code, first: int = 0) -> np.ndarray:
     return code
 
 
-# Rounds per sampled chunk.  A session is drawn from one PCG64 stream column
-# by column (settings A, settings B, detection, outcome uniforms), n draws
-# each, so chunk [lo, lo + m) of column j is draws j*n + lo ... of the stream.
-# At detection 1 every round is detected and the detection column is not drawn;
-# the outcome column keeps its place in the stream.
+# Rounds per sampled chunk.  A session is one stream of PCG64 uniforms, one per
+# round, and chunk [lo, lo + m) is draws lo ... lo + m - 1 of it, so the chunk
+# size does not change the draws.
 _SESSION_CHUNK_ROWS = 1 << 16
-# Outcome-index lookup over _BUCKETS (a power of two) buckets of u per setting
-# pair.  Only sessions of at least _BUCKET_MIN_ROUNDS rounds build the table:
-# below that its fixed cost (the build, ~70 us, and the exact pass over the
-# rows of split buckets) exceeds what the lookup saves.  The two broke even
-# near 16000 rounds on a 2-core Xeon.  With 1024 buckets 0.8 % of the rows of
-# a visibility-0.9 source on the reference coefficients fall in split buckets,
-# against 3.1 % with 256.
-_BUCKETS = 1024
-_BUCKET_MIN_ROUNDS = 1 << 14
+# Code lookup over _BUCKETS (a power of two) buckets of u.  Only sessions of at
+# least _BUCKET_MIN_ROUNDS rounds build the table: below that its fixed cost
+# (~20 us to build) exceeds what the lookup saves over a searchsorted on every
+# row.  The two broke even between 1500 and 2000 rounds on a 2-core Xeon.  At
+# most 89 of the 65536 buckets hold an edge, so at most 0.14 % of the rows of
+# a session take the exact pass.
+_BUCKETS = 1 << 16
+_BUCKET_MIN_ROUNDS = 1 << 11
 
 
 def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
                  a: PartyConfig, b: PartyConfig, seed: int) -> Iterator[np.ndarray]:
     """A seeded measurement session as uint8 round-code chunks of at most 65536 rounds.
 
-    Each round's settings, detection and outcomes are drawn from the exact
-    ``session_law(source, eve, a, b)``; ``a`` and ``b`` give the setting
-    probabilities.  Chunking does not change the draws: identical
-    seeds and configurations reproduce the session bit for bit.  ``n_rounds``
-    must be a positive and ``seed`` a non-negative integer (numpy integers
-    too, bools not); both are checked before any table is built.
+    Each round's code is drawn from the exact ``session_law(source, eve, a, b)``
+    by one uniform, inverted through the cumulative law of the 90 codes; ``a``
+    and ``b`` give the setting probabilities.  Chunking does not change the
+    draws: identical seeds and configurations reproduce the session bit for
+    bit.  ``n_rounds`` must be a positive and ``seed`` a non-negative integer
+    (numpy integers too, bools not); both are checked before any table is built.
     """
     return _sample_chunks(require_integer("n_rounds", n_rounds, 1),
                           require_integer("seed", seed, 0), session_law(source, eve, a, b))
 
 
-def _count_below(thresholds, pair, u) -> np.ndarray:
-    """Outcome index, exactly: how many of the pair's thresholds are <= u."""
-    pair = pair.astype(np.intp)         # else each take converts the indices again
-    idx = np.zeros(len(u), dtype=np.int8)
-    for row in thresholds:
-        idx += row.take(pair) <= u
-    return idx
+def _code_edges(law: SessionLaw) -> np.ndarray:
+    """The 89 interior cumulative sums of the 90 code probabilities, in code order:
+    P(pair) * detection * table cell, and P(pair) * (1 - detection) for code
+    10 * pair + 9.  A round's code is the number of edges <= its uniform u.  The
+    edges from the last code of positive probability on are infinite, so u past
+    a sum that rounds below 1 still draws that code and no zero-probability one."""
+    pair = np.multiply.outer(law.settings_a, law.settings_b).ravel()
+    p = np.empty((9, 10))
+    p[:, :9] = (pair * law.detection)[:, None] * law.tables.transpose(0, 2, 1, 3).reshape(9, 9)
+    p[:, 9] = pair * (1.0 - law.detection)
+    edges = p.ravel().cumsum()[:89]
+    edges[np.flatnonzero(p.ravel())[-1]:] = np.inf
+    return edges
 
 
-def _bucket_table(thresholds) -> np.ndarray:
-    """Outcome index per bucket [b/K, (b+1)/K) of u, K = _BUCKETS, as a flat int8 table.
+def _bucket_table(edges: np.ndarray) -> np.ndarray:
+    """Code per bucket [b/K, (b+1)/K) of u, K = _BUCKETS, as an int8 table.
 
-    Entry ``K * pair + b`` is the number of the pair's thresholds <= b/K,
-    which is the index of every u in the bucket, or -1 when a threshold lies
-    strictly inside the bucket.  K is a power of two, so K * t and K * u are
-    exact and the table holds for any thresholds.
+    Entry b is the number of edges <= b/K, which is the code of every u in the
+    bucket, or -1 when an edge lies strictly inside the bucket.  K is a power of
+    two, so K * edge and K * u are exact and the table holds for any edges.
     """
-    kt = _BUCKETS * thresholds.T                # (pair, threshold)
-    pair = np.arange(9)[:, None]
-    # first bucket whose lower edge is >= t; sums rounded above 1 stay in the pair
-    first = np.clip(np.ceil(kt), 0, _BUCKETS).astype(np.intp) + (_BUCKETS + 1) * pair
-    table = np.bincount(first.ravel(), minlength=9 * (_BUCKETS + 1)).reshape(
-        9, _BUCKETS + 1).cumsum(axis=1, dtype=np.int8)[:, :_BUCKETS]
-    inside = (kt > 0) & (kt < _BUCKETS) & (kt != np.ceil(kt))
-    table[np.broadcast_to(pair, kt.shape)[inside], kt[inside].astype(np.intp)] = -1
-    return table.ravel()
+    k = _BUCKETS * edges
+    # edge j is <= b/K from bucket ceil(K * edge j) on; the edges are sorted, so
+    # code j fills the buckets from edge j - 1's first to edge j's
+    first = np.full(91, _BUCKETS, dtype=np.intp)
+    first[0] = 0
+    first[1:90] = np.minimum(np.ceil(k), _BUCKETS)
+    table = np.repeat(np.arange(90, dtype=np.int8), np.diff(first))
+    inside = (k > 0) & (k < _BUCKETS) & (k != np.floor(k))
+    table[k[inside].astype(np.intp)] = -1
+    return table
 
 
 def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[np.ndarray]:
-    cdf_a, cdf_b = (c / c[-1] for c in (law.settings_a.cumsum(), law.settings_b.cumsum()))
-    # row k holds every setting pair's k-th cumulative outcome probability
-    cdf = np.cumsum(law.tables.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)
-    thresholds = np.ascontiguousarray(cdf[:, :8].T)
-    bitgen = np.random.PCG64(seed)
-    rng = np.random.Generator(bitgen)
-    seeded = bitgen.state
-    buckets = _bucket_table(thresholds) if n >= _BUCKET_MIN_ROUNDS else None
+    edges = _code_edges(law)
+    rng = np.random.default_rng(seed)
+    buckets = _bucket_table(edges) if n >= _BUCKET_MIN_ROUNDS else None
     for lo in range(0, n, _SESSION_CHUNK_ROWS):
         m = min(_SESSION_CHUNK_ROWS, n - lo)
-
-        def draw(column):
-            bitgen.state = seeded
-            bitgen.advance(column * n + lo)
-            return rng.random(m)
-
-        # setting pair 3 * (setting_a - 1) + setting_b - 1: a setting is 1 plus the
-        # number of its party's cumulative probabilities <= u, as Generator.choice maps u
-        u = draw(0)
-        pair = (u >= cdf_a[0]).view(np.int8)
-        pair += u >= cdf_a[1]
-        pair *= 3
-        u = draw(1)
-        pair += u >= cdf_b[0]
-        pair += u >= cdf_b[1]
-        u = draw(3)
-        # outcome index = number of cumulative probabilities <= u
+        u = rng.random(m)
         if buckets is None:
-            idx = _count_below(thresholds, pair, u)
+            code = np.searchsorted(edges, u, side="right").astype(np.uint8)
         else:
-            # bucket key K * pair + floor(K * u), cast into intp as it is multiplied
+            # bucket floor(K * u), truncated into intp as it is multiplied
             key = np.multiply(u, _BUCKETS, out=np.empty(m, dtype=np.intp), casting="unsafe")
-            key += np.multiply(pair, _BUCKETS, dtype=np.int16)   # 8 * K fits int16
-            idx = buckets.take(key)
+            code = buckets.take(key)
             del key                             # not held while the chunk is yielded
-            hard = np.flatnonzero(idx < 0)      # u in a bucket split by a threshold
-            idx[hard] = _count_below(thresholds, pair.take(hard), u.take(hard))
-        if law.detection < 1.0:                 # else every draw(2) < detection
-            idx[draw(2) >= law.detection] = 9
-        pair *= 10
-        idx += pair
-        yield idx.view(np.uint8)
+            hard = np.flatnonzero(code < 0)     # u in a bucket an edge splits
+            code[hard] = np.searchsorted(edges, u.take(hard), side="right")
+            code = code.view(np.uint8)
+        yield code
 
 
 # ---------------------------------------------------------------------------

@@ -114,31 +114,55 @@ def parity_block_survivors():
     return out
 
 
-def session_columns_reference(n, tables, p_a, p_b, detection, seed):
-    """A whole session drawn the direct way, as six columns.
+def code_law_reference(tables, p_a, p_b, detection):
+    """The 90 round codes in code order, as their probabilities and their fields
+    (setting_a, outcome_a, setting_b, outcome_b, detected), from explicit loops
+    over (setting_a, setting_b, detected, outcome pair).  A code's probability is
+    p_a * p_b * detection * ``tables[setting_a - 1, outcome_a, setting_b - 1,
+    outcome_b]``, or p_a * p_b * (1 - detection) undetected, multiplied in that
+    order; outcomes are -1 undetected."""
+    probs, fields = [], []
+    for sa in (1, 2, 3):
+        for sb in (1, 2, 3):
+            pair = float(p_a[sa - 1]) * float(p_b[sb - 1])
+            for detected in (True, False):
+                if not detected:
+                    probs.append(pair * (1.0 - detection))
+                    fields.append((sa, -1, sb, -1, False))
+                    continue
+                for oa in range(3):
+                    for ob in range(3):
+                        probs.append(pair * detection * tables[sa - 1, oa, sb - 1, ob])
+                        fields.append((sa, oa, sb, ob, True))
+    return probs, fields
 
-    One generator draws, for all n rounds at once and in this order, A's
-    settings and B's settings (``Generator.choice``), the detection uniforms
-    and the outcome uniforms; each detected round's outcome pair is then
-    looked up, setting pair by setting pair, in the cumulative sums of its
-    exact table ``tables[setting_a - 1, :, setting_b - 1, :]``.
+
+def invert_reference(u, probs):
+    """The code of each uniform in ``u`` under the code probabilities ``probs``:
+    the number of the 89 interior running sums <= u, compared one sum at a
+    time, capped at the last code of positive probability."""
+    sums, total = [], 0.0
+    for p in probs:
+        total += p
+        sums.append(total)
+    code = np.zeros(len(u), dtype=np.int64)
+    for s in sums[:-1]:
+        code += u >= s
+    return np.minimum(code, max(c for c, p in enumerate(probs) if p > 0))
+
+
+def session_columns_reference(n, tables, p_a, p_b, detection, seed):
+    """A whole session drawn the direct way, one uniform per round, as six columns.
+
+    One ``rng.random(n)`` is inverted through the codes' running sums
+    (``code_law_reference``, ``invert_reference``), and each round's code is
+    turned into its fields.
     """
-    rng = np.random.default_rng(seed)
-    labels = np.array([1, 2, 3], dtype=np.int8)
-    sa = rng.choice(labels, size=n, p=np.asarray(p_a, dtype=float))
-    sb = rng.choice(labels, size=n, p=np.asarray(p_b, dtype=float))
-    detected = rng.random(n) < detection
-    u = rng.random(n)
-    out_a = np.full(n, -1, dtype=np.int8)
-    out_b = np.full(n, -1, dtype=np.int8)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            mask = (sa == a) & (sb == b) & detected
-            cdf = np.cumsum(tables[a - 1, :, b - 1, :].ravel())
-            idx = np.minimum(np.searchsorted(cdf, u[mask], side="right"), 8)
-            out_a[mask] = idx // 3
-            out_b[mask] = idx % 3
-    return np.arange(n, dtype=np.int64), sa, out_a, sb, out_b, detected
+    probs, fields = code_law_reference(tables, p_a, p_b, detection)
+    code = invert_reference(np.random.default_rng(seed).random(n), probs)
+    sa, out_a, sb, out_b, detected = (np.array(column)[code] for column in zip(*fields))
+    return (np.arange(n, dtype=np.int64), sa.astype(np.int8), out_a.astype(np.int8),
+            sb.astype(np.int8), out_b.astype(np.int8), detected)
 
 
 def complex_gaussian(rng):

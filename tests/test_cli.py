@@ -545,25 +545,25 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("argv, digests", [
         (("--profile", "reference", "--detection", "1", "--rounds", "20000", "--seed", "7"),
-         ("263335f838d044765bec9d0addd26756397c25497743037e89471f1930576844",
-          "d667d096fcf730789529501f94ab09a4d5a0aa615fc2dfa70b56b3683bb51314",
-          "c4bc8b6c27afd65bd608f445c8ebd2068c38b93112f815d6e126208b9fee113a",
-          "4b5a1785ba356e283a569ed4f52e6da8842195bfacdff2ec88b2ecc737fb79a8",
-          "35be017b830ef741cc36b3077770329e14d1800da52eddb42a5732a5aab1d8c4")),
+         ("3ef09f78bdd8c9d9e410f5584235033d7fdcc83d1f053cac71dec4a6d7f21bcd",
+          "63ec6773ddeb6ede12be2bbdb55ff8be533a8256cbe7677b045ef40b5b91763a",
+          "cfd6c7ed6eb88d14ebcae1ee2d1c5d877d7ee5f51ce0b72fdee15bf79ffcce7f",
+          "713fd7a9869bcc27ff48da4bd342a7ce8022ceed40751e749c0c10b7ee850486",
+          "4aabf4faf37a2f81d265c7923abbb685ca7a30617c60ee5b556ec3fe4657025e")),
         (("--eve", "--visibility", "0.9", "--background", "0.1", "--rounds", "20000",
           "--seed", "4"),
-         ("a9f22b13e55f0dc48e585047d39d278aace5fd3e19a576e4af3de71ff1815755",
-          "ef994b7427d0187cf92401fb4ab67742d2a3982c39a11388eb8c639c7bb4959d",
-          "2e1af58cde9092920ac1244bf78daaebc918013cd0ddbae774fd3230b0116643",
-          "4325f059c14406d6056a5d17ed88af39408ff236bcea42c60a0debfabbe58dbb",
-          "fb951a5ee228791ea6957e8c91198ff08b81ac3e17ff5492984265558028543a")),
+         ("e03f11a824142a9a7f460ee4d272b6876412f9b897358136720280e8b91952c6",
+          "877d6bd38ae819690293008f6afce6e63defd77ebf2caf84170f4354bc0c564a",
+          "0de186cbfbdbdf38cf9499dc98b96b024e7359cd259853d716ea2a09dcb1a6a1",
+          "2e8b858fb1b6d887a77bb5257419b91860b97647157f56a504cb48cfec0d13e4",
+          "5bd4d616c4fb60ef883c69acd102a9330050880887dc554644e318a07f5b0ec1")),
         # 70000 rounds cross the 65536-round chunk boundary
         (("--detection", "0.3", "--bias", "0.2,0.2,0.6", "--rounds", "70000", "--seed", "11"),
-         ("f81ee345e124a2b4fa55cd53a03a6fc168beda5884cd5689dca184abdbd209a8",
-          "9f77c21cf3ec9d9b94d59b54d2f9181c7e20e6a6330526ae516dcff638a76a98",
-          "0bd9578ece1a2448277c7e579c7ab71f7d4f9acae72bf9da82f50a7a13ebfc6a",
-          "9106bd723251de038fd6fa460131c51e2f8aff9b1eb31f389f9f442d0440fdc9",
-          "3641d3da262f8f9f1ca80a4e3fa935647451a770e8a7bf5c0a36e1c2a82b1734")),
+         ("f2924e792aad954fdc98a9636f0faedb44ccf81bac2cf8b65c7e8865f8c9a04f",
+          "66b26f05d9208e185eb52a0c57b2d98797ced75608db8d57b08aab982ca224c1",
+          "5dafa1a7b73db2d9854c8dc199db6ffda07cf3dcbfbb633245ddff74c480e515",
+          "b7be509903c368bac0ca10e08d8e1cd012e115046656165db97081c88d19fd9a",
+          "605f2992b390c604b7a0f600dd4df1113b278cf9cebc4ead826369024e80662d")),
     ])
     def test_simulate_and_sift_bytes(self, capsys, tmp_path, argv, digests):
         sim_dir, sift_dir = tmp_path / "sim", tmp_path / "sift"
@@ -605,8 +605,8 @@ class TestPinnedReports:
         return out, sha256(stdout_text(out, tmp_path).encode())
 
     @pytest.mark.parametrize("header, keys, digest", [
-        (True, True, "1706365c44f649d478ea5799ca46c4e03d26aef81f05814bd74aee440247f122"),
-        (False, False, "cf1eefc85046cb2234fcebeb4f6d61c6d57a566b0496f61e7438259cf612379b"),
+        (True, True, "2945faed5bab043ad8d63b8771003a923ad8fbf4f9918e79a524f7bc7f2c62f2"),
+        (False, False, "9fbb617d1b3f78ae97b23c3396ae6c04dacd2a15a8e7ad347c8e129f5f3d4464"),
     ])
     def test_sift_stdout(self, capsys, tmp_path, header, keys, digest):
         sim_dir = tmp_path / "sim"
@@ -655,7 +655,7 @@ class TestPinnedReports:
                                       "--rounds", "20000", "--seed", "1",
                                       "--out", str(tmp_path / "x"))
         assert "(ABOVE the 0.225 noise bound)" in out
-        assert got == "f7cacd7d4d439356a4d80ddd0efab28ee37a0cfaa5aca873121e81aa53060848"
+        assert got == "a42a45414a1b7a87e905d612944edc1b10ab356e4952a1656302e28b61ab7b9d"
 
     @pytest.mark.parametrize("argv, digest", [
         (("bell",), "492b7131933458cb002d7eb5cc18370e927ffe9a11c6dc0c4d5e8eedce911221"),

@@ -5,12 +5,19 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import intercept_resend_bruteforce, random_basis, session_columns_reference
+from oracles import (
+    code_law_reference,
+    intercept_resend_bruteforce,
+    invert_reference,
+    random_basis,
+    session_columns_reference,
+)
 from scipy.stats import chi2
 
 from qutrit_qkd import bell, linalg, protocol, transcript
@@ -871,14 +878,14 @@ M = protocol._BUCKET_MIN_ROUNDS
 
 
 class TestBucketLookup:
-    # setting-pair outcome rows (9 cells each) that a bucket table over
-    # [b/K, (b+1)/K) must not get wrong
+    # setting-pair outcome rows (9 cells) that, made into code laws, a bucket
+    # table over [b/K, (b+1)/K) must not get wrong
     ODD_ROWS = (
-        # zero-probability outcomes: equal thresholds
+        # zero-probability outcomes: equal edges
         (0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
-        # every threshold exactly on a bucket edge k/K
+        # every edge exactly on a bucket edge k/K
         tuple(np.array([1, 2, 61, 64, 0, 0, 64, 64, 0]) * (K // 256) / K),
-        # two distinct thresholds strictly inside the bucket [K/2, K/2 + 1)/K
+        # two distinct edges strictly inside the bucket [K/2, K/2 + 1)/K
         (0.5 + 0.3 / K, 0.4 / K, 0.0, 0.25, 0.25 - 0.7 / K, 0.0, 0.0, 0.0, 0.0),
         # cumulative sums 0.2, 0.6000000000000001, 0.9, 1.0000000000000002
         (0.2, 0.4, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -891,25 +898,64 @@ class TestBucketLookup:
         rows[list(pairs)] = cls.ODD_ROWS
         return rows.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
 
+    @classmethod
+    def odd_laws(cls):
+        """Code laws: ODD_ROWS row i as the whole law, on setting pair i at detection
+        1, so that its cells are codes 10 * i to 10 * i + 8; then two laws whose
+        sums reach past the last code of positive probability."""
+        tables, one = cls.tables(range(4), seed=1), np.eye(3)
+        laws = [protocol.SessionLaw(tables, one[i // 3], one[i % 3], 1.0) for i in range(4)]
+        # after the fourth row's 1.0000000000000002, codes 40 to 48 of probability ~1e-21
+        laws.append(dataclasses.replace(laws[3], settings_b=(1.0, 1e-20, 0.0)))
+        # detection 1 on uniform settings: code 89 has probability 0 and the sums
+        # end at 0.9999999999999994
+        rows = np.random.default_rng(1).dirichlet(np.ones(9), size=9)
+        laws.append(protocol.SessionLaw(rows.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3),
+                                        (1 / 3,) * 3, (1 / 3,) * 3, 1.0))
+        return laws
+
     def test_table_against_bruteforce(self):
-        t = self.tables(range(4), seed=1)
-        thresholds = np.cumsum(t.transpose(0, 2, 1, 3).reshape(9, 9), axis=1)[:, :8]
-        # the odd rows are what they claim to be
-        assert (np.diff(thresholds[0]) == 0).any()
-        assert np.array_equal(K * thresholds[1], np.round(K * thresholds[1]))
-        assert np.floor(K * thresholds[2, 0]) == np.floor(K * thresholds[2, 1]) == K // 2 \
-            and thresholds[2, 0] < thresholds[2, 1]
-        assert thresholds[3, 3] > 1.0
-        table = protocol._bucket_table(np.ascontiguousarray(thresholds.T)).reshape(9, K)
+        laws = self.odd_laws()
+        probs = [code_law_reference(law.tables, law.settings_a, law.settings_b,
+                                    law.detection)[0] for law in laws]
+        sums = [np.cumsum(p) for p in probs]
+        last = [max(np.flatnonzero(p)) for p in probs]
+        # the odd laws are what they claim to be
+        assert (np.diff(sums[0][:4]) == 0).any() and last[0] == 4
+        assert np.array_equal(K * sums[1], np.round(K * sums[1]))
+        assert np.floor(K * sums[2][20]) == np.floor(K * sums[2][21]) == K // 2 \
+            and sums[2][20] < sums[2][21]
+        assert sums[4][33] > 1.0 and last[3] == 33 and last[4] == 48
+        assert sums[5][-1] < 1.0 and probs[5][89] == 0.0 and last[5] == 88
         low, high = np.arange(K) / K, np.arange(1, K + 1) / K
-        for pair, row in enumerate(thresholds):
-            inside = ((row[:, None] > low) & (row[:, None] < high)).any(axis=0)
-            below = (row[:, None] <= low).sum(axis=0)
-            assert np.array_equal(table[pair], np.where(inside, -1, below))
-        # split buckets: K/2 (two thresholds) and 3K/4 (0.75 + 0.7/K) in the
-        # third row; 0.2, 0.6000000000000001 and 0.9 in the fourth, whose
-        # 1.0000000000000002 lies above every bucket
-        assert [(table[pair] == -1).sum() for pair in range(4)] == [0, 0, 2, 3]
+        for law, p, s, end in zip(laws, probs, sums, last):
+            table = protocol._bucket_table(protocol._code_edges(law))
+            edges = s[:end, None]
+            split = ((edges > low) & (edges < high)).any(axis=0)
+            assert np.array_equal(table, np.where(split, -1, invert_reference(low, p)))
+        # split buckets: K/2 (two edges) and 3K/4 (0.75 + 0.7/K) in the third law;
+        # 0.2, 0.6000000000000001 and 0.9 in the fifth, whose later sums all lie
+        # above every bucket; the sixth's 80 distinct edges below code 88
+        marks = [(protocol._bucket_table(protocol._code_edges(law)) == -1).sum() for law in laws]
+        assert marks == [0, 0, 2, 3, 3, 80]
+
+    @pytest.mark.parametrize("n", [M - 1, M])
+    def test_edge_uniforms_on_both_paths(self, n, monkeypatch):
+        """u = 0, u on each edge and just below it, and u = 1 - 2**-53, fed to the
+        sampler on the searchsorted path (M - 1 rounds) and the bucket path (M):
+        each draws the code of the running-sum oracle, never one of probability 0."""
+        for law in self.odd_laws():
+            probs = code_law_reference(law.tables, law.settings_a, law.settings_b,
+                                       law.detection)[0]
+            edges = np.cumsum(probs)
+            edges = edges[(edges > 0) & (edges < 1)]
+            u = np.concatenate(([0.0, 1 - 2.0 ** -53], edges, np.nextafter(edges, 0)))
+            u = np.resize(u, n)
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
+                random=lambda m: u[:m]))
+            code = joined(protocol._sample_chunks(n, 0, law))
+            assert np.array_equal(code, invert_reference(u, probs))
+            assert (np.array(probs)[code] > 0).all()
 
     @given(n=st.sampled_from([1, M - 1, M, C - 1, C, C + 1]),
            pairs=st.permutations(range(9)),
@@ -934,8 +980,9 @@ class TestDetectionColumn:
     @pytest.mark.parametrize("n", [M - 1, M, C + 1])
     @pytest.mark.parametrize("detection", [1.0, np.nextafter(1.0, 0.0)])
     def test_matches_reference_oracle_at_the_edge(self, n, detection):
-        """At detection 1 the detection column is not drawn; just below 1 it is.
-        Either way the outcome column keeps its place in the stream."""
+        """At detection 1 the undetected codes have probability 0 and are never
+        drawn, on either path; just below 1 they have probability ~1e-16 times
+        their pair's.  Either way the draws are the oracle's."""
         source = SourceConfig(coefficients=(0.642, 0.546, 0.539), visibility=0.9,
                               detection_efficiency=detection)
         tables = protocol.session_law(source, self.EVE).tables
@@ -951,7 +998,7 @@ class TestDetectionColumn:
 class TestDrawPins:
     """The draws themselves, pinned: the oracle tests read the same tables as
     the sampler, so a change to the law would move both together.  300 rounds
-    take the exact-count path; 70000 the bucket lookup, across a chunk edge.
+    take the searchsorted path; 70000 the bucket lookup, across a chunk edge.
     Each chunk's digest input is its rounds' ids (their positions, which the
     transcript writes) as int64, then its codes."""
 
@@ -970,13 +1017,13 @@ class TestDrawPins:
 
     @pytest.mark.parametrize("case, n, digest", [
         ("eve_a_random_basis", 300,
-         "f625cdc799fda146627ba2385cfc098c26a253933661e5d934672a25f44eacd3"),
+         "8a20265575b72a0a926e2fe1089a82564e8ff01f9b0a470aa2c771504e2d4496"),
         ("eve_a_random_basis", 70_000,
-         "21e34104c89c74676b91c817409610b369534a9cbd0586d19d00704afda51fbf"),
+         "96b016d6225ebe8f19391aed1888384c2ca941359386b5e26ee72463bc2ee422"),
         ("background_crosstalk", 300,
-         "734445466c3c3be1de75fc3be75eaa73d60fc0c0310916234481a4963914e8ad"),
+         "3a34864e98be63f4022372b03cd3c881228bf8b42d1b88a0b3e0b7782a371114"),
         ("background_crosstalk", 70_000,
-         "007b77bc3325f6a146dd9fa5397dbbfad31dd3e5ef60a921d9986266ec25e810"),
+         "574f3ca9d725197b68c2776eff39a2a4e4b4572ec5cd17f72f66aa431c342d26"),
     ])
     def test_codes_ids_and_exact_s3(self, case, n, digest):
         source, eve, s3_hex = self.CASES[case]
