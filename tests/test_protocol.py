@@ -928,15 +928,16 @@ class TestBucketLookup:
         assert sums[4][33] > 1.0 and last[3] == 33 and last[4] == 48
         assert sums[5][-1] < 1.0 and probs[5][89] == 0.0 and last[5] == 88
         low, high = np.arange(K) / K, np.arange(1, K + 1) / K
+        marks = []
         for law, p, s, end in zip(laws, probs, sums, last):
             table = protocol._bucket_table(protocol._code_edges(law))
             edges = s[:end, None]
             split = ((edges > low) & (edges < high)).any(axis=0)
             assert np.array_equal(table, np.where(split, -1, invert_reference(low, p)))
+            marks.append((table == -1).sum())
         # split buckets: K/2 (two edges) and 3K/4 (0.75 + 0.7/K) in the third law;
         # 0.2, 0.6000000000000001 and 0.9 in the fifth, whose later sums all lie
         # above every bucket; the sixth's 80 distinct edges below code 88
-        marks = [(protocol._bucket_table(protocol._code_edges(law)) == -1).sum() for law in laws]
         assert marks == [0, 0, 2, 3, 3, 80]
 
     @pytest.mark.parametrize("n", [M - 1, M])
