@@ -20,8 +20,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import bell, protocol, reconcile, transcript, tritcrypt, trits
-from .linalg import (MixedState, ValidationError, diagonal_state, normalize_coefficients,
-                     require_integer)
+from .linalg import MixedState, ValidationError, normalize_coefficients, require_integer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -184,11 +183,9 @@ def _machine_value(value):
 # ---------------------------------------------------------------------------
 
 def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
-    """Config, Schmidt-diagonal source mixture and normalization divisor."""
-    config, _ = resolve_config(args)
-    coeffs, divisor = normalize_coefficients(config.coefficients)
-    effective = (1.0 - config.background) * config.visibility
-    return config, MixedState.isotropic(diagonal_state(coeffs), effective), divisor
+    """Config, the source's ``mixture`` (the state sessions sample) and normalization divisor."""
+    config, (source, *_) = resolve_config(args)
+    return config, source.mixture, normalize_coefficients(config.coefficients)[1]
 
 
 def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:

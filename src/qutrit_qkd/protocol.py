@@ -1,13 +1,12 @@
 """Two-party entanglement-based qutrit key distribution, simulated end to end.
 
 The source emits pairs in the lab's labels, a|00> + b|12> + c|21>: the
-Schmidt-diagonal form with B's labels 1 and 2 exchanged by ``SWAP_12``.  This
-module is the only one that knows those labels.  ``SourceConfig`` builds the
-emitted state once, B's Bell analyzers fold in the same relabel so that the
-sampled statistics match the canonical phase-basis tables on the
-Schmidt-diagonal form, and B's key trits undo it.  Each party switches between
-three analyzer settings: 1 and 2 probe the Bell inequality, 3 is the key
-setting with perfect correlations.
+Schmidt-diagonal form a|00> + b|11> + c|22> with B's labels 1 and 2 exchanged by
+``SWAP_12``.  ``SourceConfig.mixture`` holds the Schmidt form, which ``bell`` reads
+too; the relabel, known to this module alone, appears only where the lab's own
+bases do: B's key analyzer, an eavesdropper's basis on arm B and B's key trits.
+Each party switches between three analyzer settings: 1 and 2 probe the Bell
+inequality, 3 is the key setting with perfect correlations.
 
 An enabled intercept-resend eavesdropper is applied as an exact
 post-measurement ensemble before sampling, never as an outcome heuristic.
@@ -52,9 +51,8 @@ REFERENCE_S3 = 2.688
 REFERENCE_QTER = 14.0 / 150.0
 
 
-# The permutation exchanging labels 1 and 2: B's side of the Schmidt-diagonal
-# form a|00> + b|11> + c|22> becomes the source's a|00> + b|12> + c|21> under
-# ``psi[:, SWAP_12]``, and back again, since it is its own inverse.
+# The permutation exchanging labels 1 and 2, its own inverse: B's lab labels and Schmidt
+# labels, the lab's a|00> + b|12> + c|21> being a|00> + b|11> + c|22> under ``psi[:, SWAP_12]``.
 SWAP_12 = np.array([0, 2, 1], dtype=np.int8)
 SWAP_12.setflags(write=False)
 
@@ -76,8 +74,9 @@ class SourceConfig:
     pair (accidental coincidences), and ``key_crosstalk`` does the same for
     key-setting rounds only, modelling unwanted-channel crosstalk in the
     key analyzers independently of the Bell channels.  ``mixture`` is the
-    emitted ensemble, the source-form state mixed with isotropic noise at
-    ``visibility``, built once here and read by every session.
+    emitted ensemble, read by every session, ``bell`` and the optimizers: the
+    Schmidt-diagonal state at weight ``visibility * (1 - background_fraction)``,
+    the rest white noise, whose outcome pair is as uniform as background's.
     """
 
     coefficients: tuple = (1.0, 1.0, 1.0)
@@ -88,8 +87,9 @@ class SourceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mixture", MixedState.isotropic(
-            diagonal_state(self.coefficients)[:, SWAP_12], self.visibility))
-        require_real("background_fraction", self.background_fraction, 0, 1)
+            diagonal_state(self.coefficients),
+            require_real("visibility", self.visibility, 0, 1)
+            * (1.0 - require_real("background_fraction", self.background_fraction, 0, 1))))
         require_real("detection_efficiency", self.detection_efficiency, 0, 1, "(]")
         require_real("key_crosstalk", self.key_crosstalk, 0, 1)
 
@@ -125,10 +125,10 @@ class EveConfig:
 
 
 # The fixed analyzers, rows of settings 1, 2 and 3 stacked (9, 3) per party: the
-# canonical phase bases, B's relabeled 1<->2 as the source form is, then the key basis.
+# canonical phase bases, then the key basis, B's the lab's: outcome k is level SWAP_12[k].
 _BELL = bell.CANONICAL_SETTINGS
 _ROWS_A = np.concatenate((_BELL.a1, _BELL.a2, computational_basis()))
-_ROWS_B = np.concatenate((_BELL.b1[:, SWAP_12], _BELL.b2[:, SWAP_12], computational_basis()))
+_ROWS_B = np.concatenate((_BELL.b1, _BELL.b2, computational_basis()[SWAP_12]))
 _ROWS_A.setflags(write=False)
 _ROWS_B.setflags(write=False)
 
@@ -140,15 +140,17 @@ _ROWS_B.setflags(write=False)
 def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
     """Exact ensemble after an intercept-resend measurement on one arm.
 
-    Each pure component collapses into at most three product states, one
-    per eavesdropper outcome, in component-then-outcome order; the isotropic
-    part is invariant.  The result is separable on the intercepted cut.  One
-    Born-kernel call, with identity rows on the arm Eve leaves alone, gives
+    ``mixed`` and the result are in Schmidt labels, ``eve.basis`` in the lab's, so on
+    arm B its columns are relabeled by ``SWAP_12``.  Each pure component collapses into at
+    most three product states, one per eavesdropper outcome, in component-then-outcome
+    order; the isotropic part is invariant.  The result is separable on the intercepted
+    cut.  One Born-kernel call, with identity rows on the arm Eve leaves alone, gives
     that arm's conditional amplitudes for every component and outcome.
     """
     if not eve.enabled:
         return mixed
-    basis, eye, on_b = eve.basis, computational_basis(), eve.arm == "B"
+    eye, on_b = computational_basis(), eve.arm == "B"
+    basis = eve.basis[:, SWAP_12] if on_b else eve.basis
     amps = born_amplitudes(*((eye, basis) if on_b else (basis, eye)), mixed.psis)
     arm = amps.swapaxes(1, 2) if on_b else amps     # [component, outcome, level]
     p = np.sum(np.abs(arm) ** 2, axis=2)
@@ -180,15 +182,15 @@ class SessionLaw:
 def session_law(source: SourceConfig, eve: EveConfig = EveConfig(),
                 a: PartyConfig = PartyConfig(), b: PartyConfig = PartyConfig()) -> SessionLaw:
     """The ``SessionLaw`` that ``iter_session`` samples and ``exact_session_s3`` reads,
-    its nine tables from one Born-kernel call.  Background, and key crosstalk on the
-    (3, 3) pair only, replace a round's outcomes with a uniform pair: both act at the
-    probability level, so folding them into the tables is exact."""
+    its nine tables from one Born-kernel call.  Background is white noise in
+    ``source.mixture``.  Key crosstalk acts on the (3, 3) pair only, so it is no
+    property of the state: it replaces a key round's outcomes with a uniform pair,
+    at the probability level, so folding it into the tables is exact."""
     mixed = post_eve_mixture(source.mixture, eve)
     t = born_tables(_ROWS_A, _ROWS_B, mixed.psis, mixed.weights, mixed.white_noise_weight)
-    background, crosstalk, uniform = source.background_fraction, source.key_crosstalk, 1.0 / 9.0
-    t = (1.0 - background) * t + background * uniform
+    crosstalk = source.key_crosstalk
     if crosstalk > 0.0:
-        t[2, :, 2, :] = (1.0 - crosstalk) * t[2, :, 2, :] + crosstalk * uniform
+        t[2, :, 2, :] = (1.0 - crosstalk) * t[2, :, 2, :] + crosstalk * (1.0 / 9.0)
     return SessionLaw(t, a.setting_probabilities, b.setting_probabilities,
                       source.detection_efficiency)
 
@@ -365,7 +367,7 @@ class Party:
 
 # Per round code: whether it is a key round (the sifting rule applied once,
 # at import, to the 90 codes), and the key trits it gives A and B.  B's
-# outcomes 1 and 2 are exchanged here, and nowhere else.
+# outcomes are recorded in the lab's labels; its key trits are the Schmidt labels.
 _IS_KEY = Party(CODE_FIELDS[0], CODE_FIELDS[4] == 1).sift_masks(CODE_FIELDS[2])
 _KEY_A = CODE_FIELDS[1]
 _KEY_B = SWAP_12.take(CODE_FIELDS[3], mode="clip")

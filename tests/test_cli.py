@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import qutrit_qkd
-from qutrit_qkd import bell, cli
+from qutrit_qkd import bell, cli, protocol
 from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.linalg import ValidationError
 from qutrit_qkd.trits import read_key_file
@@ -60,6 +61,20 @@ class TestBellCommand:
         assert float(values["s3_optimized"]) >= 2.80
         assert float(values["normalization_divisor"]) == pytest.approx(
             np.sqrt(1.000801), rel=1e-6)
+
+    @pytest.mark.parametrize("coefficients", [(1, 1, 1), protocol.REFERENCE_COEFFICIENTS,
+                                              (1, 0.7, 0.4)])
+    def test_one_state_with_the_sessions(self, capsys, coefficients):
+        # bell.s3 of the source's mixture, and the command's exact S3, are the
+        # sessions' exact S3: all three read the one Schmidt-form state
+        flag = ",".join(map(str, coefficients))
+        for v, b in itertools.product((0, 0.5, 0.9, 1), (0, 0.1, 0.3, 1)):
+            source = protocol.SourceConfig(coefficients, v, b)
+            want = protocol.exact_session_s3(source)
+            assert abs(bell.s3(source.mixture, bell.CANONICAL_SETTINGS) - want) <= 1e-15
+            code, out, _ = run_cli(capsys, "bell", "--coefficients", flag,
+                                   "--visibility", str(v), "--background", str(b))
+            assert code == 0 and abs(float(machine_block(out)["s3_exact"]) - want) <= 1e-15
 
     def test_validation_error_names_field(self, capsys):
         code, _, err = run_cli(capsys, "bell", "--visibility", "1.4")
@@ -582,7 +597,7 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("argv, digest", [
         (("bell", "--coefficients", "0.642,0.546,0.539"),
-         "bafd726e92a90738718d0a0e4bf8a25bd746f515947c75706e7c4061e36cbd96"),
+         "444a9b926d7e666a4b750cb820589179d5047d4ed259406a49f0830eda9fba48"),
         (("optimize", "--restarts", "6", "--seed", "1"),
          "dfd1501045a6fc272694c32751484aacc7ddec1151b8547767e7222aa31ada11"),
         (("optimize", "--family", "unitary", "--restarts", "1", "--tolerance", "1e-2",

@@ -20,7 +20,7 @@ from oracles import (
 )
 from scipy.stats import chi2
 
-from qutrit_qkd import bell, linalg, protocol, transcript
+from qutrit_qkd import bell, cli, linalg, protocol, transcript
 from qutrit_qkd.linalg import (
     MixedState,
     ValidationError,
@@ -109,13 +109,16 @@ def key_counts(cells):
 
 def count_calls(monkeypatch, fn) -> list:
     """A list that grows by one at each call of ``fn``, counted under every name
-    the package's modules bind it by."""
+    the package's modules bind it by, or on its class if it is a classmethod."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return fn(*args, **kwargs)
 
+    if isinstance(getattr(fn, "__self__", None), type):
+        monkeypatch.setattr(fn.__self__, fn.__name__, staticmethod(counted))
+        return calls
     for name, module in list(sys.modules.items()):
         if name.startswith("qutrit_qkd."):
             for attr, obj in list(vars(module).items()):
@@ -149,18 +152,20 @@ class TestConfigs:
             with pytest.raises(ValidationError, match=f"^{name} must"):
                 SourceConfig(**dict(list(faults.items())[i:]))
 
-    def test_mixture_holds_the_source_form(self):
+    def test_mixture_holds_the_schmidt_form(self):
         c, _ = normalize_coefficients(protocol.REFERENCE_COEFFICIENTS)
-        source = SourceConfig(protocol.REFERENCE_COEFFICIENTS, visibility=1)
-        want = np.zeros((3, 3), dtype=complex)
-        want[0, 0], want[1, 2], want[2, 1] = c
-        assert np.array_equal(source.mixture.psis, [want])
-        assert source.mixture.weights.tolist() == [1.0]
-        assert source.mixture.white_noise_weight == 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            source.mixture.psis[0, 0, 0] = 0.0
+        source = SourceConfig(protocol.REFERENCE_COEFFICIENTS, visibility=0.9,
+                              background_fraction=0.1)
+        assert np.array_equal(source.mixture.psis, [np.diag(c)])
+        assert source.mixture.weights.tolist() == [0.9 * (1 - 0.1)]
+        assert source.mixture.white_noise_weight == 1 - 0.9 * (1 - 0.1)
+        for array in (source.mixture.psis, source.mixture.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             source.mixture = None
+        background_only = SourceConfig(background_fraction=1.0).mixture
+        assert background_only.components == () and background_only.white_noise_weight == 1.0
 
     def test_party_probabilities(self):
         with pytest.raises(ValidationError):
@@ -224,7 +229,7 @@ class TestAnalyzers:
     def test_blocks_are_the_canonical_settings(self):
         s = bell.canonical_settings()
         want_a = (s.a1, s.a2, np.eye(3))
-        want_b = (s.b1[:, SWAP_12], s.b2[:, SWAP_12], np.eye(3))
+        want_b = (s.b1, s.b2, np.eye(3)[SWAP_12])
         for rows, want in ((protocol._ROWS_A, want_a), (protocol._ROWS_B, want_b)):
             for block, basis in zip(rows.reshape(3, 3, 3), want):
                 assert np.array_equal(block, basis)
@@ -270,14 +275,10 @@ class TestSampleRound:
 
 class TestPostEveMixture:
     def test_computational_eve_collapse_enumeration(self):
-        psi = diagonal_state((0.642, 0.546, 0.539))[:, SWAP_12]
+        psi = diagonal_state((0.642, 0.546, 0.539))
         mixed = post_eve_mixture(MixedState.pure(psi), EveConfig(enabled=True, arm="B"))
-        # collapse onto |00>, |21>, |12> with the squared coefficients
-        expected = {
-            (0, 0): abs(psi[0, 0]) ** 2,
-            (2, 1): abs(psi[2, 1]) ** 2,
-            (1, 2): abs(psi[1, 2]) ** 2,
-        }
+        # collapse onto |00>, |11>, |22> with the squared coefficients
+        expected = {(k, k): abs(psi[k, k]) ** 2 for k in range(3)}
         assert len(mixed.components) == 3
         for w, state in mixed.components:
             cell = np.unravel_index(np.argmax(np.abs(state)), (3, 3))
@@ -309,13 +310,15 @@ class TestPostEveMixture:
         psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         # b = 0: in the computational basis one outcome of the first component
         # has probability 0 and is dropped
-        mixed = MixedState(components=((0.5, diagonal_state((0.642, 0.0, 0.539))[:, SWAP_12]),
+        mixed = MixedState(components=((0.5, diagonal_state((0.642, 0.0, 0.539))),
                                        (0.3, psi / np.linalg.norm(psi))),
                            white_noise_weight=0.2)
         for basis in [np.eye(3, dtype=complex)] + [random_basis(rng) for _ in range(20)]:
             got = post_eve_mixture(mixed, EveConfig(enabled=True, arm=arm, basis=basis))
+            # Eve's basis is in the lab's labels, the mixture in Schmidt labels
+            relabeled = basis[:, SWAP_12] if arm == "B" else basis
             want, white = intercept_resend_bruteforce(mixed.components,
-                                                      mixed.white_noise_weight, basis, arm)
+                                                      mixed.white_noise_weight, relabeled, arm)
             assert len(got.components) == len(want) >= 5
             for (w, state), (w0, state0) in zip(got.components, want):
                 assert abs(w - w0) <= 1e-12
@@ -767,6 +770,12 @@ class TestProtocolSession:
         run_protocol(300, SourceConfig(visibility=0.69))
         assert (len(normalized), len(checked)) == (1, 1)
 
+    def test_one_mixture_per_bell_command(self, monkeypatch, capsys):
+        normalized = count_calls(monkeypatch, linalg.normalize_coefficients)
+        built = count_calls(monkeypatch, MixedState.isotropic)
+        assert cli.main(["bell", "--coefficients", "0.642,0.546,0.539"]) == 0
+        assert len(built) == 1 and len(normalized) <= 2
+
     def test_fractions_sum_to_detected(self):
         result = run_protocol(30_000, source=SourceConfig(detection_efficiency=0.4),
                               seed=17)
@@ -1013,7 +1022,7 @@ class TestDrawPins:
         "background_crosstalk": (
             SourceConfig(coefficients=REFERENCE, visibility=0.95, background_fraction=0.05,
                          key_crosstalk=0.1, detection_efficiency=float(np.nextafter(1.0, 0.0))),
-            NO_EVE, "0x1.4ba8d8c539338p+1"),
+            NO_EVE, "0x1.4ba8d8c53933ap+1"),
     }
 
     @pytest.mark.parametrize("case, n, digest", [
