@@ -20,7 +20,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import bell, protocol, reconcile, transcript, tritcrypt, trits
-from .linalg import MixedState, ValidationError, normalize_coefficients, require_integer
+from .linalg import MixedState, ValidationError, require_integer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -185,7 +185,7 @@ def _machine_value(value):
 def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
     """Config, the source's ``mixture`` (the state sessions sample) and normalization divisor."""
     config, (source, *_) = resolve_config(args)
-    return config, source.mixture, normalize_coefficients(config.coefficients)[1]
+    return config, source.mixture, source.normalization_divisor
 
 
 def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:
@@ -301,6 +301,13 @@ def cmd_sift(args) -> list:
         result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
     except protocol.InsufficientDataError as exc:
         raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
+    try:
+        declared = _parse_rounds(header["rounds"])
+    except (KeyError, ValidationError):     # no round count to check against
+        declared = result.n_rounds
+    if declared != result.n_rounds:
+        raise ValidationError(f"{args.transcript}: the header says rounds = {declared}, "
+                              f"but the file holds {result.n_rounds} rounds")
     if key_paths:
         os.makedirs(args.out, exist_ok=True)
     return [

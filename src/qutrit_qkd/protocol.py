@@ -35,6 +35,7 @@ from .linalg import (
     born_tables,
     computational_basis,
     diagonal_state,
+    normalize_coefficients,
     require_array,
     require_integer,
     require_orthonormal,
@@ -77,6 +78,7 @@ class SourceConfig:
     emitted ensemble, read by every session, ``bell`` and the optimizers: the
     Schmidt-diagonal state at weight ``visibility * (1 - background_fraction)``,
     the rest white noise, whose outcome pair is as uniform as background's.
+    ``normalization_divisor`` is the norm the coefficients were divided by.
     """
 
     coefficients: tuple = (1.0, 1.0, 1.0)
@@ -86,8 +88,10 @@ class SourceConfig:
     key_crosstalk: float = 0.0
 
     def __post_init__(self):
+        unit, divisor = normalize_coefficients(self.coefficients)
+        object.__setattr__(self, "normalization_divisor", divisor)
         object.__setattr__(self, "mixture", MixedState.isotropic(
-            diagonal_state(self.coefficients),
+            np.diag(unit).astype(complex),
             require_real("visibility", self.visibility, 0, 1)
             * (1.0 - require_real("background_fraction", self.background_fraction, 0, 1))))
         require_real("detection_efficiency", self.detection_efficiency, 0, 1, "(]")

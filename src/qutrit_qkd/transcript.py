@@ -14,15 +14,14 @@ codes: the writer renders row ``code`` of its 90 line tails, and the reader
 turns each row's validated fields back into that code.  The writer numbers
 the rounds by their positions in the session, 0 to n - 1; the reader accepts
 any ids the grammar allows.  The writer's layout is the id's digits, then
-``" c c c c c"`` and a newline: single spaces, lines 11 to 28 bytes long and
-never shorter than the line before.  Both directions work chunk by chunk and
-see a run of lines of one length as fixed-width records of whole fields,
-stored or looked up as little-endian integers: the writer renders each
-session chunk as arrays of such records, and the reader reads each block of
-the writer's layout as such records too, after splitting off the '#' lines
-the block starts with (the header).  Those lines and any other block go
-through the general grammar of ``_parse_lines``, which alone words the
-error messages.
+``" c c c c c"`` and a newline.  Both directions use one set of tables, read
+as little-endian integers: the writer renders each span of consecutive ids
+as an array of fixed-width records, and the reader takes a block the fast
+way only if it is byte for byte what the writer renders for consecutive ids
+from the block's first id, after splitting off the '#' lines the block
+starts with (the header).  Those lines and any other block, such as one
+whose ids have gaps, go through the general grammar of ``_parse_lines``,
+which alone words the error messages.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ _DASH = ord("-")
 
 _IS_SOLID = np.ones(256, dtype=bool)
 _IS_SOLID[list(b" \t\r\v\f\n")] = False
-# character -> field value: '-' reads as -1, and any non-field character as 10
-_CHAR_VALUE = np.full(256, 10, dtype=np.int8)
+# character -> field value: '-' reads as 255, and any non-field character as 10
+_CHAR_VALUE = np.full(256, 10, dtype=np.uint8)
 _CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
-_CHAR_VALUE[_DASH] = -1
+_CHAR_VALUE[_DASH] = 255
 
 # The writer's 11-byte line tails " sa oa sb ob det\n", one per round code.
 _TAILS = np.full((90, 11), ord(" "), dtype=np.uint8)
@@ -53,22 +52,21 @@ _TAILS[:, 1:10:2] = np.where(CODE_FIELDS >= 0, 48 + CODE_FIELDS, _DASH).T
 _DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
 # The same rows as little-endian integers, which the writer's records store
-# whole: four digits as a uint32, a tail as a uint64 of its bytes 0-7 and a
-# uint32 of its bytes 7-10.
+# whole and the reader compares whole: four digits as a uint32, a tail as a
+# uint64 of its bytes 0-7 (its head) and a uint32 of its bytes 7-10.
 _DIGITS4_U32 = _DIGITS4.view("<u4")[:, 0]
 _TAIL_HEAD = np.ascontiguousarray(_TAILS[:, :8]).view("<u8")[:, 0]
 _TAIL_END = np.ascontiguousarray(_TAILS[:, 7:]).view("<u4")[:, 0]
-# Two bytes read as a little-endian uint16 -> what the reader makes of them:
-# ' ' and a character -> the field value of the character (10 after any
-# other first byte); two digits -> their two-digit value (-1 for any other pair).
-_FIELD_VALUE = np.full(1 << 16, 10, dtype=np.int8)
-_FIELD_VALUE[ord(" ") + 256 * np.arange(256)] = _CHAR_VALUE
-_d = np.arange(10)
-_DIGIT_PAIR = np.full(1 << 16, -1, dtype=np.int16)
-_DIGIT_PAIR[48 + _d[:, None] + 256 * (48 + _d)] = 10 * _d[:, None] + _d
-del _d
-
-_WRITE_SLICE_ROWS = 1 << 13         # rows per record array: its temporaries stay small
+# The top byte of head * _TAIL_HASH differs between the 90 heads, so it
+# indexes a table of their codes (int64, as ``take`` indexes); any other head
+# gets some code whose head is not its own.
+_TAIL_HASH = np.uint64(0xB1EDF681CAB21531)
+_slots = (_TAIL_HEAD * _TAIL_HASH) >> 56
+if len(set(_slots.tolist())) != 90:
+    raise RuntimeError("_TAIL_HASH does not separate the 90 line tails")
+_HEAD_CODE = np.zeros(256, dtype=np.int64)
+_HEAD_CODE[_slots] = np.arange(90)
+del _slots
 
 _FAULTS = (
     f"round_id {{0!r}} is not a non-negative integer of at most {_MAX_ID_DIGITS} digits",
@@ -79,27 +77,6 @@ _FAULTS = (
     "outcome_b {4!r} must be {want} when detected is {5}",
     "round_id {0} does not exceed the previous round_id {prev}",
 )
-
-
-def _faults(ids, id_ok, prev_id, values) -> np.ndarray:
-    """(7, rows) flags, one row per entry of ``_FAULTS``.
-
-    ``values`` holds each row's single-character fields (setting_a,
-    outcome_a, setting_b, outcome_b, detected) as five 8-bit arrays of
-    ``_CHAR_VALUE`` values; read as uint8, '-' is 255 and the differences
-    below wrap around.
-    """
-    sa, oa, sb, ob, det = (v.view(np.uint8) for v in values)
-    seen, unseen = det == 1, det == 0
-    return np.stack((
-        ~id_ok,
-        sa - 1 > 2,
-        sb - 1 > 2,
-        ~(seen | unseen),
-        seen & (oa > 2) | unseen & (oa != 255),
-        seen & (ob > 2) | unseen & (ob != 255),
-        ids <= np.concatenate(([prev_id], ids[:-1])),
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +102,40 @@ def _record(width: int) -> np.dtype:
     })
 
 
-def _write_rows(fh, ids: np.ndarray, code: np.ndarray) -> None:
-    """Write valid rows: increasing ids, and each row's code as an intp.
+def _spans(first: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """(first id, id width, ids) of each span of the ids ``first`` to
+    ``first + n - 1``: they are cut where the width changes and at each
+    multiple of 10 000, so a span's last four digits count up one by one
+    and its higher digits are the same on every line."""
+    start, stop = first, first + n
+    while start < stop:
+        width = len(str(start))
+        end = min(stop, 10 ** width, start - start % 10_000 + 10_000)
+        yield start, width, end - start
+        start = end
 
-    Rows of one id width are contiguous; each such run is written as
-    arrays of ``_record(width)``, at most ``_WRITE_SLICE_ROWS`` at a time.
+
+def _write_rows(fh, first: int, code: np.ndarray) -> None:
+    """Write valid rows with the ids ``first``, ``first + 1``, ...: each row's
+    code as an intp.
+
+    Each span of ``_spans`` is written as one array of ``_record(width)``,
+    whose last digit group is a slice of ``_DIGITS4_U32`` and whose higher
+    groups are constants.
     """
-    lo = 0
-    while lo < len(ids):
-        width = len(str(ids[lo]))
-        hi = min(int(np.searchsorted(ids, 10 ** width)), lo + _WRITE_SLICE_ROWS)
-        rows = np.empty(hi - lo, dtype=_record(width))
-        groups, rest = [], ids[lo:hi]
-        for _ in range((width - 1) // 4):
-            high = rest // 10_000
-            groups.append(rest - 10_000 * high)
-            rest = high
-        rows["d0"] = _DIGITS4_U32.take(rest) >> 8 * (3 - (width - 1) % 4)
-        for i, group in enumerate(reversed(groups), start=1):
-            rows[f"d{i}"] = _DIGITS4_U32.take(group)
-        rows["head"] = _TAIL_HEAD.take(code[lo:hi])
-        rows["end"] = _TAIL_END.take(code[lo:hi])
-        fh.write(rows)
-        lo = hi
+    for start, width, rows in _spans(first, len(code)):
+        records = np.empty(rows, dtype=_record(width))
+        low = start % 10_000
+        # constants as arrays too: a strided field is filled faster from an array
+        groups = [np.full(rows, _DIGITS4_U32[start // 10_000 ** k % 10_000])
+                  for k in range((width - 1) // 4, 0, -1)] + [_DIGITS4_U32[low:low + rows]]
+        groups[0] = groups[0] >> 8 * (3 - (width - 1) % 4)
+        for i, group in enumerate(groups):
+            records[f"d{i}"] = group
+        lo = start - first
+        records["head"] = _TAIL_HEAD.take(code[lo:lo + rows])
+        records["end"] = _TAIL_END.take(code[lo:lo + rows])
+        fh.write(records)
 
 
 def transcribe(path, chunks: Iterable[np.ndarray],
@@ -167,7 +155,7 @@ def transcribe(path, chunks: Iterable[np.ndarray],
         base = 0
         for chunk in chunks:
             code = require_codes(chunk, base).astype(np.intp)   # the index type of ``take``
-            _write_rows(fh, np.arange(base, base + len(code)), code)
+            _write_rows(fh, base, code)
             base += len(code)
             yield chunk
 
@@ -206,7 +194,7 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     size = ends[field] - starts[field]
     # a field longer than one character reads as character 0, no field value
     chars = np.where(size[1:] == 1, buf[starts[field[1:]]], np.uint8(0))
-    values = [_CHAR_VALUE.take(c) for c in chars]
+    sa, oa, sb, ob, det = _CHAR_VALUE.take(chars)
 
     id_start, id_size = starts[field[0]], size[0]
     id_ok = id_size <= _MAX_ID_DIGITS
@@ -221,7 +209,17 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     if wrong.any():
         j = lines[wrong.argmax()]
         errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
-    faults = _faults(ids, id_ok, prev_id, values)
+    # one row per entry of _FAULTS; the uint8 differences wrap around
+    seen, unseen = det == 1, det == 0
+    faults = np.stack((
+        ~id_ok,
+        sa - 1 > 2,
+        sb - 1 > 2,
+        ~(seen | unseen),
+        seen & (oa > 2) | unseen & (oa != 255),
+        seen & (ob > 2) | unseen & (ob != 255),
+        ids <= np.concatenate(([prev_id], ids[:-1])),
+    ))
     bad = faults.any(axis=0)
     if bad.any():
         row = int(bad.argmax())
@@ -233,67 +231,69 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
         at, message = min(errors)
         raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
 
-    return _codes(values), ids, len(newlines)
-
-
-def _codes(values) -> np.ndarray:
-    """Rows of valid field values (``_CHAR_VALUE`` values) as their round codes."""
-    sa, oa, sb, ob, det = (v.view(np.uint8) for v in values)
-    code = np.where(det == 1, 3 * oa + ob, np.uint8(9))
+    code = np.where(seen, 3 * oa + ob, np.uint8(9))
     code += 30 * sa + 10 * sb - 40
-    return code
+    return code, ids, len(newlines)
 
 
 def _parse_fixed(data: bytes, prev_id: int):
-    """What ``_parse_lines`` returns for ``data`` if every line is in the
-    writer's layout and every round is valid; None otherwise.
+    """What ``_parse_lines`` returns for ``data`` if it is, byte for byte,
+    what the writer renders for consecutive ids after ``prev_id``; None
+    otherwise.
 
-    Line lengths must not decrease, and each run of equal-length lines is
-    read as records of that length: a newline at the end, the id's digits
-    in pairs (an odd one first, alone) and each field after its space, as
-    ``_DIGIT_PAIR`` and ``_FIELD_VALUE`` keys.  So every byte is checked.
+    The first line's id fixes every line's width and offset.  Each span of
+    ``_spans`` is read as strided little-endian integers: a line's code
+    comes from its tail's head through ``_HEAD_CODE``, and the tail, the
+    last four id digits and the higher digits must equal what the writer's
+    tables give for that code and id.  So every byte is checked.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    runs, at, size = [], 0, 11                  # (first byte, line length, lines)
-    while at < len(buf):
-        longer = data.index(b"\n", at) + 1 - at
-        if not size < longer <= _MAX_ID_DIGITS + 11:
-            return None
-        size = longer
-        ends = buf[at + size - 1::size] == ord("\n")    # last byte of each whole line
-        lines = int(ends.argmin()) or len(ends)          # ends[0] holds: 0 means all do
-        runs.append((at, size, lines))
-        at += size * lines
-
-    n = sum(lines for _, _, lines in runs)
-    ids = np.empty(n, dtype=np.int64)
-    values = [np.empty(n, dtype=np.int8) for _ in range(5)]
-    lo = 0
-    for at, size, lines in runs:
-        width, hi = size - 11, lo + lines
-
-        def keys(offset, dtype="<u2"):
-            return np.ndarray(lines, dtype, buf, at + offset, (size,))
-
-        run_ids = ids[lo:hi]
-        run_ids[:] = 0
-        if width % 2:
-            lead = _CHAR_VALUE.take(keys(0, "u1"))
-            if (lead.view(np.uint8) > 9).any():
-                return None
-            run_ids += lead
-        for offset in range(width % 2, width, 2):
-            pair = _DIGIT_PAIR.take(keys(offset))
-            if (pair < 0).any():
-                return None
-            run_ids *= 100
-            run_ids += pair
-        for value, offset in zip(values, range(width, size - 1, 2)):
-            value[lo:hi] = _FIELD_VALUE.take(keys(offset))
-        lo = hi
-    if _faults(ids, np.ones(n, dtype=bool), prev_id, values).any():
+    k = data.find(b" ", 0, _MAX_ID_DIGITS + 1)
+    if k < 1 or not data[:k].isdigit():     # a leading zero fails the byte checks
         return None
-    return _codes(values), ids, n
+    first = int(data[:k])
+    if first <= prev_id:
+        return None
+    n, start, left = 0, first, len(data)
+    while left:
+        width = len(str(start))
+        lines = min(left // (width + 11), 10 ** width - start)
+        if not lines or width > _MAX_ID_DIGITS:
+            return None
+        n, start, left = n + lines, start + lines, left - lines * (width + 11)
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    code = np.empty(n, dtype=np.uint8)
+    at = 0
+    for start, width, rows in _spans(first, n):
+        size = width + 11
+
+        def field(offset, dtype):
+            return np.ndarray(rows, dtype, buf, at + offset, (size,))
+
+        head, low = field(width, "<u8"), start % 10_000
+        slot = head * _TAIL_HASH
+        slot >>= 56
+        span_code = _HEAD_CODE.take(slot.view(np.int64))
+        if width >= 4:
+            digits_ok = field(width - 4, "<u4") == _DIGITS4_U32[low:low + rows]
+        else:       # the bytes after the id are the tail's, checked below
+            digits_ok = (field(0, "<u4") & np.uint32(256 ** width - 1)
+                         == _DIGITS4_U32[low:low + rows] >> 8 * (4 - width))
+        if not ((_TAIL_HEAD.take(span_code) == head).all()
+                and (_TAIL_END.take(span_code) == field(width + 7, "<u4")).all()
+                and digits_ok.all()):
+            return None
+        code[start - first:start - first + rows] = span_code
+        # the digits above the last four, the same on every line of the span
+        high, offset = str(start)[:-4].encode(), 0
+        while offset < len(high):
+            step = min(8, 1 << (len(high) - offset).bit_length() - 1)
+            dtype = f"<u{step}"
+            if not (field(offset, dtype) == np.frombuffer(high, dtype, 1, offset)[0]).all():
+                return None
+            offset += step
+        at += rows * size
+    return code, np.arange(first, first + n, dtype=np.int64), n
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:

@@ -535,6 +535,32 @@ def test_failed_command_makes_no_out_dir(capsys, tmp_path, case, exit_code):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("keep, rounds_line, exit_code", [
+    (10_001, None, 2), (19_999, None, 2), (20_000, None, 0),
+    (10_001, b"# rounds = many\n", 0),
+])
+def test_sift_checks_the_header_rounds(capsys, tmp_path, keep, rounds_line, exit_code):
+    """A transcript cut short of its header's ``rounds`` (as a ``simulate``
+    that fails mid-write leaves it) exits 2, naming the path and both
+    counts, and writes no key file; a ``rounds`` that does not parse is not
+    checked."""
+    sim_dir, out_dir = tmp_path / "sim", tmp_path / "out"
+    assert run_cli(capsys, "simulate", "--rounds", "20000", "--out", str(sim_dir))[0] == 0
+    path = sim_dir / "transcript.txt"
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = [rounds_line if rounds_line and line.startswith(b"# rounds =") else line
+              for line in lines if line.startswith(b"#")]
+    path.write_bytes(b"".join(header + lines[len(header):len(header) + keep]))
+    code, out, err = run_cli(capsys, "sift", "--transcript", str(path), "--out", str(out_dir))
+    assert code == exit_code and "Traceback" not in err
+    if exit_code:
+        assert out == ""
+        assert f"{path}: the header says rounds = 20000, but the file holds {keep} rounds" in err
+        assert not out_dir.exists()
+    else:
+        assert f"rounds             {keep} " in out
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -774,7 +774,7 @@ class TestProtocolSession:
         normalized = count_calls(monkeypatch, linalg.normalize_coefficients)
         built = count_calls(monkeypatch, MixedState.isotropic)
         assert cli.main(["bell", "--coefficients", "0.642,0.546,0.539"]) == 0
-        assert len(built) == 1 and len(normalized) <= 2
+        assert len(built) == 1 and len(normalized) == 1
 
     def test_fractions_sum_to_detected(self):
         result = run_protocol(30_000, source=SourceConfig(detection_efficiency=0.4),
@@ -1128,6 +1128,9 @@ class TestTranscriptIO:
         "negative id": ("-1 1 0 1 0 1\n", 1, "round_id '-1'"),
         "non-digit id": ("0 1 0 1 0 1\n\n1x 1 0 1 0 1\n", 3, "round_id '1x'"),
         "19-digit id": ("1000000000000000000 1 0 1 0 1\n", 1, "round_id"),
+        "19-digit id after the last": (
+            "999999999999999999 1 0 1 0 1\n1000000000000000000 1 0 1 0 1\n", 2,
+            "round_id '1000000000000000000' is not a non-negative integer of at most 18"),
         "duplicate id": ("0 1 0 1 0 1\n# c\n0 1 0 1 0 1\n", 3, "does not exceed"),
         "decreasing id": ("5 1 0 1 0 1\n3 1 0 1 0 1\n", 2, "does not exceed"),
         "seven fields": ("0 1 0 1 0 1\n1 1 0 1 0 1 1\n", 2, "expected 6 fields, got 7"),
@@ -1180,31 +1183,68 @@ class TestTranscriptIO:
         with pytest.raises(ValidationError, match=message):
             list(transcribe(tmp_path / "t.txt", [code]))
 
-    WIDE_IDS = (0, 9, 10, 99, 100, 9999, 10000, 99999999, 100000000, 10**17, 10**18 - 1)
+    # every power of ten (so every width from 1 to 18 digits and every 4-digit
+    # group boundary), a carry through three groups at one width, and the last id
+    WIDE_IDS = (0, *(10**k for k in range(1, 18)), 5 * 10**12, 10**18 - 1)
 
     @pytest.mark.parametrize("chunk_rows", [None, 7])
     def test_writer_id_widths(self, tmp_path, chunk_rows):
-        # every id width from 1 to 18 digits, next to each 4-digit group
-        # boundary, with all 90 line tails: 9 setting pairs x (9 outcome
-        # pairs or undetected), written by the writer's row renderer
+        # the ids within 8 of each of WIDE_IDS, with all 90 line tails:
+        # 9 setting pairs x (9 outcome pairs or undetected), written by the
+        # writer's row renderer one consecutive run (or ``chunk_rows`` of it)
+        # at a time
         ids = np.array(sorted({i + k for i in self.WIDE_IDS for k in range(-8, 9)
                                if 0 <= i + k < 10**18}), dtype=np.int64)
         n = len(ids)
-        assert n >= 90
+        assert n >= 90 and {len(str(i)) for i in ids} == set(range(1, 19))
         code = np.arange(n) % 90
-        path, step = tmp_path / "t.txt", chunk_rows or n
-        with open(path, "wb") as fh:
-            for lo in range(0, n, step):
-                transcript._write_rows(fh, ids[lo:lo + step], code[lo:lo + step])
+        runs = np.split(np.arange(n), np.flatnonzero(np.diff(ids) > 1) + 1)
+        with open(tmp_path / "t.txt", "wb") as fh:
+            for run in runs:
+                for lo in range(run[0], run[-1] + 1, chunk_rows or n):
+                    hi = min(lo + (chunk_rows or n), run[-1] + 1)
+                    transcript._write_rows(fh, int(ids[lo]), code[lo:hi])
         expected = []
         for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in columns(code, ids))):
             oa, ob = (oa, ob) if seen else ("-", "-")
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
+        path = tmp_path / "t.txt"
         assert path.read_bytes() == "".join(expected).encode()
         loaded, loaded_ids = read_transcript(path)
         assert loaded_ids.dtype == np.int64 and loaded.dtype == np.uint8
         assert np.array_equal(loaded_ids, ids)
         assert np.array_equal(loaded, code)
+
+    @pytest.mark.parametrize("block_bytes", [64, 4096, None])
+    @pytest.mark.parametrize("first_id", [0, 99_800])
+    def test_writer_output_takes_the_fixed_path(self, tmp_path, monkeypatch, first_id,
+                                                 block_bytes):
+        # ids 0 to 10 099 through ``transcribe``, or 99 800 to 100 199 after a
+        # header: they cross 9 999 -> 10 000 or 99 999 -> 100 000
+        if block_bytes is not None:
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+        n = 10_100 if first_id == 0 else 400
+        code = whole_session(n, SourceConfig(detection_efficiency=0.7),
+                             NO_EVE, PartyConfig(), PartyConfig(), seed=25)
+        path = tmp_path / "t.txt"
+        if first_id == 0:
+            list(transcribe(path, [code], header={"seed": 25, "rounds": n}))
+        else:
+            with open(path, "wb") as fh:
+                fh.write(b"# seed = 25\n")
+                transcript._write_rows(fh, first_id, code.astype(np.intp))
+        fixed, general = [], []
+        parse_fixed, parse_lines = transcript._parse_fixed, transcript._parse_lines
+        monkeypatch.setattr(transcript, "_parse_fixed",
+                            lambda *args: fixed.append(parse_fixed(*args)) or fixed[-1])
+        monkeypatch.setattr(transcript, "_parse_lines",
+                            lambda *args: general.append(args[0]) or parse_lines(*args))
+        loaded, ids = read_transcript(path)
+        assert np.array_equal(loaded, code) and np.array_equal(ids, first_id + np.arange(n))
+        assert all(line.startswith(b"# ") for data in general
+                   for line in data.splitlines())
+        assert fixed and all(r is not None for r in fixed)
+        assert sum(r[2] for r in fixed) == n
 
     @staticmethod
     def _edited(text, edits):
@@ -1321,8 +1361,7 @@ class TestTranscriptIO:
             path = os.path.join(tmp, "t.txt")
             with open(path, "wb") as fh:
                 fh.write(b"# seed = 24\n")
-                transcript._write_rows(fh, first_id + np.arange(300, dtype=np.int64),
-                                       code.astype(np.intp))
+                transcript._write_rows(fh, first_id, code.astype(np.intp))
             with open(path) as fh:
                 text = self._damaged(fh.read(), j, kind, pick)
             with open(path, "w", newline="") as out:
