@@ -1198,17 +1198,15 @@ class TestTranscriptIO:
         n = len(ids)
         assert n >= 90 and {len(str(i)) for i in ids} == set(range(1, 19))
         code = np.arange(n) % 90
-        runs = np.split(np.arange(n), np.flatnonzero(np.diff(ids) > 1) + 1)
-        with open(tmp_path / "t.txt", "wb") as fh:
-            for run in runs:
-                for lo in range(run[0], run[-1] + 1, chunk_rows or n):
-                    hi = min(lo + (chunk_rows or n), run[-1] + 1)
-                    transcript._write_rows(fh, int(ids[lo]), code[lo:hi])
+        path, step = tmp_path / "t.txt", chunk_rows or n
+        with open(path, "wb") as fh:
+            for run in np.split(np.arange(n), np.flatnonzero(np.diff(ids) > 1) + 1):
+                for rows in np.split(run, range(step, len(run), step)):
+                    transcript._write_rows(fh, int(ids[rows[0]]), code[rows])
         expected = []
         for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in columns(code, ids))):
             oa, ob = (oa, ob) if seen else ("-", "-")
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
-        path = tmp_path / "t.txt"
         assert path.read_bytes() == "".join(expected).encode()
         loaded, loaded_ids = read_transcript(path)
         assert loaded_ids.dtype == np.int64 and loaded.dtype == np.uint8
