@@ -161,46 +161,35 @@ _FREQUENCIES = (np.eye(4)[:2, None, None, None] * _DIFFERENCES[:, None, None]
                 + np.eye(4)[None, 2:, None, None] * _DIFFERENCES[:, None]).reshape(-1, 4)
 _SLOPES = (2.0 * np.pi / DIM) * _FREQUENCIES
 _PHASES = (-2j * np.pi / DIM) * _DIFFERENCES
-# _LEVEL_BINS[(i, j, n, o), (p, q)] is 1 where the level differences i - n and
-# j - o are _DIFFERENCES[p] and _DIFFERENCES[q]
-_LEVEL_PAIRS = np.subtract.outer(np.arange(DIM), np.arange(DIM))[:, :, None] == _DIFFERENCES
-_LEVEL_BINS = np.einsum("inp,joq->ijnopq", _LEVEL_PAIRS, _LEVEL_PAIRS) \
-    .reshape(DIM ** 4, len(_DIFFERENCES) ** 2).astype(float)
-# S3_COEFFICIENTS as (basis pair (a, b), row pair (k, l))
-_S3_PAIRS = S3_COEFFICIENTS.transpose(0, 2, 1, 3).reshape(4, DIM * DIM)
-# and as (A's row (a, k), B's row (b, l)), the unitary family's cells
+# S3_COEFFICIENTS as (A's row (a, k), B's row (b, l)), the unitary family's cells
 _S3_CELLS = S3_COEFFICIENTS.reshape(2 * DIM, 2 * DIM)
-# each party's offset-0 rows split into their levels: row 3 k + j is level j of row k
-_LEVEL_ROWS_A, _LEVEL_ROWS_B = ((phase_rows(party, [0.0])[:, None, :] * _EYE)
-                                .reshape(DIM * DIM, DIM) for party in "AB")
-# |00>, |11> and |22>, whose combinations c make the gamma family
-_SCHMIDT_TERMS = _EYE[:, :, None] * _EYE[:, None, :]
+# F = _PAIR_FOURIER R: with A's row k and B's row l at offset 0 carrying
+# exp(2 pi i j k / 3) / sqrt(3) and exp(-2 pi i j l / 3) / sqrt(3) on level j, the
+# probability of (k, l) is the sum over p, q of R[p, q] exp(-2 pi i (p k - q l) / 3) / 9,
+# R the state's level-difference correlation (``_level_correlation``).  So _PAIR_FOURIER
+# [a, b, p, q] = sum_{k, l} S3_COEFFICIENTS[a, k, b, l] exp(-2 pi i (p k - q l) / 3) / 9.
+_FOURIER = np.exp(np.multiply.outer(_PHASES, np.arange(DIM)))   # [p, k]
+_PAIR_FOURIER = np.einsum("akbl,pk,ql->abpq", S3_COEFFICIENTS, _FOURIER, _FOURIER.conj()) / DIM ** 2
+# _LEVEL_BINS[(j, m, n, o), (p, q)] is 1 where the level differences j - n and
+# m - o are _DIFFERENCES[p] and _DIFFERENCES[q]
+_LEVEL_PAIRS = np.subtract.outer(np.arange(DIM), np.arange(DIM))[:, :, None] == _DIFFERENCES
+_LEVEL_BINS = np.einsum("jnp,moq->jmnopq", _LEVEL_PAIRS, _LEVEL_PAIRS) \
+    .reshape(DIM ** 4, len(_DIFFERENCES) ** 2).astype(float)
 
 
-def _phase_cross_terms(psis) -> np.ndarray:
-    """(m, m, 100) coefficients T[s, t] of the phase-family polynomial that
-    amplitude s times the conjugate of amplitude t contributes to S3, for
-    the (m, 3, 3) states ``psis``.
-
-    One kernel call on the level-split offset-0 rows gives each state's
-    amplitude per (row k, level i, row l, level j).  The products of two
-    amplitudes' levels are weighted per row pair with ``S3_COEFFICIENTS``
-    and binned by their level differences (p, q).  The mixture
-    sum_s w_s |psi_s><psi_s| has coefficients sum_s w_s T[s, s]; the
-    white-noise part adds nothing, since each setting pair's coefficients
-    sum to zero.
-    """
-    amps = born_amplitudes(_LEVEL_ROWS_A, _LEVEL_ROWS_B, psis).reshape(-1, DIM, DIM, DIM, DIM)
-    amps = amps.transpose(0, 1, 3, 2, 4).reshape(-1, DIM * DIM, DIM * DIM)   # [s, (k, l), (i, j)]
-    m = len(amps)
-    pairs = amps[:, None, :, :, None] * amps.conj()[None, :, :, None, :]
-    cross = _S3_PAIRS @ pairs.reshape(m, m, DIM * DIM, DIM ** 4) @ _LEVEL_BINS
-    return cross.reshape(m, m, len(_FREQUENCIES))
+def _level_correlation(mixed: MixedState) -> np.ndarray:
+    """(5, 5) correlation R[p, q] = sum_s w_s sum_{j, m} psi_s[j, m] conj(psi_s[j - p, m - q])
+    of ``mixed`` over level differences p, q in {-2 .. 2}: its density matrix
+    binned by ``_LEVEL_BINS``.  The white part adds nothing, since each
+    setting pair's S3 coefficients sum to zero."""
+    psis = mixed.psis.reshape(-1, DIM * DIM)
+    rho = (mixed.weights * psis.T) @ psis.conj()
+    return (rho.reshape(-1) @ _LEVEL_BINS).reshape(len(_DIFFERENCES), -1)
 
 
 def _phase_coefficients(mixed: MixedState) -> np.ndarray:
     """(100,) coefficients of S3 of ``mixed`` in the phase family."""
-    return np.einsum("s,ssn->n", mixed.weights, _phase_cross_terms(mixed.psis))
+    return (_PAIR_FOURIER * _level_correlation(mixed)).reshape(-1)
 
 
 def _phase_weights(coefficients) -> np.ndarray:
@@ -389,8 +378,9 @@ def optimize_s3(
     local-unitary family (8 parameters each).  Both run every restart as one
     stack through ``_ascend`` (BFGS) on the exact gradient of unvalidated
     rows: the phase family evaluates S3 as a trigonometric polynomial of the
-    offsets whose coefficients come from one Born-kernel call per solve, the
-    unitary family makes one kernel call per evaluation of the stack.  The
+    offsets whose coefficients are ``_PAIR_FOURIER`` times the state's level
+    correlation, with no Born-kernel call; the unitary family makes one
+    kernel call per evaluation of the stack.  The
     reported value is the exact S3 re-evaluated at the returned settings.
     Deterministic for a fixed seed.  Values within 1e-10 (relative) of the best
     tie, and the earliest tied restart wins: the canonical start, if it is one.
@@ -426,8 +416,11 @@ def optimize_s3(
 
 
 # The gamma family's polynomials per Schmidt pair (s, t) of |00>, |11>, |22>,
-# weighted against ``_phase_terms``: (200, 9 * 5), built once.
-_SCHMIDT_WEIGHTS = _phase_weights(_phase_cross_terms(_SCHMIDT_TERMS).reshape(DIM * DIM, -1)) \
+# weighted against ``_phase_terms``: (200, 9 * 5), built once.  Amplitude s
+# times the conjugate of amplitude t is R's entry at p = q = s - t alone.
+_SCHMIDT_WEIGHTS = _phase_weights(np.einsum("abpq,stp,stq->stabpq", _PAIR_FOURIER,
+                                            _LEVEL_PAIRS, _LEVEL_PAIRS)
+                                  .reshape(DIM * DIM, -1)) \
     .transpose(1, 0, 2).reshape(2 * len(_FREQUENCIES), -1)
 _SCHMIDT_WEIGHTS.setflags(write=False)
 

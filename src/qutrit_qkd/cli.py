@@ -296,18 +296,27 @@ def cmd_simulate(args) -> list:
 
 def cmd_sift(args) -> list:
     key_paths = _out_paths(args.out, "key_a.txt", "key_b.txt") if args.out else None
-    header = {}
+    header, n_read, short = {}, 0, None
+
+    def counted():
+        nonlocal n_read
+        for code in transcript.iter_transcript(args.transcript, header):
+            n_read += len(code)
+            yield code
+
     try:
-        result = protocol.analyze(transcript.iter_transcript(args.transcript, header))
+        result = protocol.analyze(counted())
     except protocol.InsufficientDataError as exc:
-        raise protocol.InsufficientDataError(f"{args.transcript}: {exc}") from None
+        short = exc     # reported after the round count, so a truncation is named as such
     try:
         declared = _parse_rounds(header["rounds"])
     except (KeyError, ValidationError):     # no round count to check against
-        declared = result.n_rounds
-    if declared != result.n_rounds:
+        declared = n_read
+    if declared != n_read:
         raise ValidationError(f"{args.transcript}: the header says rounds = {declared}, "
-                              f"but the file holds {result.n_rounds} rounds")
+                              f"but the file holds {n_read} rounds")
+    if short:
+        raise protocol.InsufficientDataError(f"{args.transcript}: {short}")
     if key_paths:
         os.makedirs(args.out, exist_ok=True)
     return [

@@ -45,7 +45,9 @@ def parity_sift(key_a, key_b) -> tuple[np.ndarray, np.ndarray, ReconciliationRep
     usable = a.size - dropped
     blocks_a = a[:usable].reshape(-1, BLOCK)
     blocks_b = b[:usable].reshape(-1, BLOCK)
-    keep = (blocks_a.sum(axis=1) % 3) == (blocks_b.sum(axis=1) % 3)
+    # three column adds, cheaper than a sum along rows of 3; an int8 block sums to at most 6
+    keep = ((blocks_a[:, 0] + blocks_a[:, 1] + blocks_a[:, 2]) % 3
+            == (blocks_b[:, 0] + blocks_b[:, 1] + blocks_b[:, 2]) % 3)
     out_a = blocks_a[keep][:, :2].reshape(-1)
     out_b = blocks_b[keep][:, :2].reshape(-1)
     report = ReconciliationReport(

@@ -236,7 +236,7 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     return code, ids, len(newlines)
 
 
-def _parse_fixed(data: bytes, prev_id: int):
+def _parse_fixed(data, prev_id: int):
     """What ``_parse_lines`` returns for ``data`` if it is, byte for byte,
     what the writer renders for consecutive ids after ``prev_id``; None
     otherwise.
@@ -247,10 +247,11 @@ def _parse_fixed(data: bytes, prev_id: int):
     last four id digits and the higher digits must equal what the writer's
     tables give for that code and id.  So every byte is checked.
     """
-    k = data.find(b" ", 0, _MAX_ID_DIGITS + 1)
-    if k < 1 or not data[:k].isdigit():     # a leading zero fails the byte checks
+    head = bytes(data[:_MAX_ID_DIGITS + 1])
+    k = head.find(b" ")
+    if k < 1 or not head[:k].isdigit():     # a leading zero fails the byte checks
         return None
-    first = int(data[:k])
+    first = int(head[:k])
     if first <= prev_id:
         return None
     n, start, left = 0, first, len(data)
@@ -305,31 +306,37 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
     number of the first bad line.
     """
     header = {} if header is None else header
-    line0, prev_id, rest = 0, -1, b""
+    line0, prev_id, kept, buf = 0, -1, 0, bytearray()
     with open(path, "rb") as fh:
         while True:
-            block = fh.read(_READ_BLOCK_BYTES)
-            data = rest + block
-            if block:
-                cut = data.rfind(b"\n") + 1
-                data, rest = data[:cut], data[cut:]
-            elif data:
-                data += b"\n"               # the last line lacks its newline
+            # one reused buffer: the partial last line of the previous read,
+            # then the next block, with room for the newline a last line lacks
+            if len(buf) < kept + _READ_BLOCK_BYTES + 1:
+                buf = buf[:kept] + bytearray(kept + 2 * _READ_BLOCK_BYTES)
+            view = memoryview(buf)
+            got = fh.readinto(view[kept:kept + _READ_BLOCK_BYTES])
+            end = kept + got
+            if not got and kept:            # the last line lacks its newline
+                buf[end] = ord("\n")
+                end += 1
+            cut = buf.rfind(b"\n", 0, end) + 1
             # leading '#' lines (the header, in the first block) go alone
             # to the general grammar, so the rows after them can take the
             # fixed path
-            cut = 0
-            while data.startswith(b"#", cut):
-                cut = data.index(b"\n", cut) + 1
-            if cut:
-                line0 += _parse_lines(data[:cut], path, line0, prev_id, header)[2]
-                data = data[cut:]
-            if data:
+            start = 0
+            while buf.startswith(b"#", start, cut):
+                start = buf.index(b"\n", start, cut) + 1
+            if start:
+                line0 += _parse_lines(bytes(view[:start]), path, line0, prev_id, header)[2]
+            if start < cut:
+                data = view[start:cut]
                 code, ids, n_lines = (_parse_fixed(data, prev_id)
-                                      or _parse_lines(data, path, line0, prev_id, header))
+                                      or _parse_lines(bytes(data), path, line0, prev_id, header))
                 line0 += n_lines
                 if len(code):
                     prev_id = ids[-1]
                     yield code
-            if not block:
+            if not got:
                 break
+            kept = end - cut
+            buf[:kept] = buf[cut:end]          # a copy: the two may overlap

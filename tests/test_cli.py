@@ -537,13 +537,14 @@ def test_failed_command_makes_no_out_dir(capsys, tmp_path, case, exit_code):
 
 @pytest.mark.parametrize("keep, rounds_line, exit_code", [
     (10_001, None, 2), (19_999, None, 2), (20_000, None, 0),
-    (10_001, b"# rounds = many\n", 0),
+    (10_001, b"# rounds = many\n", 0), (5, None, 2), (0, None, 2),
 ])
 def test_sift_checks_the_header_rounds(capsys, tmp_path, keep, rounds_line, exit_code):
     """A transcript cut short of its header's ``rounds`` (as a ``simulate``
     that fails mid-write leaves it) exits 2, naming the path and both
-    counts, and writes no key file; a ``rounds`` that does not parse is not
-    checked."""
+    counts, and writes no key file, also when too few rounds are left for
+    an estimate (5 rows lack some setting pair, 0 rows are no rounds); a
+    ``rounds`` that does not parse is not checked."""
     sim_dir, out_dir = tmp_path / "sim", tmp_path / "out"
     assert run_cli(capsys, "simulate", "--rounds", "20000", "--out", str(sim_dir))[0] == 0
     path = sim_dir / "transcript.txt"
