@@ -20,7 +20,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import bell, protocol, reconcile, transcript, tritcrypt, trits
-from .linalg import MixedState, ValidationError, require_integer
+from .linalg import ValidationError, require_integer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -182,12 +182,6 @@ def _machine_value(value):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _bell_setup(args) -> tuple[RunConfig, MixedState, float]:
-    """Config, the source's ``mixture`` (the state sessions sample) and normalization divisor."""
-    config, (source, *_) = resolve_config(args)
-    return config, source.mixture, source.normalization_divisor
-
-
 def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:
     """The optimized S3, flagged when no restart converged."""
     flag = "" if result.converged else "  [not converged]"
@@ -196,9 +190,9 @@ def _optimized_rows(label: str, result: bell.OptimizeResult) -> list:
 
 
 def cmd_bell(args) -> list:
-    config, mixed, divisor = _bell_setup(args)
-    s3_exact = bell.s3(mixed, bell.CANONICAL_SETTINGS)
-    result = bell.optimize_s3(mixed, family=args.family,
+    config, (source, *_) = resolve_config(args)
+    s3_exact = bell.s3(source.mixture, bell.CANONICAL_SETTINGS)
+    result = bell.optimize_s3(source.mixture, family=args.family,
                               tolerance=args.tolerance, seed=config.seed)
     return [
         *_block("config:", vars(config)),
@@ -208,13 +202,13 @@ def cmd_bell(args) -> list:
         (f"classical bound 2.0000, quantum maximum {bell.QUANTUM_MAX:.4f}",
          "classical_bound", bell.CLASSICAL_BOUND),
         (None, "quantum_max", bell.QUANTUM_MAX),
-        (None, "normalization_divisor", divisor),
+        (None, "normalization_divisor", source.normalization_divisor),
     ]
 
 
 def cmd_optimize(args) -> list:
-    config, mixed, _ = _bell_setup(args)
-    result = bell.optimize_s3(mixed, family=args.family,
+    config, (source, *_) = resolve_config(args)
+    result = bell.optimize_s3(source.mixture, family=args.family,
                               tolerance=args.tolerance, seed=config.seed,
                               restarts=args.restarts)
     return [

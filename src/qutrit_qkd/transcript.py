@@ -14,11 +14,11 @@ codes: the writer renders row ``code`` of its 90 line tails, and the reader
 turns each row's validated fields back into that code.  The writer numbers
 the rounds by their positions in the session, 0 to n - 1; the reader accepts
 any ids the grammar allows.  The writer's layout is the id's digits, then
-``" c c c c c"`` and a newline.  Both directions use one set of tables, read
-as little-endian integers: the writer renders each span of consecutive ids
-as an array of fixed-width records, and the reader takes a block the fast
-way only if it is byte for byte what the writer renders for consecutive ids
-from the block's first id, after splitting off the '#' lines the block
+``" c c c c c"`` and a newline, stated once by ``_record`` and ``_render``:
+each span of consecutive ids becomes an array of fixed-width records.  The reader
+takes a block the fast way only if it equals, byte for byte, what
+``_render`` gives for consecutive ids from the block's first id and the
+codes read from the line tails, after splitting off the '#' lines the block
 starts with (the header).  Those lines and any other block, such as one
 whose ids have gaps, go through the general grammar of ``_parse_lines``,
 which alone words the error messages.
@@ -27,6 +27,7 @@ which alone words the error messages.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 import numpy as np
 
@@ -52,14 +53,16 @@ _TAILS[:, 1:10:2] = np.where(CODE_FIELDS >= 0, 48 + CODE_FIELDS, _DASH).T
 _DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
 # The same rows as little-endian integers, which the writer's records store
-# whole and the reader compares whole: four digits as a uint32, a tail as a
-# uint64 of its bytes 0-7 (its head) and a uint32 of its bytes 7-10.
+# whole: four digits as a uint32, a tail as a uint64 of its bytes 0-7 (its
+# head) and a uint32 of its bytes 7-10.
 _DIGITS4_U32 = _DIGITS4.view("<u4")[:, 0]
 _TAIL_HEAD = np.ascontiguousarray(_TAILS[:, :8]).view("<u8")[:, 0]
 _TAIL_END = np.ascontiguousarray(_TAILS[:, 7:]).view("<u4")[:, 0]
 # The top byte of head * _TAIL_HASH differs between the 90 heads, so it
-# indexes a table of their codes (int64, as ``take`` indexes); any other head
-# gets some code whose head is not its own.
+# indexes a table of their codes (int64, as ``take`` indexes).  The reader
+# renders the codes it reads and compares, so a hash that merged two heads
+# would only send the writer's own blocks to the general grammar: the check
+# below guards speed, not results.
 _TAIL_HASH = np.uint64(0xB1EDF681CAB21531)
 _slots = (_TAIL_HEAD * _TAIL_HASH) >> 56
 if len(set(_slots.tolist())) != 90:
@@ -83,6 +86,7 @@ _FAULTS = (
 # Writing
 # ---------------------------------------------------------------------------
 
+@cache                 # one dtype per width, built once
 def _record(width: int) -> np.dtype:
     """The writer's line for a ``width``-digit id as a record of whole fields.
 
@@ -115,13 +119,13 @@ def _spans(first: int, n: int) -> Iterator[tuple[int, int, int]]:
         start = end
 
 
-def _write_rows(fh, first: int, code: np.ndarray) -> None:
-    """Write valid rows with the ids ``first``, ``first + 1``, ...: each row's
-    code as an intp.
+def _render(first: int, code: np.ndarray) -> Iterator[np.ndarray]:
+    """The writer's lines for the ids ``first``, ``first + 1``, ... and the
+    valid round codes ``code`` (intp, the index type of ``take``).
 
-    Each span of ``_spans`` is written as one array of ``_record(width)``,
-    whose last digit group is a slice of ``_DIGITS4_U32`` and whose higher
-    groups are constants.
+    Yields each span of ``_spans`` as one array of ``_record(width)``, whose
+    last digit group is a slice of ``_DIGITS4_U32`` and whose higher groups
+    are constants.
     """
     for start, width, rows in _spans(first, len(code)):
         records = np.empty(rows, dtype=_record(width))
@@ -135,6 +139,13 @@ def _write_rows(fh, first: int, code: np.ndarray) -> None:
         lo = start - first
         records["head"] = _TAIL_HEAD.take(code[lo:lo + rows])
         records["end"] = _TAIL_END.take(code[lo:lo + rows])
+        yield records
+
+
+def _write_rows(fh, first: int, code: np.ndarray) -> None:
+    """Write valid rows with the ids ``first``, ``first + 1``, ...: each row's
+    code as an intp."""
+    for records in _render(first, code):
         fh.write(records)
 
 
@@ -144,14 +155,19 @@ def transcribe(path, chunks: Iterable[np.ndarray],
 
     Yields each chunk once its lines are written, so a session can be
     written and analyzed in one pass; the file is complete when the
-    iteration ends.  Header lines are '# key = value'.  A round's id is its
-    index in the session.  Each chunk is checked by ``require_codes``, which
+    iteration ends.  Header lines are '# key = value'; an item that would
+    not read back as written (an empty key, '=' in the key, a newline, or
+    whitespace at either end of the key or the value) raises ValidationError
+    before the file is opened.  A round's id is its index in the session.  Each chunk is checked by ``require_codes``, which
     names the round's index in the session for a code out of range; the
     lines of earlier chunks are already written by then.
     """
+    items = [(str(key), str(value)) for key, value in (header or {}).items()]
+    for key, value in items:    # the reader splits at the first '=' and strips both
+        if not key or "=" in key or any("\n" in s or s != s.strip() for s in (key, value)):
+            raise ValidationError(f"header item {key!r} = {value!r} would not read back as written")
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {key} = {value}\n"
-                         for key, value in (header or {}).items()).encode())
+        fh.write("".join(f"# {key} = {value}\n" for key, value in items).encode())
         base = 0
         for chunk in chunks:
             code = require_codes(chunk, base).astype(np.intp)   # the index type of ``take``
@@ -181,10 +197,16 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
     n_fields = last - first
     used = np.flatnonzero(n_fields)
     comment = buf[starts[first[used]]] == ord("#")
+    errors = []
     for j in used[comment]:
-        body = data[starts[first[j]] + 1:newlines[j]].decode(errors="replace").strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
+        body = data[starts[first[j]] + 1:newlines[j]]
+        if b"=" in body:
+            try:
+                key, _, value = body.decode().partition("=")
+            except UnicodeDecodeError as exc:
+                column = starts[first[j]] + exc.start + 2 - (newlines[j - 1] + 1 if j else 0)
+                errors.append((j, f"not UTF-8 text (byte {body[exc.start]:#04x} at column {column})"))
+                break
             header[key.strip()] = value.strip()
 
     lines = used[~comment]
@@ -205,7 +227,6 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
         id_ok &= ~live | (digit <= 9)
         ids = np.where(live, 10 * ids + digit, ids)
 
-    errors = []
     if wrong.any():
         j = lines[wrong.argmax()]
         errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
@@ -238,63 +259,38 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
 
 def _parse_fixed(data, prev_id: int):
     """What ``_parse_lines`` returns for ``data`` if it is, byte for byte,
-    what the writer renders for consecutive ids after ``prev_id``; None
+    what ``_render`` gives for consecutive ids after ``prev_id``; None
     otherwise.
 
-    The first line's id fixes every line's width and offset.  Each span of
-    ``_spans`` is read as strided little-endian integers: a line's code
-    comes from its tail's head through ``_HEAD_CODE``, and the tail, the
-    last four id digits and the higher digits must equal what the writer's
-    tables give for that code and id.  So every byte is checked.
+    The first line's id fixes every line's width and offset, so each line's
+    code is read from its tail's head through ``_HEAD_CODE``.  The block is
+    taken only if it equals the writer's rendering of those ids and codes.
     """
     head = bytes(data[:_MAX_ID_DIGITS + 1])
     k = head.find(b" ")
-    if k < 1 or not head[:k].isdigit():     # a leading zero fails the byte checks
+    if k < 1 or not head[:k].isdigit():     # a leading zero fails the compare
         return None
     first = int(head[:k])
     if first <= prev_id:
         return None
-    n, start, left = 0, first, len(data)
-    while left:
+    codes, start, at = [], first, 0
+    while at < len(data):
         width = len(str(start))
-        lines = min(left // (width + 11), 10 ** width - start)
+        lines = min((len(data) - at) // (width + 11), 10 ** width - start)
         if not lines or width > _MAX_ID_DIGITS:
             return None
-        n, start, left = n + lines, start + lines, left - lines * (width + 11)
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    code = np.empty(n, dtype=np.uint8)
-    at = 0
-    for start, width, rows in _spans(first, n):
-        size = width + 11
-
-        def field(offset, dtype):
-            return np.ndarray(rows, dtype, buf, at + offset, (size,))
-
-        head, low = field(width, "<u8"), start % 10_000
-        slot = head * _TAIL_HASH
+        slot = np.frombuffer(data, _record(width), lines, at)["head"] * _TAIL_HASH
         slot >>= 56
-        span_code = _HEAD_CODE.take(slot.view(np.int64))
-        if width >= 4:
-            digits_ok = field(width - 4, "<u4") == _DIGITS4_U32[low:low + rows]
-        else:       # the bytes after the id are the tail's, checked below
-            digits_ok = (field(0, "<u4") & np.uint32(256 ** width - 1)
-                         == _DIGITS4_U32[low:low + rows] >> 8 * (4 - width))
-        if not ((_TAIL_HEAD.take(span_code) == head).all()
-                and (_TAIL_END.take(span_code) == field(width + 7, "<u4")).all()
-                and digits_ok.all()):
+        codes.append(_HEAD_CODE.take(slot.view(np.int64)))
+        start, at = start + lines, at + lines * (width + 11)
+    code = np.concatenate(codes)
+    at = 0
+    for records in _render(first, code):
+        # of equal lengths, so a prefix test: it reads ``data`` in place
+        if not records.tobytes().startswith(data[at:at + records.nbytes]):
             return None
-        code[start - first:start - first + rows] = span_code
-        # the digits above the last four, the same on every line of the span
-        high, offset = str(start)[:-4].encode(), 0
-        while offset < len(high):
-            step = min(8, 1 << (len(high) - offset).bit_length() - 1)
-            dtype = f"<u{step}"
-            if not (field(offset, dtype) == np.frombuffer(high, dtype, 1, offset)[0]).all():
-                return None
-            offset += step
-        at += rows * size
-    return code, np.arange(first, first + n, dtype=np.int64), n
+        at += records.nbytes
+    return code.astype(np.uint8), np.arange(first, start, dtype=np.int64), len(code)
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:

@@ -348,6 +348,16 @@ class TestSimulateAndSift:
         assert err.startswith(f"error: {cfg}:2: not UTF-8 text")
         assert "Traceback" not in err and out == ""
 
+    def test_non_utf8_transcript_header_is_validation_error(self, capsys, tmp_path):
+        sim_dir = tmp_path / "sim"
+        assert run_cli(capsys, "simulate", "--rounds", "2000", "--out", str(sim_dir))[0] == 0
+        path = sim_dir / "transcript.txt"
+        path.write_bytes(b"# note = \xff\xfe\n" + path.read_bytes())
+        code, out, err = run_cli(capsys, "sift", "--transcript", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}:1: not UTF-8 text (byte 0xff at column 10)")
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("command", ["simulate", "bell"])
     @pytest.mark.parametrize("line", ["seed = -1", "visibility = 1.5", "eve_arm = C",
                                       "bias = 0.5,0.5,0.5", "coefficients = 0,0,0"])

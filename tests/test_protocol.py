@@ -1135,6 +1135,13 @@ class TestTranscriptIO:
         "decreasing id": ("5 1 0 1 0 1\n3 1 0 1 0 1\n", 2, "does not exceed"),
         "seven fields": ("0 1 0 1 0 1\n1 1 0 1 0 1 1\n", 2, "expected 6 fields, got 7"),
         "first fault wins": ("0 1 0 1 0 1\n1 2 0\n0 9 9 9 9 9\n", 2, "expected 6"),
+        # a '# key = value' line must be UTF-8, and its fault is ordered by line
+        "non-UTF-8 header": (b"# seed = 1\n# note = \xff\xfe\n0 1 0 1 0 1\n", 2,
+                             "not UTF-8 text (byte 0xff at column 10)"),
+        "non-UTF-8 indented header": (b"0 1 0 1 0 1\n \t# a=\xc3(\n1 9 0 1 0 1\n", 2,
+                                      "not UTF-8 text (byte 0xc3 at column 7)"),
+        "non-UTF-8 header after a fault": (b"0 1 0 1 0 1\n1 2 0\n# note = \xff\n", 2,
+                                           "expected 6 fields"),
     }
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
@@ -1144,11 +1151,20 @@ class TestTranscriptIO:
             monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         text, line, message = self.REJECT_CASES[case]
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValidationError) as info:
             list(iter_transcript(path))
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("header", [{"note": "a\nb"}, {"a=b": "1"}, {" k ": "v "},
+                                        {"": "1"}, {"k": " v"}])
+    def test_writer_rejects_header_it_cannot_read_back(self, tmp_path, header):
+        path = tmp_path / "t.txt"
+        code = whole_session(10, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=1)
+        with pytest.raises(ValidationError, match="would not read back as written"):
+            list(transcribe(path, [code], header=header))
+        assert not path.exists()
 
     @pytest.mark.parametrize("block_bytes", [None, 4096])
     def test_reader_line_numbers_across_blocks(self, tmp_path, monkeypatch, block_bytes):
@@ -1214,11 +1230,12 @@ class TestTranscriptIO:
         assert np.array_equal(loaded, code)
 
     @pytest.mark.parametrize("block_bytes", [64, 4096, None])
-    @pytest.mark.parametrize("first_id", [0, 99_800])
+    @pytest.mark.parametrize("first_id", [0, 99_800, 99_999_800, 10**17 - 200])
     def test_writer_output_takes_the_fixed_path(self, tmp_path, monkeypatch, first_id,
                                                  block_bytes):
-        # ids 0 to 10 099 through ``transcribe``, or 99 800 to 100 199 after a
-        # header: they cross 9 999 -> 10 000 or 99 999 -> 100 000
+        # ids 0 to 10 099 through ``transcribe``, or 400 ids from ``first_id``
+        # after a header: they cross 9 999 -> 10 000, or from 5 to 6, 8 to 9
+        # or 17 to 18 digits
         if block_bytes is not None:
             monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         n = 10_100 if first_id == 0 else 400
