@@ -158,14 +158,16 @@ def transcribe(path, chunks: Iterable[np.ndarray],
     iteration ends.  Header lines are '# key = value'; an item that would
     not read back as written (an empty key, '=' in the key, a newline, or
     whitespace at either end of the key or the value) raises ValidationError
-    before the file is opened.  A round's id is its index in the session.  Each chunk is checked by ``require_codes``, which
-    names the round's index in the session for a code out of range; the
-    lines of earlier chunks are already written by then.
+    before the file is opened.  A round's id is its index in the session.
+    Each chunk is checked by ``require_codes``, which names the round's
+    index in the session for a code out of range; the lines of earlier
+    chunks are already written by then.
     """
     items = [(str(key), str(value)) for key, value in (header or {}).items()]
     for key, value in items:    # the reader splits at the first '=' and strips both
         if not key or "=" in key or any("\n" in s or s != s.strip() for s in (key, value)):
-            raise ValidationError(f"header item {key!r} = {value!r} would not read back as written")
+            raise ValidationError(
+                f"header item {key!r} = {value!r} would not read back as written")
     with open(path, "wb") as fh:
         fh.write("".join(f"# {key} = {value}\n" for key, value in items).encode())
         base = 0
@@ -205,7 +207,8 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
                 key, _, value = body.decode().partition("=")
             except UnicodeDecodeError as exc:
                 column = starts[first[j]] + exc.start + 2 - (newlines[j - 1] + 1 if j else 0)
-                errors.append((j, f"not UTF-8 text (byte {body[exc.start]:#04x} at column {column})"))
+                errors.append((j, f"not UTF-8 text (byte {body[exc.start]:#04x} "
+                                  f"at column {column})"))
                 break
             header[key.strip()] = value.strip()
 
