@@ -16,7 +16,9 @@ A round is one uint8 code, 10 * (3 * (setting_a - 1) + setting_b - 1) plus
 array of codes: the sampler emits it, ``sift`` counts it with one ``bincount``,
 the transcript codec writes it.  A round's id is its position in the session.
 The sampler draws each code from the exact law of the 90 codes, built from
-the Born-rule tables, by inverting one uniform per round.
+the Born-rule tables, by inverting one 53-bit uniform per round.  Its top 16
+bits are the round's bucket key, a quarter of a PCG64 word; only a round whose
+bucket an edge of the law splits draws a word of its own for the other 37.
 """
 
 from __future__ import annotations
@@ -267,16 +269,18 @@ def require_codes(code, first: int = 0) -> np.ndarray:
     return code
 
 
-# Rounds per sampled chunk.  A session is one stream of PCG64 uniforms, one per
-# round, and chunk [lo, lo + m) is draws lo ... lo + m - 1 of it, so the chunk
-# size does not change the draws.
+# Rounds per sampled chunk, a multiple of 4.  A session is one PCG64 stream:
+# round i's 16-bit bucket key is bits 16 (i mod 4) to 16 (i mod 4) + 15 of word
+# i // 4, and chunk [lo, lo + m) takes key words lo / 4 ... ceil((lo + m) / 4) - 1,
+# so the chunk size does not change the draws.  The rounds whose bucket an
+# edge splits take the words after the session's ceil(n / 4) key words, one
+# each, in round order.
 _SESSION_CHUNK_ROWS = 1 << 16
-# Code lookup over _BUCKETS (a power of two) buckets of u.  Only sessions of at
-# least _BUCKET_MIN_ROUNDS rounds build the table: below that its fixed cost
-# (~20 us to build) exceeds what the lookup saves over a searchsorted on every
-# row.  The two broke even between 1500 and 2000 rounds on a 2-core Xeon.  At
-# most 89 of the 65536 buckets hold an edge, so at most 0.14 % of the rows of
-# a session take the exact pass.
+# Buckets [b/K, (b+1)/K) of u, one per 16-bit key b, so K = _BUCKETS = 2**16.
+# Only sessions of at least _BUCKET_MIN_ROUNDS rounds build the code table of
+# the buckets (~30 us); shorter ones run a searchsorted on every key.  Both
+# give the same codes.  At most 89 of the 65536 buckets hold an edge, so at
+# most 0.14 % of the rows of a session draw a second word.
 _BUCKETS = 1 << 16
 _BUCKET_MIN_ROUNDS = 1 << 11
 
@@ -286,11 +290,15 @@ def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,
     """A seeded measurement session as uint8 round-code chunks of at most 65536 rounds.
 
     Each round's code is drawn from the exact ``session_law(source, eve, a, b)``
-    by one uniform, inverted through the cumulative law of the 90 codes; ``a``
-    and ``b`` give the setting probabilities.  Chunking does not change the
-    draws: identical seeds and configurations reproduce the session bit for
-    bit.  ``n_rounds`` must be a positive and ``seed`` a non-negative integer
-    (numpy integers too, bools not); both are checked before any table is built.
+    by one 53-bit uniform u, inverted through the cumulative law of the 90
+    codes; ``a`` and ``b`` give the setting probabilities.  The top 16 bits of
+    u are the round's key, a quarter of a word of one PCG64 stream seeded by
+    ``seed``, four rounds to a word; only a round whose bucket of u an edge of
+    the law splits draws one more word for the low 37 bits.  Chunking does not
+    change the draws: identical seeds and configurations reproduce the session
+    bit for bit.  ``n_rounds`` must be a positive and ``seed`` a non-negative
+    integer (numpy integers too, bools not); both are checked before any table
+    is built.
     """
     return _sample_chunks(require_integer("n_rounds", n_rounds, 1),
                           require_integer("seed", seed, 0), session_law(source, eve, a, b))
@@ -330,24 +338,58 @@ def _bucket_table(edges: np.ndarray) -> np.ndarray:
     return table
 
 
+def _keys(words: np.ndarray) -> np.ndarray:
+    """The 16-bit keys of PCG64 ``words``, four per word from its low bits up,
+    by value whatever the platform's byte order."""
+    return words.astype("<u8", copy=False).view("<u2")
+
+
+def _split_codes(edges: np.ndarray, key: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The codes of rounds whose buckets ``key`` an edge splits, one PCG64 word
+    each: u = (key * 2**37 + (word >> 27)) * 2**-53, on the grid of 53-bit
+    uniforms.  Summed as key / K + (word >> 27) * 2**-53, exactly: both terms
+    and the sum are multiples of 2**-53 below 1."""
+    return np.searchsorted(edges, key * (1.0 / _BUCKETS) + (words >> 27) * 2.0 ** -53,
+                           side="right")
+
+
 def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[np.ndarray]:
     edges = _code_edges(law)
-    rng = np.random.default_rng(seed)
-    buckets = _bucket_table(edges) if n >= _BUCKET_MIN_ROUNDS else None
+    rng = np.random.PCG64(seed)
+    n_words = -(-n // 4)
+    if n < _BUCKET_MIN_ROUNDS:
+        # one chunk (_BUCKET_MIN_ROUNDS <= _SESSION_CHUNK_ROWS), no table: a
+        # key's code is the number of scaled edges <= key, and its bucket is
+        # split when the next one (inf past the last) is below key + 1.  The
+        # keys are searched in sorted order, where each search starts from
+        # the one before: with the radix sort of 16-bit keys, about half the
+        # time of round order at 300 rounds.
+        scaled = np.concatenate((edges, (np.inf,))) * _BUCKETS
+        key = _keys(rng.random_raw(n_words))[:n]
+        order = key.argsort(kind="stable")
+        key = key.astype(np.float64)
+        code = np.empty(n, dtype=np.intp)
+        code[order] = np.searchsorted(scaled, key.take(order), side="right")
+        hard = (scaled.take(code) < key + 1).nonzero()[0]
+        if len(hard):                           # rng stands after the key words
+            code[hard] = _split_codes(edges, key.take(hard), rng.random_raw(len(hard)))
+        yield code.astype(np.uint8)
+        return
+    buckets = _bucket_table(edges)
+    # the keys as intp, the index type of ``take``, in one buffer for the session
+    index = np.empty(min(n, _SESSION_CHUNK_ROWS), dtype=np.intp)
+    extra = rng if n <= _SESSION_CHUNK_ROWS else None
     for lo in range(0, n, _SESSION_CHUNK_ROWS):
         m = min(_SESSION_CHUNK_ROWS, n - lo)
-        u = rng.random(m)
-        if buckets is None:
-            code = np.searchsorted(edges, u, side="right").astype(np.uint8)
-        else:
-            # bucket floor(K * u), truncated into intp as it is multiplied
-            key = np.multiply(u, _BUCKETS, out=np.empty(m, dtype=np.intp), casting="unsafe")
-            code = buckets.take(key)
-            del key                             # not held while the chunk is yielded
-            hard = np.flatnonzero(code < 0)     # u in a bucket an edge splits
-            code[hard] = np.searchsorted(edges, u.take(hard), side="right")
-            code = code.view(np.uint8)
-        yield code
+        key = index[:m]
+        np.copyto(key, _keys(rng.random_raw(-(-m // 4)))[:m])
+        code = buckets.take(key)
+        hard = (code < 0).nonzero()[0]
+        if len(hard):
+            if extra is None:                   # the words after the key words
+                extra = np.random.PCG64(seed).advance(n_words)
+            code[hard] = _split_codes(edges, key.take(hard), extra.random_raw(len(hard)))
+        yield code.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

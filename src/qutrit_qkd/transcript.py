@@ -7,7 +7,7 @@ One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
   outcome_*   0, 1 or 2 when detected is 1, '-' when detected is 0
 Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
 lines whose first field starts with '#' are skipped; '# key = value' lines
-anywhere form the header.
+anywhere form the header, each key at most once.
 
 A round is its ``protocol`` round code, and a chunk of rounds an array of
 codes: the writer renders row ``code`` of its 90 line tails, and the reader
@@ -182,12 +182,14 @@ def transcribe(path, chunks: Iterable[np.ndarray],
 # Reading
 # ---------------------------------------------------------------------------
 
-def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
+def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict,
+                 key_lines: dict):
     """The round codes and ids in ``data``, whole lines ending in a newline,
     and its line count.
 
     ``line0`` is the number of lines before ``data`` and ``prev_id`` the
-    last round id before it; header lines are added to ``header``.
+    last round id before it; header lines are added to ``header``, and their
+    keys' line numbers to ``key_lines``, where a key already there is a fault.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == 10)
@@ -210,7 +212,13 @@ def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict):
                 errors.append((j, f"not UTF-8 text (byte {body[exc.start]:#04x} "
                                   f"at column {column})"))
                 break
-            header[key.strip()] = value.strip()
+            key = key.strip()
+            if key in key_lines:
+                errors.append((j, f"header key {key!r} repeated "
+                                  f"(first at line {key_lines[key]})"))
+                break
+            key_lines[key] = line0 + j + 1
+            header[key] = value.strip()
 
     lines = used[~comment]
     wrong = n_fields[lines] != 6
@@ -302,14 +310,18 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
     Yields the round codes of each block as a uint8 chunk, in file order,
     and adds header lines to ``header`` as they are read.  Ids are checked
     (strictly increasing) and dropped.  Raises ValidationError with the line
-    number of the first bad line.
+    number of the first bad line, among them a header line whose key an
+    earlier one has.
     """
     header = {} if header is None else header
-    line0, prev_id, kept, buf = 0, -1, 0, bytearray()
+    key_lines = {}                      # header key -> its line number
+    line0, prev_id, kept = 0, -1, 0
+    buf = bytearray(2 * _READ_BLOCK_BYTES)
     with open(path, "rb") as fh:
         while True:
             # one reused buffer: the partial last line of the previous read,
-            # then the next block, with room for the newline a last line lacks
+            # then the next block, with room for the newline a last line lacks;
+            # it grows only for a partial line longer than a block
             if len(buf) < kept + _READ_BLOCK_BYTES + 1:
                 buf = buf[:kept] + bytearray(kept + 2 * _READ_BLOCK_BYTES)
             view = memoryview(buf)
@@ -326,11 +338,13 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
             while buf.startswith(b"#", start, cut):
                 start = buf.index(b"\n", start, cut) + 1
             if start:
-                line0 += _parse_lines(bytes(view[:start]), path, line0, prev_id, header)[2]
+                line0 += _parse_lines(bytes(view[:start]), path, line0, prev_id, header,
+                                      key_lines)[2]
             if start < cut:
                 data = view[start:cut]
                 code, ids, n_lines = (_parse_fixed(data, prev_id)
-                                      or _parse_lines(bytes(data), path, line0, prev_id, header))
+                                      or _parse_lines(bytes(data), path, line0, prev_id, header,
+                                                      key_lines))
                 line0 += n_lines
                 if len(code):
                     prev_id = ids[-1]

@@ -151,15 +151,45 @@ def invert_reference(u, probs):
     return np.minimum(code, max(c for c, p in enumerate(probs) if p > 0))
 
 
-def session_columns_reference(n, tables, p_a, p_b, detection, seed):
-    """A whole session drawn the direct way, one uniform per round, as six columns.
+def split_reference(key, probs):
+    """Whether each 16-bit ``key``'s bucket [key, key + 1) / 65536 holds one of
+    the running sums of the code probabilities ``probs`` strictly inside, among
+    the sums below the last code of positive probability."""
+    key = np.asarray(key, dtype=np.int64)
+    last = max(c for c, p in enumerate(probs) if p > 0)
+    total, split = 0.0, np.zeros(key.shape, dtype=bool)
+    for p in probs[:last]:
+        total += p
+        split |= (key < 65536 * total) & (65536 * total < key + 1)
+    return split
 
-    One ``rng.random(n)`` is inverted through the codes' running sums
-    (``code_law_reference``, ``invert_reference``), and each round's code is
-    turned into its fields.
+
+def session_columns_reference(n, tables, p_a, p_b, detection, seed):
+    """A whole session drawn the direct way, one 53-bit uniform per round, as six
+    columns.
+
+    Round i's top 16 bits, its key, are the i-th of 4 * ceil(n / 4) draws of
+    ``integers(0, 65536, dtype=np.uint16)`` from ``default_rng(seed)``, which
+    cuts each 64-bit PCG64 word into four from its low bits up.  A round is
+    split when a running sum lies strictly inside its key's bucket
+    (``split_reference``).  The split rounds, in round order, then take one word each, put together from four more such draws, and
+    u = (key * 2**37 + (word >> 27)) * 2**-53; every other round's u is
+    key / 65536, whose code all of its bucket shares.  Each u is inverted
+    through the running sums (``code_law_reference``, ``invert_reference``),
+    and each round's code is turned into its fields.
     """
     probs, fields = code_law_reference(tables, p_a, p_b, detection)
-    code = invert_reference(np.random.default_rng(seed).random(n), probs)
+    rng = np.random.default_rng(seed)
+    key = rng.integers(0, 65536, size=4 * -(-n // 4), dtype=np.uint16)[:n].astype(np.int64)
+    split = split_reference(key, probs)
+    quarters = rng.integers(0, 65536, size=(int(split.sum()), 4), dtype=np.uint16)
+    word = np.zeros(len(quarters), dtype=np.uint64)
+    for j in range(4):
+        word |= quarters[:, j].astype(np.uint64) << np.uint64(16 * j)
+    fine = key[split].astype(np.uint64) * np.uint64(2 ** 37) + (word >> np.uint64(27))
+    u = key / 65536.0
+    u[split] = fine.astype(np.float64) / 2.0 ** 53
+    code = invert_reference(u, probs)
     sa, out_a, sb, out_b, detected = (np.array(column)[code] for column in zip(*fields))
     return (np.arange(n, dtype=np.int64), sa.astype(np.int8), out_a.astype(np.int8),
             sb.astype(np.int8), out_b.astype(np.int8), detected)

@@ -399,6 +399,15 @@ class TestSimulateAndSift:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err and out == ""
 
+    def test_repeated_header_key_is_validation_error(self, capsys, tmp_path):
+        """A transcript joined from two sessions repeats their header keys."""
+        path = tmp_path / "t.txt"
+        path.write_text("# seed = 1\n0 1 0 1 0 1\n# seed = 2\n1 1 0 1 0 1\n")
+        code, out, err = run_cli(capsys, "sift", "--transcript", str(path))
+        assert code == 2
+        assert err == f"error: {path}:3: header key 'seed' repeated (first at line 1)\n"
+        assert out == ""
+
 
 @pytest.mark.parametrize("argv, field", [
     (("simulate", "--visibility", "1.4", "--rounds", "100"), "visibility"),
@@ -597,25 +606,25 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("argv, digests", [
         (("--profile", "reference", "--detection", "1", "--rounds", "20000", "--seed", "7"),
-         ("3ef09f78bdd8c9d9e410f5584235033d7fdcc83d1f053cac71dec4a6d7f21bcd",
-          "63ec6773ddeb6ede12be2bbdb55ff8be533a8256cbe7677b045ef40b5b91763a",
-          "cfd6c7ed6eb88d14ebcae1ee2d1c5d877d7ee5f51ce0b72fdee15bf79ffcce7f",
-          "713fd7a9869bcc27ff48da4bd342a7ce8022ceed40751e749c0c10b7ee850486",
-          "4aabf4faf37a2f81d265c7923abbb685ca7a30617c60ee5b556ec3fe4657025e")),
+         ("7a3247f5aafc499636037e285eb9754723015477dacc623a9973450b213da5de",
+          "2013368a4ba8fb19c0df5d3cbc02d2f213e488057a6c49bb79e5864321cb7fb6",
+          "142237dc88b3406c4b636e372f78b45ea73ab00cbc8b00e8c099581f9242c52f",
+          "0f6f974f8354bdc531a4af7cec6486f868075bb830cc06b8a90aada3d86e18dc",
+          "b3541a6e1051ef65f2fe1b6e1db36ada1782b1eceb48952c24112d81903d5fa1")),
         (("--eve", "--visibility", "0.9", "--background", "0.1", "--rounds", "20000",
           "--seed", "4"),
-         ("e03f11a824142a9a7f460ee4d272b6876412f9b897358136720280e8b91952c6",
-          "877d6bd38ae819690293008f6afce6e63defd77ebf2caf84170f4354bc0c564a",
-          "0de186cbfbdbdf38cf9499dc98b96b024e7359cd259853d716ea2a09dcb1a6a1",
-          "2e8b858fb1b6d887a77bb5257419b91860b97647157f56a504cb48cfec0d13e4",
-          "5bd4d616c4fb60ef883c69acd102a9330050880887dc554644e318a07f5b0ec1")),
+         ("2e19e6d91d2ce899e4999b243a0ef082ebef213a96183bce157b2fd658a8b184",
+          "cfcf64f54ba9853fd11e50f80c70735ae44943d54199be564b47003c837ff518",
+          "08cc27422f9127d500bfbbfc229e8cbfda14e32355ac16dec10b3cea4b2f069e",
+          "ed86335306232a3ac81271d026f538021f2c9c9397dbe19ca6463b7b25ee535f",
+          "e78c20cff268c2cba1b413a6228753da1e6181978c8d2474a9d00aab24524156")),
         # 70000 rounds cross the 65536-round chunk boundary
         (("--detection", "0.3", "--bias", "0.2,0.2,0.6", "--rounds", "70000", "--seed", "11"),
-         ("f2924e792aad954fdc98a9636f0faedb44ccf81bac2cf8b65c7e8865f8c9a04f",
-          "66b26f05d9208e185eb52a0c57b2d98797ced75608db8d57b08aab982ca224c1",
-          "5dafa1a7b73db2d9854c8dc199db6ffda07cf3dcbfbb633245ddff74c480e515",
-          "b7be509903c368bac0ca10e08d8e1cd012e115046656165db97081c88d19fd9a",
-          "605f2992b390c604b7a0f600dd4df1113b278cf9cebc4ead826369024e80662d")),
+         ("0ea2eb0700b8f44f0f3558c7ae1dacaa4b41027d88d4a2278cae48f418ccb0d4",
+          "ec77fb2ce967ef101db00e13d9202654c6b1b0f52e4535c24f3966c68d653607",
+          "d589a82d3742c2082d04583a6d38311b36bf11fb8678e75b208dd6c12f8224dc",
+          "77de01b02725739d9c57d0535e63e1ba801dac1f2beaac9a7738e5ad74f83187",
+          "1f5c2e88961ec5f317f7fb9dcce0b148d2cd0fee2007e71ae2e4f4c8bfbc8861")),
     ])
     def test_simulate_and_sift_bytes(self, capsys, tmp_path, argv, digests):
         sim_dir, sift_dir = tmp_path / "sim", tmp_path / "sift"
@@ -656,11 +665,13 @@ class TestPinnedReports:
         assert code == 0
         return out, sha256(stdout_text(out, tmp_path).encode())
 
-    @pytest.mark.parametrize("header, keys, digest", [
-        (True, True, "2945faed5bab043ad8d63b8771003a923ad8fbf4f9918e79a524f7bc7f2c62f2"),
-        (False, False, "9fbb617d1b3f78ae97b23c3396ae6c04dacd2a15a8e7ad347c8e129f5f3d4464"),
-    ])
-    def test_sift_stdout(self, capsys, tmp_path, header, keys, digest):
+    SIFT_DIGESTS = {
+        (True, True): "955406c24f41bca6503232789339672e67d4316eaa628d9d91ddd82a7fa24425",
+        (False, False): "bd2cbe27d4edc49f7bc25eba23255bcc658d3b54252dcc1e3596f89a4c43fc7a",
+    }
+
+    @pytest.mark.parametrize("header, keys", list(SIFT_DIGESTS))
+    def test_sift_stdout(self, capsys, tmp_path, header, keys):
         sim_dir = tmp_path / "sim"
         assert run_cli(capsys, "simulate", "--rounds", "20000", "--seed", "5",
                        "--out", str(sim_dir))[0] == 0
@@ -672,7 +683,7 @@ class TestPinnedReports:
         out, got = self.stdout_digest(capsys, tmp_path, "sift", "--transcript", str(path),
                                       *out_args)
         assert ("transcript header:" in out) == header
-        assert got == digest
+        assert got == self.SIFT_DIGESTS[header, keys]
 
     @pytest.mark.parametrize("length, digest", [
         (151, "e555785e5e6d8997faa2d5e8d3df23fe9603733845533d478d97bd773735ea74"),
@@ -707,7 +718,7 @@ class TestPinnedReports:
                                       "--rounds", "20000", "--seed", "1",
                                       "--out", str(tmp_path / "x"))
         assert "(ABOVE the 0.225 noise bound)" in out
-        assert got == "a42a45414a1b7a87e905d612944edc1b10ab356e4952a1656302e28b61ab7b9d"
+        assert got == "767cc40e26317a99bdf96a166f261679cb8d596a64e1df34c9aeaaaa9998e998"
 
     @pytest.mark.parametrize("argv, digest", [
         (("bell",), "492b7131933458cb002d7eb5cc18370e927ffe9a11c6dc0c4d5e8eedce911221"),

@@ -5,7 +5,6 @@ import os
 import sys
 import tempfile
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from oracles import (
     invert_reference,
     random_basis,
     session_columns_reference,
+    split_reference,
 )
 from scipy.stats import chi2
 
@@ -125,6 +125,53 @@ def count_calls(monkeypatch, fn) -> list:
                 if obj is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+class WordSource:
+    """Stands in for ``np.random.PCG64``: every generator built from it hands out
+    ``words`` from the first on, and ``taken`` collects the (start, stop) ranges
+    that all of them hand out, in order."""
+
+    def __init__(self, words):
+        self.words, self.taken = np.asarray(words, dtype=np.uint64), []
+
+    def __call__(self, seed):
+        source, at = self, 0
+
+        class Generator:
+            def random_raw(self, size):
+                nonlocal at
+                source.taken.append((at, at + size))
+                at += size
+                return source.words[at - size:at].copy()
+
+            def advance(self, delta):
+                nonlocal at
+                at += delta
+                return self
+
+        return Generator()
+
+
+def counted_words(monkeypatch) -> list:
+    """A list that gets the size of every ``random_raw`` call of the PCG64
+    generators built from now on, which are real ones."""
+    sizes, real = [], np.random.PCG64
+
+    class Counting:
+        def __init__(self, seed):
+            self.bits = real(seed)
+
+        def random_raw(self, size):
+            sizes.append(size)
+            return self.bits.random_raw(size)
+
+        def advance(self, delta):
+            self.bits.advance(delta)
+            return self
+
+    monkeypatch.setattr(np.random, "PCG64", Counting)
+    return sizes
 
 
 def forced_parties(setting_a, setting_b):
@@ -949,23 +996,51 @@ class TestBucketLookup:
         # above every bucket; the sixth's 80 distinct edges below code 88
         assert marks == [0, 0, 2, 3, 3, 80]
 
-    @pytest.mark.parametrize("n", [M - 1, M])
+    @pytest.mark.parametrize("n", [M - 1, M, C + 1])
     def test_edge_uniforms_on_both_paths(self, n, monkeypatch):
-        """u = 0, u on each edge and just below it, and u = 1 - 2**-53, fed to the
-        sampler on the searchsorted path (M - 1 rounds) and the bucket path (M):
-        each draws the code of the running-sum oracle, never one of probability 0."""
-        for law in self.odd_laws():
+        """u = 0, u = 1 - 2**-53, and the 53-bit grid points at or above each
+        edge and just below it, fed to the sampler as PCG64 words on the
+        searchsorted path (M - 1 rounds), the bucket path (M) and across a chunk
+        edge (C + 1): each draws the code of the running-sum oracle, never one of
+        probability 0, and the sampler reads every word once: the key words,
+        then one per round whose bucket a sum splits, in round order."""
+        # the odd laws, and one whose sums 2**-17 and 1 - 2**-17 lie inside the
+        # first and the last bucket
+        rows = np.eye(9)[[0] * 9]
+        rows[0, :3] = 2.0 ** -17, 1 - 2.0 ** -16, 2.0 ** -17
+        one = (1.0, 0.0, 0.0)
+        ends = protocol.SessionLaw(rows.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3), one, one, 1.0)
+        n_split = []
+        for law in [*self.odd_laws(), ends]:
             probs = code_law_reference(law.tables, law.settings_a, law.settings_b,
                                        law.detection)[0]
             edges = np.cumsum(probs)
-            edges = edges[(edges > 0) & (edges < 1)]
-            u = np.concatenate(([0.0, 1 - 2.0 ** -53], edges, np.nextafter(edges, 0)))
-            u = np.resize(u, n)
-            monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
-                random=lambda m: u[:m]))
+            at = np.ceil(edges[(edges > 0) & (edges < 1)] * 2.0 ** 53)
+            grid = np.concatenate(([0.0, 2.0 ** 53 - 1], at, at - 1)).astype(np.uint64)
+            grid = np.resize(grid, n)
+            key = grid >> np.uint64(37)
+            # the unused quarters of the last key word, and the low 27 bits of
+            # each extra word, are set to show that they are not read
+            quarters = np.full(4 * -(-n // 4), 0xFFFF, dtype=np.uint64)
+            quarters[:n] = key
+            words = np.zeros(len(quarters) // 4, dtype=np.uint64)
+            for j in range(4):
+                words |= quarters[j::4] << np.uint64(16 * j)
+            split = split_reference(key, probs)
+            low = grid[split] & np.uint64(2 ** 37 - 1)
+            extra = (low << np.uint64(27)) | np.uint64(2 ** 27 - 1)
+            source = WordSource(np.concatenate((words, extra)))
+            monkeypatch.setattr(np.random, "PCG64", source)
             code = joined(protocol._sample_chunks(n, 0, law))
+            u = grid * 2.0 ** -53
             assert np.array_equal(code, invert_reference(u, probs))
             assert (np.array(probs)[code] > 0).all()
+            spans = sorted(source.taken)
+            assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+            assert spans[-1][1] == len(source.words)
+            n_split.append(int(split.sum()))
+        # the first two laws' sums all lie on bucket edges, the others' not
+        assert [k > 0 for k in n_split] == [False, False, True, True, True, True, True]
 
     @given(n=st.sampled_from([1, M - 1, M, C - 1, C, C + 1]),
            pairs=st.permutations(range(9)),
@@ -980,6 +1055,64 @@ class TestBucketLookup:
         got = joined(protocol._sample_chunks(n, seed, law))
         for col, want in zip(columns(got), expected):
             assert col.dtype == want.dtype
+            assert np.array_equal(col, want)
+
+
+class TestDrawRule:
+    """Four rounds' keys to a PCG64 word, and one more word for each round whose
+    bucket an edge splits, after the session's key words, in round order."""
+
+    LAW = protocol.session_law(TestChunkedSession.SOURCE, TestChunkedSession.EVE,
+                               PartyConfig(TestChunkedSession.BIAS_A),
+                               PartyConfig(TestChunkedSession.BIAS_B))
+
+    @staticmethod
+    def split_rounds(n, seed, law):
+        """The rounds of a seeded session whose buckets an edge splits, by the oracle."""
+        key = np.random.default_rng(seed).integers(0, 65536, size=n, dtype=np.uint16)
+        probs = code_law_reference(law.tables, law.settings_a, law.settings_b,
+                                   law.detection)[0]
+        return np.flatnonzero(split_reference(key, probs))
+
+    def test_chunk_size_does_not_change_draws(self, monkeypatch):
+        n, seed = C + 4101, 8
+        sessions = []
+        for rows in (1 << 2, 1 << 12, 1 << 16):
+            monkeypatch.setattr(protocol, "_SESSION_CHUNK_ROWS", rows)
+            sessions.append(joined(protocol._sample_chunks(n, seed, self.LAW)))
+        assert all(np.array_equal(session, sessions[0]) for session in sessions[1:])
+        # split rounds fall in many 4096-round chunks, the first one included
+        chunks = np.unique(self.split_rounds(n, seed, self.LAW) >> 12)
+        assert chunks[0] == 0 and len(chunks) > 5
+
+    def test_paths_agree_where_code_89_is_drawn(self, monkeypatch):
+        """At detection 0.4 code 89 has positive probability, and a round that
+        draws it lies above every edge.  The searchsorted path must not take
+        such a round for a split one: both paths draw the same codes from the
+        same words, the key words and one per split round."""
+        words, n = counted_words(monkeypatch), M - 1
+        for seed in range(20):
+            runs = []
+            for least in (M, 1):        # the searchsorted path, then the table
+                monkeypatch.setattr(protocol, "_BUCKET_MIN_ROUNDS", least)
+                before = len(words)
+                runs.append((joined(protocol._sample_chunks(n, seed, self.LAW)),
+                             sum(words[before:])))
+            (short, short_words), (table, table_words) = runs
+            assert (short == 89).any()
+            assert np.array_equal(short, table)
+            assert short_words == table_words == -(-n // 4) + len(self.split_rounds(
+                n, seed, self.LAW))
+
+    @pytest.mark.parametrize("n", [1, M - 1, M, C + 1])
+    def test_edges_on_bucket_edges_draw_no_extra_word(self, n, monkeypatch):
+        law = TestBucketLookup.odd_laws()[1]
+        words = counted_words(monkeypatch)
+        got = joined(protocol._sample_chunks(n, 5, law))
+        assert sum(words) == -(-n // 4)
+        expected = session_columns_reference(n, law.tables, law.settings_a, law.settings_b,
+                                             law.detection, 5)
+        for col, want in zip(columns(got), expected):
             assert np.array_equal(col, want)
 
 
@@ -1025,18 +1158,21 @@ class TestDrawPins:
             NO_EVE, "0x1.4ba8d8c53933ap+1"),
     }
 
-    @pytest.mark.parametrize("case, n, digest", [
-        ("eve_a_random_basis", 300,
-         "8a20265575b72a0a926e2fe1089a82564e8ff01f9b0a470aa2c771504e2d4496"),
-        ("eve_a_random_basis", 70_000,
-         "96b016d6225ebe8f19391aed1888384c2ca941359386b5e26ee72463bc2ee422"),
-        ("background_crosstalk", 300,
-         "3a34864e98be63f4022372b03cd3c881228bf8b42d1b88a0b3e0b7782a371114"),
-        ("background_crosstalk", 70_000,
-         "574f3ca9d725197b68c2776eff39a2a4e4b4572ec5cd17f72f66aa431c342d26"),
-    ])
-    def test_codes_ids_and_exact_s3(self, case, n, digest):
+    DIGESTS = {
+        ("eve_a_random_basis", 300):
+            "1c31f592ce7ed5c7376b9013d123c589d5345ca776952f33a3f8159c4f341431",
+        ("eve_a_random_basis", 70_000):
+            "4868e1ae98222cdfed776b9bad8db6392a46f856bbc071d113c6f95ace6f563a",
+        ("background_crosstalk", 300):
+            "0d0776e7b7dbf8dac98774d66ec7186151e4e9a770f687786f41a3dea287842e",
+        ("background_crosstalk", 70_000):
+            "8bc3dfd1b0174ad3f474ee4745be49ef67e43226ed1817c7e8b4df8c6767aa5b",
+    }
+
+    @pytest.mark.parametrize("case, n", list(DIGESTS))
+    def test_codes_ids_and_exact_s3(self, case, n):
         source, eve, s3_hex = self.CASES[case]
+        digest = self.DIGESTS[case, n]
         h, lo = hashlib.sha256(), 0
         for code in iter_session(n, source, eve, PartyConfig(self.BIAS_A),
                                  PartyConfig(self.BIAS_B), seed=n):
@@ -1142,6 +1278,13 @@ class TestTranscriptIO:
                                       "not UTF-8 text (byte 0xc3 at column 7)"),
         "non-UTF-8 header after a fault": (b"0 1 0 1 0 1\n1 2 0\n# note = \xff\n", 2,
                                            "expected 6 fields"),
+        # a header key read twice, also as keys compare: stripped, in any block
+        "repeated header key": ("# seed = 1\n0 1 0 1 0 1\n#seed=2\n1 1 0 1 0 1\n", 3,
+                                "header key 'seed' repeated (first at line 1)"),
+        "repeated header key in one block": ("# a = 1\n# b = 2\n  # b =2\n0 1 0 1 0 1\n", 3,
+                                             "header key 'b' repeated (first at line 2)"),
+        "fault before a repeated header key": ("# a = 1\n0 1 0 1\n# a = 1\n", 2,
+                                               "expected 6 fields, got 4"),
     }
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
@@ -1265,13 +1408,14 @@ class TestTranscriptIO:
     def _edited(text, edits):
         """``text`` with some lines re-rendered in other whitespace layouts,
         and comment and blank lines inserted; ``edits`` maps a line index to
-        a layout number."""
+        a layout number.  An inserted header line's key names the round id
+        of the line it precedes, as a header key may not repeat."""
         layouts = (
             lambda f: "\t".join(f) + "\n",
             lambda f: "  ".join(f) + "   \n",
             lambda f: " ".join(f) + "\r\n",
             lambda f: "\t  " + " ".join(f) + "\n",
-            lambda f: "# note = x\n" + " ".join(f) + "\n",
+            lambda f: f"# note {f[0]} = x\n" + " ".join(f) + "\n",
             lambda f: " ".join(f) + "\n\n  \n",
         )
         lines = text.splitlines(keepends=True)
@@ -1307,7 +1451,9 @@ class TestTranscriptIO:
         edited = {layout for j, layout in edits.items() if j}
         (cols1, header1), (cols2, header2) = results
         assert header1 == {"seed": "23"}
-        assert header2 == ({"seed": "23", "note": "x"} if 4 in edited else header1)
+        # line j holds round id j - 1
+        assert header2 == {"seed": "23", **{f"note {j - 1}": "x" for j, layout in edits.items()
+                                            if j and layout == 4}}
         for c1, c2, c0 in zip(cols1, cols2, (np.arange(len(rounds)), rounds)):
             assert c1.dtype == c2.dtype == c0.dtype
             assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
