@@ -161,27 +161,56 @@ class MixedState:
                           dtype=complex)
         total = sum(weights, require_real("white_noise_weight", self.white_noise_weight,
                                           -NORM_TOL, 1 + NORM_TOL))
-        for s in psis:
-            if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
-                raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "
-                                      f"from 1 by more than {NORM_TOL}")
+        _require_unit(psis)
         if not (abs(total - 1.0) <= NORM_TOL):
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "components", tuple(zip(weights, psis)))
+        self._store(psis, np.array(weights))
+
+    def _store(self, psis: np.ndarray, weights: np.ndarray) -> None:
+        object.__setattr__(self, "components", tuple(zip(weights.tolist(), psis)))
         object.__setattr__(self, "psis", _frozen(psis))
-        object.__setattr__(self, "weights", _frozen(np.array(weights)))
+        object.__setattr__(self, "weights", _frozen(weights))
+
+    @classmethod
+    def _unchecked(cls, psis: np.ndarray, weights: np.ndarray,
+                   white_noise_weight: float) -> "MixedState":
+        """The mixture of the complex states ``psis`` (m, 3, 3) at the float ``weights``
+        (m,), arrays it takes over and freezes, plus ``white_noise_weight``, checking
+        nothing: for states the library derives from input it has already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "white_noise_weight", white_noise_weight)
+        self._store(psis, weights)
+        return self
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "MixedState":
-        return cls(components=((1.0, state),))
+        return cls._unchecked(_unit_state(state), np.ones(1), 0.0)
 
     @classmethod
     def isotropic(cls, state: np.ndarray, visibility: float) -> "MixedState":
-        """visibility * |state><state| + (1 - visibility) * uniform noise."""
+        """visibility * |state><state| + (1 - visibility) * uniform noise.  ``state``
+        is checked at every visibility, though at 0 it has no weight."""
         visibility = require_real("visibility", visibility, 0, 1)
+        psi = _unit_state(state)
         if visibility == 0.0:
-            return cls(components=(), white_noise_weight=1.0)
-        return cls(components=((visibility, state),), white_noise_weight=1.0 - visibility)
+            return cls._unchecked(psi[:0], np.zeros(0), 1.0)
+        return cls._unchecked(psi, np.array([visibility]), 1.0 - visibility)
+
+
+def _require_unit(psis: np.ndarray) -> None:
+    for s in psis:
+        if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
+            raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "
+                                  f"from 1 by more than {NORM_TOL}")
+
+
+def _unit_state(state) -> np.ndarray:
+    """``state`` checked as a ``MixedState`` checks its component states, as a
+    complex (1, 3, 3) stack."""
+    psi = np.asarray(require_array("component states", [state], "biufc", (None, DIM, DIM)),
+                     dtype=complex)
+    _require_unit(psi)
+    return psi
 
 
 def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:

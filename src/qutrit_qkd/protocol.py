@@ -31,6 +31,7 @@ import numpy as np
 from . import bell
 from .linalg import (
     DIM,
+    NORM_TOL,
     MixedState,
     ValidationError,
     born_amplitudes,
@@ -38,9 +39,9 @@ from .linalg import (
     computational_basis,
     diagonal_state,
     normalize_coefficients,
+    orthonormality_residual,
     require_array,
     require_integer,
-    require_orthonormal,
     require_real,
 )
 
@@ -113,6 +114,14 @@ class PartyConfig:
                 f"setting probabilities must be 3 non-negative reals summing to 1, got {p}")
 
 
+# Eve's collapse is built unchecked, so her basis must keep its states and weights
+# unit to NORM_TOL: B B^dagger - I of largest entry r moves a collapsed state's
+# norm^2 by at most r and the total of her outcome probabilities by at most DIM r,
+# with one r more to spare for rounding.
+_EVE_TOL = NORM_TOL / (DIM + 1)
+_EVE_BASIS = computational_basis()
+
+
 @dataclass(frozen=True, eq=False)
 class EveConfig:
     """Intercept-resend adversary on one arm with a fixed measurement basis."""
@@ -124,10 +133,18 @@ class EveConfig:
     def __post_init__(self):
         if self.arm not in ("A", "B"):
             raise ValidationError(f"eve arm must be 'A' or 'B', got {self.arm!r}")
-        if self.enabled:
-            basis = self.basis if self.basis is not None else computational_basis()
-            require_orthonormal(basis)
-            object.__setattr__(self, "basis", np.asarray(basis, dtype=complex))
+        if not self.enabled:
+            return
+        if self.basis is None:
+            object.__setattr__(self, "basis", _EVE_BASIS)
+            return
+        basis = np.array(require_array("basis", self.basis, "biufc", (DIM, DIM)), dtype=complex)
+        r = orthonormality_residual(basis)
+        if not r <= _EVE_TOL:
+            raise ValidationError(f"eve basis orthonormality residual {r:.3e} exceeds "
+                                  f"{_EVE_TOL:.1e}, which keeps her collapse unit to {NORM_TOL}")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
 
 # The fixed analyzers, rows of settings 1, 2 and 3 stacked (9, 3) per party: the
@@ -163,9 +180,9 @@ def post_eve_mixture(mixed: MixedState, eve: EveConfig) -> MixedState:
     kept = p > 1e-15
     unit = arm[kept] / np.sqrt(p[kept])[:, None]
     post = unit[:, :, None] * basis[np.nonzero(kept)[1]][:, None, :]   # [kept, level, Eve's]
-    return MixedState(components=tuple(zip((mixed.weights[:, None] * p)[kept],
-                                           post if on_b else post.swapaxes(1, 2))),
-                      white_noise_weight=mixed.white_noise_weight)
+    # checked inputs: the states are unit and the weights sum to 1 (see _EVE_TOL)
+    return MixedState._unchecked(post if on_b else np.ascontiguousarray(post.swapaxes(1, 2)),
+                                 (mixed.weights[:, None] * p)[kept], mixed.white_noise_weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +299,7 @@ _SESSION_CHUNK_ROWS = 1 << 16
 # give the same codes.  At most 89 of the 65536 buckets hold an edge, so at
 # most 0.14 % of the rows of a session draw a second word.
 _BUCKETS = 1 << 16
-_BUCKET_MIN_ROUNDS = 1 << 11
+_BUCKET_MIN_ROUNDS = 1 << 10
 
 
 def iter_session(n_rounds: int, source: SourceConfig, eve: EveConfig,

@@ -29,6 +29,7 @@ ARRAYS = {
     ("linalg.phase_rows", "offsets"): lambda x: phase_rows("A", x),
     ("linalg.require_orthonormal", "basis"): require_orthonormal,
     ("linalg.MixedState", "state"): lambda x: MixedState(components=((1.0, x),)),
+    ("linalg.MixedState.isotropic", "state"): lambda x: MixedState.isotropic(x, 0.0),
     ("bell.SettingsPair", "a1"): lambda x: bell.SettingsPair(x, EYE, EYE, EYE),
     ("bell.canonical_settings", "offsets"): bell.canonical_settings,
     ("bell.s3", "state"): lambda x: bell.s3(x, bell.CANONICAL_SETTINGS),

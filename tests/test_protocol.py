@@ -181,6 +181,20 @@ def forced_parties(setting_a, setting_b):
             PartyConfig(setting_probabilities=probs_b))
 
 
+def assert_same_mixture(got, want):
+    """``got`` and ``want`` hold the same arrays, weights and white noise, bit for bit."""
+    for name in ("psis", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+    assert type(got.white_noise_weight) is type(want.white_noise_weight)
+    assert got.white_noise_weight == want.white_noise_weight
+    assert len(got.components) == len(want.components)
+    for (w, state), (w0, state0) in zip(got.components, want.components):
+        assert type(w) is type(w0) is float and w == w0
+        assert state.tobytes() == state0.tobytes()
+
+
 class TestConfigs:
     def test_source_ranges(self):
         with pytest.raises(ValidationError):
@@ -223,6 +237,56 @@ class TestConfigs:
             EveConfig(enabled=True, arm="C")
         with pytest.raises(ValidationError):
             EveConfig(enabled=True, basis=np.full((3, 3), np.nan, dtype=complex))
+
+    def test_eve_basis_checked_to_the_tolerance_of_its_collapse(self):
+        # residual 8.0e-11 passes ORTHO_TOL, but would collapse to states of norm^2
+        # 1 + 8e-11: the fault is named at EveConfig, not mid-session
+        basis = np.eye(3, dtype=complex)
+        basis[0, 0] = 1 + 4e-11
+        with pytest.raises(ValidationError, match=r"^eve basis orthonormality residual 8\.000e-11"):
+            EveConfig(enabled=True, basis=basis)
+        qr_basis = random_basis(np.random.default_rng(31))
+        eve = EveConfig(enabled=True, arm="B", basis=qr_basis)
+        assert eve.basis is not qr_basis and np.array_equal(eve.basis, qr_basis)
+        with pytest.raises(ValueError, match="read-only"):
+            eve.basis[0, 0] = 0.0
+        assert run_protocol(300, IDEAL, eve, seed=31).n_rounds == 300
+
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_eve_tolerance_keeps_the_worst_collapse_checkable(self, arm):
+        # B = sqrt(I + r J), J all ones, has residual r, and moves the total of
+        # Eve's outcome probabilities by 3 r for a state whose intercepted arm is
+        # (1, 1, 1) / sqrt(3): under NORM_TOL, but not under the tolerance, fails
+        u = np.ones(3) / np.sqrt(3)
+        psi = np.outer(u, [1, 0, 0]) if arm == "A" else np.outer([1, 0, 0], u[SWAP_12])
+        mixed = MixedState.pure(psi.astype(complex))
+        for r, accepted in ((0.9 * protocol._EVE_TOL, True), (0.9e-12, False)):
+            w, v = np.linalg.eigh(np.eye(3) + r * np.ones((3, 3)))
+            basis = ((v * np.sqrt(w)) @ v.T).astype(complex)
+            assert orthonormality_residual(basis) == pytest.approx(r, rel=1e-2)
+            if not accepted:
+                with pytest.raises(ValidationError, match="^eve basis"):
+                    EveConfig(enabled=True, arm=arm, basis=basis)
+                continue
+            got = post_eve_mixture(mixed, EveConfig(enabled=True, arm=arm, basis=basis))
+            MixedState(components=got.components, white_noise_weight=got.white_noise_weight)
+
+    def test_default_eve_basis_not_rechecked(self, monkeypatch):
+        checked = count_calls(monkeypatch, linalg.require_orthonormal)
+        run_protocol(300, IDEAL, EveConfig(enabled=True, arm="B"), seed=32)
+        assert len(checked) == 0
+        basis = EveConfig(enabled=True).basis
+        assert np.array_equal(basis, np.eye(3)) and basis.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.0
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.69, 1.0])
+    @pytest.mark.parametrize("background", [0.0, 0.25])
+    def test_mixture_is_the_public_build_bit_for_bit(self, visibility, background):
+        mixture = SourceConfig(protocol.REFERENCE_COEFFICIENTS, visibility=visibility,
+                               background_fraction=background).mixture
+        assert_same_mixture(mixture, MixedState(components=mixture.components,
+                                                white_noise_weight=mixture.white_noise_weight))
 
     @pytest.mark.parametrize("basis, message", [
         (np.ones((2, 3)), "basis must have shape (3, 3), got shape (2, 3)"),
@@ -371,6 +435,25 @@ class TestPostEveMixture:
                 assert abs(w - w0) <= 1e-12
                 assert np.max(np.abs(state - state0)) <= 1e-12
             assert got.white_noise_weight == white
+
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_results_pass_the_public_checks(self, arm):
+        # the collapse is built unchecked: rebuilt through MixedState's own checks,
+        # every result on this class's grid passes and comes back bit for bit
+        rng = np.random.default_rng(8)
+        psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        mixtures = [MixedState.pure(diagonal_state((0.642, 0.546, 0.539))),
+                    SourceConfig(visibility=0.8).mixture, IDEAL.mixture,
+                    MixedState(components=((0.5, diagonal_state((0.642, 0.0, 0.539))),
+                                           (0.3, psi / np.linalg.norm(psi))),
+                               white_noise_weight=0.2),
+                    MixedState(white_noise_weight=1.0)]
+        for basis in [None, np.eye(3, dtype=complex)] + [random_basis(rng) for _ in range(10)]:
+            eve = EveConfig(enabled=True, arm=arm, basis=basis)
+            for mixed in mixtures:
+                got = post_eve_mixture(mixed, eve)
+                assert_same_mixture(got, MixedState(components=got.components,
+                                                    white_noise_weight=got.white_noise_weight))
 
     def test_white_noise_invariant(self):
         eve = EveConfig(enabled=True, arm="B")
