@@ -133,8 +133,6 @@ class EveConfig:
     def __post_init__(self):
         if self.arm not in ("A", "B"):
             raise ValidationError(f"eve arm must be 'A' or 'B', got {self.arm!r}")
-        if not self.enabled:
-            return
         if self.basis is None:
             object.__setattr__(self, "basis", _EVE_BASIS)
             return

@@ -1,27 +1,22 @@
 """Transcript files: the public record of a session's rounds, written and read.
 
-One round per line: round_id setting_a outcome_a setting_b outcome_b detected.
-  round_id    decimal digits (at most 18), strictly increasing down the file
+A transcript is exactly what ``transcribe`` writes: the header, one
+'# key = value' line per item, each key once, then one line per round,
+  round_id setting_a outcome_a setting_b outcome_b detected
+  round_id    the round's position in the session: 0, 1, 2, ... (at most 18 digits)
   setting_*   1, 2 or 3
   detected    0 or 1
   outcome_*   0, 1 or 2 when detected is 1, '-' when detected is 0
-Fields are separated by runs of spaces, tabs, CR, VT or FF.  Blank lines and
-lines whose first field starts with '#' are skipped; '# key = value' lines
-anywhere form the header, each key at most once.
+with single spaces between the fields and '\\n' after the last.  The one
+tolerance is a last line that lacks its newline.
 
 A round is its ``protocol`` round code, and a chunk of rounds an array of
-codes: the writer renders row ``code`` of its 90 line tails, and the reader
-turns each row's validated fields back into that code.  The writer numbers
-the rounds by their positions in the session, 0 to n - 1; the reader accepts
-any ids the grammar allows.  The writer's layout is the id's digits, then
-``" c c c c c"`` and a newline, stated once by ``_record`` and ``_render``:
-each span of consecutive ids becomes an array of fixed-width records.  The reader
-takes a block the fast way only if it equals, byte for byte, what
-``_render`` gives for consecutive ids from the block's first id and the
-codes read from the line tails, after splitting off the '#' lines the block
-starts with (the header).  Those lines and any other block, such as one
-whose ids have gaps, go through the general grammar of ``_parse_lines``,
-which alone words the error messages.
+codes.  A header line's layout is stated once, by ``_header_line``, and a
+round line's by ``_record`` and ``_render``, which renders row ``code`` of
+90 line tails.  The reader takes a header line only if it renders back to
+its own bytes, and a block of rows only if it equals the rendering of the
+codes it reads; else ``_line_fault`` words the fault of the first line that
+differs, named with its line number.
 """
 
 from __future__ import annotations
@@ -36,19 +31,13 @@ from .protocol import CODE_FIELDS, require_codes
 
 _READ_BLOCK_BYTES = 1 << 18
 _MAX_ID_DIGITS = 18                 # every such id fits in an int64
-_DASH = ord("-")
-
-_IS_SOLID = np.ones(256, dtype=bool)
-_IS_SOLID[list(b" \t\r\v\f\n")] = False
-# character -> field value: '-' reads as 255, and any non-field character as 10
-_CHAR_VALUE = np.full(256, 10, dtype=np.uint8)
-_CHAR_VALUE[ord("0"):ord("9") + 1] = np.arange(10)
-_CHAR_VALUE[_DASH] = 255
+# a span of _spans holds at most 10 000 lines of at most _MAX_ID_DIGITS + 11 bytes
+_SPAN_BYTES = 10_000 * (_MAX_ID_DIGITS + 11)
 
 # The writer's 11-byte line tails " sa oa sb ob det\n", one per round code.
 _TAILS = np.full((90, 11), ord(" "), dtype=np.uint8)
 _TAILS[:, 10] = ord("\n")
-_TAILS[:, 1:10:2] = np.where(CODE_FIELDS >= 0, 48 + CODE_FIELDS, _DASH).T
+_TAILS[:, 1:10:2] = np.where(CODE_FIELDS >= 0, 48 + CODE_FIELDS, ord("-")).T
 # row k: the four decimal digits of k, zero-padded (int16 keeps the build small)
 _DIGITS4 = (48 + np.arange(10_000, dtype=np.int16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
@@ -61,8 +50,7 @@ _TAIL_END = np.ascontiguousarray(_TAILS[:, 7:]).view("<u4")[:, 0]
 # The top byte of head * _TAIL_HASH differs between the 90 heads, so it
 # indexes a table of their codes (int64, as ``take`` indexes).  The reader
 # renders the codes it reads and compares, so a hash that merged two heads
-# would only send the writer's own blocks to the general grammar: the check
-# below guards speed, not results.
+# would reject the writer's own files: the check below guards that.
 _TAIL_HASH = np.uint64(0xB1EDF681CAB21531)
 _slots = (_TAIL_HEAD * _TAIL_HASH) >> 56
 if len(set(_slots.tolist())) != 90:
@@ -71,6 +59,7 @@ _HEAD_CODE = np.zeros(256, dtype=np.int64)
 _HEAD_CODE[_slots] = np.arange(90)
 del _slots
 
+_CRLF = "CR LF line end: lines end in '\\n' alone (tr -d '\\r' converts a file)"
 _FAULTS = (
     f"round_id {{0!r}} is not a non-negative integer of at most {_MAX_ID_DIGITS} digits",
     "setting_a {1!r} is not 1, 2 or 3",
@@ -78,8 +67,24 @@ _FAULTS = (
     "detected {5!r} is not 0 or 1",
     "outcome_a {2!r} must be {want} when detected is {5}",
     "outcome_b {4!r} must be {want} when detected is {5}",
-    "round_id {0} does not exceed the previous round_id {prev}",
+    "round_id {0} is not {position}: round ids are the rows' positions, from 0",
 )
+
+
+def _header_line(key: str, value: str) -> bytes:
+    """The header line of the item ``key`` = ``value``."""
+    return f"# {key} = {value}\n".encode()
+
+
+def _header_item(line: bytes) -> tuple[str, str] | None:
+    """The item, a non-empty key and a value, whose ``_header_line`` is
+    ``line``, or None if there is none.  ``line`` is split at its first '=',
+    and both sides are stripped.  Raises UnicodeDecodeError if ``line`` is
+    not UTF-8 text."""
+    key, _, value = line.decode()[2:-1].partition("=")
+    key, value = key.strip(), value.strip()
+    ok = key and b"\n" not in line[:-1] and _header_line(key, value) == line
+    return (key, value) if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +124,36 @@ def _spans(first: int, n: int) -> Iterator[tuple[int, int, int]]:
         start = end
 
 
-def _render(first: int, code: np.ndarray) -> Iterator[np.ndarray]:
-    """The writer's lines for the ids ``first``, ``first + 1``, ... and the
-    valid round codes ``code`` (intp, the index type of ``take``).
+def _render(start: int, width: int, code: np.ndarray, out: bytearray) -> np.ndarray:
+    """The writer's lines for the span of ``_spans`` from id ``start``, of
+    ``width``-digit ids, and the valid round codes ``code`` (intp, the index
+    type of ``take``), rendered at the front of ``out``, a buffer of at
+    least ``_SPAN_BYTES``.
 
-    Yields each span of ``_spans`` as one array of ``_record(width)``, whose
-    last digit group is a slice of ``_DIGITS4_U32`` and whose higher groups
-    are constants.
+    Returns them as an array of ``_record(width)`` over ``out``, whose last
+    digit group is a slice of ``_DIGITS4_U32`` and whose higher groups are
+    constants; the next call overwrites it.
     """
-    for start, width, rows in _spans(first, len(code)):
-        records = np.empty(rows, dtype=_record(width))
-        low = start % 10_000
-        # constants as arrays too: a strided field is filled faster from an array
-        groups = [np.full(rows, _DIGITS4_U32[start // 10_000 ** k % 10_000])
-                  for k in range((width - 1) // 4, 0, -1)] + [_DIGITS4_U32[low:low + rows]]
-        groups[0] = groups[0] >> 8 * (3 - (width - 1) % 4)
-        for i, group in enumerate(groups):
-            records[f"d{i}"] = group
-        lo = start - first
-        records["head"] = _TAIL_HEAD.take(code[lo:lo + rows])
-        records["end"] = _TAIL_END.take(code[lo:lo + rows])
-        yield records
+    rows = len(code)
+    records = np.frombuffer(out, _record(width), rows)
+    low = start % 10_000
+    # constants as arrays too: a strided field is filled faster from an array
+    groups = [np.full(rows, _DIGITS4_U32[start // 10_000 ** k % 10_000])
+              for k in range((width - 1) // 4, 0, -1)] + [_DIGITS4_U32[low:low + rows]]
+    groups[0] = groups[0] >> 8 * (3 - (width - 1) % 4)
+    for i, group in enumerate(groups):
+        records[f"d{i}"] = group
+    records["head"] = _TAIL_HEAD.take(code)
+    records["end"] = _TAIL_END.take(code)
+    return records
 
 
-def _write_rows(fh, first: int, code: np.ndarray) -> None:
+def _write_rows(fh, first: int, code: np.ndarray, out: bytearray) -> None:
     """Write valid rows with the ids ``first``, ``first + 1``, ...: each row's
-    code as an intp."""
-    for records in _render(first, code):
-        fh.write(records)
+    code as an intp, each span rendered in ``out`` (see ``_render``)."""
+    for start, width, rows in _spans(first, len(code)):
+        lo = start - first
+        fh.write(_render(start, width, code[lo:lo + rows], out))
 
 
 def transcribe(path, chunks: Iterable[np.ndarray],
@@ -155,25 +162,24 @@ def transcribe(path, chunks: Iterable[np.ndarray],
 
     Yields each chunk once its lines are written, so a session can be
     written and analyzed in one pass; the file is complete when the
-    iteration ends.  Header lines are '# key = value'; an item that would
-    not read back as written (an empty key, '=' in the key, a newline, or
-    whitespace at either end of the key or the value) raises ValidationError
-    before the file is opened.  A round's id is its index in the session.
-    Each chunk is checked by ``require_codes``, which names the round's
-    index in the session for a code out of range; the lines of earlier
-    chunks are already written by then.
+    iteration ends.  An item of ``header`` whose '# key = value' line would
+    not read back as that one item raises ValidationError before the file
+    is opened.  A round's id is its index in the session.  Each chunk is checked by ``require_codes``, which names
+    the round's index in the session for a code out of range; the lines of
+    earlier chunks are already written by then.
     """
     items = [(str(key), str(value)) for key, value in (header or {}).items()]
-    for key, value in items:    # the reader splits at the first '=' and strips both
-        if not key or "=" in key or any("\n" in s or s != s.strip() for s in (key, value)):
+    for item in items:
+        if _header_item(_header_line(*item)) != item:
             raise ValidationError(
-                f"header item {key!r} = {value!r} would not read back as written")
+                f"header item {item[0]!r} = {item[1]!r} would not read back as written")
+    out = bytearray(_SPAN_BYTES)
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {key} = {value}\n" for key, value in items).encode())
+        fh.write(b"".join(_header_line(*item) for item in items))
         base = 0
         for chunk in chunks:
             code = require_codes(chunk, base).astype(np.intp)   # the index type of ``take``
-            _write_rows(fh, base, code)
+            _write_rows(fh, base, code, out)
             base += len(code)
             yield chunk
 
@@ -182,126 +188,69 @@ def transcribe(path, chunks: Iterable[np.ndarray],
 # Reading
 # ---------------------------------------------------------------------------
 
-def _parse_lines(data: bytes, path, line0: int, prev_id: int, header: dict,
-                 key_lines: dict):
-    """The round codes and ids in ``data``, whole lines ending in a newline,
-    and its line count.
+def _line_fault(line: bytes, position: int) -> str:
+    """Why ``line``, ending in its newline, is not the writer's line of the
+    round at ``position``: the first fault of its layout, its field count,
+    its fields in ``_FAULTS`` order and its id."""
+    if line == b"\n":
+        return "blank line"
+    if line.startswith(b"#"):
+        return "'#' line after the first round: header lines come first"
+    if line.endswith(b"\r\n"):
+        return _CRLF
+    fields = line[:-1].split(b" ")
+    if fields != line.split():
+        return "fields must be separated by single spaces, with none before or after them"
+    if len(fields) != 6:
+        return f"expected 6 fields, got {len(fields)}"
+    rid, sa, oa, sb, ob, det = text = [field.decode(errors="replace") for field in fields]
+    outcomes = ("0", "1", "2") if det == "1" else ("-",)
+    faults = (
+        not (fields[0].isdigit() and len(rid) <= _MAX_ID_DIGITS),
+        sa not in ("1", "2", "3"),
+        sb not in ("1", "2", "3"),
+        det not in ("0", "1"),
+        oa not in outcomes,
+        ob not in outcomes,
+        rid != str(position),
+    )
+    return _FAULTS[faults.index(True)].format(
+        *text, want="0, 1 or 2" if det == "1" else "'-'", position=position)
 
-    ``line0`` is the number of lines before ``data`` and ``prev_id`` the
-    last round id before it; header lines are added to ``header``, and their
-    keys' line numbers to ``key_lines``, where a key already there is a fault.
+
+def _parse_fixed(data, prev_id: int, path, line0: int, out: bytearray) -> np.ndarray:
+    """The round codes (uint8) of ``data``, whole lines that must be, byte
+    for byte, the writer's lines for the ids ``prev_id + 1``, ``prev_id + 2``,
+    ...; ``line0`` lines precede them in ``path``.
+
+    The ids fix every line's width and offset, so each line's code is read
+    from its tail's head through ``_HEAD_CODE``.  Each span is rendered from
+    those ids and codes in ``out`` (see ``_render``) and compared with ``data``.
+    Else ValidationError names the line holding the first differing byte.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == 10)
-    starts, ends = np.flatnonzero(np.diff(
-        _IS_SOLID.take(buf), prepend=False, append=False)).reshape(-1, 2).T
-    # line j holds fields first[j] .. first[j] + n_fields[j] - 1
-    last = np.searchsorted(starts, newlines)
-    first = np.concatenate(([0], last[:-1]))
-    n_fields = last - first
-    used = np.flatnonzero(n_fields)
-    comment = buf[starts[first[used]]] == ord("#")
-    errors = []
-    for j in used[comment]:
-        body = data[starts[first[j]] + 1:newlines[j]]
-        if b"=" in body:
-            try:
-                key, _, value = body.decode().partition("=")
-            except UnicodeDecodeError as exc:
-                column = starts[first[j]] + exc.start + 2 - (newlines[j - 1] + 1 if j else 0)
-                errors.append((j, f"not UTF-8 text (byte {body[exc.start]:#04x} "
-                                  f"at column {column})"))
-                break
-            key = key.strip()
-            if key in key_lines:
-                errors.append((j, f"header key {key!r} repeated "
-                                  f"(first at line {key_lines[key]})"))
-                break
-            key_lines[key] = line0 + j + 1
-            header[key] = value.strip()
-
-    lines = used[~comment]
-    wrong = n_fields[lines] != 6
-    rows = lines[~wrong]
-    field = first[rows] + np.arange(6)[:, None]
-    size = ends[field] - starts[field]
-    # a field longer than one character reads as character 0, no field value
-    chars = np.where(size[1:] == 1, buf[starts[field[1:]]], np.uint8(0))
-    sa, oa, sb, ob, det = _CHAR_VALUE.take(chars)
-
-    id_start, id_size = starts[field[0]], size[0]
-    id_ok = id_size <= _MAX_ID_DIGITS
-    ids = np.zeros(len(rows), dtype=np.int64)
-    for k in range(min(int(id_size.max(initial=0)), _MAX_ID_DIGITS)):
-        live = k < id_size
-        digit = buf[id_start + np.minimum(k, id_size - 1)] - np.uint8(48)
-        id_ok &= ~live | (digit <= 9)
-        ids = np.where(live, 10 * ids + digit, ids)
-
-    if wrong.any():
-        j = lines[wrong.argmax()]
-        errors.append((j, f"expected 6 fields, got {n_fields[j]}"))
-    # one row per entry of _FAULTS; the uint8 differences wrap around
-    seen, unseen = det == 1, det == 0
-    faults = np.stack((
-        ~id_ok,
-        sa - 1 > 2,
-        sb - 1 > 2,
-        ~(seen | unseen),
-        seen & (oa > 2) | unseen & (oa != 255),
-        seen & (ob > 2) | unseen & (ob != 255),
-        ids <= np.concatenate(([prev_id], ids[:-1])),
-    ))
-    bad = faults.any(axis=0)
-    if bad.any():
-        row = int(bad.argmax())
-        text = tuple(data[starts[f]:ends[f]].decode(errors="replace") for f in field[:, row])
-        errors.append((rows[row], _FAULTS[int(faults[:, row].argmax())].format(
-            *text, want="0, 1 or 2" if text[5] == "1" else "'-'",
-            prev=ids[row - 1] if row else prev_id)))
-    if errors:
-        at, message = min(errors)
-        raise ValidationError(f"{path}:{line0 + at + 1}: {message}")
-
-    code = np.where(seen, 3 * oa + ob, np.uint8(9))
-    code += 30 * sa + 10 * sb - 40
-    return code, ids, len(newlines)
-
-
-def _parse_fixed(data, prev_id: int):
-    """What ``_parse_lines`` returns for ``data`` if it is, byte for byte,
-    what ``_render`` gives for consecutive ids after ``prev_id``; None
-    otherwise.
-
-    The first line's id fixes every line's width and offset, so each line's
-    code is read from its tail's head through ``_HEAD_CODE``.  The block is
-    taken only if it equals the writer's rendering of those ids and codes.
-    """
-    head = bytes(data[:_MAX_ID_DIGITS + 1])
-    k = head.find(b" ")
-    if k < 1 or not head[:k].isdigit():     # a leading zero fails the compare
-        return None
-    first = int(head[:k])
-    if first <= prev_id:
-        return None
-    codes, start, at = [], first, 0
-    while at < len(data):
-        width = len(str(start))
-        lines = min((len(data) - at) // (width + 11), 10 ** width - start)
-        if not lines or width > _MAX_ID_DIGITS:
-            return None
-        slot = np.frombuffer(data, _record(width), lines, at)["head"] * _TAIL_HASH
+    first, at, codes = prev_id + 1, 0, []
+    for start, width, rows in _spans(first, 10 ** _MAX_ID_DIGITS - first):
+        rows = min(rows, (len(data) - at) // (width + 11))
+        if not rows:
+            break
+        slot = np.frombuffer(data, _record(width), rows, at)["head"] * _TAIL_HASH
         slot >>= 56
-        codes.append(_HEAD_CODE.take(slot.view(np.int64)))
-        start, at = start + lines, at + lines * (width + 11)
-    code = np.concatenate(codes)
-    at = 0
-    for records in _render(first, code):
-        # of equal lengths, so a prefix test: it reads ``data`` in place
-        if not records.tobytes().startswith(data[at:at + records.nbytes]):
-            return None
-        at += records.nbytes
-    return code.astype(np.uint8), np.arange(first, start, dtype=np.int64), len(code)
+        code = _HEAD_CODE.take(slot.view(np.int64))
+        span = data[at:at + rows * (width + 11)]
+        _render(start, width, code, out)
+        # a bytearray compares with a buffer by one memcmp, in place
+        if not out.startswith(span):
+            at += int(np.argmax(np.frombuffer(out, np.uint8, len(span))
+                                != np.frombuffer(span, np.uint8)))
+            break
+        codes.append(code)
+        at += len(span)
+    if at == len(data):
+        return np.concatenate(codes).astype(np.uint8)
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    j = int(np.searchsorted(newlines, at))          # the line holding byte ``at``
+    line = bytes(data[newlines[j - 1] + 1 if j else 0:newlines[j] + 1])
+    raise ValidationError(f"{path}:{line0 + j + 1}: {_line_fault(line, first + j)}")
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
@@ -309,14 +258,14 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
 
     Yields the round codes of each block as a uint8 chunk, in file order,
     and adds header lines to ``header`` as they are read.  Ids are checked
-    (strictly increasing) and dropped.  Raises ValidationError with the line
-    number of the first bad line, among them a header line whose key an
-    earlier one has.
+    (0, 1, 2, ... down the file) and dropped.  Raises ValidationError with
+    the line number of the first line that is not as the writer writes it,
+    among them a header line whose key an earlier one has.
     """
     header = {} if header is None else header
     key_lines = {}                      # header key -> its line number
-    line0, prev_id, kept = 0, -1, 0
-    buf = bytearray(2 * _READ_BLOCK_BYTES)
+    rounds, kept = 0, 0
+    buf, out = bytearray(2 * _READ_BLOCK_BYTES), bytearray(_SPAN_BYTES)
     with open(path, "rb") as fh:
         while True:
             # one reused buffer: the partial last line of the previous read,
@@ -331,24 +280,30 @@ def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
                 buf[end] = ord("\n")
                 end += 1
             cut = buf.rfind(b"\n", 0, end) + 1
-            # leading '#' lines (the header, in the first block) go alone
-            # to the general grammar, so the rows after them can take the
-            # fixed path
+            # the '#' lines before the first round are the header
             start = 0
-            while buf.startswith(b"#", start, cut):
-                start = buf.index(b"\n", start, cut) + 1
-            if start:
-                line0 += _parse_lines(bytes(view[:start]), path, line0, prev_id, header,
-                                      key_lines)[2]
+            while not rounds and buf.startswith(b"#", start, cut):
+                stop = buf.index(b"\n", start, cut) + 1
+                line, at = bytes(view[start:stop]), f"{path}:{len(key_lines) + 1}"
+                try:
+                    item = _header_item(line)
+                except UnicodeDecodeError as exc:
+                    raise ValidationError(f"{at}: not UTF-8 text (byte {line[exc.start]:#04x} "
+                                          f"at column {exc.start + 1})") from None
+                if item is None:
+                    raise ValidationError(f"{at}: {_CRLF}" if line.endswith(b"\r\n") else
+                                          f"{at}: not a '# key = value' header line")
+                key, value = item
+                if key in key_lines:
+                    raise ValidationError(f"{at}: header key {key!r} repeated "
+                                          f"(first at line {key_lines[key]})")
+                key_lines[key], header[key] = len(key_lines) + 1, value
+                start = stop
             if start < cut:
-                data = view[start:cut]
-                code, ids, n_lines = (_parse_fixed(data, prev_id)
-                                      or _parse_lines(bytes(data), path, line0, prev_id, header,
-                                                      key_lines))
-                line0 += n_lines
-                if len(code):
-                    prev_id = ids[-1]
-                    yield code
+                code = _parse_fixed(view[start:cut], rounds - 1, path,
+                                    len(key_lines) + rounds, out)
+                rounds += len(code)
+                yield code
             if not got:
                 break
             kept = end - cut

@@ -37,6 +37,7 @@ ARRAYS = {
     ("protocol.SourceConfig", "coefficients"): lambda x: protocol.SourceConfig(coefficients=x),
     ("protocol.PartyConfig", "setting_probabilities"): protocol.PartyConfig,
     ("protocol.EveConfig", "basis"): lambda x: protocol.EveConfig(enabled=True, basis=x),
+    ("protocol.EveConfig", "basis, disabled"): lambda x: protocol.EveConfig(basis=x),
     ("protocol.sift", "code"): protocol.sift,
     ("protocol.analyze", "chunk"): lambda x: protocol.analyze([x]),
     ("protocol.estimate_s3", "counts"): protocol.estimate_s3,
@@ -99,7 +100,7 @@ REAL_INPUTS = {
 
 # The acceptances README documents: a digit string and an empty list are trit
 # strings (key files can be empty), an empty offset list gives no rows, and an
-# enabled eavesdropper with no basis measures in the computational basis.
+# eavesdropper with no basis measures in the computational basis.
 _TRIT_ENTRIES = ("trits.as_trits", "trits.format_trits", "reconcile.parity_sift",
                  "tritcrypt.encrypt", "tritcrypt.decrypt", "tritcrypt.decode")
 ACCEPTED = ({(entry, case) for entry in _TRIT_ENTRIES for case in ("empty", "str")}

@@ -400,13 +400,19 @@ class TestSimulateAndSift:
         assert "Traceback" not in err and out == ""
 
     def test_repeated_header_key_is_validation_error(self, capsys, tmp_path):
-        """A transcript joined from two sessions repeats their header keys."""
+        """A header key given twice, and a transcript joined from two
+        sessions, whose second header follows the first session's rounds."""
         path = tmp_path / "t.txt"
-        path.write_text("# seed = 1\n0 1 0 1 0 1\n# seed = 2\n1 1 0 1 0 1\n")
-        code, out, err = run_cli(capsys, "sift", "--transcript", str(path))
-        assert code == 2
-        assert err == f"error: {path}:3: header key 'seed' repeated (first at line 1)\n"
-        assert out == ""
+        for text, message in (
+                ("# seed = 1\n# rounds = 1\n# seed = 2\n0 1 0 1 0 1\n",
+                 "header key 'seed' repeated (first at line 1)"),
+                ("# seed = 1\n0 1 0 1 0 1\n# seed = 2\n0 1 0 1 0 1\n",
+                 "'#' line after the first round: header lines come first")):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "sift", "--transcript", str(path))
+            assert code == 2
+            assert err == f"error: {path}:3: {message}\n"
+            assert out == ""
 
 
 @pytest.mark.parametrize("argv, field", [

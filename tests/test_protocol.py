@@ -80,23 +80,25 @@ def whole_session(n, source, eve, a, b, seed):
 
 
 def read_transcript(path, header=None):
-    """The round codes ``iter_transcript`` yields for ``path``, joined, and the
-    round ids its two parse functions return, joined in file order."""
-    ids = [np.zeros(0, dtype=np.int64)]
+    """The round codes ``iter_transcript`` yields for ``path``, joined; their
+    ids are their positions."""
+    return joined(iter_transcript(path, header))
 
-    def keeping_ids(parse):
-        def parse_and_keep(*args):
-            parsed = parse(*args)
-            if parsed is not None:
-                ids.append(parsed[1])
-            return parsed
-        return parse_and_keep
 
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("_parse_fixed", "_parse_lines"):
-            mp.setattr(transcript, name, keeping_ids(getattr(transcript, name)))
-        code = joined(iter_transcript(path, header))
-    return code, np.concatenate(ids)
+def parse_rows(data, first_id, block_bytes, line0=0):
+    """The round codes of ``data``, round lines from id ``first_id`` on that
+    follow ``line0`` lines in the file "t", as ``_parse_fixed`` reads them in
+    runs of whole lines of at most ``block_bytes`` bytes (or one longer
+    line), after the newline a last line may lack."""
+    data = data if data.endswith(b"\n") else data + b"\n"
+    out, codes, at = bytearray(transcript._SPAN_BYTES), [], 0
+    while at < len(data):
+        cut = data.rfind(b"\n", at, at + block_bytes) + 1 or data.index(b"\n", at) + 1
+        rows = sum(map(len, codes))
+        codes.append(transcript._parse_fixed(memoryview(data)[at:cut], first_id + rows - 1,
+                                             "t", line0 + rows, out))
+        at = cut
+    return joined(codes)
 
 
 def key_counts(cells):
@@ -1006,9 +1008,9 @@ class TestChunkedSession:
         chunks = list(iter_transcript(split, header))
         assert header == {"seed": "32"} and len(chunks) > 1
         assert sum(len(c) for c in chunks) == len(rounds)
-        loaded, ids = read_transcript(split)
+        loaded = read_transcript(split)
         assert np.array_equal(loaded, joined(chunks))
-        for c1, c2 in zip(columns(loaded, ids), columns(rounds)):
+        for c1, c2 in zip(columns(loaded), columns(rounds)):
             assert np.array_equal(c1, c2)
 
 
@@ -1274,9 +1276,9 @@ class TestTranscriptIO:
         path = tmp_path / "transcript.txt"
         list(transcribe(path, [rounds], header={"seed": 21, "rounds": 500}))
         header = {}
-        loaded, ids = read_transcript(path, header)
+        loaded = read_transcript(path, header)
         assert header == {"seed": "21", "rounds": "500"}
-        for c1, c2 in zip(columns(rounds), columns(loaded, ids)):
+        for c1, c2 in zip(columns(rounds), columns(loaded)):
             assert np.array_equal(c1, c2)
 
     def test_bad_line_reports_lineno(self, tmp_path):
@@ -1302,14 +1304,6 @@ class TestTranscriptIO:
         assert path.read_bytes() == "".join(expected).encode()
 
     READ_CASES = {
-        "tabs": ("0\t1\t0\t1\t0\t1\n", [(0, 1, 0, 1, 0, True)]),
-        "space runs": ("0   1 0  1 0      1\n", [(0, 1, 0, 1, 0, True)]),
-        "crlf": ("# seed = 4\r\n0 1 0 1 0 1\r\n7 3 - 2 - 0\r\n",
-                 [(0, 1, 0, 1, 0, True), (7, 3, -1, 2, -1, False)]),
-        "indentation": ("   0 2 1 3 2 1\n\t 12 1 2 1 0 1\n",
-                        [(0, 2, 1, 3, 2, True), (12, 1, 2, 1, 0, True)]),
-        "comments and blanks": ("0 1 0 1 0 1\n\n  # note\n   \n#x=y\n5 3 - 2 - 0\n",
-                                [(0, 1, 0, 1, 0, True), (5, 3, -1, 2, -1, False)]),
         "no final newline": ("0 1 0 1 0 1\n1 3 - 2 - 0",
                              [(0, 1, 0, 1, 0, True), (1, 3, -1, 2, -1, False)]),
         "header only": ("# seed = 1\n", []),
@@ -1324,53 +1318,63 @@ class TestTranscriptIO:
         text, rows = self.READ_CASES[case]
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
-        loaded, ids = read_transcript(path)
-        assert (ids.dtype, loaded.dtype) == (np.int64, np.uint8)
-        assert list(zip(*(c.tolist() for c in columns(loaded, ids)))) == rows
+        loaded = read_transcript(path)
+        assert loaded.dtype == np.uint8
+        assert list(zip(*(c.tolist() for c in columns(loaded)))) == rows
 
-    def test_reader_header_anywhere(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_bytes(b"# seed = 3\n0 1 0 1 0 1\n  #rounds=2  \n1 1 0 1 0 1\n# \xff\n")
-        header = {}
-        list(iter_transcript(path, header))
-        assert header == {"seed": "3", "rounds": "2"}
-
+    SPACES = "fields must be separated by single spaces, with none before or after them"
     REJECT_CASES = {
         "detected with dash outcome": ("0 1 - 1 0 1\n", 1, "outcome_a '-'"),
         "setting 9 outcome 7": ("0 9 7 1 0 1\n", 1, "setting_a '9'"),
-        "setting_b 4": ("# h\n0 1 0 4 0 1\n", 2, "setting_b '4'"),
+        "setting_b 4": ("# h = 1\n0 1 0 4 0 1\n", 2, "setting_b '4'"),
         "outcome 7": ("0 1 0 1 0 1\n1 1 7 1 0 1\n", 2, "outcome_a '7'"),
         "outcome_b 3": ("0 1 0 1 3 1\n", 1, "outcome_b '3'"),
         "detected 2": ("0 1 0 1 0 2\n", 1, "detected '2'"),
         "undetected with outcome": ("0 1 - 1 2 0\n", 1, "outcome_b '2' must be '-'"),
         "multi-character field": ("0 01 0 1 0 1\n", 1, "setting_a '01'"),
         "negative id": ("-1 1 0 1 0 1\n", 1, "round_id '-1'"),
-        "non-digit id": ("0 1 0 1 0 1\n\n1x 1 0 1 0 1\n", 3, "round_id '1x'"),
+        "non-digit id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n1x 1 0 1 0 1\n", 3, "round_id '1x'"),
         "19-digit id": ("1000000000000000000 1 0 1 0 1\n", 1, "round_id"),
-        "19-digit id after the last": (
-            "999999999999999999 1 0 1 0 1\n1000000000000000000 1 0 1 0 1\n", 2,
-            "round_id '1000000000000000000' is not a non-negative integer of at most 18"),
-        "duplicate id": ("0 1 0 1 0 1\n# c\n0 1 0 1 0 1\n", 3, "does not exceed"),
-        "decreasing id": ("5 1 0 1 0 1\n3 1 0 1 0 1\n", 2, "does not exceed"),
+        "duplicate id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n1 1 0 1 0 1\n", 3,
+                         "round_id 1 is not 2: round ids are the rows' positions, from 0"),
+        "decreasing id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n0 1 0 1 0 1\n", 3, "round_id 0 is not 2"),
+        "first id not 0": ("5 1 0 1 0 1\n6 1 0 1 0 1\n", 1, "round_id 5 is not 0"),
+        "gapped ids": ("0 1 0 1 0 1\n2 1 0 1 0 1\n", 2, "round_id 2 is not 1"),
+        "leading zero": ("0 1 0 1 0 1\n01 1 0 1 0 1\n", 2, "round_id 01 is not 1"),
         "seven fields": ("0 1 0 1 0 1\n1 1 0 1 0 1 1\n", 2, "expected 6 fields, got 7"),
         "first fault wins": ("0 1 0 1 0 1\n1 2 0\n0 9 9 9 9 9\n", 2, "expected 6"),
-        # a '# key = value' line must be UTF-8, and its fault is ordered by line
+        # layouts other than the writer's
+        "tabs": ("0\t1\t0\t1\t0\t1\n", 1, SPACES),
+        "space runs": ("0   1 0  1 0      1\n", 1, SPACES),
+        "crlf": ("# seed = 4\r\n0 1 0 1 0 1\r\n7 3 - 2 - 0\r\n", 1,
+                 "CR LF line end: lines end in '\\n' alone (tr -d '\\r' converts a file)"),
+        "crlf rows": ("0 1 0 1 0 1\r\n1 3 - 2 - 0\r\n", 1, "CR LF line end"),
+        "indentation": ("   0 2 1 3 2 1\n\t 12 1 2 1 0 1\n", 1, SPACES),
+        "trailing space": ("0 1 0 1 0 1\n1 1 2 1 0 1 \n", 2, SPACES),
+        "comments and blanks": ("0 1 0 1 0 1\n\n  # note\n   \n#x=y\n5 3 - 2 - 0\n", 2,
+                                "blank line"),
+        "indented comment": ("0 1 0 1 0 1\n  # note\n1 3 - 2 - 0\n", 2, SPACES),
+        # header lines: each exactly '# key = value', as the writer writes it
+        "comment header line": ("# h\n0 1 0 1 0 1\n", 1, "not a '# key = value' header line"),
+        "header without spaces": ("#x=y\n0 1 0 1 0 1\n", 1, "not a '# key = value'"),
+        "header space runs": ("# x =  y\n", 1, "not a '# key = value'"),
+        # a header line must be UTF-8, and its fault is ordered by line
         "non-UTF-8 header": (b"# seed = 1\n# note = \xff\xfe\n0 1 0 1 0 1\n", 2,
                              "not UTF-8 text (byte 0xff at column 10)"),
-        "non-UTF-8 indented header": (b"0 1 0 1 0 1\n \t# a=\xc3(\n1 9 0 1 0 1\n", 2,
-                                      "not UTF-8 text (byte 0xc3 at column 7)"),
+        "non-UTF-8 comment header": (b"# \xff\n", 1, "not UTF-8 text (byte 0xff at column 3)"),
+        "non-UTF-8 indented header": (b"0 1 0 1 0 1\n \t# a=\xc3(\n1 9 0 1 0 1\n", 2, SPACES),
         "non-UTF-8 header after a fault": (b"0 1 0 1 0 1\n1 2 0\n# note = \xff\n", 2,
                                            "expected 6 fields"),
-        # a header key read twice, also as keys compare: stripped, in any block
-        "repeated header key": ("# seed = 1\n0 1 0 1 0 1\n#seed=2\n1 1 0 1 0 1\n", 3,
+        # a header key read twice
+        "repeated header key": ("# seed = 1\n# rounds = 1\n# seed = 2\n0 1 0 1 0 1\n", 3,
                                 "header key 'seed' repeated (first at line 1)"),
-        "repeated header key in one block": ("# a = 1\n# b = 2\n  # b =2\n0 1 0 1 0 1\n", 3,
+        "repeated header key in one block": ("# a = 1\n# b = 2\n# b = 2\n0 1 0 1 0 1\n", 3,
                                              "header key 'b' repeated (first at line 2)"),
         "fault before a repeated header key": ("# a = 1\n0 1 0 1\n# a = 1\n", 2,
                                                "expected 6 fields, got 4"),
     }
 
-    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("block_bytes", [None, 1, 7])
     @pytest.mark.parametrize("case", sorted(REJECT_CASES))
     def test_reader_rejects(self, tmp_path, monkeypatch, case, block_bytes):
         if block_bytes is not None:
@@ -1382,6 +1386,29 @@ class TestTranscriptIO:
             list(iter_transcript(path))
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert message in str(info.value)
+
+    def test_reader_header_anywhere(self, tmp_path):
+        # header lines lead the file: a '#' line after a round is refused
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"# seed = 3\n0 1 0 1 0 1\n  #rounds=2  \n1 1 0 1 0 1\n# \xff\n")
+        with pytest.raises(ValidationError) as info:
+            list(iter_transcript(path))
+        assert str(info.value) == f"{path}:3: {self.SPACES}"
+        path.write_bytes(b"# seed = 3\n0 1 0 1 0 1\n# rounds = 2\n1 1 0 1 0 1\n")
+        with pytest.raises(ValidationError) as info:
+            list(iter_transcript(path))
+        assert str(info.value) == (f"{path}:3: '#' line after the first round: "
+                                   "header lines come first")
+
+    def test_reader_refuses_a_19_digit_id(self):
+        # the round after id 10**18 - 1 has a 19-digit id, which no file reaches
+        # from 0, so the rows are read from there directly
+        data = b"999999999999999999 1 0 1 0 1\n1000000000000000000 1 0 1 0 1\n"
+        assert parse_rows(data[:29], 10**18 - 1, 1 << 18).tolist() == [0]
+        with pytest.raises(ValidationError) as info:
+            parse_rows(data, 10**18 - 1, 1 << 18)
+        assert str(info.value) == ("t:2: round_id '1000000000000000000' is not a "
+                                   "non-negative integer of at most 18 digits")
 
     @pytest.mark.parametrize("header", [{"note": "a\nb"}, {"a=b": "1"}, {" k ": "v "},
                                         {"": "1"}, {"k": " v"}])
@@ -1398,18 +1425,21 @@ class TestTranscriptIO:
             monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
         n = 30_000          # about 490 kB: more than one default read block
         lines = ["# seed = 1\n"] + [f"{i} {1 + i % 3} {i % 3} 2 1 1\n" for i in range(n)]
-        lines[n // 2:n // 2] = ["\n", "  # midway\n"]
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        loaded, ids = read_transcript(path)
-        assert np.array_equal(ids, np.arange(n))
+        loaded = read_transcript(path)
+        assert len(loaded) == n
         assert np.array_equal(columns(loaded)[1], 1 + np.arange(n) % 3)
-        bad_line = 25_000
-        lines[bad_line - 1] = lines[bad_line - 1].replace(" 2 1 1\n", " 2 1 -\n")
-        path.write_text("".join(lines))
         assert path.stat().st_size > transcript._READ_BLOCK_BYTES
-        with pytest.raises(ValidationError, match=f":{bad_line}: detected '-'"):
-            list(iter_transcript(path))
+        # a fault at line 25 000, and a blank line after line 15 000
+        for line, edit, bad_line, message in (
+                (25_000, (" 2 1 1\n", " 2 1 -\n"), 25_000, "detected '-'"),
+                (15_000, ("\n", "\n\n"), 15_001, "blank line")):
+            edited = lines.copy()
+            edited[line - 1] = edited[line - 1].replace(*edit)
+            path.write_text("".join(edited))
+            with pytest.raises(ValidationError, match=f":{bad_line}: {message}"):
+                list(iter_transcript(path))
 
     @pytest.mark.parametrize("codes, value, message", [
         ("code", 90, "round index 3: round code 90 is not from 0 to 89"),
@@ -1434,65 +1464,60 @@ class TestTranscriptIO:
         # the ids within 8 of each of WIDE_IDS, with all 90 line tails:
         # 9 setting pairs x (9 outcome pairs or undetected), written by the
         # writer's row renderer one consecutive run (or ``chunk_rows`` of it)
-        # at a time
+        # at a time, and each run read back from its first id
         ids = np.array(sorted({i + k for i in self.WIDE_IDS for k in range(-8, 9)
                                if 0 <= i + k < 10**18}), dtype=np.int64)
         n = len(ids)
         assert n >= 90 and {len(str(i)) for i in ids} == set(range(1, 19))
         code = np.arange(n) % 90
         path, step = tmp_path / "t.txt", chunk_rows or n
+        runs = np.split(np.arange(n), np.flatnonzero(np.diff(ids) > 1) + 1)
+        out, ends = bytearray(transcript._SPAN_BYTES), [0]
         with open(path, "wb") as fh:
-            for run in np.split(np.arange(n), np.flatnonzero(np.diff(ids) > 1) + 1):
+            for run in runs:
                 for rows in np.split(run, range(step, len(run), step)):
-                    transcript._write_rows(fh, int(ids[rows[0]]), code[rows])
+                    transcript._write_rows(fh, int(ids[rows[0]]), code[rows], out)
+                ends.append(fh.tell())
         expected = []
         for rid, sa, oa, sb, ob, seen in zip(*(c.tolist() for c in columns(code, ids))):
             oa, ob = (oa, ob) if seen else ("-", "-")
             expected.append(f"{rid} {sa} {oa} {sb} {ob} {int(seen)}\n")
-        assert path.read_bytes() == "".join(expected).encode()
-        loaded, loaded_ids = read_transcript(path)
-        assert loaded_ids.dtype == np.int64 and loaded.dtype == np.uint8
-        assert np.array_equal(loaded_ids, ids)
-        assert np.array_equal(loaded, code)
+        data = path.read_bytes()
+        assert data == "".join(expected).encode()
+        for run, lo, hi in zip(runs, ends, ends[1:]):
+            loaded = parse_rows(data[lo:hi], int(ids[run[0]]), 1 << 18)
+            assert loaded.dtype == np.uint8 and np.array_equal(loaded, code[run])
 
     @pytest.mark.parametrize("block_bytes", [64, 4096, None])
     @pytest.mark.parametrize("first_id", [0, 99_800, 99_999_800, 10**17 - 200])
     def test_writer_output_takes_the_fixed_path(self, tmp_path, monkeypatch, first_id,
                                                  block_bytes):
-        # ids 0 to 10 099 through ``transcribe``, or 400 ids from ``first_id``
-        # after a header: they cross 9 999 -> 10 000, or from 5 to 6, 8 to 9
-        # or 17 to 18 digits
-        if block_bytes is not None:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+        # ids 0 to 10 099 through ``transcribe`` and ``iter_transcript``, or 400
+        # ids from ``first_id`` read by ``_parse_fixed``: they cross 9 999 -> 10 000,
+        # or from 5 to 6, 8 to 9 or 17 to 18 digits
+        block_bytes = block_bytes or transcript._READ_BLOCK_BYTES
         n = 10_100 if first_id == 0 else 400
         code = whole_session(n, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, PartyConfig(), PartyConfig(), seed=25)
         path = tmp_path / "t.txt"
         if first_id == 0:
+            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
             list(transcribe(path, [code], header={"seed": 25, "rounds": n}))
+            chunks = list(iter_transcript(path))
+            assert len(chunks) == -(-path.stat().st_size // block_bytes)
+            loaded = joined(chunks)
         else:
             with open(path, "wb") as fh:
-                fh.write(b"# seed = 25\n")
-                transcript._write_rows(fh, first_id, code.astype(np.intp))
-        fixed, general = [], []
-        parse_fixed, parse_lines = transcript._parse_fixed, transcript._parse_lines
-        monkeypatch.setattr(transcript, "_parse_fixed",
-                            lambda *args: fixed.append(parse_fixed(*args)) or fixed[-1])
-        monkeypatch.setattr(transcript, "_parse_lines",
-                            lambda *args: general.append(args[0]) or parse_lines(*args))
-        loaded, ids = read_transcript(path)
-        assert np.array_equal(loaded, code) and np.array_equal(ids, first_id + np.arange(n))
-        assert all(line.startswith(b"# ") for data in general
-                   for line in data.splitlines())
-        assert fixed and all(r is not None for r in fixed)
-        assert sum(r[2] for r in fixed) == n
+                transcript._write_rows(fh, first_id, code.astype(np.intp),
+                                       bytearray(transcript._SPAN_BYTES))
+            loaded = parse_rows(path.read_bytes(), first_id, block_bytes)
+        assert loaded.dtype == np.uint8 and np.array_equal(loaded, code)
 
     @staticmethod
     def _edited(text, edits):
         """``text`` with some lines re-rendered in other whitespace layouts,
         and comment and blank lines inserted; ``edits`` maps a line index to
-        a layout number.  An inserted header line's key names the round id
-        of the line it precedes, as a header key may not repeat."""
+        a layout number."""
         layouts = (
             lambda f: "\t".join(f) + "\n",
             lambda f: "  ".join(f) + "   \n",
@@ -1507,10 +1532,17 @@ class TestTranscriptIO:
                 lines[j] = layouts[layout](lines[j].split())
         return "".join(lines)
 
+    # the fault of each layout of ``_edited`` and the line it is found on,
+    # after the edited line's own
+    LAYOUT_FAULTS = ((SPACES, 0), (SPACES, 0), ("CR LF line end", 0), (SPACES, 0),
+                     ("'#' line after the first round", 0), ("blank line", 1))
+
     @given(edits=st.dictionaries(st.integers(0, 400), st.integers(0, 5), max_size=12),
            block_bytes=st.sampled_from([64, 200, 512, 1000]))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_reader_layouts_agree(self, edits, block_bytes):
+        # the writer's layout is the only one: any other is refused at its
+        # first edited line
         rounds = whole_session(400, SourceConfig(detection_efficiency=0.7),
                                NO_EVE, PartyConfig(), PartyConfig(), seed=23)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -1519,32 +1551,18 @@ class TestTranscriptIO:
             list(transcribe(plain, [rounds], header={"seed": 23}))
             with open(plain) as fh, open(edited, "w", newline="") as out:
                 out.write(self._edited(fh.read(), edits))
-            fixed, general = [], []
-            parse_fixed, parse_lines = transcript._parse_fixed, transcript._parse_lines
-            mp.setattr(transcript, "_parse_fixed",
-                       lambda *args: fixed.append(parse_fixed(*args)) or fixed[-1])
-            mp.setattr(transcript, "_parse_lines",
-                       lambda *args: general.append(args[0]) or parse_lines(*args))
-            results = []
-            for path in (plain, edited):
-                header = {}
-                loaded, ids = read_transcript(path, header)
-                results.append(((ids, loaded), header))
-        # line 0, the header, is never edited
-        edited = {layout for j, layout in edits.items() if j}
-        (cols1, header1), (cols2, header2) = results
-        assert header1 == {"seed": "23"}
-        # line j holds round id j - 1
-        assert header2 == {"seed": "23", **{f"note {j - 1}": "x" for j, layout in edits.items()
-                                            if j and layout == 4}}
-        for c1, c2, c0 in zip(cols1, cols2, (np.arange(len(rounds)), rounds)):
-            assert c1.dtype == c2.dtype == c0.dtype
-            assert np.array_equal(c1, c0) and np.array_equal(c2, c0)
-        # both paths run: the header lines alone and each block with an edited
-        # line take the general path, the rest the fixed one (an inserted
-        # comment line that starts a block is split off like the header)
-        assert general[0] == b"# seed = 23\n" and any(r is not None for r in fixed)
-        assert any(r is None for r in fixed) == bool(edited) or edited == {4}
+            header = {}
+            assert np.array_equal(read_transcript(plain, header), rounds)
+            assert header == {"seed": "23"}
+            # line 0, the header, is never edited
+            if not edits.keys() - {0}:
+                assert np.array_equal(read_transcript(edited), rounds)
+                return
+            with pytest.raises(ValidationError) as info:
+                read_transcript(edited)
+        j = min(edits.keys() - {0})
+        message, after = self.LAYOUT_FAULTS[edits[j]]
+        assert str(info.value).startswith(f"{edited}:{j + 1 + after}: {message}")
 
     DAMAGE = ("id digit", "separator", "field", "outcome", "detected", "newline")
 
@@ -1573,22 +1591,11 @@ class TestTranscriptIO:
         lines[j] = line[:at] + new + line[at + 1:]
         return "".join(lines)
 
-    @staticmethod
-    def _read_outcome(path):
-        """The error message reading ``path`` raises, or its rounds and header."""
-        header = {}
-        try:
-            loaded, ids = read_transcript(path, header)
-        except ValidationError as exc:
-            return str(exc)
-        return [(c.dtype, c.tolist()) for c in (ids, loaded)], header
-
     @given(j=st.integers(1, 300), kind=st.sampled_from(DAMAGE), pick=st.integers(0, 11),
            first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]),
            block_bytes=st.sampled_from([64, 200, 1000, 1 << 18]))
-    # on the last line, which no later id checks and which is detected: an
-    # 'x' for the odd first digit of a 3-, 5- and 9-digit id, read alone,
-    # and a '/' (the byte before '0') for outcome_a
+    # on the last line: an 'x' for the odd first digit of a 3-, 5- and 9-digit
+    # id, read alone, and a '/' (the byte before '0') for outcome_a
     @example(j=300, kind="id digit", pick=0, first_id=0, block_bytes=1 << 18)
     @example(j=300, kind="id digit", pick=0, first_id=9_800, block_bytes=200)
     @example(j=300, kind="id digit", pick=0, first_id=99_999_800, block_bytes=1000)
@@ -1596,30 +1603,40 @@ class TestTranscriptIO:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def test_reader_damaged_writer_layout_falls_back(self, j, kind, pick, first_id,
                                                       block_bytes):
-        # ids of 1-3, 4-5, 8-9 or 18 digits, so the damage meets odd and even
-        # widths, width changes and the first, middle and last line of a block
+        # a damaged byte is refused at its line, unless it leaves the rounds as
+        # they were (a 9 put for a 9, the last line's newline dropped); ids of
+        # 1-3, 4-5, 8-9 or 18 digits after a header line, so the damage meets
+        # odd and even widths, width changes and the first, middle and last
+        # line of a block; ids from 0 are read by ``iter_transcript``, the
+        # others by ``_parse_fixed``
         code = whole_session(300, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, PartyConfig(), PartyConfig(), seed=24)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
-            path = os.path.join(tmp, "t.txt")
+            path, header = os.path.join(tmp, "t.txt"), b"# seed = 24\n"
             with open(path, "wb") as fh:
-                fh.write(b"# seed = 24\n")
-                transcript._write_rows(fh, first_id, code.astype(np.intp))
+                fh.write(header)
+                transcript._write_rows(fh, first_id, code.astype(np.intp),
+                                       bytearray(transcript._SPAN_BYTES))
             with open(path) as fh:
                 text = self._damaged(fh.read(), j, kind, pick)
             with open(path, "w", newline="") as out:
                 out.write(text)
-            read = self._read_outcome(path)
-            mp.setattr(transcript, "_parse_fixed", lambda data, prev_id: None)
-            general = self._read_outcome(path)
-        assert read == general
-        assert isinstance(read, str) or kind in ("separator", "newline", "id digit")
+            try:
+                loaded = (read_transcript(path) if first_id == 0 else
+                          parse_rows(text.encode()[len(header):], first_id, block_bytes, 1))
+            except ValidationError as exc:
+                # line j + 1 holds round j - 1; a doubled newline makes line j + 2 blank
+                line = j + 2 if kind == "newline" and pick % 2 else j + 1
+                assert str(exc).startswith(f"{path if first_id == 0 else 't'}:{line}: ")
+                return
+        assert kind in ("id digit", "newline") and np.array_equal(loaded, code)
 
     @pytest.mark.parametrize("bad, message", [
         ("5 9 7 1 0 1", "setting_a '9' is not 1, 2 or 3"),
         ("25000 1 - 1 0 1", "outcome_a '-' must be 0, 1 or 2 when detected is 1"),
-        ("24998 1 0 1 0 1", "round_id 24998 does not exceed the previous round_id 24998"),
+        ("24998 1 0 1 0 1",
+         "round_id 24998 is not 24999: round ids are the rows' positions, from 0"),
         ("25000 1 0 1 0 2", "detected '2' is not 0 or 1"),
         ("25000 1 1 1 0 0", "outcome_a '1' must be '-' when detected is 0"),
         ("25000 1 0 1 3 1", "outcome_b '3' must be 0, 1 or 2 when detected is 1"),
@@ -1645,9 +1662,13 @@ class TestTranscriptIO:
         "first row": ("0 1 0 1 0 2", 3, "detected '2' is not 0 or 1"),
         "deep": ("700 1 7 1 0 1", 703, "outcome_a '7' must be 0, 1 or 2 when detected is 1"),
         "fields": ("700 1 0 1", 703, "expected 6 fields, got 4"),
-        "comment then id": ("# mid = 2\n5 1 0 1 0 1", 704,
-                            "round_id 5 does not exceed the previous round_id 699"),
-        "indented comment": ("  # x\n700 1 0 1 0 1 1", 704, "expected 6 fields, got 7"),
+        "row then id": ("700 1 0 1 0 1\n5 1 0 1 0 1", 704,
+                        "round_id 5 is not 701: round ids are the rows' positions, from 0"),
+        "row then fields": ("700 1 0 1 0 1\n701 1 0 1 0 1 1", 704, "expected 6 fields, got 7"),
+        # a comment line between rows is itself the fault
+        "comment then id": ("# mid = 2\n5 1 0 1 0 1", 703,
+                            "'#' line after the first round: header lines come first"),
+        "indented comment": ("  # x\n700 1 0 1 0 1 1", 703, SPACES),
     }
 
     @pytest.mark.parametrize("block_bytes", [None, 1, 100])
