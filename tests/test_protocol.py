@@ -1335,6 +1335,9 @@ class TestTranscriptIO:
         "negative id": ("-1 1 0 1 0 1\n", 1, "round_id '-1'"),
         "non-digit id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n1x 1 0 1 0 1\n", 3, "round_id '1x'"),
         "19-digit id": ("1000000000000000000 1 0 1 0 1\n", 1, "round_id"),
+        "19-digit id after the last": (
+            "0 1 0 1 0 1\n1000000000000000000 1 0 1 0 1\n", 2,
+            "round_id '1000000000000000000' is not a non-negative integer of at most 18"),
         "duplicate id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n1 1 0 1 0 1\n", 3,
                          "round_id 1 is not 2: round ids are the rows' positions, from 0"),
         "decreasing id": ("0 1 0 1 0 1\n1 1 0 1 0 1\n0 1 0 1 0 1\n", 3, "round_id 0 is not 2"),
