@@ -393,7 +393,7 @@ def _sample_chunks(n: int, seed: int, law: SessionLaw) -> Iterator[np.ndarray]:
     buckets = _bucket_table(edges)
     # the keys as intp, the index type of ``take``, in one buffer for the session
     index = np.empty(min(n, _SESSION_CHUNK_ROWS), dtype=np.intp)
-    extra = rng if n <= _SESSION_CHUNK_ROWS else None
+    extra = None
     for lo in range(0, n, _SESSION_CHUNK_ROWS):
         m = min(_SESSION_CHUNK_ROWS, n - lo)
         key = index[:m]

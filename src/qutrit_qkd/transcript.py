@@ -14,9 +14,9 @@ A round is its ``protocol`` round code, and a chunk of rounds an array of
 codes.  A header line's layout is stated once, by ``_header_line``, and a
 round line's by ``_record`` and ``_render``, which renders row ``code`` of
 90 line tails.  The reader takes a header line only if it renders back to
-its own bytes, and a block of rows only if it equals the rendering of the
-codes it reads; else ``_line_fault`` words the fault of the first line that
-differs, named with its line number.
+its own bytes, and reads the rows one span of ``_spans`` at a time, each
+only if it equals the rendering of the codes it reads; else ``_line_fault``
+words the fault of the first line that differs, named with its line number.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .linalg import ValidationError
 from .protocol import CODE_FIELDS, require_codes
 
-_READ_BLOCK_BYTES = 1 << 18
 _MAX_ID_DIGITS = 18                 # every such id fits in an int64
 # a span of _spans holds at most 10 000 lines of at most _MAX_ID_DIGITS + 11 bytes
 _SPAN_BYTES = 10_000 * (_MAX_ID_DIGITS + 11)
@@ -72,8 +71,8 @@ _FAULTS = (
 
 
 def _header_line(key: str, value: str) -> bytes:
-    """The header line of the item ``key`` = ``value``."""
-    return f"# {key} = {value}\n".encode()
+    """The header line of ``key`` = ``value``, with '?' for what UTF-8 cannot encode."""
+    return f"# {key} = {value}\n".encode(errors="replace")
 
 
 def _header_item(line: bytes) -> tuple[str, str] | None:
@@ -164,9 +163,10 @@ def transcribe(path, chunks: Iterable[np.ndarray],
     written and analyzed in one pass; the file is complete when the
     iteration ends.  An item of ``header`` whose '# key = value' line would
     not read back as that one item raises ValidationError before the file
-    is opened.  A round's id is its index in the session.  Each chunk is checked by ``require_codes``, which names
-    the round's index in the session for a code out of range; the lines of
-    earlier chunks are already written by then.
+    is opened.  A round's id is its index in the session.  Each chunk is
+    checked by ``require_codes``, which names the round's index in the
+    session for a code out of range; the lines of earlier chunks are
+    already written by then.
     """
     items = [(str(key), str(value)) for key, value in (header or {}).items()]
     for item in items:
@@ -218,93 +218,76 @@ def _line_fault(line: bytes, position: int) -> str:
         *text, want="0, 1 or 2" if det == "1" else "'-'", position=position)
 
 
-def _parse_fixed(data, prev_id: int, path, line0: int, out: bytearray) -> np.ndarray:
-    """The round codes (uint8) of ``data``, whole lines that must be, byte
-    for byte, the writer's lines for the ids ``prev_id + 1``, ``prev_id + 2``,
-    ...; ``line0`` lines precede them in ``path``.
+def _parse_fixed(data, start: int, width: int, rows: int, path, line0: int, out) -> np.ndarray:
+    """The round codes (uint8) of ``data``, which must be, byte for byte, the
+    writer's lines of a span of ``_spans`` (``rows`` ids of ``width`` digits
+    from ``start``) or its first lines, after ``line0`` lines of ``path``.
+    Each line's code is read from its tail's head through ``_HEAD_CODE``, and
+    the lines rendered from their ids and codes in ``out`` (see ``_render``)
+    must equal ``data``.  Else every byte before the first differing one is
+    the writer's, and ValidationError names the line holding it."""
+    rows = min(rows, len(data) // (width + 11))
+    size = rows * (width + 11)
+    slot = np.frombuffer(data, _record(width), rows)["head"] * _TAIL_HASH
+    slot >>= 56
+    code = _HEAD_CODE.take(slot.view(np.int64))
+    _render(start, width, code, out)
+    # a bytearray compares with a buffer by one memcmp, in place
+    if len(data) == size and out.startswith(data):
+        return code.astype(np.uint8)
+    differ = np.frombuffer(out, np.uint8, size) != np.frombuffer(data, np.uint8, size)
+    j = int(next(iter(np.flatnonzero(differ)), size)) // (width + 11)
+    line = bytes(data[j * (width + 11):]).partition(b"\n")[0] + b"\n"
+    raise ValidationError(f"{path}:{line0 + j + 1}: {_line_fault(line, start + j)}")
 
-    The ids fix every line's width and offset, so each line's code is read
-    from its tail's head through ``_HEAD_CODE``.  Each span is rendered from
-    those ids and codes in ``out`` (see ``_render``) and compared with ``data``.
-    Else ValidationError names the line holding the first differing byte.
-    """
-    first, at, codes = prev_id + 1, 0, []
-    for start, width, rows in _spans(first, 10 ** _MAX_ID_DIGITS - first):
-        rows = min(rows, (len(data) - at) // (width + 11))
-        if not rows:
-            break
-        slot = np.frombuffer(data, _record(width), rows, at)["head"] * _TAIL_HASH
-        slot >>= 56
-        code = _HEAD_CODE.take(slot.view(np.int64))
-        span = data[at:at + rows * (width + 11)]
-        _render(start, width, code, out)
-        # a bytearray compares with a buffer by one memcmp, in place
-        if not out.startswith(span):
-            at += int(np.argmax(np.frombuffer(out, np.uint8, len(span))
-                                != np.frombuffer(span, np.uint8)))
-            break
-        codes.append(code)
-        at += len(span)
-    if at == len(data):
-        return np.concatenate(codes).astype(np.uint8)
-    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    j = int(np.searchsorted(newlines, at))          # the line holding byte ``at``
-    line = bytes(data[newlines[j - 1] + 1 if j else 0:newlines[j] + 1])
-    raise ValidationError(f"{path}:{line0 + j + 1}: {_line_fault(line, first + j)}")
+
+def _read_rows(fh, first: int, path, line0: int) -> Iterator[np.ndarray]:
+    """The round codes (uint8) of the rest of ``fh``, round lines for the ids
+    ``first``, ``first + 1``, ... after ``line0`` lines of ``path``: one
+    ``readinto`` per span of ``_spans``, of the bytes its ids fix.  A read
+    not ending in a newline ends in a line that is not the writer's, or in
+    the last line, which gets the newline it lacks; an empty read ends the
+    file.  A line after id 10**18 - 1 is refused."""
+    buf, out = bytearray(_SPAN_BYTES), bytearray(_SPAN_BYTES)
+    view, last = memoryview(buf), 10 ** _MAX_ID_DIGITS
+    for start, width, rows in _spans(first, last - first):
+        got = fh.readinto(view[:rows * (width + 11)])
+        if not got:
+            return
+        data = view[:got]
+        if buf[got - 1] != ord("\n"):      # ``readline`` returns one newline at most
+            data = (bytes(data) + fh.readline()).rstrip(b"\n") + b"\n"
+        yield _parse_fixed(data, start, width, rows, path, line0 + start - first, out)
+    if line := fh.readline():
+        _parse_fixed(line.rstrip(b"\n") + b"\n", last, _MAX_ID_DIGITS + 1, 0, path,
+                    line0 + last - first, out)
 
 
 def iter_transcript(path, header: dict | None = None) -> Iterator[np.ndarray]:
-    """Parse a transcript file one read block at a time.
+    """Parse a transcript file one span of ``_spans`` at a time.
 
-    Yields the round codes of each block as a uint8 chunk, in file order,
-    and adds header lines to ``header`` as they are read.  Ids are checked
-    (0, 1, 2, ... down the file) and dropped.  Raises ValidationError with
-    the line number of the first line that is not as the writer writes it,
-    among them a header line whose key an earlier one has.
-    """
+    Yields the round codes of each span as a uint8 chunk, in file order, and
+    adds header lines to ``header`` as they are read.  Ids are checked (0, 1,
+    2, ... down the file) and dropped.  Raises ValidationError with the line
+    number of the first line not as the writer writes it, among them a
+    header line whose key an earlier one has."""
     header = {} if header is None else header
     key_lines = {}                      # header key -> its line number
-    rounds, kept = 0, 0
-    buf, out = bytearray(2 * _READ_BLOCK_BYTES), bytearray(_SPAN_BYTES)
     with open(path, "rb") as fh:
-        while True:
-            # one reused buffer: the partial last line of the previous read,
-            # then the next block, with room for the newline a last line lacks;
-            # it grows only for a partial line longer than a block
-            if len(buf) < kept + _READ_BLOCK_BYTES + 1:
-                buf = buf[:kept] + bytearray(kept + 2 * _READ_BLOCK_BYTES)
-            view = memoryview(buf)
-            got = fh.readinto(view[kept:kept + _READ_BLOCK_BYTES])
-            end = kept + got
-            if not got and kept:            # the last line lacks its newline
-                buf[end] = ord("\n")
-                end += 1
-            cut = buf.rfind(b"\n", 0, end) + 1
-            # the '#' lines before the first round are the header
-            start = 0
-            while not rounds and buf.startswith(b"#", start, cut):
-                stop = buf.index(b"\n", start, cut) + 1
-                line, at = bytes(view[start:stop]), f"{path}:{len(key_lines) + 1}"
-                try:
-                    item = _header_item(line)
-                except UnicodeDecodeError as exc:
-                    raise ValidationError(f"{at}: not UTF-8 text (byte {line[exc.start]:#04x} "
-                                          f"at column {exc.start + 1})") from None
-                if item is None:
-                    raise ValidationError(f"{at}: {_CRLF}" if line.endswith(b"\r\n") else
-                                          f"{at}: not a '# key = value' header line")
-                key, value = item
-                if key in key_lines:
-                    raise ValidationError(f"{at}: header key {key!r} repeated "
-                                          f"(first at line {key_lines[key]})")
-                key_lines[key], header[key] = len(key_lines) + 1, value
-                start = stop
-            if start < cut:
-                code = _parse_fixed(view[start:cut], rounds - 1, path,
-                                    len(key_lines) + rounds, out)
-                rounds += len(code)
-                yield code
-            if not got:
-                break
-            kept = end - cut
-            buf[:kept] = buf[cut:end]          # a copy: the two may overlap
+        # the '#' lines before the first round are the header
+        while fh.peek(1).startswith(b"#"):
+            line, at = fh.readline().rstrip(b"\n") + b"\n", f"{path}:{len(key_lines) + 1}"
+            try:
+                item = _header_item(line)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{at}: not UTF-8 text (byte {line[exc.start]:#04x} "
+                                      f"at column {exc.start + 1})") from None
+            if item is None:
+                raise ValidationError(f"{at}: {_CRLF}" if line.endswith(b"\r\n") else
+                                      f"{at}: not a '# key = value' header line")
+            key, value = item
+            if key in key_lines:
+                raise ValidationError(f"{at}: header key {key!r} repeated "
+                                      f"(first at line {key_lines[key]})")
+            key_lines[key], header[key] = len(key_lines) + 1, value
+        yield from _read_rows(fh, 0, path, len(key_lines))

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -85,20 +87,33 @@ def read_transcript(path, header=None):
     return joined(iter_transcript(path, header))
 
 
-def parse_rows(data, first_id, block_bytes, line0=0):
+def parse_rows(data, first_id, line0=0):
     """The round codes of ``data``, round lines from id ``first_id`` on that
-    follow ``line0`` lines in the file "t", as ``_parse_fixed`` reads them in
-    runs of whole lines of at most ``block_bytes`` bytes (or one longer
-    line), after the newline a last line may lack."""
-    data = data if data.endswith(b"\n") else data + b"\n"
-    out, codes, at = bytearray(transcript._SPAN_BYTES), [], 0
-    while at < len(data):
-        cut = data.rfind(b"\n", at, at + block_bytes) + 1 or data.index(b"\n", at) + 1
-        rows = sum(map(len, codes))
-        codes.append(transcript._parse_fixed(memoryview(data)[at:cut], first_id + rows - 1,
-                                             "t", line0 + rows, out))
-        at = cut
-    return joined(codes)
+    follow ``line0`` lines in the file "t", as the reader reads them: one
+    span of ``_spans`` at a time, each parsed by ``_parse_fixed``."""
+    return joined(transcript._read_rows(io.BytesIO(data), first_id, "t", line0))
+
+
+def piped(path, data, piece):
+    """``path`` holding ``data``: a file, or with ``piece`` a named pipe that
+    a thread fills ``piece`` bytes at a time, so the reader's reads meet the
+    bytes as they arrive and its one short read is at the end."""
+    path.unlink(missing_ok=True)
+    if piece is None:
+        path.write_bytes(data)
+        return path
+    os.mkfifo(path)
+
+    def fill():
+        try:
+            with open(path, "wb", buffering=0) as fh:
+                for at in range(0, len(data), piece):
+                    fh.write(data[at:at + piece])
+        except BrokenPipeError:         # the reader stopped at a fault
+            pass
+
+    threading.Thread(target=fill, daemon=True).start()
+    return path
 
 
 def key_counts(cells):
@@ -997,8 +1012,7 @@ class TestChunkedSession:
         with pytest.raises(InsufficientDataError, match="no rounds"):
             analyze(iter(()))
 
-    def test_transcript_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", 4096)
+    def test_transcript_chunks(self, tmp_path):
         rounds = self.session(3000, seed=32)
         whole, split = tmp_path / "whole.txt", tmp_path / "split.txt"
         list(transcribe(whole, [rounds], header={"seed": 32}))
@@ -1310,14 +1324,11 @@ class TestTranscriptIO:
         "empty": ("", []),
     }
 
-    @pytest.mark.parametrize("block_bytes", [None, 1, 7])
+    @pytest.mark.parametrize("piece", [None, 1, 7])
     @pytest.mark.parametrize("case", sorted(READ_CASES))
-    def test_reader_accepts(self, tmp_path, monkeypatch, case, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+    def test_reader_accepts(self, tmp_path, case, piece):
         text, rows = self.READ_CASES[case]
-        path = tmp_path / "t.txt"
-        path.write_bytes(text.encode())
+        path = piped(tmp_path / "t.txt", text.encode(), piece)
         loaded = read_transcript(path)
         assert loaded.dtype == np.uint8
         assert list(zip(*(c.tolist() for c in columns(loaded)))) == rows
@@ -1377,14 +1388,12 @@ class TestTranscriptIO:
                                                "expected 6 fields, got 4"),
     }
 
-    @pytest.mark.parametrize("block_bytes", [None, 1, 7])
+    @pytest.mark.parametrize("piece", [None, 1, 7])
     @pytest.mark.parametrize("case", sorted(REJECT_CASES))
-    def test_reader_rejects(self, tmp_path, monkeypatch, case, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+    def test_reader_rejects(self, tmp_path, case, piece):
         text, line, message = self.REJECT_CASES[case]
-        path = tmp_path / "bad.txt"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        path = piped(tmp_path / "bad.txt", text if isinstance(text, bytes) else text.encode(),
+                     piece)
         with pytest.raises(ValidationError) as info:
             list(iter_transcript(path))
         assert str(info.value).startswith(f"{path}:{line}: ")
@@ -1407,14 +1416,14 @@ class TestTranscriptIO:
         # the round after id 10**18 - 1 has a 19-digit id, which no file reaches
         # from 0, so the rows are read from there directly
         data = b"999999999999999999 1 0 1 0 1\n1000000000000000000 1 0 1 0 1\n"
-        assert parse_rows(data[:29], 10**18 - 1, 1 << 18).tolist() == [0]
+        assert parse_rows(data[:29], 10**18 - 1).tolist() == [0]
         with pytest.raises(ValidationError) as info:
-            parse_rows(data, 10**18 - 1, 1 << 18)
+            parse_rows(data, 10**18 - 1)
         assert str(info.value) == ("t:2: round_id '1000000000000000000' is not a "
                                    "non-negative integer of at most 18 digits")
 
     @pytest.mark.parametrize("header", [{"note": "a\nb"}, {"a=b": "1"}, {" k ": "v "},
-                                        {"": "1"}, {"k": " v"}])
+                                        {"": "1"}, {"k": " v"}, {"\ud800": 1}])
     def test_writer_rejects_header_it_cannot_read_back(self, tmp_path, header):
         path = tmp_path / "t.txt"
         code = whole_session(10, IDEAL, NO_EVE, PartyConfig(), PartyConfig(), seed=1)
@@ -1422,27 +1431,55 @@ class TestTranscriptIO:
             list(transcribe(path, [code], header=header))
         assert not path.exists()
 
-    @pytest.mark.parametrize("block_bytes", [None, 4096])
-    def test_reader_line_numbers_across_blocks(self, tmp_path, monkeypatch, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
-        n = 30_000          # about 490 kB: more than one default read block
+    @pytest.mark.parametrize("piece", [None, 4096])
+    def test_reader_line_numbers_across_blocks(self, tmp_path, piece):
+        n = 30_000          # about 490 kB: more than one span's read
         lines = ["# seed = 1\n"] + [f"{i} {1 + i % 3} {i % 3} 2 1 1\n" for i in range(n)]
-        path = tmp_path / "t.txt"
-        path.write_text("".join(lines))
-        loaded = read_transcript(path)
+        path = piped(tmp_path / "t.txt", "".join(lines).encode(), piece)
+        chunks = list(iter_transcript(path))
+        assert len(chunks) == len(list(transcript._spans(0, n)))
+        loaded = joined(chunks)
         assert len(loaded) == n
         assert np.array_equal(columns(loaded)[1], 1 + np.arange(n) % 3)
-        assert path.stat().st_size > transcript._READ_BLOCK_BYTES
+        assert len("".join(lines)) > transcript._SPAN_BYTES
         # a fault at line 25 000, and a blank line after line 15 000
         for line, edit, bad_line, message in (
                 (25_000, (" 2 1 1\n", " 2 1 -\n"), 25_000, "detected '-'"),
                 (15_000, ("\n", "\n\n"), 15_001, "blank line")):
             edited = lines.copy()
             edited[line - 1] = edited[line - 1].replace(*edit)
-            path.write_text("".join(edited))
+            piped(path, "".join(edited).encode(), piece)
             with pytest.raises(ValidationError, match=f":{bad_line}: {message}"):
                 list(iter_transcript(path))
+
+    @pytest.mark.parametrize("last_id", [9, 99, 9_999, 19_999])
+    def test_reader_seven_fields_end_a_span(self, tmp_path, last_id):
+        # the span's read ends inside its last line, which is read to its end
+        code = whole_session(last_id + 5, SourceConfig(detection_efficiency=0.7),
+                             NO_EVE, PartyConfig(), PartyConfig(), seed=26)
+        path = tmp_path / "t.txt"
+        list(transcribe(path, [code], header={"seed": 26}))
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[last_id + 1] = lines[last_id + 1][:-1] + b" 1\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValidationError) as info:
+            list(iter_transcript(path))
+        assert str(info.value) == f"{path}:{last_id + 2}: expected 6 fields, got 7"
+
+    @pytest.mark.parametrize("n", [0, 10, 100, 1_000, 10_000])
+    def test_reader_last_line_without_newline_at_a_span_end(self, tmp_path, n):
+        # the rows end exactly where a span does, or there are none after
+        # the header, and the file's last line lacks its newline
+        code = whole_session(max(n, 1), SourceConfig(detection_efficiency=0.7),
+                             NO_EVE, PartyConfig(), PartyConfig(), seed=27)[:n]
+        path = tmp_path / "t.txt"
+        list(transcribe(path, [code], header={"seed": 27}))
+        path.write_bytes(path.read_bytes()[:-1])
+        header = {}
+        chunks = list(iter_transcript(path, header))
+        assert header == {"seed": "27"}
+        assert len(chunks) == len(list(transcript._spans(0, n)))
+        assert np.array_equal(joined(chunks), code)
 
     @pytest.mark.parametrize("codes, value, message", [
         ("code", 90, "round index 3: round code 90 is not from 0 to 89"),
@@ -1488,32 +1525,34 @@ class TestTranscriptIO:
         data = path.read_bytes()
         assert data == "".join(expected).encode()
         for run, lo, hi in zip(runs, ends, ends[1:]):
-            loaded = parse_rows(data[lo:hi], int(ids[run[0]]), 1 << 18)
+            loaded = parse_rows(data[lo:hi], int(ids[run[0]]))
             assert loaded.dtype == np.uint8 and np.array_equal(loaded, code[run])
 
-    @pytest.mark.parametrize("block_bytes", [64, 4096, None])
+    @pytest.mark.parametrize("chunk_rows", [64, 4096, None])
     @pytest.mark.parametrize("first_id", [0, 99_800, 99_999_800, 10**17 - 200])
-    def test_writer_output_takes_the_fixed_path(self, tmp_path, monkeypatch, first_id,
-                                                 block_bytes):
+    def test_writer_output_takes_the_fixed_path(self, tmp_path, first_id, chunk_rows):
         # ids 0 to 10 099 through ``transcribe`` and ``iter_transcript``, or 400
-        # ids from ``first_id`` read by ``_parse_fixed``: they cross 9 999 -> 10 000,
-        # or from 5 to 6, 8 to 9 or 17 to 18 digits
-        block_bytes = block_bytes or transcript._READ_BLOCK_BYTES
+        # ids from ``first_id`` read by ``_read_rows``: they cross 9 999 -> 10 000,
+        # or from 5 to 6, 8 to 9 or 17 to 18 digits; written ``chunk_rows`` rows
+        # at a time, or at once, and read back one chunk per span
         n = 10_100 if first_id == 0 else 400
         code = whole_session(n, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, PartyConfig(), PartyConfig(), seed=25)
+        step = chunk_rows or n
+        chunks = [code[lo:lo + step] for lo in range(0, n, step)]
         path = tmp_path / "t.txt"
         if first_id == 0:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
-            list(transcribe(path, [code], header={"seed": 25, "rounds": n}))
-            chunks = list(iter_transcript(path))
-            assert len(chunks) == -(-path.stat().st_size // block_bytes)
-            loaded = joined(chunks)
+            list(transcribe(path, chunks, header={"seed": 25, "rounds": n}))
+            read = list(iter_transcript(path))
         else:
             with open(path, "wb") as fh:
-                transcript._write_rows(fh, first_id, code.astype(np.intp),
-                                       bytearray(transcript._SPAN_BYTES))
-            loaded = parse_rows(path.read_bytes(), first_id, block_bytes)
+                for lo, chunk in zip(range(0, n, step), chunks):
+                    transcript._write_rows(fh, first_id + lo, chunk.astype(np.intp),
+                                           bytearray(transcript._SPAN_BYTES))
+            with open(path, "rb") as fh:
+                read = list(transcript._read_rows(fh, first_id, "t", 0))
+        assert len(read) == len(list(transcript._spans(first_id, n)))
+        loaded = joined(read)
         assert loaded.dtype == np.uint8 and np.array_equal(loaded, code)
 
     @staticmethod
@@ -1540,16 +1579,14 @@ class TestTranscriptIO:
     LAYOUT_FAULTS = ((SPACES, 0), (SPACES, 0), ("CR LF line end", 0), (SPACES, 0),
                      ("'#' line after the first round", 0), ("blank line", 1))
 
-    @given(edits=st.dictionaries(st.integers(0, 400), st.integers(0, 5), max_size=12),
-           block_bytes=st.sampled_from([64, 200, 512, 1000]))
+    @given(edits=st.dictionaries(st.integers(0, 400), st.integers(0, 5), max_size=12))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    def test_reader_layouts_agree(self, edits, block_bytes):
+    def test_reader_layouts_agree(self, edits):
         # the writer's layout is the only one: any other is refused at its
         # first edited line
         rounds = whole_session(400, SourceConfig(detection_efficiency=0.7),
                                NO_EVE, PartyConfig(), PartyConfig(), seed=23)
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+        with tempfile.TemporaryDirectory() as tmp:
             plain, edited = os.path.join(tmp, "plain.txt"), os.path.join(tmp, "edited.txt")
             list(transcribe(plain, [rounds], header={"seed": 23}))
             with open(plain) as fh, open(edited, "w", newline="") as out:
@@ -1595,27 +1632,24 @@ class TestTranscriptIO:
         return "".join(lines)
 
     @given(j=st.integers(1, 300), kind=st.sampled_from(DAMAGE), pick=st.integers(0, 11),
-           first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]),
-           block_bytes=st.sampled_from([64, 200, 1000, 1 << 18]))
+           first_id=st.sampled_from([0, 9_800, 99_999_800, 10**18 - 400]))
     # on the last line: an 'x' for the odd first digit of a 3-, 5- and 9-digit
-    # id, read alone, and a '/' (the byte before '0') for outcome_a
-    @example(j=300, kind="id digit", pick=0, first_id=0, block_bytes=1 << 18)
-    @example(j=300, kind="id digit", pick=0, first_id=9_800, block_bytes=200)
-    @example(j=300, kind="id digit", pick=0, first_id=99_999_800, block_bytes=1000)
-    @example(j=300, kind="field", pick=1, first_id=10**18 - 400, block_bytes=64)
+    # id, and a '/' (the byte before '0') for outcome_a
+    @example(j=300, kind="id digit", pick=0, first_id=0)
+    @example(j=300, kind="id digit", pick=0, first_id=9_800)
+    @example(j=300, kind="id digit", pick=0, first_id=99_999_800)
+    @example(j=300, kind="field", pick=1, first_id=10**18 - 400)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    def test_reader_damaged_writer_layout_falls_back(self, j, kind, pick, first_id,
-                                                      block_bytes):
+    def test_reader_damaged_writer_layout_falls_back(self, j, kind, pick, first_id):
         # a damaged byte is refused at its line, unless it leaves the rounds as
         # they were (a 9 put for a 9, the last line's newline dropped); ids of
         # 1-3, 4-5, 8-9 or 18 digits after a header line, so the damage meets
         # odd and even widths, width changes and the first, middle and last
-        # line of a block; ids from 0 are read by ``iter_transcript``, the
-        # others by ``_parse_fixed``
+        # line of a span; ids from 0 are read by ``iter_transcript``, the
+        # others by ``_read_rows``
         code = whole_session(300, SourceConfig(detection_efficiency=0.7),
                              NO_EVE, PartyConfig(), PartyConfig(), seed=24)
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+        with tempfile.TemporaryDirectory() as tmp:
             path, header = os.path.join(tmp, "t.txt"), b"# seed = 24\n"
             with open(path, "wb") as fh:
                 fh.write(header)
@@ -1627,7 +1661,7 @@ class TestTranscriptIO:
                 out.write(text)
             try:
                 loaded = (read_transcript(path) if first_id == 0 else
-                          parse_rows(text.encode()[len(header):], first_id, block_bytes, 1))
+                          parse_rows(text.encode()[len(header):], first_id, 1))
             except ValidationError as exc:
                 # line j + 1 holds round j - 1; a doubled newline makes line j + 2 blank
                 line = j + 2 if kind == "newline" and pick % 2 else j + 1
@@ -1653,7 +1687,7 @@ class TestTranscriptIO:
         lines[25_000] = bad + "\n"
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        assert path.stat().st_size > transcript._READ_BLOCK_BYTES
+        assert path.stat().st_size > transcript._SPAN_BYTES
         with pytest.raises(ValidationError) as info:
             list(iter_transcript(path))
         assert str(info.value) == f"{path}:25001: {message}"
@@ -1674,18 +1708,14 @@ class TestTranscriptIO:
         "indented comment": ("  # x\n700 1 0 1 0 1 1", 703, SPACES),
     }
 
-    @pytest.mark.parametrize("block_bytes", [None, 1, 100])
+    @pytest.mark.parametrize("piece", [None, 1, 100])
     @pytest.mark.parametrize("case", sorted(FIRST_BLOCK_FAULTS))
-    def test_reader_first_block_fault_after_header(self, tmp_path, monkeypatch, case,
-                                                    block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transcript, "_READ_BLOCK_BYTES", block_bytes)
+    def test_reader_first_block_fault_after_header(self, tmp_path, case, piece):
         bad, line, message = self.FIRST_BLOCK_FAULTS[case]
         lines = self.HEADED.splitlines(keepends=True)
         row = 2 + (0 if case == "first row" else 700)
         lines[row] = bad + "\n"
-        path = tmp_path / "t.txt"
-        path.write_text("".join(lines))
+        path = piped(tmp_path / "t.txt", "".join(lines).encode(), piece)
         with pytest.raises(ValidationError) as info:
             list(iter_transcript(path))
         assert str(info.value) == f"{path}:{line}: {message}"
