@@ -13,6 +13,7 @@ import argparse
 import errno
 import functools
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
@@ -104,6 +105,8 @@ def load_config_file(path) -> dict:
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: not UTF-8 text "
                                       f"(byte {raw[exc.start]:#04x} at column {exc.start + 1})")
+            if lineno == 1:
+                text = text.removeprefix("\ufeff")     # a byte-order mark some editors save
             line = text.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -263,6 +266,22 @@ def _out_paths(out_dir, *names) -> list:
     return paths
 
 
+def _require_space(path, size: int) -> None:
+    """Refuse with ENOSPC, before anything is made, a ``size``-byte file at
+    ``path`` that its disk has no room for: the free space of its directory,
+    or of that one's nearest existing parent, plus the bytes of the file it
+    replaces, which opening it truncates."""
+    existing = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    room = shutil.disk_usage(existing).free
+    if os.path.isfile(path):
+        room += os.path.getsize(path)
+    if size > room:
+        raise OSError(errno.ENOSPC, f"{os.strerror(errno.ENOSPC)}: the transcript needs "
+                                    f"{size} bytes, {room} are free", existing)
+
+
 def _key_rows(paths, result: protocol.SessionResult) -> list:
     """Write both sifted keys to ``paths``; their report rows."""
     for path, key, party in zip(paths, (result.key_a, result.key_b), "AB"):
@@ -276,6 +295,7 @@ def cmd_simulate(args) -> list:
     transcript_path, *key_paths = _out_paths(args.out, "transcript.txt", "key_a.txt", "key_b.txt")
     chunks = protocol.iter_session(config.rounds, source, eve, a_cfg, b_cfg, config.seed)
     header = {name: _config_value(value) for name, value in vars(config).items()}
+    _require_space(transcript_path, transcript.transcript_size(config.rounds, header))
     os.makedirs(args.out, exist_ok=True)
     # sampled, written and sifted chunk by chunk; on too little data the
     # transcript is already written, but no key file
@@ -463,13 +483,22 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    for text, _, _ in rows:
-        if text is not None:
-            print(text)
-    print("-- machine readable --")
-    for _, name, value in rows:
-        if name is not None:
-            print(f"{name} {_machine_value(value)}")
+    try:
+        for text, _, _ in rows:
+            if text is not None:
+                print(text)
+        print("-- machine readable --")
+        for _, name, value in rows:
+            if name is not None:
+                print(f"{name} {_machine_value(value)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the pipe's reader has gone: what is left to flush at exit goes to
+        # devnull, so the interpreter's last flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     return EXIT_OK
 
 

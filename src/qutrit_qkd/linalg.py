@@ -31,6 +31,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Below this largest coefficient the squared norm cannot overflow (that takes
+# about 7.7e153), so the norm needs no ``np.errstate``, which costs more than it.
+_NO_OVERFLOW = 1e150
+
+
 def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     """Return (unit coefficients, applied divisor) for three real amplitudes.
 
@@ -41,12 +46,16 @@ def normalize_coefficients(coeffs) -> tuple[np.ndarray, float]:
     c = require_array("coefficients", coeffs, "iuf", (DIM,)).astype(float)
     if np.any(c < 0):
         raise ValidationError(f"coefficients must be non-negative, got {c}")
-    with np.errstate(over="ignore"):
+    top = c.max()
+    if top < _NO_OVERFLOW:
         norm = float(np.linalg.norm(c))
-    if not 0.0 < norm < np.inf and c.max() > 0.0:
+    else:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(c))
+    if not 0.0 < norm < np.inf and top > 0.0:
         # the squared norm over- or underflows: divide by the largest entry first
-        unit, divisor = normalize_coefficients(c / c.max())
-        return unit, float(c.max()) * divisor
+        unit, divisor = normalize_coefficients(c / top)
+        return unit, float(top) * divisor
     if norm == 0.0:
         raise ValidationError("all-zero coefficients do not define a state")
     return c / norm, norm
@@ -191,7 +200,12 @@ class MixedState:
         """visibility * |state><state| + (1 - visibility) * uniform noise.  ``state``
         is checked at every visibility, though at 0 it has no weight."""
         visibility = require_real("visibility", visibility, 0, 1)
-        psi = _unit_state(state)
+        return cls._isotropic(_unit_state(state), visibility)
+
+    @classmethod
+    def _isotropic(cls, psi: np.ndarray, visibility: float) -> "MixedState":
+        """``isotropic`` of the unit complex (1, 3, 3) state ``psi``, which it takes
+        over, at the float ``visibility`` from 0 to 1, checking nothing."""
         if visibility == 0.0:
             return cls._unchecked(psi[:0], np.zeros(0), 1.0)
         return cls._unchecked(psi, np.array([visibility]), 1.0 - visibility)

@@ -93,8 +93,9 @@ class SourceConfig:
     def __post_init__(self):
         unit, divisor = normalize_coefficients(self.coefficients)
         object.__setattr__(self, "normalization_divisor", divisor)
-        object.__setattr__(self, "mixture", MixedState.isotropic(
-            np.diag(unit).astype(complex),
+        # unit by construction, at a weight of checked reals: nothing to check again
+        object.__setattr__(self, "mixture", MixedState._isotropic(
+            np.diag(unit).astype(complex)[None],
             require_real("visibility", self.visibility, 0, 1)
             * (1.0 - require_real("background_fraction", self.background_fraction, 0, 1))))
         require_real("detection_efficiency", self.detection_efficiency, 0, 1, "(]")

@@ -123,6 +123,14 @@ def _spans(first: int, n: int) -> Iterator[tuple[int, int, int]]:
         start = end
 
 
+def transcript_size(n: int, header: dict | None = None) -> int:
+    """The bytes of the transcript ``transcribe`` writes of ``n`` rounds and
+    ``header``, in closed form: a line of ``width + 11`` bytes per round,
+    and an id's width is 1 plus the number of 10, 100, ..., 10**17 it reaches."""
+    head = sum(len(_header_line(str(key), str(value))) for key, value in (header or {}).items())
+    return head + 12 * n + sum(max(0, n - 10 ** k) for k in range(1, _MAX_ID_DIGITS))
+
+
 def _render(start: int, width: int, code: np.ndarray, out: bytearray) -> np.ndarray:
     """The writer's lines for the span of ``_spans`` from id ``start``, of
     ``width``-digit ids, and the valid round codes ``code`` (intp, the index

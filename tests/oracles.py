@@ -3,12 +3,21 @@
 Everything here is derived from first principles by a different route than
 the library takes: naive loops instead of matrix products, closed-form
 geometric sums instead of table evaluation, exhaustive enumeration instead
-of sampling.  The random bases the test modules draw come from here too.
+of sampling.  The random bases the test modules draw, and the coefficient
+triples at the ends of the float range, come from here too.
 """
 
 import itertools
 
 import numpy as np
+
+# coefficient triples whose squared norm overflows or underflows, and the
+# ordinary triple each one normalizes to
+EXTREME_COEFFICIENTS = [
+    ("1e308,1e308,1e308", "1,1,1"),
+    ("1e200,1e-200,0", "1,0,0"),
+    ("1e-320,0,0", "1,0,0"),
+]
 
 
 def born_probability_bruteforce(components, white_weight, basis_a, k, basis_b, l):

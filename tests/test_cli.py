@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import qutrit_qkd
-from qutrit_qkd import bell, cli, protocol
+from oracles import EXTREME_COEFFICIENTS
+
+from qutrit_qkd import bell, cli, protocol, transcript
 from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.linalg import ValidationError
 from qutrit_qkd.trits import read_key_file
@@ -136,15 +139,6 @@ class TestOptimizeCommand:
         assert code == 2
         assert "restarts must be an integer from 1 to 10000, got 100000000" in err
         assert peak < 1_000_000     # the phase starts alone would take 3.2 GB
-
-
-# coefficient triples whose squared norm overflows or underflows, and the
-# ordinary triple each one normalizes to
-EXTREME_COEFFICIENTS = [
-    ("1e308,1e308,1e308", "1,1,1"),
-    ("1e200,1e-200,0", "1,0,0"),
-    ("1e-320,0,0", "1,0,0"),
-]
 
 
 @pytest.mark.parametrize("extreme, plain", EXTREME_COEFFICIENTS)
@@ -336,6 +330,15 @@ class TestSimulateAndSift:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+    def test_config_byte_order_mark_dropped(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"rounds = 500\nseed = 4\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = [run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+                for cfg in (plain, marked)]
+        assert runs[0][0] == 0 and "rounds = 500" in runs[0][1]
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("command", ["bell", "simulate"])
     def test_non_utf8_config_is_validation_error(self, capsys, tmp_path, monkeypatch,
@@ -558,6 +561,51 @@ def test_failed_command_makes_no_out_dir(capsys, tmp_path, case, exit_code):
     assert (code, out) == (exit_code, "")
     assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
+
+
+def test_simulate_refuses_a_transcript_the_disk_cannot_hold(capsys, tmp_path, monkeypatch):
+    """The transcript's size is known before the first write: one larger than
+    the free space of the nearest existing parent of --out, plus the bytes of
+    the transcript it replaces, exits 3, naming both numbers, and makes
+    nothing; one of exactly that size is written."""
+    free, asked = [], []
+
+    def disk_usage(path):
+        asked.append(path)
+        return shutil._ntuple_diskusage(10 ** 12, 10 ** 12 - free[-1], free[-1])
+
+    def transcribe(path, chunks, header):
+        # the writer would fill the disk on a session the check let through
+        assert free[-1] < 10 ** 6, "a session too large to write reached the writer"
+        return real_transcribe(path, chunks, header)
+
+    real_transcribe = transcript.transcribe
+    monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+    monkeypatch.setattr(transcript, "transcribe", transcribe)
+    out_dir = tmp_path / "new" / "out"
+
+    def simulate(rounds, room):
+        """Run ``simulate`` with ``room`` bytes free past its transcript's size."""
+        config = cli.RunConfig(rounds=_parse_rounds(rounds))
+        size = transcript.transcript_size(config.rounds, {
+            name: cli._config_value(value) for name, value in vars(config).items()})
+        free.append(size + room)
+        return size, run_cli(capsys, "simulate", "--rounds", rounds, "--out", str(out_dir))
+
+    for rounds in ("1e18", "1000"):
+        size, (code, out, err) = simulate(rounds, -1)
+        assert (code, out) == (3, "")
+        assert err == (f"error: [Errno 28] No space left on device: the transcript needs "
+                       f"{size} bytes, {size - 1} are free: '{tmp_path}'\n")
+        assert asked[-1] == str(tmp_path) and not (tmp_path / "new").exists()
+    size, (code, _, err) = simulate("1000", 0)
+    assert (code, err) == (0, "") and os.path.getsize(out_dir / "transcript.txt") == size
+    # opening the new transcript truncates the one there
+    replaced = size
+    size, (code, _, err) = simulate("2000", -replaced)
+    assert (code, err) == (0, "") and asked[-1] == str(out_dir)
+    _, (code, _, err) = simulate("3000", -size - 1)
+    assert code == 3 and err.endswith(f" bytes, {free[-1] + size} are free: '{out_dir}'\n")
 
 
 @pytest.mark.parametrize("keep, rounds_line, exit_code", [
@@ -882,6 +930,25 @@ print(json.dumps(calls))
 """
 
 
+# Run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
+# lists, each run by ``python -m qutrit_qkd.cli`` in a process of its own
+# whose stdout is a pipe with its read end already closed.  Stdout is JSON:
+# each run's [exit code, stderr].
+CLOSED_PIPE_CLI = """
+import json, os, subprocess, sys
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    read, write = os.pipe()
+    os.close(read)
+    proc = subprocess.run([sys.executable, "-m", "qutrit_qkd.cli", *argv], stdout=write,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    os.close(write)
+    runs.append([proc.returncode, proc.stderr])
+print(json.dumps(runs))
+"""
+
+
 def fresh_python(script, commands):
     """Run ``script`` on ``commands`` in a fresh interpreter; its last stdout line as JSON."""
     env = dict(os.environ)
@@ -913,6 +980,14 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
     assert [code for code, _, _ in together] == [2, 0, 0, 0, 0]
     assert "eve = True" in together[2][1] and "eve = False" in together[3][1]
     assert together == [fresh_python(CAPTURED_CLI, [argv])[0] for argv in calls]
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    """A reader that has gone (``| head -1``) ends the report with exit 3 and
+    no traceback, also from the interpreter's final flush."""
+    runs = fresh_python(CLOSED_PIPE_CLI, [
+        ["bell"], ["simulate", "--rounds", "3000", "--out", str(tmp_path)]])
+    assert runs == [[3, ""], [3, ""]]
 
 
 class TestColdStart:

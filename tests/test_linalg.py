@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from qutrit_qkd import linalg
 from qutrit_qkd.bell import SettingsPair
 from qutrit_qkd.linalg import (
     MixedState,
@@ -67,6 +70,37 @@ class TestMakeState:
         for _ in range(200):
             psi = source_form(rng.uniform(0.01, 5.0, size=3))
             assert abs(state_norm_sq(psi) - 1.0) < 1e-12
+
+
+def normalized_under_errstate(coeffs):
+    """``normalize_coefficients``' expression with the norm always taken under
+    ``np.errstate(over="ignore")``, as it was at every size."""
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(c))
+    if not 0.0 < norm < np.inf and c.max() > 0.0:
+        unit, divisor = normalized_under_errstate(c / c.max())
+        return unit, float(c.max()) * divisor
+    return c / norm, norm
+
+
+class TestNormalizeCoefficients:
+    def test_squared_norm_cannot_overflow_below_the_switch(self):
+        assert 3 * linalg._NO_OVERFLOW ** 2 < np.finfo(float).max
+
+    # the switch to np.errstate at 1e150, and the overflow of the squared norm
+    # between 7e153 and 8e153 (three equal entries)
+    @pytest.mark.parametrize("top", [1e150, 1e151, 7e153, 8e153, 1e200, 1e308])
+    @pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 0.5, 0.0), (1.0, 1e-200, 3e-170)])
+    def test_same_bits_on_either_side_of_the_switch(self, top, shape):
+        coeffs = tuple(top * x for x in shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, divisor = normalize_coefficients(coeffs)
+        want_unit, want_divisor = normalized_under_errstate(coeffs)
+        assert unit.tobytes() == want_unit.tobytes()
+        assert type(divisor) is float and divisor == want_divisor
+        assert abs(state_norm_sq(unit) - 1.0) <= 1e-15
 
 
 class TestRelabel:

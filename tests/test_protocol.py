@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    EXTREME_COEFFICIENTS,
     code_law_reference,
     intercept_resend_bruteforce,
     invert_reference,
@@ -304,6 +305,23 @@ class TestConfigs:
                                background_fraction=background).mixture
         assert_same_mixture(mixture, MixedState(components=mixture.components,
                                                 white_noise_weight=mixture.white_noise_weight))
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.69, 1.0])
+    @pytest.mark.parametrize("background", [0.0, 0.25])
+    def test_mixture_is_the_isotropic_build_bit_for_bit(self, visibility, background):
+        # built unchecked: the same arrays, weights and white noise as ``isotropic``
+        # of the normalized coefficients, also where they over- or underflow
+        rng = np.random.default_rng(44)
+        triples = [tuple(map(float, extreme.split(","))) for extreme, _ in EXTREME_COEFFICIENTS]
+        triples += [tuple(rng.uniform(0.0, 5.0, size=3)) for _ in range(20)]
+        for coefficients in triples:
+            source = SourceConfig(coefficients, visibility=visibility,
+                                  background_fraction=background)
+            unit, _ = normalize_coefficients(coefficients)
+            want = MixedState.isotropic(np.diag(unit).astype(complex),
+                                        visibility * (1.0 - background))
+            assert_same_mixture(source.mixture, want)
+            assert len(source.mixture.components) == (visibility > 0.0)
 
     @pytest.mark.parametrize("basis, message", [
         (np.ones((2, 3)), "basis must have shape (3, 3), got shape (2, 3)"),
@@ -919,7 +937,7 @@ class TestProtocolSession:
 
     def test_one_mixture_per_bell_command(self, monkeypatch, capsys):
         normalized = count_calls(monkeypatch, linalg.normalize_coefficients)
-        built = count_calls(monkeypatch, MixedState.isotropic)
+        built = count_calls(monkeypatch, MixedState._unchecked)    # every mixture built
         assert cli.main(["bell", "--coefficients", "0.642,0.546,0.539"]) == 0
         assert len(built) == 1 and len(normalized) == 1
 
@@ -1294,6 +1312,20 @@ class TestTranscriptIO:
         assert header == {"seed": "21", "rounds": "500"}
         for c1, c2 in zip(columns(rounds), columns(loaded)):
             assert np.array_equal(c1, c2)
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 10_001, 250_000])
+    def test_size_known_before_writing(self, tmp_path, n):
+        header = {"seed": 33, "rounds": n, "coefficients": "1.0,1.0,1.0", "note": "é"}
+        code = np.random.default_rng(33).integers(0, 90, size=n, dtype=np.uint8)
+        path = tmp_path / "transcript.txt"
+        list(transcribe(path, [code], header=header))
+        assert transcript.transcript_size(n, header) == os.path.getsize(path)
+
+    def test_size_of_the_longest_session_in_closed_form(self):
+        # ids 0-9 take 12 bytes a line, and the 9 * 10**(k - 1) ids of k digits 11 + k
+        lines = 10 * 12 + sum(9 * 10 ** (k - 1) * (11 + k) for k in range(2, 19))
+        assert transcript.transcript_size(10 ** 18) == lines
+        assert transcript.transcript_size(10 ** 18, {"a": 1}) == lines + len(b"# a = 1\n")
 
     def test_bad_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.txt"
