@@ -267,10 +267,10 @@ def _out_paths(out_dir, *names) -> list:
 
 
 def _require_space(path, size: int) -> None:
-    """Refuse with ENOSPC, before anything is made, a ``size``-byte file at
-    ``path`` that its disk has no room for: the free space of its directory,
-    or of that one's nearest existing parent, plus the bytes of the file it
-    replaces, which opening it truncates."""
+    """Refuse with ENOSPC, before anything is made, a ``size``-byte transcript
+    at ``path`` that its disk has no room for: the free space of its
+    directory, or of that one's nearest existing parent, plus the bytes of
+    the file it replaces, which opening it truncates."""
     existing = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qutrit_qkd
 from oracles import EXTREME_COEFFICIENTS
 
+import qutrit_qkd
 from qutrit_qkd import bell, cli, protocol, transcript
 from qutrit_qkd.cli import _parse_rounds, main
 from qutrit_qkd.linalg import ValidationError
@@ -983,8 +983,9 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
 
 
 def test_closed_stdout_pipe_exits_quietly(tmp_path):
-    """A reader that has gone (``| head -1``) ends the report with exit 3 and
-    no traceback, also from the interpreter's final flush."""
+    """A stdout pipe whose reader has gone before the report is written ends
+    the command with exit 3 and no traceback, also from the interpreter's
+    final flush."""
     runs = fresh_python(CLOSED_PIPE_CLI, [
         ["bell"], ["simulate", "--rounds", "3000", "--out", str(tmp_path)]])
     assert runs == [[3, ""], [3, ""]]
