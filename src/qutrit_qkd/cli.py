@@ -96,8 +96,8 @@ _SOURCE_FIELDS = {name: f.metadata["source"] for name, f in _KEYS.items() if f.m
 
 
 def load_config_file(path) -> dict:
-    """Parse UTF-8 ``key = value`` lines; '#' starts a comment."""
-    values = {}
+    """Parse UTF-8 ``key = value`` lines, each key at most once; '#' starts a comment."""
+    values, first = {}, {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -116,6 +116,10 @@ def load_config_file(path) -> dict:
             key = key.strip()
             if key not in _KEYS:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first:
+                raise ValidationError(f"{path}:{lineno}: config key {key!r} repeated "
+                                      f"(first at line {first[key]})")
+            first[key] = lineno
             try:
                 values[key] = _KEYS[key].metadata["parse"](value.strip())
                 _session(replace(RunConfig(), **{key: values[key]}))
@@ -466,6 +470,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point the fd behind stdout, if it has one, at devnull, so that what is
+    left in its buffer goes there and the interpreter's last flush raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):   # None, or no fd (a StringIO)
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -484,6 +500,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
+        if sys.stdout is None:      # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "stdout is closed")
         for text, _, _ in rows:
             if text is not None:
                 print(text)
@@ -492,12 +510,10 @@ def main(argv=None) -> int:
             if name is not None:
                 print(f"{name} {_machine_value(value)}")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the pipe's reader has gone: what is left to flush at exit goes to
-        # devnull, so the interpreter's last flush raises nothing
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):    # a reader that has gone needs no word
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        _drop_stdout()
         return EXIT_IO
     return EXIT_OK
 

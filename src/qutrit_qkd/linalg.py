@@ -170,7 +170,10 @@ class MixedState:
                           dtype=complex)
         total = sum(weights, require_real("white_noise_weight", self.white_noise_weight,
                                           -NORM_TOL, 1 + NORM_TOL))
-        _require_unit(psis)
+        for s in psis:
+            if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
+                raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "
+                                      f"from 1 by more than {NORM_TOL}")
         if not (abs(total - 1.0) <= NORM_TOL):
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         self._store(psis, np.array(weights))
@@ -193,14 +196,15 @@ class MixedState:
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "MixedState":
-        return cls._unchecked(_unit_state(state), np.ones(1), 0.0)
+        """|state><state|: the constructor's one-component mixture."""
+        return cls(((1.0, state),))
 
     @classmethod
     def isotropic(cls, state: np.ndarray, visibility: float) -> "MixedState":
         """visibility * |state><state| + (1 - visibility) * uniform noise.  ``state``
         is checked at every visibility, though at 0 it has no weight."""
         visibility = require_real("visibility", visibility, 0, 1)
-        return cls._isotropic(_unit_state(state), visibility)
+        return cls._isotropic(cls.pure(state).psis, visibility)
 
     @classmethod
     def _isotropic(cls, psi: np.ndarray, visibility: float) -> "MixedState":
@@ -209,22 +213,6 @@ class MixedState:
         if visibility == 0.0:
             return cls._unchecked(psi[:0], np.zeros(0), 1.0)
         return cls._unchecked(psi, np.array([visibility]), 1.0 - visibility)
-
-
-def _require_unit(psis: np.ndarray) -> None:
-    for s in psis:
-        if not (abs(np.vdot(s, s).real - 1.0) <= NORM_TOL):
-            raise ValidationError(f"state norm^2 = {np.vdot(s, s).real:.15f} deviates "
-                                  f"from 1 by more than {NORM_TOL}")
-
-
-def _unit_state(state) -> np.ndarray:
-    """``state`` checked as a ``MixedState`` checks its component states, as a
-    complex (1, 3, 3) stack."""
-    psi = np.asarray(require_array("component states", [state], "biufc", (None, DIM, DIM)),
-                     dtype=complex)
-    _require_unit(psi)
-    return psi
 
 
 def born_amplitudes(rows_a: np.ndarray, rows_b: np.ndarray, psis: np.ndarray) -> np.ndarray:

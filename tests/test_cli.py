@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -339,6 +342,14 @@ class TestSimulateAndSift:
                 for cfg in (plain, marked)]
         assert runs[0][0] == 0 and "rounds = 500" in runs[0][1]
         assert runs[1] == runs[0]
+
+    def test_repeated_config_key_is_validation_error(self, capsys, tmp_path):
+        # a header's repeated key is refused the same way
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nvisibility = 0.9\nseed = 2\n")
+        code, out, err = run_cli(capsys, "bell", "--config", str(cfg))
+        assert (code, out, err) == (
+            2, "", f"error: {cfg}:3: config key 'seed' repeated (first at line 1)\n")
 
     @pytest.mark.parametrize("command", ["bell", "simulate"])
     def test_non_utf8_config_is_validation_error(self, capsys, tmp_path, monkeypatch,
@@ -949,6 +960,21 @@ print(json.dumps(runs))
 """
 
 
+# Run in a fresh interpreter: as CLOSED_PIPE_CLI, but each run starts with
+# its fd 1 closed, so its ``sys.stdout`` is None.
+CLOSED_STDOUT_CLI = """
+import json, os, subprocess, sys
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.run([sys.executable, "-m", "qutrit_qkd.cli", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    runs.append([proc.returncode, proc.stderr])
+print(json.dumps(runs))
+"""
+
+
 def fresh_python(script, commands):
     """Run ``script`` on ``commands`` in a fresh interpreter; its last stdout line as JSON."""
     env = dict(os.environ)
@@ -989,6 +1015,31 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     runs = fresh_python(CLOSED_PIPE_CLI, [
         ["bell"], ["simulate", "--rounds", "3000", "--out", str(tmp_path)]])
     assert runs == [[3, ""], [3, ""]]
+
+
+def test_closed_stdout_exits_with_one_error_line(tmp_path):
+    """A run started with fd 1 closed has no stdout to write its report to:
+    exit 3 and one error line, no traceback."""
+    key = tmp_path / "key.txt"
+    key.write_text(TABLE_KEY + "\n")
+    runs = fresh_python(CLOSED_STDOUT_CLI, [["bell"], ["encrypt", "HI", "--key-file", str(key)]])
+    assert runs == [[3, "error: cannot write the report: [Errno 9] stdout is closed\n"]] * 2
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_full_stdout_exits_with_one_error_line(capsys, tmp_path):
+    key = tmp_path / "key.txt"
+    key.write_text(TABLE_KEY + "\n")
+    with contextlib.redirect_stdout(FullStdout()):
+        code = main(["encrypt", "HI", "--key-file", str(key)])
+    assert (code, capsys.readouterr().err) == (
+        3, "error: cannot write the report: [Errno 28] No space left on device\n")
 
 
 class TestColdStart:

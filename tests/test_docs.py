@@ -1,7 +1,8 @@
 import ast
 import importlib
+import inspect
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src" / "qutrit_qkd"
 MODULES = ("bell", "cli", "linalg", "protocol", "reconcile", "transcript", "trits",
            "tritcrypt")
+# the package's classes by name: the roots of README's `Class.attr` names
+CLASSES = {name: obj for module in MODULES
+           for name, obj in vars(importlib.import_module(f"qutrit_qkd.{module}")).items()
+           if isinstance(obj, type) and obj.__module__ == f"qutrit_qkd.{module}"}
 
 
 def api_note_bullets():
@@ -21,21 +26,51 @@ def api_note_bullets():
     return re.split(r"\n(?=- )", notes)
 
 
-def api_note_names():
-    """Each `module.name` that README's "API notes" write, outside the
-    bullets that list removed names."""
-    pattern = re.compile(rf"`({'|'.join(MODULES)})\.(\w+)")
-    return sorted({name for bullet in api_note_bullets() if not bullet.startswith("- Removed")
-                   for name in pattern.findall(bullet)})
+def readme_names():
+    """Each backticked `module.name`, `module.Class.attr` or `Class.attr` of the
+    package that README writes, outside the bullets that list removed names,
+    as (root, rest); a `*` or a `<placeholder>` after the name makes it a
+    prefix, written with a `*`."""
+    roots = "|".join(("qutrit_qkd", *MODULES, *CLASSES))
+    pattern = re.compile(rf"`({roots})\.(\w+(?:\.\w+)*)([*<]?)")
+    chunks = re.split(r"\n(?=- |#)", README.read_text())
+    return sorted({(root, name + "*" * bool(prefix)) for chunk in chunks
+                   if not chunk.startswith("- Removed")
+                   for root, name, prefix in pattern.findall(chunk)})
+
+
+def attributes(owner) -> set:
+    """The names ``owner`` has: for a class also its dataclass fields and the
+    attributes that its code, or its bases', sets with ``object.__setattr__``."""
+    names = set(dir(owner))
+    if isinstance(owner, type):
+        if is_dataclass(owner):
+            names |= {f.name for f in fields(owner)}
+        for cls in owner.__mro__:
+            if cls.__module__.startswith("qutrit_qkd."):
+                names |= {node.args[1].value
+                          for node in ast.walk(ast.parse(inspect.getsource(cls)))
+                          if isinstance(node, ast.Call)
+                          and ast.unparse(node.func) == "object.__setattr__"
+                          and isinstance(node.args[1], ast.Constant)}
+    return names
 
 
 def test_api_notes_name_something():
-    assert len(api_note_names()) >= 17
+    assert len(readme_names()) >= 80
 
 
-@pytest.mark.parametrize("module, name", api_note_names())
-def test_api_notes_name_existing_api(module, name):
-    getattr(importlib.import_module(f"qutrit_qkd.{module}"), name)
+@pytest.mark.parametrize("root, name", readme_names())
+def test_api_notes_name_existing_api(root, name):
+    """Every package name README writes outside its "Removed" bullets exists."""
+    owner = CLASSES.get(root) or importlib.import_module(
+        root if root == "qutrit_qkd" else f"qutrit_qkd.{root}")
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    names = attributes(owner)
+    assert (any(n.startswith(last[:-1]) for n in names) if last.endswith("*")
+            else last in names)
 
 
 def test_boundary_table_matches_api_notes():

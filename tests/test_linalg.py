@@ -30,6 +30,20 @@ def random_state(rng):
     return psi / np.linalg.norm(psi)
 
 
+def assert_same_mixture(got, want):
+    """``got`` and ``want`` hold the same arrays, weights and white noise, bit for bit."""
+    for name in ("psis", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+    assert type(got.white_noise_weight) is type(want.white_noise_weight)
+    assert got.white_noise_weight == want.white_noise_weight
+    assert len(got.components) == len(want.components)
+    for (w, state), (w0, state0) in zip(got.components, want.components):
+        assert type(w) is type(w0) is float and w == w0
+        assert state.tobytes() == state0.tobytes()
+
+
 def source_form(coeffs):
     """The source's a|00> + b|12> + c|21>, as ``SourceConfig`` builds it."""
     return diagonal_state(coeffs)[:, SWAP_12]
@@ -321,6 +335,32 @@ class TestMixedState:
             MixedState(components=((1.0, np.eye(3, dtype=complex)),))
         with pytest.raises(ValidationError):
             MixedState.pure(np.full((3, 3), np.nan, dtype=complex))
+
+    def test_pure_is_the_one_component_mixture(self):
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            state = random_state(rng)
+            assert_same_mixture(MixedState.pure(state), MixedState(((1.0, state),)))
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.3, 1.0])
+    def test_isotropic_is_the_constructors_mixture(self, visibility):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            state = random_state(rng)
+            want = (MixedState(((visibility, state),), 1 - visibility) if visibility
+                    else MixedState(white_noise_weight=1.0))
+            assert_same_mixture(MixedState.isotropic(state, visibility), want)
+
+    def test_state_checked_at_visibility_zero(self):
+        state = random_state(np.random.default_rng(46)) * np.sqrt(1.1)
+        with pytest.raises(ValidationError) as want:
+            MixedState(((1.0, state),))
+        assert str(want.value) == (f"state norm^2 = {np.vdot(state, state).real:.15f} "
+                                   "deviates from 1 by more than 1e-12")
+        for build in (MixedState.pure, lambda s: MixedState.isotropic(s, 0.0)):
+            with pytest.raises(ValidationError) as got:
+                build(state)
+            assert str(got.value) == str(want.value)
 
     def test_isotropic_range(self):
         with pytest.raises(ValidationError):

@@ -52,6 +52,8 @@ from qutrit_qkd.protocol import (
 )
 from qutrit_qkd.transcript import iter_transcript, transcribe
 
+from test_linalg import assert_same_mixture
+
 IDEAL = SourceConfig()
 NO_EVE = EveConfig()
 
@@ -197,20 +199,6 @@ def forced_parties(setting_a, setting_b):
     probs_b = tuple(1.0 if s == setting_b else 0.0 for s in (1, 2, 3))
     return (PartyConfig(setting_probabilities=probs_a),
             PartyConfig(setting_probabilities=probs_b))
-
-
-def assert_same_mixture(got, want):
-    """``got`` and ``want`` hold the same arrays, weights and white noise, bit for bit."""
-    for name in ("psis", "weights"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert not a.flags.writeable
-    assert type(got.white_noise_weight) is type(want.white_noise_weight)
-    assert got.white_noise_weight == want.white_noise_weight
-    assert len(got.components) == len(want.components)
-    for (w, state), (w0, state0) in zip(got.components, want.components):
-        assert type(w) is type(w0) is float and w == w0
-        assert state.tobytes() == state0.tobytes()
 
 
 class TestConfigs:
